@@ -337,19 +337,47 @@ def _cmd_fixture(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low (counts >= 1, seeds >= 0)."""
+
+    def parse(text: str) -> int:
+        value = int(text)  # a ValueError becomes argparse's "invalid int value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+_COUNT = _int_at_least(1)
+_SEED = _int_at_least(0)
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+_tolerance.__name__ = "float"
+
+
 def _add_common(sub, tensor_arg=True, solver=False, tol=False):
     if tensor_arg:
         sub.add_argument("tensor", help="tensor file path, or - for standard input")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sub.add_argument("--out", help="write the report to this path instead of stdout")
     if tol:
-        sub.add_argument("--tol", type=float, default=None, help="tolerance override")
+        sub.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
     if solver:
-        sub.add_argument("--restarts", type=int, default=64)
-        sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--max-iters", dest="max_iters", type=int, default=10000)
+        sub.add_argument("--restarts", type=_COUNT, default=64)
+        sub.add_argument("--seed", type=_SEED, default=0)
+        sub.add_argument("--max-iters", dest="max_iters", type=_COUNT, default=10000)
         if not tol:
-            sub.add_argument("--tol", type=float, default=None, help="tolerance override")
+            sub.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,16 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(subs.add_parser("nullspace", help="rank and null-space basis"), tol=True)
     inv = subs.add_parser("invariance-check", help="max drift under random rotations")
     _add_common(inv)
-    inv.add_argument("--rotations", type=int, default=20)
-    inv.add_argument("--seed", type=int, default=0)
-    inv.add_argument("--restarts", type=int, default=64)
+    inv.add_argument("--rotations", type=_COUNT, default=20)
+    inv.add_argument("--seed", type=_SEED, default=0)
+    inv.add_argument("--restarts", type=_COUNT, default=64)
     fix = subs.add_parser("fixture", help="write a named fixture tensor file")
     fix.add_argument(
         "klass",
         metavar="class",
         help="levi-civita or one of: " + ", ".join(FIXTURE_CLASSES),
     )
-    fix.add_argument("--seed", type=int, default=0)
+    fix.add_argument("--seed", type=_SEED, default=0)
     fix.add_argument("--json", action="store_true", help="fixtures are always JSON")
     fix.add_argument("--out", help="write the tensor file to this path")
     return parser

@@ -1,16 +1,15 @@
 """Kernel tensor, L-eigenvalues, L-inverse and eigenvector decompositions.
 
-The three L-eigenvalues of a tensor are the square roots of the
-eigenvalues of its kernel ``U = A A^T``, a symmetric positive
-semi-definite Gram matrix of the 3x9 unfolding.  Everything here goes
-through that 3x3 route with a hand-rolled Jacobi solver; the squaring
-costs accuracy when sigma_1/sigma_3 approaches ~1e8, which is accepted as
-a documented limitation for a desk-scale library.
+The L-eigenvalue pairs A V = sigma x, A^T x = sigma V are the singular
+triples of the 3x9 unfolding; their sigma^2 are the eigenvalues of the
+kernel ``U = A A^T``.  L-eigenvalues, rank, null space and L-inverse
+come from one SVD of the unfolding, never from the squared kernel, so
+sigma_3 stays accurate far beyond sigma_1/sigma_3 = 1e8 and at any
+representable norm.  The kernel itself keeps the Gram route's limits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +35,9 @@ __all__ = [
     "eig_decompose_partial",
 ]
 
-# Relative cutoff below which an L-eigenvalue is treated as zero when
-# building eigentensors.
+# Relative cutoff below which an L-eigenvalue counts as zero, so its
+# eigentensor need not inherit the tensor's partial symmetry.
 _SIGMA_FLOOR = 1e-12
-# Kernel eigenvalues below this (relative to the largest) are Gram-route
-# noise: squaring puts exact zeros at ~1e-15 * lambda_1, i.e. ~1e-8 * sigma_1
-# after the square root, so they must be zeroed before it.
-_LAMBDA_FLOOR = 1e-13
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -57,10 +52,12 @@ class LEigenSystem:
 
     ``sigma`` is descending and nonnegative, ``x[j]`` is the j-th unit
     L-eigenvector and ``V[j]`` the j-th unit L-eigentensor, satisfying
-    A V_j = sigma_j x_j and A^T x_j = sigma_j V_j.  Eigentensors at
-    (numerically) zero L-eigenvalues are completed deterministically from
-    a canonical matrix basis, orthonormal to the rest; they satisfy
-    A V_j = 0 but are otherwise arbitrary.
+    A V_j = sigma_j x_j and A^T x_j = sigma_j V_j.  Each x_j has its
+    largest-magnitude component positive and V_j carries the same sign.
+    At (numerically) zero L-eigenvalues the eigentensors are right
+    singular vectors of the unfolding, orthonormal to the rest; they
+    satisfy A V_j = 0 (to rounding) but are otherwise arbitrary, though
+    deterministic.
     """
 
     sigma: np.ndarray  # (3,)
@@ -116,50 +113,27 @@ class EigDecomposition3:
         }
 
 
+def _lead_signs(rows: np.ndarray) -> np.ndarray:
+    """Per row of ``rows``, the sign (+-1.0) that makes its largest-magnitude
+    component positive; the first such component decides a tie."""
+    lead = rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)]
+    return np.where(lead < 0.0, -1.0, 1.0)
+
+
 def sym_eig3(u: core.Mat3, tol: float = 1e-8):
-    """Eigendecomposition of a symmetric 3x3 matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a symmetric 3x3 matrix (LAPACK ``eigh``).
 
     Returns (eigenvalues descending, eigenvector matrix with matching
-    columns).  Jacobi is used instead of the closed-form cubic because its
-    eigenvectors stay orthonormal under near-degenerate spectra.  Signs
-    are fixed so each eigenvector's largest-magnitude component is
-    positive, and ties keep the sweep output order under a stable sort,
-    making the output deterministic.
+    columns).  Signs are fixed so each eigenvector's largest-magnitude
+    component is positive, making the output deterministic.
     """
     u = np.asarray(u, dtype=float)
     scale = max(1.0, float(np.linalg.norm(u)))
     if float(np.abs(u - u.T).max()) > tol * scale:
         raise NotSymmetric(f"matrix asymmetry exceeds {tol:.1e} * max(1, ||U||)")
-    s = 0.5 * (u + u.T)
-    target = 1e-14 * float(np.linalg.norm(s))
-    vecs = np.eye(3)
-    for _ in range(50):
-        off = math.sqrt(2.0 * (s[0, 1] ** 2 + s[0, 2] ** 2 + s[1, 2] ** 2))
-        if off <= target:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = s[p, q]
-            if apq == 0.0:
-                continue
-            theta = (s[q, q] - s[p, p]) / (2.0 * apq)
-            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            sn = t * c
-            rot = np.eye(3)
-            rot[p, p] = rot[q, q] = c
-            rot[p, q] = sn
-            rot[q, p] = -sn
-            s = rot.T @ s @ rot
-            vecs = vecs @ rot
-    vals = np.diag(s).copy()
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order].copy()
-    for j in range(3):
-        lead = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[lead, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
-    return vals, vecs
+    vals, vecs = np.linalg.eigh(0.5 * (u + u.T))
+    vecs = vecs[:, ::-1]
+    return vals[::-1], vecs * _lead_signs(vecs.T)
 
 
 def kernel(a: core.Hyper3) -> core.Mat3:
@@ -191,78 +165,50 @@ def fold(m: np.ndarray) -> core.Hyper3:
     return m.reshape(3, 3, 3).copy()
 
 
-# Canonical 9-vector basis used to complete eigentensor and null-space
-# bases at zero L-eigenvalues; enumeration matches the unfold column order.
-_CANONICAL_9 = np.eye(9)
+def _unfolding_svd(a: core.Hyper3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sigma, sign-canonical x (rows) and the 9x9 right factor of the
+    unfolding's SVD, whose rows 0..2 are flipped with x so row j is V_j.
 
-
-def _complete_orthonormal(known: list[np.ndarray], count: int) -> list[np.ndarray]:
-    """Extend ``known`` (orthonormal 9-vectors) by ``count`` more, deterministically."""
-    added: list[np.ndarray] = []
-    basis = list(known)
-    for cand in _CANONICAL_9:
-        if len(added) == count:
-            break
-        w = cand.copy()
-        for _ in range(2):  # re-orthogonalize for safety near 1e-6 residuals
-            for b in basis:
-                w -= (b @ w) * b
-        n = float(np.linalg.norm(w))
-        if n > 1e-6:
-            w /= n
-            basis.append(w)
-            added.append(w)
-    if len(added) != count:
-        raise RuntimeError("canonical basis completion failed")  # unreachable
-    return added
+    The unfolding is scaled by a power of two (exact) to a largest entry
+    in [0.5, 1) and sigma_j = ||x_j^T M|| is taken there, which neither
+    under- nor overflows; the clamp keeps sigma non-increasing where
+    rounding reorders near-equal values.
+    """
+    m = unfold(a)
+    _, exp = np.frexp(np.abs(m).max())
+    m = np.ldexp(m, -exp)
+    u, _, vt = np.linalg.svd(m, full_matrices=True)
+    signs = _lead_signs(u.T)
+    x = u.T * signs[:, None]
+    vt[:3] *= signs[:, None]
+    sigma = np.minimum.accumulate(np.linalg.norm(x @ m, axis=1))
+    return np.ldexp(sigma, exp), x, vt
 
 
 def l_eigen(a: core.Hyper3) -> LEigenSystem:
     """L-eigenvalue decomposition A = sum_j sigma_j x_j (x) V_j.
 
-    The sigma_j are the square roots of the kernel eigenvalues (clamped at
-    zero); x_j are the kernel eigenvectors, and V_j = A^T x_j / sigma_j
-    for sigma_j above 1e-12 * sigma_1.  Below that floor V_j is completed
-    from the canonical matrix basis.
+    The triples are the singular triples of the 3x9 unfolding, so they
+    satisfy A V_j = sigma_j x_j and A^T x_j = sigma_j V_j directly; the
+    kernel A A^T is never formed.
     """
-    lam, xcols = sym_eig3(kernel(a), tol=1e-8)
-    lam = np.clip(lam, 0.0, None)
-    lam[lam <= _LAMBDA_FLOOR * lam[0]] = 0.0
-    sigma = np.sqrt(lam)
-    m = unfold(a)
-    floor = _SIGMA_FLOOR * sigma[0]
-    vrows: list[np.ndarray | None] = []
-    known: list[np.ndarray] = []
-    for j in range(3):
-        if sigma[j] > floor and sigma[j] > 0.0:
-            v = (m.T @ xcols[:, j]) / sigma[j]
-            vrows.append(v)
-            known.append(v)
-        else:
-            vrows.append(None)
-    missing = [j for j in range(3) if vrows[j] is None]
-    if missing:
-        for j, v in zip(missing, _complete_orthonormal(known, len(missing))):
-            vrows[j] = v
-    vmat = np.stack([v.reshape(3, 3) for v in vrows])
-    return LEigenSystem(sigma=_frozen(sigma), x=_frozen(xcols.T), V=_frozen(vmat))
+    sigma, x, vt = _unfolding_svd(a)
+    return LEigenSystem(sigma=_frozen(sigma), x=_frozen(x), V=_frozen(vt[:3].reshape(3, 3, 3)))
 
 
 def rank_and_nullspace(a: core.Hyper3, tol: float = 1e-10):
     """Rank of ``a`` and an orthonormal basis of its null space.
 
     The null space is the set of matrices V with A V = 0; its dimension is
-    9 - rank, never below 6.  Each basis element N satisfies
-    ||contract_mat(a, N, "right")|| <= tol * ||a||.
+    9 - rank, never below 6.  The rank counts the sigma_j above
+    tol * sigma_1, and the basis is the remaining right singular vectors
+    of the unfolding, each sign-canonical.  Each basis element N
+    satisfies ||contract_mat(a, N, "right")|| <= tol * ||a||.
     """
-    sys = l_eigen(a)
-    if sys.sigma[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sys.sigma > tol * sys.sigma[0]))
-    known = [sys.V[j].reshape(9) for j in range(rank)]
-    basis = _complete_orthonormal(known, 9 - rank)
-    return rank, [v.reshape(3, 3).copy() for v in basis]
+    sigma, _, vt = _unfolding_svd(a)
+    rank = int(np.sum(sigma > tol * sigma[0]))
+    null = vt[rank:] * _lead_signs(vt[rank:])[:, None]
+    return rank, [n.reshape(3, 3) for n in null]
 
 
 def l_inverse(a: core.Hyper3, tol: float = 1e-10) -> core.Hyper3:

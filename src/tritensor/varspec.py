@@ -21,7 +21,7 @@ import numpy as np
 
 from . import core
 from .errors import NoConvergence, NotRightSymmetric, NotSymmetric
-from .spectral import kernel_triple, unfold
+from .spectral import _frozen, _lead_signs, kernel_triple, unfold
 from .symmetry import classify
 
 __all__ = [
@@ -102,18 +102,6 @@ def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok = norms > _STALL
     safe = np.where(ok, norms, 1.0)
     return rows / safe[:, None], ok
-
-
-def _canonicalized(v: np.ndarray) -> float:
-    """Sign that makes the largest-magnitude component positive."""
-    lead = int(np.argmax(np.abs(v)))
-    return -1.0 if v[lead] < 0.0 else 1.0
-
-
-def _frozen(v: np.ndarray) -> np.ndarray:
-    v = np.array(v, dtype=float)
-    v.setflags(write=False)
-    return v
 
 
 def _zero_triple(kind: str, restarts: int) -> CriticalTriple:
@@ -221,15 +209,13 @@ def max_singular_value(
             f"no restart converged in {max_iters} iterations (restarts={restarts})"
         )
     idx = np.flatnonzero(converged)
+    x, y, z = x[idx], y[idx], z[idx]
+    sy = _lead_signs(y)[:, None]
+    y, z = y * sy, z * sy
+    sx = _lead_signs(x)[:, None]
+    x, z = x * sx, z * sx
     vals, vecs, resids = [], [], []
-    for r in idx:
-        xr, yr, zr = x[r].copy(), y[r].copy(), z[r].copy()
-        sy = _canonicalized(yr)
-        yr *= sy
-        zr *= sy
-        sx = _canonicalized(xr)
-        xr *= sx
-        zr *= sx
+    for xr, yr, zr in zip(x, y, z):
         value = core.contract_full(a, xr, yr, zr)
         r1 = np.linalg.norm(core.contract_two(a, yr, zr, (2, 3)) - value * xr)
         r2 = np.linalg.norm(core.contract_two(a, xr, zr, (1, 3)) - value * yr)
@@ -327,10 +313,10 @@ def max_c_eigenvalue(
             f"no restart converged in {max_iters} iterations (restarts={restarts})"
         )
     idx = np.flatnonzero(converged)
+    x, y = x[idx], y[idx]
+    y = y * _lead_signs(y)[:, None]
     vals, vecs, resids = [], [], []
-    for r in idx:
-        xr, yr = x[r].copy(), y[r].copy()
-        yr *= _canonicalized(yr)
+    for xr, yr in zip(x, y):
         mu = core.contract_full(a, xr, yr, yr)
         r1 = np.linalg.norm(core.contract_two(a, yr, yr, (2, 3)) - mu * xr)
         r2 = np.linalg.norm(core.contract_two(a, xr, yr, (1, 2)) - mu * yr)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,7 +199,32 @@ def test_byte_identical_reports(eps_file, capsys):
 def test_stdin_input(eps_file, monkeypatch, capsys, tmp_path):
     import io, sys
 
-    payload = open(eps_file).read()
+    payload = Path(eps_file).read_text()
     monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
     assert run(["l-eigen", "-"]) == 0
     assert "1.4142135623730951" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["singular", "{eps}", "--restarts", "-1"],
+        ["singular", "{eps}", "--restarts", "0"],
+        ["singular", "{eps}", "--max-iters", "0"],
+        ["singular", "{eps}", "--seed", "-1"],
+        ["singular", "{eps}", "--tol", "-1"],
+        ["z-eigen", "{eps}", "--tol", "nan"],
+        ["classify", "{eps}", "--tol", "-1"],
+        ["nullspace", "{eps}", "--tol", "inf"],
+        ["fixture", "symmetric", "--seed", "-1"],
+        ["invariance-check", "{eps}", "--seed", "-1"],
+        ["invariance-check", "{eps}", "--rotations", "-2"],
+        ["invariance-check", "{eps}", "--restarts", "0"],
+    ],
+)
+def test_out_of_range_arguments_exit_2(argv, eps_file, capsys):
+    option = argv[-2]
+    assert run([eps_file if arg == "{eps}" else arg for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: argument {option}:" in err

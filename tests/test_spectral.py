@@ -203,6 +203,37 @@ def test_kernel_eigenvalues_are_sigma_squared():
         assert np.allclose(lam, sigma**2, atol=1e-10 * max(1.0, lam[0]))
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_l_eigen_resolves_sigma_ratio_1e9(seed):
+    a = rank_r_tensor(3, seed, gaps=(1.0, 1e-5, 1e-9))
+    sigma = tt.l_eigen(a).sigma
+    ref = svd_sigma(a)
+    assert np.all(np.abs(sigma - ref) <= 1e-6 * ref)
+    tt.l_inverse(a)  # sigma_3/sigma_1 = 1e-9 is above the 1e-10 threshold
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e150, 1e160])
+def test_l_eigen_and_rank_homogeneous_at_extreme_norms(c):
+    for seed in range(5):
+        a = np.asarray(random_hyper3(seed))
+        base = tt.l_eigen(a).sigma
+        scaled = tt.l_eigen(c * a).sigma
+        assert np.all(np.abs(scaled - c * base) <= 1e-12 * c * base)
+        assert tt.rank_and_nullspace(c * a)[0] == tt.rank_and_nullspace(a)[0] == 3
+    a = rank_r_tensor(2, 3)
+    assert tt.rank_and_nullspace(c * a)[0] == 2
+
+
+def test_l_eigen_sigma_non_increasing_near_degenerate():
+    # rounding can order equal singular values either way
+    eps = np.asarray(tt.levi_civita())
+    for seed in range(50):
+        noise = 1e-14 * np.random.default_rng(seed).standard_normal((3, 3, 3))
+        for a in (eps + noise, tt.rotate(eps, tt.random_rotation(seed))):
+            sigma = tt.l_eigen(a).sigma
+            assert sigma[0] >= sigma[1] >= sigma[2] >= 0.0
+
+
 # ---------------------------------------------------------------------------
 # rank and null space
 

@@ -44,6 +44,7 @@ from .errors import (
     SingularTensor,
     TensorError,
     UnsupportedClass,
+    Unrepresentable,
 )
 from .spectral import (
     EigDecomposition3,
@@ -97,5 +98,6 @@ __all__ = [
     "CriticalTriple", "InvariantSet",
     "max_singular_value", "max_c_eigenvalue", "max_z_eigenvalue", "invariants",
     "TensorError", "NotOrthogonal", "NotSymmetric", "NotRightSymmetric",
-    "NotPartiallySymmetric", "SingularTensor", "UnsupportedClass", "NoConvergence",
+    "NotPartiallySymmetric", "SingularTensor", "UnsupportedClass", "Unrepresentable",
+    "NoConvergence",
 ]

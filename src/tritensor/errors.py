@@ -29,5 +29,9 @@ class UnsupportedClass(TensorError):
     """Unknown symmetry-class tag passed to a fixture constructor."""
 
 
+class Unrepresentable(TensorError):
+    """A nonzero result lies outside the normal float64 range."""
+
+
 class NoConvergence(RuntimeError):
     """No restart of an iterative eigenvalue search converged."""

@@ -167,6 +167,12 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unrepresentable_invariants_exit_2(tmp_path, capsys):
+    huge = write_tensor(tmp_path / "huge.json", 1e60 * random_hyper3(1))
+    assert run(["invariants", huge]) == 2
+    assert "Unrepresentable" in capsys.readouterr().err
+
+
 def test_no_convergence_exit_code(tmp_path, capsys):
     a = tt.make_fixture("symmetric", 0)
     path = write_tensor(tmp_path / "s.json", a)

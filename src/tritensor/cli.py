@@ -5,8 +5,8 @@ with an optional "name".  Every report is deterministic byte for byte for
 identical inputs, flags and seeds: all randomness is seeded and numbers
 are printed with shortest round-trip formatting.
 
-Exit codes: 0 success, 2 validation error, 3 singular tensor,
-4 no convergence.
+Exit codes: 0 success, 2 validation error (including unreadable input and
+unwritable output files), 3 singular tensor, 4 no convergence.
 """
 
 from __future__ import annotations
@@ -20,22 +20,6 @@ import numpy as np
 from . import core, spectral, varspec
 from .errors import NoConvergence, SingularTensor, TensorError
 from .symmetry import FIXTURE_CLASSES, classify, make_fixture
-
-SUBCOMMANDS = (
-    "classify",
-    "kernel",
-    "l-eigen",
-    "l-inverse",
-    "recover",
-    "singular",
-    "c-eigen",
-    "z-eigen",
-    "invariants",
-    "decompose",
-    "nullspace",
-    "invariance-check",
-    "fixture",
-)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -55,19 +39,50 @@ def _load_json(path: str):
             return json.load(fh), path
     except FileNotFoundError:
         raise ValidationError(f"{path}: no such file") from None
+    except OSError as exc:  # a directory, no read permission, ...
+        raise ValidationError(f"{path}: cannot read: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # not UTF-8, or an integer literal past int's digit limit
+        raise ValidationError(f"{path}: unreadable: {exc}") from None
 
 
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where}: expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float64 range
+        out = np.inf
     if not np.isfinite(out):
         raise ValidationError(f"{where}: entries must be finite")
     return out
+
+
+# What to say when a nested list at depth d does not hold 3 items; the
+# index path of that list fills the braces.
+_TENSOR_SHAPE = (
+    "field 'entries' must be a 3x3x3 array",
+    "entries[{}] must hold 3 rows",
+    "entries[{}][{}] must hold 3 numbers",
+)
+_MATRIX_SHAPE = ("expected a 3x3 array", "row {} must hold 3 numbers")
+
+
+def _read_entries(entries, shown: str, shape_errors: tuple[str, ...]) -> np.ndarray:
+    """Finite numbers nested len(shape_errors) lists deep, 3 per list."""
+
+    def walk(node, index: tuple[int, ...]):
+        if len(index) == len(shape_errors):
+            path = "".join(f"[{i}]" for i in index)
+            return _require_number(node, f"{shown}: entries{path}")
+        if not isinstance(node, list) or len(node) != 3:
+            raise ValidationError(f"{shown}: " + shape_errors[len(index)].format(*index))
+        return [walk(item, (*index, i)) for i, item in enumerate(node)]
+
+    return np.array(walk(entries, ()))
 
 
 def read_tensor(path: str) -> tuple[core.Hyper3, str]:
@@ -78,18 +93,7 @@ def read_tensor(path: str) -> tuple[core.Hyper3, str]:
     for field, want in (("dim", 3), ("order", 3)):
         if doc.get(field) != want:
             raise ValidationError(f"{shown}: field '{field}' must be {want}")
-    entries = doc.get("entries")
-    if not isinstance(entries, list) or len(entries) != 3:
-        raise ValidationError(f"{shown}: field 'entries' must be a 3x3x3 array")
-    values = np.zeros((3, 3, 3))
-    for i, plane in enumerate(entries):
-        if not isinstance(plane, list) or len(plane) != 3:
-            raise ValidationError(f"{shown}: entries[{i}] must hold 3 rows")
-        for j, row in enumerate(plane):
-            if not isinstance(row, list) or len(row) != 3:
-                raise ValidationError(f"{shown}: entries[{i}][{j}] must hold 3 numbers")
-            for k, value in enumerate(row):
-                values[i, j, k] = _require_number(value, f"{shown}: entries[{i}][{j}][{k}]")
+    values = _read_entries(doc.get("entries"), shown, _TENSOR_SHAPE)
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ValidationError(f"{shown}: field 'name' must be a string")
@@ -100,15 +104,7 @@ def read_matrix(path: str) -> core.Mat3:
     """Read a 3x3 matrix file (bare nested array or {"entries": ...})."""
     doc, shown = _load_json(path)
     entries = doc.get("entries") if isinstance(doc, dict) else doc
-    if not isinstance(entries, list) or len(entries) != 3:
-        raise ValidationError(f"{shown}: expected a 3x3 array")
-    values = np.zeros((3, 3))
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != 3:
-            raise ValidationError(f"{shown}: row {i} must hold 3 numbers")
-        for j, value in enumerate(row):
-            values[i, j] = _require_number(value, f"{shown}: entries[{i}][{j}]")
-    return core.mat3(values)
+    return core.mat3(_read_entries(entries, shown, _MATRIX_SHAPE))
 
 
 def tensor_file_dict(a: core.Hyper3, name: str | None = None) -> dict:
@@ -127,157 +123,113 @@ def _fmt_vec(v) -> str:
 
 
 def _emit(args, json_doc: dict, text_lines: list[str]) -> None:
-    if args.json:
-        payload = json.dumps(json_doc, indent=2) + "\n"
-    else:
-        payload = "\n".join(text_lines) + "\n"
-    if getattr(args, "out", None):
+    payload = (json.dumps(json_doc, indent=2) if args.json else "\n".join(text_lines)) + "\n"
+    if not args.out:
+        sys.stdout.write(payload)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    except OSError as exc:
+        raise ValidationError(f"{args.out}: cannot write: {exc.strerror}") from None
 
 
-def _cmd_classify(args) -> int:
-    a, name = read_tensor(args.tensor)
-    report = classify(a, args.tol if args.tol is not None else 1e-10)
-    doc = report.as_dict()
-    lines = [f"classification of {name}"]
-    width = max(len(k) for k in doc)
-    for key, value in doc.items():
-        shown = _fmt(value) if key == "tol" else ("true" if value else "false")
-        lines.append(f"  {key:<{width}}  {shown}")
-    _emit(args, doc, lines)
-    return EXIT_OK
+# Each report function takes the parsed arguments, the tensor and its
+# display name and returns the (JSON document, text lines) pair.
 
 
-def _cmd_kernel(args) -> int:
-    a, name = read_tensor(args.tensor)
+def _aligned(title: str, rows: dict[str, str]) -> list[str]:
+    width = max(len(k) for k in rows)
+    return [title] + [f"  {key:<{width}}  {value}" for key, value in rows.items()]
+
+
+def _classify(args, a, name):
+    doc = classify(a, args.tol).as_dict()
+    rows = {k: _fmt(v) if k == "tol" else ("true" if v else "false") for k, v in doc.items()}
+    return doc, _aligned(f"classification of {name}", rows)
+
+
+def _kernel(args, a, name):
     u = spectral.kernel(a)
-    doc = {"kernel": u.tolist(), "trace": float(np.trace(u))}
     lines = [f"kernel tensor of {name}"] + [f"  {_fmt_vec(row)}" for row in u]
     lines.append(f"trace = {_fmt(np.trace(u))}")
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return {"kernel": u.tolist(), "trace": float(np.trace(u))}, lines
 
 
-def _cmd_l_eigen(args) -> int:
-    a, name = read_tensor(args.tensor)
+def _l_eigen(args, a, name):
     sys_ = spectral.l_eigen(a)
-    doc = sys_.as_dict()
     lines = [f"l-eigen decomposition of {name}"]
-    for j in range(3):
-        lines.append(f"sigma_{j + 1} = {_fmt(sys_.sigma[j])}")
-    for j in range(3):
-        lines.append(f"x_{j + 1} = {_fmt_vec(sys_.x[j])}")
-    for j in range(3):
-        lines.append(f"V_{j + 1} = " + " ".join(_fmt_vec(row) for row in sys_.V[j]))
-    _emit(args, doc, lines)
-    return EXIT_OK
+    lines += [f"sigma_{j + 1} = {_fmt(sys_.sigma[j])}" for j in range(3)]
+    lines += [f"x_{j + 1} = {_fmt_vec(sys_.x[j])}" for j in range(3)]
+    lines += [f"V_{j + 1} = " + " ".join(_fmt_vec(row) for row in sys_.V[j]) for j in range(3)]
+    return sys_.as_dict(), lines
 
 
-def _cmd_l_inverse(args) -> int:
-    a, name = read_tensor(args.tensor)
-    inv = spectral.l_inverse(a, args.tol if args.tol is not None else 1e-10)
-    doc = tensor_file_dict(inv, f"{name}-l-inverse")
+def _l_inverse(args, a, name):
+    inv = spectral.l_inverse(a, args.tol)
     lines = [f"l-inverse of {name}"]
     for i in range(3):
-        for row in inv[i]:
-            lines.append("  " + _fmt_vec(row))
-        lines.append("")
-    _emit(args, doc, lines[:-1])
-    return EXIT_OK
+        lines += ["  " + _fmt_vec(row) for row in inv[i]] + [""]
+    return tensor_file_dict(inv, f"{name}-l-inverse"), lines[:-1]
 
 
-def _cmd_recover(args) -> int:
-    a, name = read_tensor(args.tensor)
-    v = read_matrix(args.matrix)
-    inv = spectral.l_inverse(a, args.tol if args.tol is not None else 1e-10)
-    x = spectral.recover(v, inv)
-    doc = {"vector": x.tolist()}
-    _emit(args, doc, [f"recovered from {name}: x = {_fmt_vec(x)}"])
-    return EXIT_OK
+def _recover(args, a, name):
+    x = spectral.recover(read_matrix(args.matrix), spectral.l_inverse(a, args.tol))
+    return {"vector": x.tolist()}, [f"recovered from {name}: x = {_fmt_vec(x)}"]
 
 
-def _solver_config(args) -> dict:
-    return {
-        "restarts": args.restarts,
-        "tol": args.tol if args.tol is not None else 1e-12,
-        "max_iters": args.max_iters,
-        "seed": args.seed,
-    }
+def _variational(solve):
+    """The report function of one multistart solver."""
+
+    def report(args, a, name):
+        cfg = {"restarts": args.restarts, "tol": args.tol, "max_iters": args.max_iters,
+               "seed": args.seed}
+        triple = solve(a, **cfg)
+        doc = triple.as_dict()
+        doc["config"] = cfg
+        lines = [
+            f"{triple.kind} of {name}",
+            f"value = {_fmt(triple.value)}",
+            f"x = {_fmt_vec(triple.x)}",
+            f"y = {_fmt_vec(triple.y)}",
+            f"z = {_fmt_vec(triple.z)}",
+            f"residual = {_fmt(triple.residual)}",
+            f"starts_converged = {triple.starts_converged}",
+            f"config: restarts={cfg['restarts']} tol={_fmt(cfg['tol'])} "
+            f"max_iters={cfg['max_iters']} seed={cfg['seed']}",
+        ]
+        return doc, lines
+
+    return report
 
 
-def _cmd_variational(args, kind: str) -> int:
-    a, name = read_tensor(args.tensor)
-    cfg = _solver_config(args)
-    fn = {
-        "singular": varspec.max_singular_value,
-        "c_eigen": varspec.max_c_eigenvalue,
-        "z_eigen": varspec.max_z_eigenvalue,
-    }[kind]
-    triple = fn(a, restarts=cfg["restarts"], tol=cfg["tol"], max_iters=cfg["max_iters"], seed=cfg["seed"])
-    doc = triple.as_dict()
-    doc["config"] = cfg
-    lines = [
-        f"{triple.kind} of {name}",
-        f"value = {_fmt(triple.value)}",
-        f"x = {_fmt_vec(triple.x)}",
-        f"y = {_fmt_vec(triple.y)}",
-        f"z = {_fmt_vec(triple.z)}",
-        f"residual = {_fmt(triple.residual)}",
-        f"starts_converged = {triple.starts_converged}",
-        f"config: restarts={cfg['restarts']} tol={_fmt(cfg['tol'])} "
-        f"max_iters={cfg['max_iters']} seed={cfg['seed']}",
-    ]
-    _emit(args, doc, lines)
-    return EXIT_OK
+def _invariants(args, a, name):
+    doc = varspec.invariants(a).as_dict()
+    return doc, _aligned(f"invariants of {name}", {k: _fmt(v) for k, v in doc.items()})
 
 
-def _cmd_invariants(args) -> int:
-    a, name = read_tensor(args.tensor)
-    inv = varspec.invariants(a)
-    doc = inv.as_dict()
-    width = max(len(k) for k in doc)
-    lines = [f"invariants of {name}"] + [
-        f"  {key:<{width}}  {_fmt(value)}" for key, value in doc.items()
-    ]
-    _emit(args, doc, lines)
-    return EXIT_OK
-
-
-def _cmd_decompose(args) -> int:
-    a, name = read_tensor(args.tensor)
-    dec = spectral.eig_decompose_partial(
-        a, side=args.side, tol=args.tol if args.tol is not None else 1e-8
-    )
-    residual = float(np.linalg.norm(dec.reconstruct() - a)) / max(
-        1.0, float(np.linalg.norm(a))
-    )
+def _decompose(args, a, name):
+    dec = spectral.eig_decompose_partial(a, side=args.side, tol=args.tol)
+    scale = max(1.0, float(np.linalg.norm(a)))
+    residual = float(np.linalg.norm(dec.reconstruct() - a)) / scale
     doc = dec.as_dict()
     doc["residual"] = residual
     lines = [f"{args.side}-side eigenvector decomposition of {name}"]
     for j in range(3):
         lines.append(f"sigma_{j + 1} = {_fmt(dec.sigma[j])}  lambda = {_fmt_vec(dec.lam[j])}")
+    lines += [f"x_{j + 1} = {_fmt_vec(dec.x[j])}" for j in range(3)]
     for j in range(3):
-        lines.append(f"x_{j + 1} = {_fmt_vec(dec.x[j])}")
-    for j in range(3):
-        for k in range(3):
-            lines.append(f"y_{j + 1}{k + 1} = {_fmt_vec(dec.y[j, k])}")
+        lines += [f"y_{j + 1}{k + 1} = {_fmt_vec(dec.y[j, k])}" for k in range(3)]
     lines.append(f"reconstruction residual = {_fmt(residual)}")
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return doc, lines
 
 
-def _cmd_nullspace(args) -> int:
-    a, name = read_tensor(args.tensor)
-    rank, basis = spectral.rank_and_nullspace(a, args.tol if args.tol is not None else 1e-10)
+def _nullspace(args, a, name):
+    rank, basis = spectral.rank_and_nullspace(a, args.tol)
     doc = {"rank": rank, "null_dimension": len(basis), "basis": [b.tolist() for b in basis]}
     lines = [f"null space of {name}", f"rank = {rank}", f"null dimension = {len(basis)}"]
-    for n, b in enumerate(basis):
-        lines.append(f"N_{n + 1} = " + " ".join(_fmt_vec(row) for row in b))
-    _emit(args, doc, lines)
-    return EXIT_OK
+    lines += [f"N_{n + 1} = " + " ".join(_fmt_vec(row) for row in b) for n, b in enumerate(basis)]
+    return doc, lines
 
 
 def _invariant_quantities(a, report, restarts, seed) -> dict[str, float]:
@@ -293,14 +245,12 @@ def _invariant_quantities(a, report, restarts, seed) -> dict[str, float]:
     return inv
 
 
-def _cmd_invariance_check(args) -> int:
-    a, name = read_tensor(args.tensor)
+def _invariance_check(args, a, name):
     report = classify(a, 1e-8)
     base = _invariant_quantities(a, report, args.restarts, args.seed)
     drift = {key: 0.0 for key in base}
     for r in range(args.rotations):
-        p = core.random_rotation(args.seed + r)
-        rotated = core.rotate(a, p)
+        rotated = core.rotate(a, core.random_rotation(args.seed + r))
         values = _invariant_quantities(rotated, report, args.restarts, args.seed)
         for key, reference in base.items():
             rel = abs(values[key] - reference) / max(1.0, abs(reference))
@@ -308,76 +258,84 @@ def _cmd_invariance_check(args) -> int:
     max_drift = max(drift.values())
     cfg = {"rotations": args.rotations, "seed": args.seed, "restarts": args.restarts}
     doc = {"config": cfg, "reference": base, "drift": drift, "max_drift": max_drift}
-    width = max(len(k) for k in drift)
-    lines = [
+    title = (
         f"invariance check of {name} over {args.rotations} rotations "
         f"(seed={args.seed}, restarts={args.restarts})"
-    ]
-    for key in drift:
-        lines.append(f"  {key:<{width}}  value={_fmt(base[key])}  drift={_fmt(drift[key])}")
-    lines.append(f"max relative drift = {_fmt(max_drift)}")
-    _emit(args, doc, lines)
-    return EXIT_OK
+    )
+    rows = {key: f"value={_fmt(base[key])}  drift={_fmt(drift[key])}" for key in drift}
+    return doc, _aligned(title, rows) + [f"max relative drift = {_fmt(max_drift)}"]
 
 
-def _cmd_fixture(args) -> int:
+def _fixture(args, a, name):
     tag = args.klass.replace("-", "_")
-    if tag == "levi_civita":
-        tensor = core.levi_civita()
-    else:
-        tensor = make_fixture(tag, args.seed)
-    doc = tensor_file_dict(tensor, args.klass)
-    # fixtures are emitted as tensor files in both modes so they can be piped
-    payload = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    return EXIT_OK
+    tensor = core.levi_civita() if tag == "levi_civita" else make_fixture(tag, args.seed)
+    return tensor_file_dict(tensor, args.klass), []
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low (counts >= 1, seeds >= 0)."""
+def _checked(convert, accept, what: str):
+    """argparse type: convert(text), refused unless accept(value)."""
 
-    def parse(text: str) -> int:
-        value = int(text)  # a ValueError becomes argparse's "invalid int value"
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+    def parse(text: str):
+        value = convert(text)  # a ValueError becomes argparse's "invalid int/float value"
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
 
-    parse.__name__ = "int"
+    parse.__name__ = convert.__name__
     return parse
 
 
-_COUNT = _int_at_least(1)
-_SEED = _int_at_least(0)
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_TOLERANCE = _checked(float, lambda v: np.isfinite(v) and v > 0.0, "finite and > 0")
 
 
-def _tolerance(text: str) -> float:
-    """argparse type: a finite float > 0."""
-    value = float(text)
-    if not (np.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+def _arg(*flags, **kwargs):
+    return flags, kwargs
 
 
-_tolerance.__name__ = "float"
+def _tol(default: float):
+    return _arg("--tol", type=_TOLERANCE, default=default, help=f"tolerance (default {default:g})")
 
 
-def _add_common(sub, tensor_arg=True, solver=False, tol=False):
-    if tensor_arg:
-        sub.add_argument("tensor", help="tensor file path, or - for standard input")
-    sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    sub.add_argument("--out", help="write the report to this path instead of stdout")
-    if tol:
-        sub.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
-    if solver:
-        sub.add_argument("--restarts", type=_COUNT, default=64)
-        sub.add_argument("--seed", type=_SEED, default=0)
-        sub.add_argument("--max-iters", dest="max_iters", type=_COUNT, default=10000)
-        if not tol:
-            sub.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
+_IO = (
+    _arg("tensor", help="tensor file path, or - for standard input"),
+    _arg("--json", action="store_true", help="emit JSON instead of text"),
+    _arg("--out", help="write the report to this path instead of stdout"),
+)
+_SEED_ARG = _arg("--seed", type=_SEED, default=0)
+_RESTARTS_SEED = (_arg("--restarts", type=_COUNT, default=64), _SEED_ARG)
+_SOLVER = (*_IO, *_RESTARTS_SEED,
+           _arg("--max-iters", dest="max_iters", type=_COUNT, default=10000), _tol(1e-12))
+
+# name -> (help, report function, arguments).  run() builds the parser from
+# this table, reads the tensor of every subcommand that takes one, calls
+# the report function and writes its report through _emit.
+_COMMANDS = {
+    "classify": ("symmetry classification", _classify, (*_IO, _tol(1e-10))),
+    "kernel": ("kernel tensor A A^T", _kernel, _IO),
+    "l-eigen": ("L-eigenvalue decomposition", _l_eigen, _IO),
+    "l-inverse": ("L-inverse as a tensor file", _l_inverse, (*_IO, _tol(1e-10))),
+    "recover": ("recover x from V = x A via the L-inverse", _recover,
+                (*_IO, _tol(1e-10), _arg("--matrix", required=True, help="3x3 matrix file for V"))),
+    "singular": ("largest singular value", _variational(varspec.max_singular_value), _SOLVER),
+    "c-eigen": ("largest C-eigenvalue", _variational(varspec.max_c_eigenvalue), _SOLVER),
+    "z-eigen": ("largest Z-eigenvalue", _variational(varspec.max_z_eigenvalue), _SOLVER),
+    "invariants": ("the seven kernel invariants", _invariants, _IO),
+    "decompose": ("eigenvector decomposition", _decompose, (*_IO, _tol(1e-8),
+                  _arg("--side", choices=("right", "left", "central"), default="right"))),
+    "nullspace": ("rank and null-space basis", _nullspace, (*_IO, _tol(1e-10))),
+    "invariance-check": ("max drift under random rotations", _invariance_check,
+                         (*_IO, _arg("--rotations", type=_COUNT, default=20), *_RESTARTS_SEED)),
+    "fixture": ("write a named fixture tensor file", _fixture, (
+        _arg("klass", metavar="class", help="levi-civita or one of: " + ", ".join(FIXTURE_CLASSES)),
+        _SEED_ARG,
+        # fixtures are tensor files in both modes, so they can be piped
+        _arg("--json", action="store_true", default=True, help="fixtures are always JSON"),
+        _arg("--out", help="write the tensor file to this path"),
+    )),
+}
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,74 +345,29 @@ def build_parser() -> argparse.ArgumentParser:
         "L-eigenvalues, L-inverse, variational eigenvalues and invariants.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(subs.add_parser("classify", help="symmetry classification"), tol=True)
-    _add_common(subs.add_parser("kernel", help="kernel tensor A A^T"))
-    _add_common(subs.add_parser("l-eigen", help="L-eigenvalue decomposition"))
-    _add_common(subs.add_parser("l-inverse", help="L-inverse as a tensor file"), tol=True)
-    rec = subs.add_parser("recover", help="recover x from V = x A via the L-inverse")
-    _add_common(rec, tol=True)
-    rec.add_argument("--matrix", required=True, help="3x3 matrix file for V")
-    _add_common(subs.add_parser("singular", help="largest singular value"), solver=True)
-    _add_common(subs.add_parser("c-eigen", help="largest C-eigenvalue"), solver=True)
-    _add_common(subs.add_parser("z-eigen", help="largest Z-eigenvalue"), solver=True)
-    _add_common(subs.add_parser("invariants", help="the seven kernel invariants"))
-    dec = subs.add_parser("decompose", help="eigenvector decomposition")
-    _add_common(dec, tol=True)
-    dec.add_argument("--side", choices=("right", "left", "central"), default="right")
-    _add_common(subs.add_parser("nullspace", help="rank and null-space basis"), tol=True)
-    inv = subs.add_parser("invariance-check", help="max drift under random rotations")
-    _add_common(inv)
-    inv.add_argument("--rotations", type=_COUNT, default=20)
-    inv.add_argument("--seed", type=_SEED, default=0)
-    inv.add_argument("--restarts", type=_COUNT, default=64)
-    fix = subs.add_parser("fixture", help="write a named fixture tensor file")
-    fix.add_argument(
-        "klass",
-        metavar="class",
-        help="levi-civita or one of: " + ", ".join(FIXTURE_CLASSES),
-    )
-    fix.add_argument("--seed", type=_SEED, default=0)
-    fix.add_argument("--json", action="store_true", help="fixtures are always JSON")
-    fix.add_argument("--out", help="write the tensor file to this path")
+    for command, (help_text, _, arguments) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for flags, kwargs in arguments:
+            sub.add_argument(*flags, **kwargs)
     return parser
-
-
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "kernel": _cmd_kernel,
-    "l-eigen": _cmd_l_eigen,
-    "l-inverse": _cmd_l_inverse,
-    "recover": _cmd_recover,
-    "singular": lambda args: _cmd_variational(args, "singular"),
-    "c-eigen": lambda args: _cmd_variational(args, "c_eigen"),
-    "z-eigen": lambda args: _cmd_variational(args, "z_eigen"),
-    "invariants": _cmd_invariants,
-    "decompose": _cmd_decompose,
-    "nullspace": _cmd_nullspace,
-    "invariance-check": _cmd_invariance_check,
-    "fixture": _cmd_fixture,
-}
 
 
 def run(argv=None) -> int:
     """Parse argv, execute one subcommand and return the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
+    report = _COMMANDS[args.command][1]
     try:
-        return _HANDLERS[args.command](args)
-    except SingularTensor as exc:
-        print(f"SingularTensor: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except NoConvergence as exc:
-        print(f"NoConvergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except TensorError as exc:
+        a, name = read_tensor(args.tensor) if hasattr(args, "tensor") else (None, None)
+        _emit(args, *report(args, a, name))
+    except (TensorError, NoConvergence) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        if isinstance(exc, SingularTensor):
+            return EXIT_SINGULAR
+        return EXIT_NO_CONVERGENCE if isinstance(exc, NoConvergence) else EXIT_VALIDATION
+    return EXIT_OK
 
 
 def main() -> None:

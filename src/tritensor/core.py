@@ -213,6 +213,14 @@ def rotate_vec(x: Vec3, p: Mat3, tol: float = 1e-10) -> Vec3:
     return p @ np.asarray(x, dtype=float)
 
 
+def _pow2_scale(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """``arr`` scaled by a power of two (exact) to a largest magnitude in
+    [0.5, 1), and the exponent e with arr = ldexp(scaled, e); a zero
+    array comes back unchanged with e = 0."""
+    _, exp = np.frexp(np.abs(arr).max())
+    return np.ldexp(arr, -exp), int(exp)
+
+
 def _det3(m: np.ndarray) -> float:
     return float(
         m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])

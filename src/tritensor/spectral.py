@@ -165,14 +165,6 @@ def fold(m: np.ndarray) -> core.Hyper3:
     return m.reshape(3, 3, 3).copy()
 
 
-def _pow2_scale(arr: np.ndarray) -> tuple[np.ndarray, int]:
-    """``arr`` scaled by a power of two (exact) to a largest magnitude in
-    [0.5, 1), and the exponent e with arr = ldexp(scaled, e); a zero
-    array comes back unchanged with e = 0."""
-    _, exp = np.frexp(np.abs(arr).max())
-    return np.ldexp(arr, -exp), int(exp)
-
-
 def _unfolding_svd(a: core.Hyper3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sigma, sign-canonical x (rows) and the 9x9 right factor of the
     unfolding's SVD, whose rows 0..2 are flipped with x so row j is V_j.
@@ -182,7 +174,7 @@ def _unfolding_svd(a: core.Hyper3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     under- nor overflows; the clamp keeps sigma non-increasing where
     rounding reorders near-equal values.
     """
-    m, exp = _pow2_scale(unfold(a))
+    m, exp = core._pow2_scale(unfold(a))
     u, _, vt = np.linalg.svd(m, full_matrices=True)
     signs = _lead_signs(u.T)
     x = u.T * signs[:, None]

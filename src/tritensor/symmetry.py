@@ -1,9 +1,10 @@
 """Symmetry classification of 3x3x3 hypermatrices and class fixtures.
 
-Each symmetry flag is an entrywise condition checked within a tolerance
-relative to max(1, Frobenius norm), so the verdicts are stable for both
-tiny and large tensors.  ``make_fixture`` builds a deterministic nonzero
-member of any primitive class for testing.
+Each symmetry flag is an entrywise condition checked within tol * ||a||
+(Frobenius norm) on the tensor scaled by a power of two, so the verdicts
+do not depend on the tensor's scale anywhere in the float64 range.
+``make_fixture`` builds a deterministic nonzero member of any primitive
+class for testing.
 """
 
 from __future__ import annotations
@@ -62,32 +63,35 @@ def _selective_left_dev(a: np.ndarray) -> float:
     return max(abs(float(a[i, j, k] - a[j, i, k])) for i, j, k in _SELECTIVE_LEFT_TRIPLES)
 
 
+def _scaled_with_bound(a: core.Hyper3, tol: float) -> tuple[np.ndarray, float]:
+    """``a`` scaled by a power of two (exact) to a largest entry in [0.5, 1),
+    where its norm can neither under- nor overflow, and tol * ||a|| there."""
+    a, _ = core._pow2_scale(np.asarray(a, dtype=float))
+    return a, tol * float(np.linalg.norm(a))
+
+
 def classify(a: core.Hyper3, tol: float = 1e-10) -> SymmetryReport:
     """Classify ``a`` against every symmetry class.
 
-    Primitive flags are entrywise comparisons within tol * max(1, ||a||).
+    Primitive flags are entrywise comparisons within tol * ||a||.
     Derived flags: partially_symmetric is the disjunction of the three
     one-pair symmetries, symmetric their conjunction, totally_anti the
     conjunction of the three anti flags.  The selective flags restrict the
     right/left conditions to index triples with all positions distinct, so
     unlike the other flags they are not preserved by a change of basis.
     """
-    a = np.asarray(a, dtype=float)
-    bound = tol * max(1.0, float(np.linalg.norm(a)))
-
-    def within(dev: float) -> bool:
-        return dev <= bound
-
-    right = within(float(np.abs(a - a.transpose(0, 2, 1)).max()))
-    left = within(float(np.abs(a - a.transpose(1, 0, 2)).max()))
-    central = within(float(np.abs(a - a.transpose(2, 1, 0)).max()))
-    cyclic = within(float(np.abs(a - core.transpose(a)).max()))
-    right_anti = within(float(np.abs(a + a.transpose(0, 2, 1)).max()))
-    left_anti = within(float(np.abs(a + a.transpose(1, 0, 2)).max()))
-    central_anti = within(float(np.abs(a + a.transpose(2, 1, 0)).max()))
-    traceless = within(float(np.abs(np.einsum("ijj->i", a)).max()))
-    sel_right = within(_selective_right_dev(a))
-    sel_left = within(_selective_left_dev(a))
+    a, bound = _scaled_with_bound(a, tol)
+    # the right, left and central swaps, then the cyclic transpose
+    swaps = np.stack(
+        (a.transpose(0, 2, 1), a.transpose(1, 0, 2), a.transpose(2, 1, 0), core.transpose(a))
+    )
+    right, left, central, cyclic = (np.abs(a - swaps).max(axis=(1, 2, 3)) <= bound).tolist()
+    right_anti, left_anti, central_anti = (
+        np.abs(a + swaps[:3]).max(axis=(1, 2, 3)) <= bound
+    ).tolist()
+    traceless = float(np.abs(np.einsum("ijj->i", a)).max()) <= bound
+    sel_right = _selective_right_dev(a) <= bound
+    sel_left = _selective_left_dev(a) <= bound
 
     return SymmetryReport(
         right_symmetric=right,
@@ -119,9 +123,8 @@ def selective_symmetry_via_levi_civita(
     entry.  The full products vanish only under the unrestricted
     right/left symmetries; see the package notes on this distinction.
     """
-    a = np.asarray(a, dtype=float)
+    a, bound = _scaled_with_bound(a, tol)
     eps = core.levi_civita()
-    bound = tol * max(1.0, float(np.linalg.norm(a)))
     right = float(np.abs(np.diagonal(core.prod2(a, eps))).max()) <= bound
     left = float(np.abs(np.diagonal(core.prod2(eps, a))).max()) <= bound
     return right, left

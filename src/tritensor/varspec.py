@@ -28,7 +28,7 @@ import numpy as np
 
 from . import core
 from .errors import NoConvergence, NotRightSymmetric, NotSymmetric, Unrepresentable
-from .spectral import _frozen, _lead_signs, _pow2_scale, kernel_triple
+from .spectral import _frozen, _lead_signs, kernel_triple
 from .symmetry import classify
 
 __all__ = [
@@ -250,7 +250,7 @@ def _multistart(kind, a, restarts, tol, max_iters, seed, history_out) -> Critica
         e1 = _frozen([1.0, 0.0, 0.0])
         return CriticalTriple(kind, 0.0, e1, e1, e1, 0.0, restarts)
     slots, drawn, step, signs = _KINDS[kind]
-    a, exp = _pow2_scale(a)
+    a, exp = core._pow2_scale(a)
     m = a.reshape(3, 9)
     norm = float(np.linalg.norm(m))
     shift = _SHIFT * norm
@@ -401,7 +401,7 @@ def invariants(a: core.Hyper3) -> InvariantSet:
     back exactly by their degree 2, 4 or 6; Unrepresentable is raised
     when a nonzero trace would under- or overflow float64.
     """
-    a, exp = _pow2_scale(np.asarray(a, dtype=float))
+    a, exp = core._pow2_scale(np.asarray(a, dtype=float))
     kt = kernel_triple(a)
     u1 = np.stack((kt.u, kt.u_bar, kt.u_hat))
     u2 = u1 @ u1

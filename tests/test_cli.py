@@ -5,13 +5,9 @@ import numpy as np
 import pytest
 
 import tritensor as tt
-from tritensor.cli import SUBCOMMANDS, _HANDLERS, run
+from tritensor.cli import SUBCOMMANDS, run
 
 from helpers import random_hyper3
-
-
-def test_every_subcommand_has_a_handler():
-    assert set(_HANDLERS) == set(SUBCOMMANDS)
 
 
 def write_tensor(path, entries, name=None, dim=3, order=3):
@@ -25,6 +21,47 @@ def write_tensor(path, entries, name=None, dim=3, order=3):
 @pytest.fixture()
 def eps_file(tmp_path):
     return write_tensor(tmp_path / "eps.json", tt.levi_civita(), name="levi-civita")
+
+
+# a fitting argv tail for every subcommand; {eps}, {sym}, {central} and
+# {matrix} stand for input files written by the test
+WIRED = {
+    "classify": ["{eps}"],
+    "kernel": ["{eps}"],
+    "l-eigen": ["{eps}"],
+    "l-inverse": ["{eps}"],
+    "recover": ["{eps}", "--matrix", "{matrix}"],
+    "singular": ["{sym}"],
+    "c-eigen": ["{sym}"],
+    "z-eigen": ["{sym}"],
+    "invariants": ["{eps}"],
+    "decompose": ["{central}", "--side", "central"],
+    "nullspace": ["{eps}"],
+    "invariance-check": ["{sym}", "--rotations", "2", "--restarts", "8"],
+    "fixture": ["symmetric", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_runs_in_both_modes(command, tmp_path, capsys):
+    paths = {
+        "{eps}": write_tensor(tmp_path / "eps.json", tt.levi_civita()),
+        "{sym}": write_tensor(tmp_path / "sym.json", tt.make_fixture("symmetric", 7)),
+        "{central}": write_tensor(tmp_path / "c.json", tt.make_fixture("centrally_symmetric", 7)),
+        "{matrix}": str(tmp_path / "v.json"),
+    }
+    v = tt.contract_one(tt.levi_civita(), np.array([0.3, -1.2, 0.8]), 1)
+    Path(paths["{matrix}"]).write_text(json.dumps(v.tolist()))
+    argv = [command, *(paths.get(arg, arg) for arg in WIRED[command])]
+    assert run(argv) == 0
+    assert capsys.readouterr().out
+    assert run(argv + ["--json"]) == 0
+    shown = capsys.readouterr().out
+    json.loads(shown)
+    out = tmp_path / "report.json"
+    assert run(argv + ["--json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == shown
 
 
 def test_fixture_levi_civita_pipes_into_l_eigen(tmp_path, capsys):
@@ -165,6 +202,33 @@ def test_exit_codes(tmp_path, capsys):
     assert "NotSymmetric" in capsys.readouterr().err
     assert run(["classify", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "case", ["unwritable_out", "directory", "not_utf8", "too_many_digits", "overflowing_entry"]
+)
+def test_bad_files_exit_2(case, eps_file, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    if case == "unwritable_out":
+        path = tmp_path / "absent" / "report.json"
+    elif case == "directory":
+        path = tmp_path
+    elif case == "not_utf8":
+        path.write_bytes(b'{"dim": 3, "order": 3, "name": "caf\xe9"}')
+    elif case == "too_many_digits":  # past the interpreter's int digit limit
+        path.write_text('{"dim": 3, "order": 3, "entries": ' + "1" * 5000 + "}")
+    else:  # an integer beyond the float64 range
+        entries = np.zeros((3, 3, 3), dtype=int).tolist()
+        entries[0][1][2] = 10**400
+        path.write_text(json.dumps({"dim": 3, "order": 3, "entries": entries}))
+    if case == "unwritable_out":
+        argv = ["classify", eps_file, "--out", str(path)]
+    else:
+        argv = ["classify", str(path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"ValidationError: {path}" in err
 
 
 def test_unrepresentable_invariants_exit_2(tmp_path, capsys):

@@ -76,6 +76,17 @@ def test_fixture_classified_for_100_seeds(klass):
         assert getattr(rep, flag), f"{klass} seed {seed}"
 
 
+@pytest.mark.parametrize("c", [1e-12, 2.0**-40, 1e160])
+def test_classify_is_scale_free(c):
+    # the bound is tol * ||a||: an absolute floor below norm 1 made every
+    # flag true at norm 1e-12, and the norm overflowed near 1e160
+    for klass in FIXTURE_CLASSES:
+        a = np.asarray(tt.make_fixture(klass, 0))
+        assert tt.classify(c * a) == tt.classify(a), klass
+        selective = tt.selective_symmetry_via_levi_civita(a)
+        assert tt.selective_symmetry_via_levi_civita(c * a) == selective, klass
+
+
 def test_fixture_determinism_and_unknown_class():
     a = tt.make_fixture("symmetric", 42)
     b = tt.make_fixture("symmetric", 42)

@@ -119,8 +119,10 @@ def test_singular_sampling_lower_bound():
 
 
 def test_c_eigen_requires_right_symmetry():
-    with pytest.raises(NotRightSymmetric):
-        tt.max_c_eigenvalue(random_hyper3(0))
+    # the symmetry check is relative to ||A||, so a small scale does not pass it
+    for c in (1.0, 1e-9):
+        with pytest.raises(NotRightSymmetric):
+            tt.max_c_eigenvalue(c * random_hyper3(0))
 
 
 def test_c_eigen_rank_one():
@@ -171,8 +173,9 @@ def test_c_eigen_monotone_objective():
 
 
 def test_z_eigen_requires_symmetry():
-    with pytest.raises(NotSymmetric):
-        tt.max_z_eigenvalue(tt.make_fixture("right_symmetric", 0))
+    for a in (tt.make_fixture("right_symmetric", 0), 1e-9 * random_hyper3(0)):
+        with pytest.raises(NotSymmetric):
+            tt.max_z_eigenvalue(a)
 
 
 def test_z_eigen_single_cube():
@@ -224,7 +227,7 @@ def test_z_eigen_monotone_objective():
 # the multistart driver
 
 
-@pytest.mark.parametrize("c", [2.0**-20, 1e-4, 1.0, 2.0**20])
+@pytest.mark.parametrize("c", [2.0**-20, 1e-4, 1.0, 2.0**20, 1e160])
 def test_c_and_z_maxima_scale_with_the_tensor(c):
     a = np.asarray(tt.make_fixture("symmetric", 3))
     for solve in (tt.max_c_eigenvalue, tt.max_z_eigenvalue):

@@ -10,6 +10,7 @@ representable norm.  The kernel itself keeps the Gram route's limits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,15 +126,17 @@ def sym_eig3(u: core.Mat3, tol: float = 1e-8):
 
     Returns (eigenvalues descending, eigenvector matrix with matching
     columns).  Signs are fixed so each eigenvector's largest-magnitude
-    component is positive, making the output deterministic.
+    component is positive, making the output deterministic.  Raises
+    NotSymmetric when max |U - U^T| exceeds tol * ||U||; the check and
+    ``eigh`` run on U scaled by a power of two (exact), so both are
+    scale-free.
     """
-    u = np.asarray(u, dtype=float)
-    scale = max(1.0, float(np.linalg.norm(u)))
-    if float(np.abs(u - u.T).max()) > tol * scale:
-        raise NotSymmetric(f"matrix asymmetry exceeds {tol:.1e} * max(1, ||U||)")
+    u, exp = core._pow2_scale(np.asarray(u, dtype=float))
+    if float(np.abs(u - u.T).max()) > tol * float(np.linalg.norm(u)):
+        raise NotSymmetric(f"matrix asymmetry exceeds {tol:.1e} * ||U||")
     vals, vecs = np.linalg.eigh(0.5 * (u + u.T))
     vecs = vecs[:, ::-1]
-    return vals[::-1], vecs * _lead_signs(vecs.T)
+    return np.ldexp(vals[::-1], exp), vecs * _lead_signs(vecs.T)
 
 
 def kernel(a: core.Hyper3) -> core.Mat3:
@@ -169,18 +172,31 @@ def _unfolding_svd(a: core.Hyper3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sigma, sign-canonical x (rows) and the 9x9 right factor of the
     unfolding's SVD, whose rows 0..2 are flipped with x so row j is V_j.
 
+    Consecutive calls on the same tensor contents share one SVD: the
+    result is memoized on the unfolding's bytes, one entry deep.  Its
+    arrays are read-only, and no public function returns one of them.
+    """
+    return _svd_of_bytes(unfold(a).tobytes())
+
+
+@functools.lru_cache(maxsize=1)
+def _svd_of_bytes(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_unfolding_svd` of the unfolding stored in ``key``.
+
     The unfolding is scaled by a power of two (exact) to a largest entry
     in [0.5, 1) and sigma_j = ||x_j^T M|| is taken there, which neither
     under- nor overflows; the clamp keeps sigma non-increasing where
     rounding reorders near-equal values.
     """
-    m, exp = core._pow2_scale(unfold(a))
+    m, exp = core._pow2_scale(np.frombuffer(key).reshape(3, 9))
     u, _, vt = np.linalg.svd(m, full_matrices=True)
     signs = _lead_signs(u.T)
     x = u.T * signs[:, None]
     vt[:3] *= signs[:, None]
-    sigma = np.minimum.accumulate(np.linalg.norm(x @ m, axis=1))
-    return np.ldexp(sigma, exp), x, vt
+    sigma = np.ldexp(np.minimum.accumulate(np.linalg.norm(x @ m, axis=1)), exp)
+    for arr in (sigma, x, vt):
+        arr.setflags(write=False)
+    return sigma, x, vt
 
 
 def l_eigen(a: core.Hyper3) -> LEigenSystem:
@@ -224,14 +240,14 @@ def l_inverse(a: core.Hyper3, tol: float = 1e-10) -> core.Hyper3:
     B = l_inverse(a) by the transpose-conjugated mirror
     transpose(transpose(l_inverse(transpose(transpose(B))))).
     """
-    sys = l_eigen(a)
-    s1, s3 = float(sys.sigma[0]), float(sys.sigma[2])
+    sigma, x, vt = _unfolding_svd(a)
+    s1, s3 = float(sigma[0]), float(sigma[2])
     if s1 <= 0.0 or s3 <= tol * s1:
         ratio = s3 / s1 if s1 > 0.0 else 0.0
         raise SingularTensor(
             f"tensor is singular: sigma3/sigma1 = {ratio:.3e} <= {tol:.1e}"
         )
-    return np.einsum("n,nij,nk->ijk", 1.0 / sys.sigma, sys.V, sys.x)
+    return np.einsum("n,nij,nk->ijk", 1.0 / sigma, vt[:3].reshape(3, 3, 3), x)
 
 
 def recover(v: core.Mat3, a_inv: core.Hyper3) -> core.Vec3:

@@ -1,0 +1,68 @@
+"""Property tests on generated 3x3x3 tensors (hypothesis)."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import tritensor as tt
+from tritensor import spectral
+
+# entries are normal floats of moderate size or exact zeros, so scaling
+# by 2^-60..2^60 stays inside the normal float64 range
+entries = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+tensors = arrays(np.float64, (3, 3, 3), elements=entries)
+
+# each property runs 50 examples, to keep the module near a second
+few = settings(max_examples=50)
+
+
+def mp_relative_residual(a, b):
+    """Largest Moore-Penrose residual of unfold(a) and b as 9x3, each
+    divided by the size of the terms it compares."""
+    m = np.asarray(a).reshape(3, 9)
+    bm = np.asarray(b).reshape(9, 3)
+    nm, nb = np.linalg.norm(m, 2), np.linalg.norm(bm, 2)
+    mb, bmm = m @ bm, bm @ m
+    return max(
+        float(np.abs(mb @ m - m).max()) / nm,
+        float(np.abs(bmm @ bm - bm).max()) / nb,
+        float(np.abs(mb - mb.T).max()) / (nm * nb),
+        float(np.abs(bmm - bmm.T).max()) / (nm * nb),
+    )
+
+
+@few
+@given(tensors, st.integers(-60, 60), st.floats(1e-3, 1e3))
+def test_sigma_is_homogeneous(a, k, c):
+    sigma = tt.l_eigen(a).sigma
+    # a power of two is exact, so sigma scales exactly
+    assert np.array_equal(tt.l_eigen(np.ldexp(a, k)).sigma, np.ldexp(sigma, k))
+    # any other factor rounds the entries, which moves sigma by ~1e-16 sigma_1
+    assert np.all(np.abs(tt.l_eigen(c * a).sigma - c * sigma) <= 1e-12 * c * sigma[0])
+
+
+@few
+@given(tensors)
+def test_transpose_has_order_three(a):
+    assert np.array_equal(tt.transpose(tt.transpose(tt.transpose(a))), a)
+
+
+@few
+@given(tensors)
+def test_l_inverse_satisfies_moore_penrose(a):
+    sigma = tt.l_eigen(a).sigma
+    # the residuals grow like 1e-16 sigma_1/sigma_3; 1e-9 holds up to 1e3
+    assume(sigma[2] > 1e-3 * sigma[0])
+    assert mp_relative_residual(a, tt.l_inverse(a)) <= 1e-9
+
+
+@few
+@given(tensors)
+def test_memoized_l_eigen_equals_a_fresh_one(a):
+    tt.l_eigen(a)
+    warm = tt.l_eigen(a)
+    spectral._svd_of_bytes.cache_clear()
+    fresh = tt.l_eigen(a)
+    for name in ("sigma", "x", "V"):
+        assert getattr(warm, name).tobytes() == getattr(fresh, name).tobytes()

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import tritensor as tt
+from tritensor import spectral
 from tritensor.errors import NotPartiallySymmetric, NotSymmetric, SingularTensor
 
 from helpers import mp_residuals, random_hyper3, random_vec, svd_sigma
@@ -70,6 +74,20 @@ def test_sym_eig3_sign_and_order_deterministic():
 def test_sym_eig3_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         tt.sym_eig3(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("c", [1e-12, 2.0**-40, 1e160])
+def test_sym_eig3_is_scale_free(c):
+    # the asymmetry bound is relative to ||U||, so a small matrix is not
+    # waved through and a huge one does not overflow the norm
+    with pytest.raises(NotSymmetric):
+        tt.sym_eig3(c * np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    m = np.random.default_rng(0).standard_normal((3, 3))
+    u = m + m.T
+    vals, vecs = tt.sym_eig3(u)
+    scaled_vals, scaled_vecs = tt.sym_eig3(c * u)
+    assert np.all(np.abs(scaled_vals - c * vals) <= 1e-14 * c * np.abs(vals).max())
+    assert np.abs(scaled_vecs - vecs).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -422,3 +440,112 @@ def test_symmetric_eigentensors_for_right_symmetric_inputs():
             if sys_.sigma[j] > floor:
                 v = sys_.V[j]
                 assert np.abs(v - v.T).max() <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the memoized unfolding SVD
+
+
+def spectral_outputs(a, before=lambda: None):
+    """Bytes of every l_eigen, l_inverse and rank_and_nullspace output;
+    ``before`` runs ahead of each of the three calls."""
+    before()
+    sys_ = tt.l_eigen(a)
+    before()
+    try:
+        inverse = tt.l_inverse(a).tobytes()
+    except SingularTensor as exc:
+        inverse = str(exc)
+    before()
+    rank, basis = tt.rank_and_nullspace(a)
+    return (sys_.sigma.tobytes(), sys_.x.tobytes(), sys_.V.tobytes(), inverse, rank,
+            tuple(n.tobytes() for n in basis))
+
+
+def test_memo_results_do_not_depend_on_the_cache():
+    other = random_hyper3(99)
+    tensors = [tt.levi_civita(), random_hyper3(0), random_hyper3(1, 1e-12),
+               rank_r_tensor(2, 0), rank_r_tensor(3, 5, gaps=(1.0, 1e-5, 1e-9))]
+    for a in tensors:
+        cold = spectral_outputs(a, spectral._svd_of_bytes.cache_clear)
+        warm_same = spectral_outputs(a)
+        warm_other = spectral_outputs(a, lambda: tt.l_eigen(other))
+        assert cold == warm_same == warm_other
+
+
+def test_three_calls_on_one_tensor_run_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for a in (random_hyper3(3), random_hyper3(4)):
+        spectral._svd_of_bytes.cache_clear()
+        calls.clear()
+        tt.l_eigen(a)
+        tt.l_inverse(a)
+        tt.rank_and_nullspace(a)
+        info = spectral._svd_of_bytes.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 2, 1)
+        assert len(calls) == 1
+
+
+def test_results_never_alias_the_cached_entry():
+    a = random_hyper3(5)
+    expected = spectral_outputs(a)
+    sys_ = tt.l_eigen(a)
+    results = [sys_.sigma, sys_.x, sys_.V, tt.l_inverse(a), *tt.rank_and_nullspace(a)[1]]
+    cached = spectral._unfolding_svd(a)
+    assert spectral._svd_of_bytes.cache_info().currsize == 1
+    for arr in cached:
+        assert not arr.flags.writeable
+    for res in results:
+        assert not any(np.shares_memory(res, arr) for arr in cached)
+        res.setflags(write=True)
+        res[...] = 7.0
+    assert spectral_outputs(a) == expected
+
+
+def test_in_place_edit_of_the_input_is_seen():
+    a = np.array(random_hyper3(6))
+    before = spectral_outputs(a)
+    a[0, 1, 2] += 1.0
+    after = spectral_outputs(a)
+    spectral._svd_of_bytes.cache_clear()
+    assert after == spectral_outputs(a.copy())
+    assert after[0] != before[0]
+
+
+def test_negative_zero_entries_give_the_same_sigma():
+    for a in (tt.levi_civita(), np.zeros((3, 3, 3)), tt.outer([1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [1.0, 1.0, 0.0])):
+        a = np.asarray(a)
+        negative = np.where(a == 0.0, -0.0, a)
+        assert np.signbit(negative).sum() > np.signbit(a).sum()
+        assert tt.l_eigen(negative).sigma.tobytes() == tt.l_eigen(a).sigma.tobytes()
+
+
+def test_two_threads_alternating_tensors_get_the_serial_results():
+    tensors = (random_hyper3(7), tt.levi_civita())
+    serial = [spectral_outputs(a) for a in tensors]
+    got = [[], []]
+
+    def work(t):
+        for i in range(200):
+            got[t].append(spectral_outputs(tensors[(i + t) % 2]))
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for t in range(2):
+        assert got[t] == [serial[(i + t) % 2] for i in range(200)]

@@ -49,8 +49,6 @@ Mat3 = np.ndarray
 Hyper3 = np.ndarray
 Quad3 = np.ndarray
 
-_TINY = 1e-30
-
 
 def _validated(values, shape, what: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
@@ -83,10 +81,10 @@ def quad3(values) -> Quad3:
 
 
 def is_symmetric(u: Mat3, tol: float = 1e-10) -> bool:
-    """True if ``u`` equals its transpose within tol * max(1, ||u||)."""
-    u = np.asarray(u, dtype=float)
-    scale = max(1.0, float(np.linalg.norm(u)))
-    return float(np.abs(u - u.T).max()) <= tol * scale
+    """True if ``u`` equals its transpose within tol * ||u||, checked on
+    ``u`` scaled by a power of two (exact), so the verdict is scale-free."""
+    u, _, bound = _scaled_with_bound(u, tol)
+    return float(np.abs(u - u.T).max()) <= bound
 
 
 def is_orthogonal(p: Mat3, tol: float = 1e-10) -> bool:
@@ -219,6 +217,13 @@ def _pow2_scale(arr: np.ndarray) -> tuple[np.ndarray, int]:
     array comes back unchanged with e = 0."""
     _, exp = np.frexp(np.abs(arr).max())
     return np.ldexp(arr, -exp), int(exp)
+
+
+def _scaled_with_bound(arr, tol: float) -> tuple[np.ndarray, int, float]:
+    """``_pow2_scale(arr)``, where the norm can neither under- nor overflow,
+    and the scale-free asymmetry bound tol * ||arr|| taken there."""
+    arr, exp = _pow2_scale(np.asarray(arr, dtype=float))
+    return arr, exp, tol * float(np.linalg.norm(arr))
 
 
 def _det3(m: np.ndarray) -> float:

@@ -131,8 +131,8 @@ def sym_eig3(u: core.Mat3, tol: float = 1e-8):
     ``eigh`` run on U scaled by a power of two (exact), so both are
     scale-free.
     """
-    u, exp = core._pow2_scale(np.asarray(u, dtype=float))
-    if float(np.abs(u - u.T).max()) > tol * float(np.linalg.norm(u)):
+    u, exp, bound = core._scaled_with_bound(u, tol)
+    if float(np.abs(u - u.T).max()) > bound:
         raise NotSymmetric(f"matrix asymmetry exceeds {tol:.1e} * ||U||")
     vals, vecs = np.linalg.eigh(0.5 * (u + u.T))
     vecs = vecs[:, ::-1]

@@ -53,21 +53,23 @@ class SymmetryReport:
 # all three positions distinct, one representative per unordered pair.
 _SELECTIVE_RIGHT_TRIPLES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 _SELECTIVE_LEFT_TRIPLES = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+_SELECTIVE_RIGHT = [9 * i + 3 * j + k for i, j, k in _SELECTIVE_RIGHT_TRIPLES]
+_SELECTIVE_LEFT = [9 * i + 3 * j + k for i, j, k in _SELECTIVE_LEFT_TRIPLES]
+# flat a.transpose(p) = flat a[_SWAPS[n]]: right, left, central swap, cyclic
+_SWAPS = np.stack([np.arange(27).reshape(3, 3, 3).transpose(p).ravel()
+                   for p in ((0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0))])
 
 
-def _selective_right_dev(a: np.ndarray) -> float:
-    return max(abs(float(a[i, j, k] - a[i, k, j])) for i, j, k in _SELECTIVE_RIGHT_TRIPLES)
+def _swap_devs(a: np.ndarray, count: int, anti: bool = False) -> np.ndarray:
+    """|a - swap|, or |a + swap| if ``anti``, flat, for the first ``count`` swaps."""
+    flat = a.reshape(27)
+    return np.abs((np.add if anti else np.subtract)(flat, flat.take(_SWAPS[:count])))
 
 
-def _selective_left_dev(a: np.ndarray) -> float:
-    return max(abs(float(a[i, j, k] - a[j, i, k])) for i, j, k in _SELECTIVE_LEFT_TRIPLES)
-
-
-def _scaled_with_bound(a: core.Hyper3, tol: float) -> tuple[np.ndarray, float]:
-    """``a`` scaled by a power of two (exact) to a largest entry in [0.5, 1),
-    where its norm can neither under- nor overflow, and tol * ||a|| there."""
-    a, _ = core._pow2_scale(np.asarray(a, dtype=float))
-    return a, tol * float(np.linalg.norm(a))
+def _swap_symmetric(a: core.Hyper3, tol: float, count: int) -> bool:
+    """classify(a, tol)'s verdict on the first ``count`` swaps alone: 1 right, 3 all."""
+    a, _, bound = core._scaled_with_bound(a, tol)
+    return float(_swap_devs(a, count).max()) <= bound
 
 
 def classify(a: core.Hyper3, tol: float = 1e-10) -> SymmetryReport:
@@ -80,18 +82,13 @@ def classify(a: core.Hyper3, tol: float = 1e-10) -> SymmetryReport:
     right/left conditions to index triples with all positions distinct, so
     unlike the other flags they are not preserved by a change of basis.
     """
-    a, bound = _scaled_with_bound(a, tol)
-    # the right, left and central swaps, then the cyclic transpose
-    swaps = np.stack(
-        (a.transpose(0, 2, 1), a.transpose(1, 0, 2), a.transpose(2, 1, 0), core.transpose(a))
-    )
-    right, left, central, cyclic = (np.abs(a - swaps).max(axis=(1, 2, 3)) <= bound).tolist()
-    right_anti, left_anti, central_anti = (
-        np.abs(a + swaps[:3]).max(axis=(1, 2, 3)) <= bound
-    ).tolist()
+    a, _, bound = core._scaled_with_bound(a, tol)
+    dev = _swap_devs(a, 4)
+    right, left, central, cyclic = (dev.max(axis=1) <= bound).tolist()
+    right_anti, left_anti, central_anti = (_swap_devs(a, 3, True).max(axis=1) <= bound).tolist()
     traceless = float(np.abs(np.einsum("ijj->i", a)).max()) <= bound
-    sel_right = _selective_right_dev(a) <= bound
-    sel_left = _selective_left_dev(a) <= bound
+    sel_right = float(dev[0, _SELECTIVE_RIGHT].max()) <= bound
+    sel_left = float(dev[1, _SELECTIVE_LEFT].max()) <= bound
 
     return SymmetryReport(
         right_symmetric=right,
@@ -123,7 +120,7 @@ def selective_symmetry_via_levi_civita(
     entry.  The full products vanish only under the unrestricted
     right/left symmetries; see the package notes on this distinction.
     """
-    a, bound = _scaled_with_bound(a, tol)
+    a, _, bound = core._scaled_with_bound(a, tol)
     eps = core.levi_civita()
     right = float(np.abs(np.diagonal(core.prod2(a, eps))).max()) <= bound
     left = float(np.abs(np.diagonal(core.prod2(eps, a))).max()) <= bound

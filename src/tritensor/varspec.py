@@ -29,7 +29,7 @@ import numpy as np
 from . import core
 from .errors import NoConvergence, NotRightSymmetric, NotSymmetric, Unrepresentable
 from .spectral import _frozen, _lead_signs, kernel_triple
-from .symmetry import classify
+from .symmetry import _swap_symmetric
 
 __all__ = [
     "CriticalTriple", "InvariantSet",
@@ -105,7 +105,13 @@ def _unit(g: np.ndarray, old: np.ndarray) -> np.ndarray:
     normalize keep ``old``."""
     n = _norms(g)[..., None]
     ok = n > _STALL
+    if ok.all():
+        return g / n
     return np.where(ok, g / np.where(ok, n, 1.0), old)
+
+
+def _blocks(*rows: np.ndarray) -> np.ndarray:  # np.stack(rows, 1) at half the cost
+    return np.concatenate(rows, axis=1).reshape(len(rows[0]), len(rows), 3)
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -118,8 +124,24 @@ def _pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _potential(m, s, slots):
-    x, y, z = (s[:, j] for j in slots)
-    return _dot(_pair(y, z) @ m.T, x)
+    return _dot(_pair(s[:, slots[1]], s[:, slots[2]]) @ m.T, s[:, slots[0]])
+
+
+@functools.lru_cache(maxsize=None)
+def _jacobian_weights(slots, k):
+    """(i, W): G.flat[i] = a.ravel() @ W[:27] + W[27], and G = 0 elsewhere."""
+    n = 3 * k
+    out = np.zeros((n + k, n + k, n, 28))
+    jac = out[:n, :n].reshape(k, 3, k, 3, k, 3, 28)
+    units = np.eye(28)[:27].reshape(3, 3, 3, 28)
+    for b, p, q in itertools.permutations(range(3)):
+        if b < k:
+            jac[b, :, slots[p], :, slots[q], :] += units.transpose(b, p, q, 3)
+    i = np.arange(n)
+    out[i, n + i // 3, i, 27] = -1.0
+    out[n + i // 3, i, i, 27] = 1.0
+    keep = out.reshape(-1, 28).any(axis=1)
+    return np.flatnonzero(keep), _frozen(out.reshape(-1, 28)[keep].T.copy())
 
 
 def _jacobian_map(a, slots, k):
@@ -127,18 +149,12 @@ def _jacobian_map(a, slots, k):
     flattened state s, n = 3k: J is the derivative of the gradients g_b
     of x A y z in the slots of the state blocks b < k, column b of S holds
     s_b.  Both are linear in s; J s = 2 g, the potential being linear in
-    each slot."""
-    n = 3 * k
-    jac = np.zeros((k, 3, k, 3, k, 3))
-    for b, p, q in itertools.permutations(range(3)):
-        if b < k:
-            jac[b, :, slots[p], :, slots[q], :] += a.transpose(b, p, q)
-    out = np.zeros((n + k, n + k, n))
-    out[:n, :n] = jac.reshape(n, n, n)
-    i = np.arange(n)
-    out[i, n + i // 3, i] = -1.0
-    out[n + i // 3, i, i] = 1.0
-    return out.reshape(-1, n).T
+    each slot.  Exact (no entry sums more than two of A), and a transposed
+    view: the layout sets how ``s @ G`` rounds."""
+    i, w = _jacobian_weights(slots, k)
+    g = np.zeros(3 * k * (4 * k) ** 2)  # n (n + k)^2 entries
+    g[i] = a.reshape(27) @ w[:27] + w[27]
+    return g.reshape(-1, 3 * k).T
 
 
 def _lagrange(jmap, s, f):
@@ -162,8 +178,9 @@ def _newton(jmap, s, f):
     r, k, _ = s.shape
     n = 3 * k
     system, res = _lagrange(jmap, s, f)
-    system[:, :n, :n] -= f[:, None, None] * np.eye(n)
-    rhs = np.concatenate((-res, np.zeros((r, k))), axis=1)[:, :, None]
+    system.reshape(r, -1)[:, : n * (n + k + 1) : n + k + 1] -= f[:, None]  # J - f I
+    rhs = np.zeros((r, n + k, 1))
+    np.negative(res, out=rhs[:, :n, 0])
     step = np.linalg.solve(system, rhs)[:, :n, 0].reshape(r, k, 3)
     return _unit(s + step, s)
 
@@ -181,7 +198,7 @@ def _singular_step(m, s, shift):
     yn = _unit(np.matmul(xa, z[:, :, None])[:, :, 0], y)
     zraw = np.matmul(yn[:, None, :], xa)[:, 0]
     zn = _unit(zraw, z)
-    return s, _dot(g, x), np.stack((xn, yn, zn), axis=1), _dot(zraw, zn)
+    return s, _dot(g, x), _blocks(xn, yn, zn), _dot(zraw, zn)
 
 
 def _c_step(m, s, shift):
@@ -191,7 +208,7 @@ def _c_step(m, s, shift):
     wy = np.matmul(w, y[:, :, None])[:, :, 0]
     yp = _unit(wy + shift * y, y)
     f_prop = _dot(np.matmul(w, yp[:, :, None])[:, :, 0], yp)
-    return np.stack((xn, y), axis=1), _dot(wy, y), np.stack((xn, yp), axis=1), f_prop
+    return _blocks(xn, y), _dot(wy, y), _blocks(xn, yp), f_prop
 
 
 def _z_step(m, s, shift):
@@ -245,6 +262,15 @@ def _descend_guard(s_old, s_prop, f_old, f_prop, f_of, noise):
     return out, f_of(out)
 
 
+def _starts(seed, restarts: int, drawn: tuple) -> np.ndarray:
+    """Seeded starts: random unit rows in the ``drawn`` blocks, drawn in one
+    call, the same stream as one (restarts, 3) draw per block."""
+    g = np.random.default_rng(seed).standard_normal((sum(drawn), restarts, 3))
+    s = np.zeros((restarts, len(drawn), 3))
+    s[:, list(drawn)] = (g / _norms(g)[..., None]).transpose(1, 0, 2)
+    return s
+
+
 def _multistart(kind, a, restarts, tol, max_iters, seed, history_out) -> CriticalTriple:
     if not np.any(a):
         e1 = _frozen([1.0, 0.0, 0.0])
@@ -255,17 +281,13 @@ def _multistart(kind, a, restarts, tol, max_iters, seed, history_out) -> Critica
     norm = float(np.linalg.norm(m))
     shift = _SHIFT * norm
     jmap = _jacobian_map(a, slots, len(drawn))
-    rng = np.random.default_rng(seed)
-    s = np.zeros((restarts, len(drawn), 3))
-    for j in np.flatnonzero(drawn):
-        g = rng.standard_normal((restarts, 3))
-        s[:, j] = g / _norms(g)[:, None]
+    s = _starts(seed, restarts, drawn)
     f_of = functools.partial(_potential, m, slots=slots)
     delta = np.full(restarts, np.inf)
     converged = np.zeros(restarts, dtype=bool)
     for it in range(max_iters):
         base, f_base, prop, f_prop = step(m, s, shift)
-        near = np.flatnonzero((delta < _NEWTON_BELOW) & (delta >= tol))
+        near = ((delta < _NEWTON_BELOW) & (delta >= tol)).nonzero()[0]
         if len(near):
             # a Newton proposal replaces the power step's only where the
             # objective ends at least as high, which a NaN never does
@@ -328,7 +350,7 @@ def max_singular_value(
     The converged triple satisfies A y z = eta x, x A z = eta y,
     x y A = eta z, and eta equals contract_full(a, x, y, z).
     """
-    a = np.asarray(a, dtype=float)
+    a = core._validated(a, (3, 3, 3), "Hyper3")
     return _multistart("singular", a, restarts, tol, max_iters, seed, history_out)
 
 
@@ -349,8 +371,8 @@ def max_c_eigenvalue(
     halving as a safeguard so the objective never decreases.  The
     converged pair satisfies A y y = mu x and x A y = mu y.
     """
-    a = np.asarray(a, dtype=float)
-    if not classify(a, 1e-8).right_symmetric:
+    a = core._validated(a, (3, 3, 3), "Hyper3")
+    if not _swap_symmetric(a, 1e-8, 1):
         raise NotRightSymmetric("C-eigenvalues require a right-side symmetric tensor")
     return _multistart("c_eigen", a, restarts, tol, max_iters, seed, history_out)
 
@@ -373,8 +395,8 @@ def max_z_eigenvalue(
     x satisfies A x x = nu x with nu = x A x x >= 0 (x is flipped when
     the cubic form is negative, which the odd degree permits).
     """
-    a = np.asarray(a, dtype=float)
-    if not classify(a, 1e-8).symmetric:
+    a = core._validated(a, (3, 3, 3), "Hyper3")
+    if not _swap_symmetric(a, 1e-8, 3):
         raise NotSymmetric("Z-eigenvalues require a symmetric tensor")
     return _multistart("z_eigen", a, restarts, tol, max_iters, seed, history_out)
 

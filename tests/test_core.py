@@ -281,3 +281,15 @@ def test_random_rotation_contract():
         assert abs(np.linalg.det(p) - 1.0) <= 1e-12
         again = tt.random_rotation(seed)
         assert np.array_equal(p, again)
+
+
+@pytest.mark.parametrize("c", [1e-12, 2.0**-40, 1.0, 1e160])
+def test_is_symmetric_is_scale_free(c):
+    # the bound is tol * ||u|| at every scale: no absolute floor below
+    # norm 1, and no overflow of the norm near the top of the range
+    asymmetric = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    symmetric = asymmetric + asymmetric.T
+    assert not tt.is_symmetric(c * asymmetric)
+    assert tt.is_symmetric(c * symmetric)
+    assert tt.is_symmetric(c * np.eye(3))
+    assert tt.is_symmetric(np.zeros((3, 3)))

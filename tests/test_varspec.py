@@ -1,8 +1,14 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import tritensor as tt
-from tritensor.errors import NotRightSymmetric, NotSymmetric, Unrepresentable
+from tritensor import varspec
+from tritensor.errors import NoConvergence, NotRightSymmetric, NotSymmetric, Unrepresentable
+from tritensor.symmetry import FIXTURE_CLASSES, _swap_symmetric
 
 from helpers import oracle_eta1, oracle_mu1, oracle_nu1, random_hyper3, random_vec
 
@@ -257,6 +263,167 @@ def test_audit_pairs_iteration_totals():
     assert totals[tt.max_singular_value] <= 891
     assert totals[tt.max_c_eigenvalue] <= 4773 // 2
     assert totals[tt.max_z_eigenvalue] <= 6336 // 2
+
+
+def _gate_inputs():
+    """Every fixture class at 5 seeds, Levi-Civita and 20 Gaussian tensors,
+    each at scales 1, 1e-12, 2^-40 and 1e160, plus a symmetric fixture
+    perturbed at 0.5x and 2x the gate's bound 1e-8 * ||A||, and once so
+    that only the central swap exceeds it."""
+    tensors = [np.asarray(tt.make_fixture(k, s)) for k in FIXTURE_CLASSES for s in range(5)]
+    tensors.append(np.asarray(tt.levi_civita()))
+    tensors += [random_hyper3(s) for s in range(20)]
+    out = [c * a for a in tensors for c in (1.0, 1e-12, 2.0**-40, 1e160)]
+    a = np.asarray(tt.make_fixture("symmetric", 4))
+    bound = 1e-8 * np.linalg.norm(a)
+    for t in (0.5, 2.0):
+        one = a.copy()
+        one[0, 1, 2] += t * bound  # breaks all three swaps
+        both = a.copy()
+        both[0, 1, 2] += t * bound
+        both[0, 2, 1] += t * bound  # keeps the right swap
+        out += [one, both]
+    # around the hexagon of index orders each right or left swap moves
+    # 0.9 bound, so the central swap (opposite corners) sees 2.7 bound
+    central = a.copy()
+    for idx, t in zip(((0, 2, 1), (2, 0, 1), (2, 1, 0), (1, 0, 2), (1, 2, 0)),
+                      (0.9, 1.8, 2.7, 0.9, 1.8)):
+        central[idx] += t * bound
+    return out + [central]
+
+
+def _passes_gate(solve, a, error):
+    try:
+        solve(a, restarts=1, max_iters=1)
+    except error:
+        return False
+    except NoConvergence:
+        pass
+    return True
+
+
+def test_solver_gates_agree_with_classify():
+    verdicts = set()
+    for a in _gate_inputs():
+        report = tt.classify(a, 1e-8)
+        right = _swap_symmetric(a, 1e-8, 1)
+        symmetric = _swap_symmetric(a, 1e-8, 3)
+        assert (right, symmetric) == (report.right_symmetric, report.symmetric)
+        assert _passes_gate(tt.max_c_eigenvalue, a, NotRightSymmetric) == right
+        assert _passes_gate(tt.max_z_eigenvalue, a, NotSymmetric) == symmetric
+        verdicts.add((right, symmetric))
+    # right only, both and neither all occur
+    assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+def _fresh_starts(seed, restarts, drawn):
+    rng = np.random.default_rng(seed)
+    out = np.zeros((restarts, len(drawn), 3))
+    for j in np.flatnonzero(drawn):
+        g = rng.standard_normal((restarts, 3))
+        out[:, j] = g / np.sqrt(np.einsum("ri,ri->r", g, g))[:, None]
+    return out
+
+
+def test_starts_are_the_per_block_draws_and_take_every_seed_form():
+    for _, drawn, _, _ in varspec._KINDS.values():
+        for seed in (0, 1, 7):
+            got = varspec._starts(seed, 12, drawn)
+            assert got.tobytes() == _fresh_starts(seed, 12, drawn).tobytes()
+    # the seed goes to np.random.default_rng as given: a SeedSequence or a
+    # Generator draws the same starts as the integer behind it, and None
+    # draws fresh entropy
+    a = tt.make_fixture("symmetric", 5)
+    want = tt.max_z_eigenvalue(a, restarts=4, seed=3).as_dict()
+    for seed in (np.random.SeedSequence(3), np.random.default_rng(3)):
+        assert tt.max_z_eigenvalue(a, restarts=4, seed=seed).as_dict() == want
+    fresh = tt.max_z_eigenvalue(a, restarts=4, seed=None)
+    assert abs(fresh.value - want["value"]) <= 1e-9 * abs(want["value"])
+
+
+@pytest.mark.parametrize("shape", [(27,), (3, 9), (9, 3), (3, 3, 3, 1)])
+@pytest.mark.parametrize(
+    "solve", [tt.max_singular_value, tt.max_c_eigenvalue, tt.max_z_eigenvalue]
+)
+def test_solvers_reject_arrays_that_are_not_3x3x3(solve, shape):
+    a = np.asarray(tt.make_fixture("symmetric", 2)).reshape(shape)
+    with pytest.raises(ValueError, match="shape"):
+        solve(a, restarts=2)
+    with pytest.raises(ValueError, match="shape"):
+        solve(np.zeros(shape), restarts=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "solve", [tt.max_singular_value, tt.max_c_eigenvalue, tt.max_z_eigenvalue]
+)
+def test_solvers_reject_non_finite_entries(solve, bad):
+    a = np.array(tt.make_fixture("symmetric", 2))
+    a[0, 0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        solve(a, restarts=2)
+
+
+def test_two_threads_alternating_seeds_get_the_serial_results():
+    a = tt.make_fixture("symmetric", 3)
+
+    def solve(seed):
+        history = []
+        triple = tt.max_z_eigenvalue(a, restarts=4, seed=seed, history_out=history)
+        return triple.as_dict(), [row.tobytes() for row in history]
+
+    serial = [solve(0), solve(1)]
+    got = [[], []]
+
+    def work(t):
+        for i in range(200):
+            got[t].append(solve((i + t) % 2))
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for t in range(2):
+        assert got[t] == [serial[(i + t) % 2] for i in range(200)]
+
+
+def _jacobian_map_loop(a, slots, k):
+    """The permutation loop that ``_jacobian_map`` replaces, kept as its
+    reference: the transposes of A added into the slots they differentiate."""
+    n = 3 * k
+    jac = np.zeros((k, 3, k, 3, k, 3))
+    for b, p, q in itertools.permutations(range(3)):
+        if b < k:
+            jac[b, :, slots[p], :, slots[q], :] += a.transpose(b, p, q)
+    out = np.zeros((n + k, n + k, n))
+    out[:n, :n] = jac.reshape(n, n, n)
+    i = np.arange(n)
+    out[i, n + i // 3, i] = -1.0
+    out[n + i // 3, i, i] = 1.0
+    return out.reshape(-1, n).T
+
+
+@pytest.mark.parametrize("kind", sorted(varspec._KINDS))
+def test_jacobian_map_equals_the_permutation_loop(kind):
+    slots, drawn, _, _ = varspec._KINDS[kind]
+    k = len(drawn)
+    rng = np.random.default_rng(11)
+    tensors = [random_hyper3(s) for s in range(20)] + [np.asarray(tt.levi_civita())]
+    for a in tensors:
+        a = a.copy()
+        a[rng.random((3, 3, 3)) < 0.2] = -0.0  # signed zeros come out the same too
+        want = _jacobian_map_loop(a, slots, k)
+        got = varspec._jacobian_map(a, slots, k)
+        assert got.tobytes() == want.tobytes()
+        # the same memory layout, so ``s @ G`` rounds the same way
+        assert got.strides == want.strides
 
 
 # ---------------------------------------------------------------------------

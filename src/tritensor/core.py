@@ -10,6 +10,8 @@ values can be shared across threads without locking.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NotOrthogonal
@@ -214,8 +216,12 @@ def rotate_vec(x: Vec3, p: Mat3, tol: float = 1e-10) -> Vec3:
 def _pow2_scale(arr: np.ndarray) -> tuple[np.ndarray, int]:
     """``arr`` scaled by a power of two (exact) to a largest magnitude in
     [0.5, 1), and the exponent e with arr = ldexp(scaled, e); a zero
-    array comes back unchanged with e = 0."""
-    _, exp = np.frexp(np.abs(arr).max())
+    array comes back unchanged with e = 0.  A NaN or infinite entry
+    raises ValueError."""
+    peak = np.abs(arr).max()
+    if not math.isfinite(peak):
+        raise ValueError("tensor entries must be finite (no NaN/Inf)")
+    _, exp = np.frexp(peak)
     return np.ldexp(arr, -exp), int(exp)
 
 
@@ -226,36 +232,25 @@ def _scaled_with_bound(arr, tol: float) -> tuple[np.ndarray, int, float]:
     return arr, exp, tol * float(np.linalg.norm(arr))
 
 
-def _det3(m: np.ndarray) -> float:
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
-def _orthonormal_columns(sample: np.ndarray) -> np.ndarray | None:
-    """Modified Gram-Schmidt on columns; None if the sample is too degenerate."""
-    q = np.array(sample, dtype=float)
+def _random_frame(rng: np.random.Generator) -> np.ndarray:
+    """Modified Gram-Schmidt on the columns of the first Gaussian 3x3 draw
+    of ``rng`` that is not too degenerate for it."""
+    q = rng.standard_normal((3, 3))
     for pass_ in range(2):  # second pass tightens orthogonality to ~1e-16
         for j in range(3):
             for i in range(j):
                 q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
             n = float(np.linalg.norm(q[:, j]))
             if n < 1e-8:
-                return None
+                return _random_frame(rng)
             q[:, j] /= n
     return q
 
 
 def random_rotation(seed: int) -> Mat3:
     """Deterministic proper rotation (det = +1) from a seeded Gaussian sample."""
-    rng = np.random.default_rng(seed)
-    while True:
-        q = _orthonormal_columns(rng.standard_normal((3, 3)))
-        if q is not None:
-            break
-    if _det3(q) < 0.0:
+    q = _random_frame(np.random.default_rng(seed))
+    if np.linalg.det(q) < 0.0:
         q[:, 2] = -q[:, 2]
     return mat3(q)
 

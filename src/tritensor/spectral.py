@@ -17,7 +17,7 @@ import numpy as np
 
 from . import core
 from .errors import NotPartiallySymmetric, NotSymmetric, SingularTensor
-from .symmetry import classify
+from .symmetry import _swap_symmetric
 
 __all__ = [
     "LEigenSystem",
@@ -176,6 +176,8 @@ def _unfolding_svd(a: core.Hyper3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     result is memoized on the unfolding's bytes, one entry deep.  Its
     arrays are read-only, and no public function returns one of them.
     """
+    if np.shape(a) != (3, 3, 3):
+        raise ValueError(f"Hyper3 must have shape (3, 3, 3), got {np.shape(a)}")
     return _svd_of_bytes(unfold(a).tobytes())
 
 
@@ -260,10 +262,11 @@ def is_orthogonal_tensor(a: core.Hyper3, tol: float = 1e-10) -> bool:
     return float(np.linalg.norm(kernel(a) - np.eye(3))) <= tol
 
 
-_SIDE_FLAGS = {
-    "right": "right_symmetric",
-    "left": "left_symmetric",
-    "central": "centrally_symmetric",
+# side -> the class it requires and the tensor the right-side procedure runs on
+_SIDES = {
+    "right": ("right_symmetric", lambda a: np.asarray(a, dtype=float)),
+    "left": ("left_symmetric", lambda a: core.transpose(core.transpose(a))),
+    "central": ("centrally_symmetric", core.transpose),
 }
 
 
@@ -279,18 +282,12 @@ def eig_decompose_partial(
     Eigentensor asymmetry above 1e-6 raises, since it signals that the
     claimed symmetry does not actually hold.
     """
-    if side not in _SIDE_FLAGS:
-        raise ValueError(f"side must be one of {sorted(_SIDE_FLAGS)}, got {side!r}")
-    report = classify(a, tol)
-    if not getattr(report, _SIDE_FLAGS[side]):
-        raise NotPartiallySymmetric(f"tensor is not {_SIDE_FLAGS[side]} within {tol:.1e}")
-    if side == "right":
-        work = np.asarray(a, dtype=float)
-    elif side == "left":
-        work = core.transpose(core.transpose(a))
-    else:
-        work = core.transpose(a)
-    sys = l_eigen(work)
+    if side not in _SIDES:
+        raise ValueError(f"side must be one of {sorted(_SIDES)}, got {side!r}")
+    klass, work = _SIDES[side]
+    if not _swap_symmetric(a, tol, side):
+        raise NotPartiallySymmetric(f"tensor is not {klass} within {tol:.1e}")
+    sys = l_eigen(work(a))
     floor = _SIGMA_FLOOR * sys.sigma[0]
     lam = np.zeros((3, 3))
     yvecs = np.zeros((3, 3, 3))
@@ -301,7 +298,7 @@ def eig_decompose_partial(
             if asym > 1e-6:
                 raise NotPartiallySymmetric(
                     f"eigentensor {j + 1} asymmetry {asym:.3e} exceeds 1e-6; "
-                    f"input is not {_SIDE_FLAGS[side]} enough"
+                    f"input is not {klass} enough"
                 )
         vals, cols = sym_eig3(0.5 * (v + v.T))
         lam[j] = vals

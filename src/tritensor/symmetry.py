@@ -1,15 +1,18 @@
 """Symmetry classification of 3x3x3 hypermatrices and class fixtures.
 
+``_SWAPS`` states the index swaps that define the classes once; the
+flags, the selective index sets and the pair averages derive from it.
 Each symmetry flag is an entrywise condition checked within tol * ||a||
 (Frobenius norm) on the tensor scaled by a power of two, so the verdicts
 do not depend on the tensor's scale anywhere in the float64 range.
-``make_fixture`` builds a deterministic nonzero member of any primitive
-class for testing.
+``make_fixture`` builds a deterministic nonzero member of any class in
+``_PROJECTIONS`` or ``_FRAMED`` for testing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from functools import cache, partial
 from itertools import permutations
 
 import numpy as np
@@ -49,27 +52,36 @@ class SymmetryReport:
         return asdict(self)
 
 
-# Index triples (0-based) whose swap defines the selective conditions:
-# all three positions distinct, one representative per unordered pair.
-_SELECTIVE_RIGHT_TRIPLES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-_SELECTIVE_LEFT_TRIPLES = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
-_SELECTIVE_RIGHT = [9 * i + 3 * j + k for i, j, k in _SELECTIVE_RIGHT_TRIPLES]
-_SELECTIVE_LEFT = [9 * i + 3 * j + k for i, j, k in _SELECTIVE_LEFT_TRIPLES]
-# flat a.transpose(p) = flat a[_SWAPS[n]]: right, left, central swap, cyclic
-_SWAPS = np.stack([np.arange(27).reshape(3, 3, 3).transpose(p).ravel()
-                   for p in ((0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0))])
+# The index swaps that define the classes, as axis permutations: ``a`` is
+# symmetric (antisymmetric) under a swap when a = a.transpose(p) (= -...).
+_SWAPS = {"right": (0, 2, 1), "left": (1, 0, 2), "central": (2, 1, 0), "cyclic": (1, 2, 0)}
+_PAIR_SWAPS = ("right", "left", "central")
 
 
-def _swap_devs(a: np.ndarray, count: int, anti: bool = False) -> np.ndarray:
-    """|a - swap|, or |a + swap| if ``anti``, flat, for the first ``count`` swaps."""
+@cache
+def _gather(names: tuple[str, ...]) -> np.ndarray:
+    """One row per named swap: flat a.transpose(_SWAPS[name]) = flat a[row]."""
+    return np.stack([np.arange(27).reshape(3, 3, 3).transpose(_SWAPS[n]).ravel() for n in names])
+
+
+# The selective conditions compare only entries whose three indices are
+# distinct, each swapped pair once, at its smaller flat index.
+_DISTINCT = [9 * i + 3 * j + k for i, j, k in permutations(range(3))]
+_SELECTIVE = {
+    name: [n for n in _DISTINCT if n < _gather((name,))[0, n]] for name in ("right", "left")
+}
+
+
+def _swap_devs(a: np.ndarray, names: tuple[str, ...], anti: bool = False) -> np.ndarray:
+    """|a - swap|, or |a + swap| if ``anti``, flat, one row per named swap."""
     flat = a.reshape(27)
-    return np.abs((np.add if anti else np.subtract)(flat, flat.take(_SWAPS[:count])))
+    return np.abs((np.add if anti else np.subtract)(flat, flat.take(_gather(names))))
 
 
-def _swap_symmetric(a: core.Hyper3, tol: float, count: int) -> bool:
-    """classify(a, tol)'s verdict on the first ``count`` swaps alone: 1 right, 3 all."""
+def _swap_symmetric(a: core.Hyper3, tol: float, *names: str) -> bool:
+    """classify(a, tol)'s verdict that ``a`` is symmetric under every named swap."""
     a, _, bound = core._scaled_with_bound(a, tol)
-    return float(_swap_devs(a, count).max()) <= bound
+    return float(_swap_devs(a, names).max()) <= bound
 
 
 def classify(a: core.Hyper3, tol: float = 1e-10) -> SymmetryReport:
@@ -83,12 +95,13 @@ def classify(a: core.Hyper3, tol: float = 1e-10) -> SymmetryReport:
     unlike the other flags they are not preserved by a change of basis.
     """
     a, _, bound = core._scaled_with_bound(a, tol)
-    dev = _swap_devs(a, 4)
+    dev = _swap_devs(a, tuple(_SWAPS))
     right, left, central, cyclic = (dev.max(axis=1) <= bound).tolist()
-    right_anti, left_anti, central_anti = (_swap_devs(a, 3, True).max(axis=1) <= bound).tolist()
+    anti = _swap_devs(a, _PAIR_SWAPS, anti=True)
+    right_anti, left_anti, central_anti = (anti.max(axis=1) <= bound).tolist()
     traceless = float(np.abs(np.einsum("ijj->i", a)).max()) <= bound
-    sel_right = float(dev[0, _SELECTIVE_RIGHT].max()) <= bound
-    sel_left = float(dev[1, _SELECTIVE_LEFT].max()) <= bound
+    sel_right = float(dev[0, _SELECTIVE["right"]].max()) <= bound
+    sel_left = float(dev[1, _SELECTIVE["left"]].max()) <= bound
 
     return SymmetryReport(
         right_symmetric=right,
@@ -135,50 +148,76 @@ def _cyclic_average(a: np.ndarray) -> np.ndarray:
     return (a + core.transpose(a) + core.transpose(core.transpose(a))) / 3.0
 
 
-def _average_selective(a: np.ndarray, triples, swapped) -> np.ndarray:
-    out = a.copy()
-    for (i, j, k) in triples:
-        si, sj, sk = swapped(i, j, k)
-        m = 0.5 * (out[i, j, k] + out[si, sj, sk])
-        out[i, j, k] = m
-        out[si, sj, sk] = m
-    return out
+def _pair_average(a: np.ndarray, name: str, op) -> np.ndarray:
+    """0.5 (a + swap) for op np.add, 0.5 (a - swap) for np.subtract."""
+    return 0.5 * op(a, a.transpose(_SWAPS[name]))
+
+
+def _selective_average(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` with each selective entry and its ``name``-swapped partner averaged."""
+    flat, swap = a.flatten(), _gather((name,))[0]
+    for n in _SELECTIVE[name]:
+        flat[n] = flat[swap[n]] = 0.5 * (flat[n] + flat[swap[n]])
+    return flat.reshape(3, 3, 3)
+
+
+def _levi_civita_part(a: np.ndarray) -> np.ndarray:
+    # full signed antisymmetrization collapses to a multiple of the
+    # Levi-Civita tensor; a multiple below 1e-3 is replaced by 1
+    coeff = core.inner(a, core.levi_civita()) / 6.0
+    if abs(coeff) < 1e-3:
+        coeff = 1.0
+    return coeff * np.array(core.levi_civita())
 
 
 def _traceless_symmetric(a: np.ndarray) -> np.ndarray:
     s = _symmetrize_all(a)
-    t = np.einsum("ijj->i", s)
-    eye = np.eye(3)
-    corr = (
-        np.einsum("i,jk->ijk", t, eye)
-        + np.einsum("j,ik->ijk", t, eye)
-        + np.einsum("k,ij->ijk", t, eye)
-    )
+    # t_i d_jk + t_j d_ik + t_k d_ij, t_i = s_ijj: the first term and its
+    # left and central swaps
+    first = np.einsum("i,jk->ijk", np.einsum("ijj->i", s), np.eye(3))
+    corr = first + first.transpose(_SWAPS["left"]) + first.transpose(_SWAPS["central"])
     return s - corr / 5.0
 
 
-FIXTURE_CLASSES = (
-    "right_symmetric",
-    "left_symmetric",
-    "centrally_symmetric",
-    "symmetric",
-    "cyclically_symmetric",
-    "right_anti",
-    "left_anti",
-    "centrally_anti",
-    "totally_anti",
-    "traceless",
-    "selectively_right",
-    "selectively_left",
-    "primarily_symmetric",
-    "primarily_cyclically_symmetric",
-)
+# class -> its projection of a Gaussian draw, in the order fixtures are listed
+_PROJECTIONS = {
+    "right_symmetric": partial(_pair_average, name="right", op=np.add),
+    "left_symmetric": partial(_pair_average, name="left", op=np.add),
+    "centrally_symmetric": partial(_pair_average, name="central", op=np.add),
+    "symmetric": _symmetrize_all,
+    "cyclically_symmetric": _cyclic_average,
+    "right_anti": partial(_pair_average, name="right", op=np.subtract),
+    "left_anti": partial(_pair_average, name="left", op=np.subtract),
+    "centrally_anti": partial(_pair_average, name="central", op=np.subtract),
+    "totally_anti": _levi_civita_part,
+    "traceless": _traceless_symmetric,
+    "selectively_right": partial(_selective_average, name="right"),
+    "selectively_left": partial(_selective_average, name="left"),
+}
 
 
 def _padded(values: np.ndarray, floor: float) -> np.ndarray:
     """Push coefficients away from zero so fixtures stay well scaled."""
-    signs = np.where(values < 0.0, -1.0, 1.0)
-    return values + signs * floor
+    return values + np.where(values < 0.0, -floor, floor)
+
+
+def _eigenframe_cubes(frame: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    lam = _padded(rng.standard_normal(3), 0.5)
+    return sum(lam[i] * core.outer(frame[:, i], frame[:, i], frame[:, i]) for i in range(3))
+
+
+def _cyclic_orbit(frame: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    q1, q2, q3 = frame.T
+    lam = float(_padded(rng.standard_normal(1), 0.5)[0])
+    return lam * (core.outer(q1, q2, q3) + core.outer(q2, q3, q1) + core.outer(q3, q1, q2))
+
+
+# classes built from a random orthonormal frame and further draws
+_FRAMED = {
+    "primarily_symmetric": _eigenframe_cubes,
+    "primarily_cyclically_symmetric": _cyclic_orbit,
+}
+FIXTURE_CLASSES = (*_PROJECTIONS, *_FRAMED)
 
 
 def make_fixture(klass: str, seed: int) -> core.Hyper3:
@@ -192,60 +231,9 @@ def make_fixture(klass: str, seed: int) -> core.Hyper3:
     if klass not in FIXTURE_CLASSES:
         raise UnsupportedClass(f"unknown symmetry class {klass!r}")
     rng = np.random.default_rng(seed)
-
-    if klass == "primarily_symmetric":
-        frame = core._orthonormal_columns(rng.standard_normal((3, 3)))
-        while frame is None:
-            frame = core._orthonormal_columns(rng.standard_normal((3, 3)))
-        lam = _padded(rng.standard_normal(3), 0.5)
-        out = sum(
-            lam[i] * core.outer(frame[:, i], frame[:, i], frame[:, i]) for i in range(3)
-        )
-        return core.hyper3(out)
-
-    if klass == "primarily_cyclically_symmetric":
-        frame = core._orthonormal_columns(rng.standard_normal((3, 3)))
-        while frame is None:
-            frame = core._orthonormal_columns(rng.standard_normal((3, 3)))
-        lam = float(_padded(rng.standard_normal(1), 0.5)[0])
-        q1, q2, q3 = frame[:, 0], frame[:, 1], frame[:, 2]
-        out = lam * (core.outer(q1, q2, q3) + core.outer(q2, q3, q1) + core.outer(q3, q1, q2))
-        return core.hyper3(out)
-
+    if klass in _FRAMED:
+        return core.hyper3(_FRAMED[klass](core._random_frame(rng), rng))
     while True:
-        g = rng.standard_normal((3, 3, 3))
-        if klass == "right_symmetric":
-            out = 0.5 * (g + g.transpose(0, 2, 1))
-        elif klass == "left_symmetric":
-            out = 0.5 * (g + g.transpose(1, 0, 2))
-        elif klass == "centrally_symmetric":
-            out = 0.5 * (g + g.transpose(2, 1, 0))
-        elif klass == "symmetric":
-            out = _symmetrize_all(g)
-        elif klass == "cyclically_symmetric":
-            out = _cyclic_average(g)
-        elif klass == "right_anti":
-            out = 0.5 * (g - g.transpose(0, 2, 1))
-        elif klass == "left_anti":
-            out = 0.5 * (g - g.transpose(1, 0, 2))
-        elif klass == "centrally_anti":
-            out = 0.5 * (g - g.transpose(2, 1, 0))
-        elif klass == "totally_anti":
-            # full signed antisymmetrization collapses to a multiple of the
-            # Levi-Civita tensor
-            coeff = core.inner(g, core.levi_civita()) / 6.0
-            if abs(coeff) < 1e-3:
-                coeff = 1.0
-            out = coeff * np.array(core.levi_civita())
-        elif klass == "traceless":
-            out = _traceless_symmetric(g)
-        elif klass == "selectively_right":
-            out = _average_selective(
-                g, _SELECTIVE_RIGHT_TRIPLES, lambda i, j, k: (i, k, j)
-            )
-        else:  # selectively_left
-            out = _average_selective(
-                g, _SELECTIVE_LEFT_TRIPLES, lambda i, j, k: (j, i, k)
-            )
+        out = _PROJECTIONS[klass](rng.standard_normal((3, 3, 3)))
         if float(np.linalg.norm(out)) > 1e-6:
             return core.hyper3(out)

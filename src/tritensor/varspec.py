@@ -29,7 +29,7 @@ import numpy as np
 from . import core
 from .errors import NoConvergence, NotRightSymmetric, NotSymmetric, Unrepresentable
 from .spectral import _frozen, _lead_signs, kernel_triple
-from .symmetry import _swap_symmetric
+from .symmetry import _PAIR_SWAPS, _swap_symmetric
 
 __all__ = [
     "CriticalTriple", "InvariantSet",
@@ -372,7 +372,7 @@ def max_c_eigenvalue(
     converged pair satisfies A y y = mu x and x A y = mu y.
     """
     a = core._validated(a, (3, 3, 3), "Hyper3")
-    if not _swap_symmetric(a, 1e-8, 1):
+    if not _swap_symmetric(a, 1e-8, "right"):
         raise NotRightSymmetric("C-eigenvalues require a right-side symmetric tensor")
     return _multistart("c_eigen", a, restarts, tol, max_iters, seed, history_out)
 
@@ -396,7 +396,7 @@ def max_z_eigenvalue(
     the cubic form is negative, which the odd degree permits).
     """
     a = core._validated(a, (3, 3, 3), "Hyper3")
-    if not _swap_symmetric(a, 1e-8, 3):
+    if not _swap_symmetric(a, 1e-8, *_PAIR_SWAPS):
         raise NotSymmetric("Z-eigenvalues require a symmetric tensor")
     return _multistart("z_eigen", a, restarts, tol, max_iters, seed, history_out)
 

@@ -32,6 +32,31 @@ def test_constructors_reject_non_finite():
         tt.quad3(np.full((3, 3, 3, 3), -np.inf))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "check, shape",
+    [
+        (tt.classify, (3, 3, 3)),
+        (tt.selective_symmetry_via_levi_civita, (3, 3, 3)),
+        (tt.is_symmetric, (3, 3)),
+        (tt.sym_eig3, (3, 3)),
+        (tt.invariants, (3, 3, 3)),
+        (tt.l_eigen, (3, 3, 3)),
+        (tt.l_inverse, (3, 3, 3)),
+        (tt.rank_and_nullspace, (3, 3, 3)),
+        (tt.eig_decompose_partial, (3, 3, 3)),
+    ],
+)
+def test_helpers_reject_non_finite_entries(check, shape, bad):
+    # the scale-free helpers all pass through one power-of-two scaling,
+    # which refuses a non-finite peak instead of returning all-False
+    # flags, a misleading Unrepresentable or an SVD that fails to converge
+    a = np.ones(shape)
+    a.flat[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        check(a)
+
+
 def test_constructors_reject_bad_shapes():
     with pytest.raises(ValueError):
         tt.vec3([1.0, 2.0])

@@ -139,6 +139,16 @@ def test_fold_rejects_bad_shape():
         tt.fold(np.zeros((9, 3)))
 
 
+@pytest.mark.parametrize("shape", [(27,), (3, 9), (9, 3), (3, 3, 3, 1)])
+@pytest.mark.parametrize("solve", [tt.l_eigen, tt.l_inverse, tt.rank_and_nullspace])
+def test_spectral_rejects_arrays_that_are_not_3x3x3(solve, shape):
+    a = np.asarray(tt.make_fixture("symmetric", 2)).reshape(shape)
+    with pytest.raises(ValueError, match="shape"):
+        solve(a)
+    with pytest.raises(ValueError, match="shape"):
+        solve(np.zeros(shape))
+
+
 # ---------------------------------------------------------------------------
 # l_eigen
 

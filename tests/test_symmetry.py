@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tritensor as tt
+from tritensor import symmetry
 from tritensor.errors import UnsupportedClass
 from tritensor.symmetry import FIXTURE_CLASSES
 
@@ -74,6 +75,22 @@ def test_fixture_classified_for_100_seeds(klass):
         assert np.linalg.norm(a) > 0.0
         rep = tt.classify(a)
         assert getattr(rep, flag), f"{klass} seed {seed}"
+
+
+def test_fixture_classes_keep_their_order():
+    # benchmark and audit inputs draw one fixture per class in this order
+    assert FIXTURE_CLASSES == tuple(EXPECTED_FLAG)
+
+
+@pytest.mark.parametrize("klass", symmetry._PROJECTIONS)
+def test_fixture_projections_are_idempotent(klass):
+    # exact for the pair and selective averages, about 1e-16 for the rest
+    project = symmetry._PROJECTIONS[klass]
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        g = rng.standard_normal((3, 3, 3))
+        once = project(g)
+        assert np.linalg.norm(project(once) - once) <= 1e-15 * np.linalg.norm(g)
 
 
 @pytest.mark.parametrize("c", [1e-12, 2.0**-40, 1e160])

@@ -7,7 +7,9 @@ import pytest
 
 import tritensor as tt
 from tritensor import varspec
-from tritensor.errors import NoConvergence, NotRightSymmetric, NotSymmetric, Unrepresentable
+from tritensor.errors import (
+    NoConvergence, NotPartiallySymmetric, NotRightSymmetric, NotSymmetric, Unrepresentable,
+)
 from tritensor.symmetry import FIXTURE_CLASSES, _swap_symmetric
 
 from helpers import oracle_eta1, oracle_mu1, oracle_nu1, random_hyper3, random_vec
@@ -302,18 +304,34 @@ def _passes_gate(solve, a, error):
     return True
 
 
+def _decompose_gate_refuses(a, side):
+    try:
+        tt.eig_decompose_partial(a, side, 1e-8)
+    except NotPartiallySymmetric as exc:
+        # the gate's refusal, not the later eigentensor asymmetry check
+        return str(exc).startswith("tensor is not")
+    return False
+
+
 def test_solver_gates_agree_with_classify():
     verdicts = set()
+    side_verdicts = set()
     for a in _gate_inputs():
         report = tt.classify(a, 1e-8)
-        right = _swap_symmetric(a, 1e-8, 1)
-        symmetric = _swap_symmetric(a, 1e-8, 3)
+        right = _swap_symmetric(a, 1e-8, "right")
+        symmetric = _swap_symmetric(a, 1e-8, "right", "left", "central")
         assert (right, symmetric) == (report.right_symmetric, report.symmetric)
         assert _passes_gate(tt.max_c_eigenvalue, a, NotRightSymmetric) == right
         assert _passes_gate(tt.max_z_eigenvalue, a, NotSymmetric) == symmetric
         verdicts.add((right, symmetric))
-    # right only, both and neither all occur
+        flags = (report.right_symmetric, report.left_symmetric, report.centrally_symmetric)
+        for side, flag in zip(("right", "left", "central"), flags):
+            assert _swap_symmetric(a, 1e-8, side) == flag
+            assert _decompose_gate_refuses(a, side) == (not flag)
+            side_verdicts.add((side, flag))
+    # right only, both and neither all occur, and every side passes and fails
     assert verdicts == {(False, False), (True, False), (True, True)}
+    assert len(side_verdicts) == 6
 
 
 def _fresh_starts(seed, restarts, drawn):
@@ -337,8 +355,11 @@ def test_starts_are_the_per_block_draws_and_take_every_seed_form():
     want = tt.max_z_eigenvalue(a, restarts=4, seed=3).as_dict()
     for seed in (np.random.SeedSequence(3), np.random.default_rng(3)):
         assert tt.max_z_eigenvalue(a, restarts=4, seed=seed).as_dict() == want
-    fresh = tt.max_z_eigenvalue(a, restarts=4, seed=None)
-    assert abs(fresh.value - want["value"]) <= 1e-9 * abs(want["value"])
+    # at 4 restarts about 1 fresh seed in 10 lands on the local maximum
+    # 1.657 instead of 1.721; at the default 64 none did in 300 seeds
+    reference = tt.max_z_eigenvalue(a, seed=3).value
+    fresh = tt.max_z_eigenvalue(a, seed=None)
+    assert abs(fresh.value - reference) <= 1e-9 * abs(reference)
 
 
 @pytest.mark.parametrize("shape", [(27,), (3, 9), (9, 3), (3, 3, 3, 1)])

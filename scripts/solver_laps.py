@@ -85,6 +85,16 @@ def extract_revision(rev: str, into: Path) -> Path:
     return into / "src" / "tritensor"
 
 
+def environment() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+    }
+
+
 def audit_pairs(tt) -> list[np.ndarray]:
     return [
         np.asarray(tt.rotate(tt.make_fixture(klass, i), tt.random_rotation(r)))
@@ -197,13 +207,7 @@ def main(argv=None) -> int:
         laps_of(tree.max_z_eigenvalue, pairs[0])
     report = {
         "script": "scripts/solver_laps.py",
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-        },
+        "environment": environment(),
         "parent": parent_rev,
         "change": "working tree",
         "pairs": len(pairs),

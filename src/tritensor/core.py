@@ -52,12 +52,25 @@ Hyper3 = np.ndarray
 Quad3 = np.ndarray
 
 
-def _validated(values, shape, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _shaped(values, shape, what: str) -> np.ndarray:
+    """``values`` as a float64 array, not copied if it already is one;
+    ValueError unless it has ``shape``."""
+    arr = np.asarray(values, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    return arr
+
+
+def _finite(values, shape, what: str) -> np.ndarray:
+    """``_shaped(values, shape, what)``; ValueError on a NaN/Inf entry."""
+    arr = _shaped(values, shape, what)
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} entries must be finite (no NaN/Inf)")
+    return arr
+
+
+def _validated(values, shape, what: str) -> np.ndarray:
+    arr = _finite(np.array(values, dtype=float), shape, what)
     arr.setflags(write=False)
     return arr
 
@@ -82,17 +95,22 @@ def quad3(values) -> Quad3:
     return _validated(values, (3, 3, 3, 3), "Quad3")
 
 
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+
+
 def is_symmetric(u: Mat3, tol: float = 1e-10) -> bool:
     """True if ``u`` equals its transpose within tol * ||u||, checked on
-    ``u`` scaled by a power of two (exact), so the verdict is scale-free."""
-    u, _, bound = _scaled_with_bound(u, tol)
+    ``u`` scaled by a power of two (exact), so the verdict is scale-free.
+    Raises ValueError unless ``u`` is a finite 3x3 matrix."""
+    u, _, bound = _scaled_with_bound(_shaped(u, (3, 3), "Mat3"), tol)
     return float(np.abs(u - u.T).max()) <= bound
 
 
 def is_orthogonal(p: Mat3, tol: float = 1e-10) -> bool:
     """True if ``p p^T`` is the identity within tol (Frobenius)."""
     p = np.asarray(p, dtype=float)
-    return float(np.linalg.norm(p @ p.T - np.eye(3))) <= tol
+    return _frobenius(p @ p.T - _EYE3) <= tol
 
 
 def contract_one(a: Hyper3, v: Vec3, slot: int) -> Mat3:
@@ -189,16 +207,18 @@ def transpose(a: Hyper3) -> Hyper3:
 
 def _check_rotation(p: Mat3, tol: float) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if not is_orthogonal(p, tol):
-        residual = float(np.linalg.norm(p @ p.T - np.eye(3)))
+    residual = _frobenius(p @ p.T - _EYE3)
+    if not residual <= tol:
         raise NotOrthogonal(f"||P P^T - I|| = {residual:.3e} exceeds {tol:.1e}")
     return p
 
 
 def rotate(a: Hyper3, p: Mat3, tol: float = 1e-10) -> Hyper3:
-    """Orthonormal change of basis a'_ijk = p_iq p_jr p_ks a_qrs."""
+    """Orthonormal change of basis a'_ijk = p_iq p_jr p_ks a_qrs.
+
+    Raises ValueError unless ``a`` is a finite 3x3x3 array."""
     p = _check_rotation(p, tol)
-    return np.einsum("iq,jr,ks,qrs->ijk", p, p, p, a)
+    return np.einsum("iq,jr,ks,qrs->ijk", p, p, p, _finite(a, (3, 3, 3), "Hyper3"))
 
 
 def rotate_mat(u: Mat3, p: Mat3, tol: float = 1e-10) -> Mat3:
@@ -218,18 +238,25 @@ def _pow2_scale(arr: np.ndarray) -> tuple[np.ndarray, int]:
     [0.5, 1), and the exponent e with arr = ldexp(scaled, e); a zero
     array comes back unchanged with e = 0.  A NaN or infinite entry
     raises ValueError."""
-    peak = np.abs(arr).max()
+    peak = float(np.abs(arr).max())
     if not math.isfinite(peak):
         raise ValueError("tensor entries must be finite (no NaN/Inf)")
-    _, exp = np.frexp(peak)
-    return np.ldexp(arr, -exp), int(exp)
+    exp = math.frexp(peak)[1]
+    return np.ldexp(arr, -exp), exp
+
+
+def _frobenius(arr: np.ndarray) -> float:
+    """``np.linalg.norm(arr)``, bit for bit: the same dot product over the
+    entries in memory order, and a correctly rounded square root."""
+    flat = arr.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def _scaled_with_bound(arr, tol: float) -> tuple[np.ndarray, int, float]:
     """``_pow2_scale(arr)``, where the norm can neither under- nor overflow,
     and the scale-free asymmetry bound tol * ||arr|| taken there."""
     arr, exp = _pow2_scale(np.asarray(arr, dtype=float))
-    return arr, exp, tol * float(np.linalg.norm(arr))
+    return arr, exp, tol * _frobenius(arr)
 
 
 def _random_frame(rng: np.random.Generator) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import core
 from .errors import NotPartiallySymmetric, NotSymmetric, SingularTensor
-from .symmetry import _swap_symmetric
+from .symmetry import _gather, _swap_symmetric
 
 __all__ = [
     "LEigenSystem",
@@ -139,20 +139,34 @@ def sym_eig3(u: core.Mat3, tol: float = 1e-8):
     return np.ldexp(vals[::-1], exp), vecs * _lead_signs(vecs.T)
 
 
+# flat gathers of A, A^T, (A^T)^T and A again: kernel n is the product of
+# row n as a 3x9 matrix and row n + 1 as a 9x3 one
+_CYCLIC = _gather(("cyclic",))[0]
+_CHAIN = np.stack((np.arange(27), _CYCLIC, _CYCLIC[_CYCLIC], np.arange(27)))
+
+
+def _kernels(a: np.ndarray) -> np.ndarray:
+    """The kernels of A, A^T and (A^T)^T stacked, for a 3x3x3 array ``a``:
+    the products prod2(a, transpose(a)) and so on, summed in the same order."""
+    chain = a.reshape(27).take(_CHAIN)
+    return np.einsum("nij,njl->nil", chain[:3].reshape(3, 3, 9), chain[1:].reshape(3, 9, 3))
+
+
 def kernel(a: core.Hyper3) -> core.Mat3:
-    """Kernel tensor U = A A^T, symmetric positive semi-definite."""
-    return core.prod2(a, core.transpose(a))
+    """Kernel tensor U = A A^T, symmetric positive semi-definite.
+
+    Raises ValueError unless ``a`` is a finite 3x3x3 array."""
+    flat = core._finite(a, (3, 3, 3), "Hyper3").reshape(27)
+    return np.einsum("ij,jl->il", flat.reshape(3, 9), flat.take(_CYCLIC).reshape(9, 3))
 
 
 def kernel_triple(a: core.Hyper3) -> KernelTriple:
-    """Kernels of A, A^T and (A^T)^T; all three share trace A . A."""
-    at = core.transpose(a)
-    att = core.transpose(at)
-    return KernelTriple(
-        u=_frozen(core.prod2(a, at)),
-        u_bar=_frozen(core.prod2(at, att)),
-        u_hat=_frozen(core.prod2(att, a)),
-    )
+    """Kernels of A, A^T and (A^T)^T; all three share trace A . A.
+
+    Raises ValueError unless ``a`` is a finite 3x3x3 array."""
+    kernels = _kernels(core._finite(a, (3, 3, 3), "Hyper3"))
+    kernels.setflags(write=False)
+    return KernelTriple(*kernels)
 
 
 def unfold(a: core.Hyper3) -> np.ndarray:
@@ -176,9 +190,7 @@ def _unfolding_svd(a: core.Hyper3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     result is memoized on the unfolding's bytes, one entry deep.  Its
     arrays are read-only, and no public function returns one of them.
     """
-    if np.shape(a) != (3, 3, 3):
-        raise ValueError(f"Hyper3 must have shape (3, 3, 3), got {np.shape(a)}")
-    return _svd_of_bytes(unfold(a).tobytes())
+    return _svd_of_bytes(core._shaped(a, (3, 3, 3), "Hyper3").tobytes())
 
 
 @functools.lru_cache(maxsize=1)
@@ -195,7 +207,9 @@ def _svd_of_bytes(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     signs = _lead_signs(u.T)
     x = u.T * signs[:, None]
     vt[:3] *= signs[:, None]
-    sigma = np.ldexp(np.minimum.accumulate(np.linalg.norm(x @ m, axis=1)), exp)
+    y = x @ m
+    # the row norms as np.linalg.norm(y, axis=1) takes them, bit for bit
+    sigma = np.ldexp(np.minimum.accumulate(np.sqrt((y * y).sum(axis=1))), exp)
     for arr in (sigma, x, vt):
         arr.setflags(write=False)
     return sigma, x, vt
@@ -222,9 +236,9 @@ def rank_and_nullspace(a: core.Hyper3, tol: float = 1e-10):
     satisfies ||contract_mat(a, N, "right")|| <= tol * ||a||.
     """
     sigma, _, vt = _unfolding_svd(a)
-    rank = int(np.sum(sigma > tol * sigma[0]))
+    rank = int(np.count_nonzero(sigma > tol * sigma[0]))
     null = vt[rank:] * _lead_signs(vt[rank:])[:, None]
-    return rank, [n.reshape(3, 3) for n in null]
+    return rank, list(null.reshape(-1, 3, 3))
 
 
 def l_inverse(a: core.Hyper3, tol: float = 1e-10) -> core.Hyper3:
@@ -258,8 +272,10 @@ def recover(v: core.Mat3, a_inv: core.Hyper3) -> core.Vec3:
 
 
 def is_orthogonal_tensor(a: core.Hyper3, tol: float = 1e-10) -> bool:
-    """True when the kernel A A^T is the identity within tol."""
-    return float(np.linalg.norm(kernel(a) - np.eye(3))) <= tol
+    """True when the kernel A A^T is the identity within tol (Frobenius).
+
+    Raises ValueError unless ``a`` is a finite 3x3x3 array."""
+    return core._frobenius(kernel(a) - core._EYE3) <= tol
 
 
 # side -> the class it requires and the tensor the right-side procedure runs on

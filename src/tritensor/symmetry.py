@@ -70,18 +70,29 @@ _DISTINCT = [9 * i + 3 * j + k for i, j, k in permutations(range(3))]
 _SELECTIVE = {
     name: [n for n in _DISTINCT if n < _gather((name,))[0, n]] for name in ("right", "left")
 }
+# classify's deviations, one row each, as |a - a.flat[row]| with a.flat
+# extended by -a: |a - swap| for every swap, |a + swap| = |a - (-swap)| for
+# the pair swaps, then |a - swap| at the selective entries of the right
+# and left swaps (|a - a| = 0 elsewhere)
+_SIGNS = np.array([[1.0], [-1.0]])
+_FLAG_ROWS = np.concatenate((
+    _gather(tuple(_SWAPS)),
+    27 + _gather(_PAIR_SWAPS),
+    [[_gather((n,))[0, i] if i in _SELECTIVE[n] else i for i in range(27)] for n in _SELECTIVE],
+))
 
 
-def _swap_devs(a: np.ndarray, names: tuple[str, ...], anti: bool = False) -> np.ndarray:
-    """|a - swap|, or |a + swap| if ``anti``, flat, one row per named swap."""
-    flat = a.reshape(27)
-    return np.abs((np.add if anti else np.subtract)(flat, flat.take(_gather(names))))
+def _scaled_flat(a: core.Hyper3, tol: float) -> tuple[np.ndarray, float]:
+    """``a`` scaled by a power of two (exact) and flattened, and the bound
+    tol * ||a|| taken there; ValueError unless ``a`` is a finite 3x3x3 array."""
+    a, _, bound = core._scaled_with_bound(core._shaped(a, (3, 3, 3), "Hyper3"), tol)
+    return a.reshape(27), bound
 
 
 def _swap_symmetric(a: core.Hyper3, tol: float, *names: str) -> bool:
     """classify(a, tol)'s verdict that ``a`` is symmetric under every named swap."""
-    a, _, bound = core._scaled_with_bound(a, tol)
-    return float(_swap_devs(a, names).max()) <= bound
+    flat, bound = _scaled_flat(a, tol)
+    return float(np.abs(flat - flat.take(_gather(names))).max()) <= bound
 
 
 def classify(a: core.Hyper3, tol: float = 1e-10) -> SymmetryReport:
@@ -93,15 +104,14 @@ def classify(a: core.Hyper3, tol: float = 1e-10) -> SymmetryReport:
     conjunction of the three anti flags.  The selective flags restrict the
     right/left conditions to index triples with all positions distinct, so
     unlike the other flags they are not preserved by a change of basis.
+    Raises ValueError unless ``a`` is a finite 3x3x3 array.
     """
-    a, _, bound = core._scaled_with_bound(a, tol)
-    dev = _swap_devs(a, tuple(_SWAPS))
-    right, left, central, cyclic = (dev.max(axis=1) <= bound).tolist()
-    anti = _swap_devs(a, _PAIR_SWAPS, anti=True)
-    right_anti, left_anti, central_anti = (anti.max(axis=1) <= bound).tolist()
-    traceless = float(np.abs(np.einsum("ijj->i", a)).max()) <= bound
-    sel_right = float(dev[0, _SELECTIVE["right"]].max()) <= bound
-    sel_left = float(dev[1, _SELECTIVE["left"]].max()) <= bound
+    flat, bound = _scaled_flat(a, tol)
+    dev = np.abs(flat - (_SIGNS * flat).take(_FLAG_ROWS))
+    flags = (dev.max(axis=1) <= bound).tolist()
+    right, left, central, cyclic, right_anti, left_anti, central_anti, sel_right, sel_left = flags
+    r = flat.tolist()  # the traces a_ijj, summed as einsum("ijj->i") sums them
+    traceless = max(abs(r[i] + r[i + 4] + r[i + 8]) for i in (0, 9, 18)) <= bound
 
     return SymmetryReport(
         right_symmetric=right,

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import core
 from .errors import NoConvergence, NotRightSymmetric, NotSymmetric, Unrepresentable
-from .spectral import _frozen, _lead_signs, kernel_triple
+from .spectral import _frozen, _kernels, _lead_signs
 from .symmetry import _PAIR_SWAPS, _swap_symmetric
 
 __all__ = [
@@ -401,6 +401,9 @@ def max_z_eigenvalue(
     return _multistart("z_eigen", a, restarts, tol, max_iters, seed, history_out)
 
 
+_TINY = sys.float_info.min  # the smallest normal float64
+
+
 def _rescaled(trace: float, exp: int) -> float:
     """ldexp(trace, exp), raising where a nonzero result leaves the normal
     float64 range."""
@@ -408,7 +411,7 @@ def _rescaled(trace: float, exp: int) -> float:
         out = math.ldexp(trace, exp)
     except OverflowError:
         out = math.inf
-    if trace != 0.0 and not sys.float_info.min <= abs(out) < math.inf:
+    if trace != 0.0 and not _TINY <= abs(out) < math.inf:
         raise Unrepresentable(f"invariant {trace:.3g} x 2^{exp} is outside the float64 range")
     return out
 
@@ -421,13 +424,16 @@ def invariants(a: core.Hyper3) -> InvariantSet:
     set.  Cyclically symmetric tensors have all three kernels equal.  The
     traces are taken on the tensor scaled by a power of two and scaled
     back exactly by their degree 2, 4 or 6; Unrepresentable is raised
-    when a nonzero trace would under- or overflow float64.
+    when a nonzero trace would under- or overflow float64.  Raises
+    ValueError unless ``a`` is a finite 3x3x3 array.
     """
-    a, exp = core._pow2_scale(np.asarray(a, dtype=float))
-    kt = kernel_triple(a)
-    u1 = np.stack((kt.u, kt.u_bar, kt.u_hat))
+    a, exp = core._pow2_scale(core._shaped(a, (3, 3, 3), "Hyper3"))
+    u1 = _kernels(a)
     u2 = u1 @ u1
-    tr2, tr3 = np.einsum("kii->k", u2), np.einsum("kij,kji->k", u2, u1)
-    traces = (np.trace(kt.u), tr2[0], tr3[0], tr2[1], tr3[1], tr2[2], tr3[2])
+    tr3 = np.einsum("kij,kji->k", u2, u1).tolist()
+    # diagonals summed in order, as np.trace and einsum("kii->k") sum them
+    d1, d2 = u1[0].reshape(9).tolist(), u2.reshape(27).tolist()
+    tr2 = [d2[i] + d2[i + 4] + d2[i + 8] for i in (0, 9, 18)]
+    traces = (d1[0] + d1[4] + d1[8], tr2[0], tr3[0], tr2[1], tr3[1], tr2[2], tr3[2])
     degrees = (2, 4, 6, 4, 6, 4, 6)
-    return InvariantSet(*(_rescaled(float(t), d * exp) for t, d in zip(traces, degrees)))
+    return InvariantSet(*(_rescaled(t, d * exp) for t, d in zip(traces, degrees)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tritensor as tt
+from tritensor import core
 from tritensor.errors import NotOrthogonal
 
 from helpers import (
@@ -55,6 +56,41 @@ def test_helpers_reject_non_finite_entries(check, shape, bad):
     a.flat[1] = bad
     with pytest.raises(ValueError, match="finite"):
         check(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "layer",
+    [tt.kernel, tt.kernel_triple, tt.is_orthogonal_tensor, lambda a: tt.rotate(a, np.eye(3))],
+)
+def test_unscaled_layers_reject_non_finite_entries(layer, bad):
+    # these take no power-of-two scale, so they check the entries themselves
+    a = np.ones((3, 3, 3))
+    a.flat[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        layer(a)
+
+
+def test_is_symmetric_takes_only_3x3_matrices():
+    # u.T of a tensor reverses all three axes, which would test central symmetry
+    for u in (tt.make_fixture("centrally_symmetric", 1), np.zeros((3, 3, 3)), np.zeros(9), np.eye(4)):
+        with pytest.raises(ValueError, match="shape"):
+            tt.is_symmetric(u)
+
+
+def test_scaled_with_bound_takes_the_norm_of_np_linalg_norm_bitwise():
+    # math.sqrt of the dot product is np.linalg.norm's own formula, in the
+    # same memory order, for contiguous and strided inputs alike
+    rng = np.random.default_rng(4)
+    for n in range(2000):
+        a = rng.standard_normal((3, 3, 3)) * 10.0 ** rng.uniform(-300.0, 300.0)
+        tol = 10.0 ** rng.uniform(-12.0, -6.0)
+        for arr in (a, a[0], np.asfortranarray(a), a.transpose(2, 0, 1), a[:, ::2]):
+            scaled, exp, bound = core._scaled_with_bound(arr, tol)
+            _, want_exp = np.frexp(np.abs(arr).max())
+            assert exp == want_exp
+            assert scaled.tobytes() == np.ldexp(arr, -want_exp).tobytes()
+            assert bound == tol * float(np.linalg.norm(scaled))
 
 
 def test_constructors_reject_bad_shapes():

@@ -7,6 +7,7 @@ import pytest
 import tritensor as tt
 from tritensor import spectral
 from tritensor.errors import NotPartiallySymmetric, NotSymmetric, SingularTensor
+from tritensor.symmetry import _swap_symmetric
 
 from helpers import mp_residuals, random_hyper3, random_vec, svd_sigma
 
@@ -117,6 +118,23 @@ def test_kernel_triple_traces_and_psd():
             assert np.linalg.eigvalsh(u).min() >= -1e-12 * max(1.0, np.linalg.norm(u))
 
 
+def test_kernels_equal_prod2_of_transposed_copies_bitwise():
+    # one gather and one batched einsum give the bits of the three
+    # prod2 calls, for the tensor and for any memory layout of it
+    rng = np.random.default_rng(3)
+    for n in range(300):
+        a = rng.standard_normal((3, 3, 3)) * 10.0 ** rng.uniform(-40.0, 40.0)
+        at = tt.transpose(a)
+        att = tt.transpose(at)
+        want = (tt.prod2(a, at), tt.prod2(at, att), tt.prod2(att, a))
+        for view in (a, np.ascontiguousarray(a.transpose(2, 0, 1)).transpose(1, 2, 0), np.asfortranarray(a)):
+            kt = tt.kernel_triple(view)
+            for got, ref in zip((kt.u, kt.u_bar, kt.u_hat), want):
+                assert got.tobytes() == ref.tobytes()
+            assert tt.kernel(view).tobytes() == want[0].tobytes()
+            assert not kt.u.flags.writeable
+
+
 def test_unfold_fold_roundtrip_bitwise():
     for seed in range(1000):
         a = random_hyper3(seed)
@@ -147,6 +165,21 @@ def test_spectral_rejects_arrays_that_are_not_3x3x3(solve, shape):
         solve(a)
     with pytest.raises(ValueError, match="shape"):
         solve(np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(27,), (3, 9), (9, 3), (3, 3, 3, 1)])
+@pytest.mark.parametrize(
+    "layer",
+    [
+        tt.kernel, tt.kernel_triple, tt.is_orthogonal_tensor, tt.invariants, tt.classify,
+        lambda a: _swap_symmetric(a, 1e-8, "right"), lambda a: tt.rotate(a, np.eye(3)),
+    ],
+)
+def test_closed_form_layers_reject_arrays_that_are_not_3x3x3(layer, shape):
+    # their flat gathers would otherwise read any 27 entries as a tensor
+    a = np.asarray(tt.make_fixture("symmetric", 2)).reshape(shape)
+    with pytest.raises(ValueError, match="shape"):
+        layer(a)
 
 
 # ---------------------------------------------------------------------------

@@ -220,3 +220,53 @@ def test_report_serializes_flat():
         "tol",
     }
     assert doc["tol"] == 1e-10
+
+
+def _two_gather_flags(a, tol):
+    """classify's flags as taken before the deviations came from one
+    gather: a scaled by 2^-exp with np.frexp, the bound tol * np.linalg.norm,
+    one gather for |a - swap|, one for |a + swap|, the traces by einsum and
+    the selective entries by fancy indexing."""
+    a = np.asarray(a, dtype=float)
+    a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
+    bound = tol * float(np.linalg.norm(a))
+    flat = a.reshape(27)
+    dev = np.abs(flat - flat.take(symmetry._gather(tuple(symmetry._SWAPS))))
+    anti = np.abs(flat + flat.take(symmetry._gather(symmetry._PAIR_SWAPS)))
+    right, left, central, cyclic = (dev.max(axis=1) <= bound).tolist()
+    right_anti, left_anti, central_anti = (anti.max(axis=1) <= bound).tolist()
+    return {
+        "right_symmetric": right,
+        "left_symmetric": left,
+        "centrally_symmetric": central,
+        "partially_symmetric": right or left or central,
+        "symmetric": right and left and central,
+        "cyclically_symmetric": cyclic,
+        "right_anti": right_anti,
+        "left_anti": left_anti,
+        "centrally_anti": central_anti,
+        "totally_anti": right_anti and left_anti and central_anti,
+        "traceless": float(np.abs(np.einsum("ijj->i", a)).max()) <= bound,
+        "selectively_right": float(dev[0, symmetry._SELECTIVE["right"]].max()) <= bound,
+        "selectively_left": float(dev[1, symmetry._SELECTIVE["left"]].max()) <= bound,
+        "tol": tol,
+    }
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+def test_classify_equals_the_two_gather_flags_near_the_bound(tol):
+    # entrywise perturbations of half and twice the bound put every flag
+    # of a fixture on both sides of it, at scales across the float64 range
+    rng = np.random.default_rng(9)
+    flips = 0
+    for klass in FIXTURE_CLASSES:
+        for seed in range(12):
+            a = np.asarray(tt.make_fixture(klass, seed))
+            for size in (0.5, 2.0):
+                e = rng.uniform(-1.0, 1.0, (3, 3, 3))
+                perturbed = a + size * tol * float(np.linalg.norm(a)) * e
+                for c in (1.0, 1e-300, 2.0**-60, 1e160):
+                    want = _two_gather_flags(c * perturbed, tol)
+                    assert tt.classify(c * perturbed, tol).as_dict() == want
+                    flips += want != _two_gather_flags(c * a, tol)
+    assert flips > 0

@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import threading
 
@@ -522,3 +523,39 @@ def test_invariants_scale_by_degree():
     for c in (1e-60, 1e60):
         with pytest.raises(Unrepresentable):
             tt.invariants(c * a)
+
+
+def _stacked_kernel_traces(a):
+    """The seven traces and the exponent as ``invariants`` took them before
+    the kernels came from one gather: a scaled by 2^-exp with np.frexp,
+    three ``prod2`` kernels of transposed copies, ``np.stack`` and
+    ``np.trace``."""
+    a = np.asarray(a, dtype=float)
+    _, exp = np.frexp(np.abs(a).max())
+    a = np.ldexp(a, -exp)
+    at = tt.transpose(a)
+    att = tt.transpose(at)
+    u1 = np.stack((tt.prod2(a, at), tt.prod2(at, att), tt.prod2(att, a)))
+    u2 = u1 @ u1
+    tr2, tr3 = np.einsum("kii->k", u2), np.einsum("kij,kji->k", u2, u1)
+    traces = (np.trace(u1[0]), tr2[0], tr3[0], tr2[1], tr3[1], tr2[2], tr3[2])
+    return [float(t) for t in traces], int(exp)
+
+
+def test_invariants_equal_the_stacked_kernel_traces_bitwise():
+    rng = np.random.default_rng(11)
+    for n in range(1200):
+        a = rng.standard_normal((3, 3, 3)) * 10.0 ** rng.uniform(-40.0, 40.0)
+        traces, exp = _stacked_kernel_traces(a)
+        want = [math.ldexp(t, _DEGREE[key] * exp) for t, key in zip(traces, _DEGREE)]
+        assert list(tt.invariants(a).as_dict().values()) == want
+
+
+def test_invariants_do_not_depend_on_memory_layout():
+    # a transposed view or a Fortran-ordered copy gives the bits of the
+    # C-ordered copy of the same tensor
+    for seed in range(200):
+        a = random_hyper3(seed)
+        for view in (a.transpose(2, 0, 1), np.asfortranarray(a), a[:, ::-1]):
+            want = tt.invariants(np.ascontiguousarray(view)).as_dict()
+            assert tt.invariants(view).as_dict() == want

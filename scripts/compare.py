@@ -1,0 +1,417 @@
+"""Golden hashes, layer laps and solver laps of a parent tree against this one.
+
+Loads ``src/tritensor`` of a git revision (``--parent``) and of the
+working tree into one process, as the modules ``parent`` and ``change``,
+and reports four parts:
+
+- ``closed_form_golden``: one sha256 per tree over the fixtures of every
+  class, the rotations, the ``classify`` verdicts and the
+  ``eig_decompose_partial`` results, the numeric closed-form layers (or
+  the errors they raise) on the fixtures and on Gaussian tensors at norms
+  from 1e-40 to 1e160, and the CLI's ``fixture``, ``classify`` and
+  ``decompose`` reports, fed through standard input;
+- ``solver_golden``: one sha256 per tree over the 7060 solves of
+  acceptance criteria 4 and 6: each result and its ``history_out`` rows;
+- ``layers``: per closed-form layer and tree, the median and the sum over
+  64 inputs of the fastest of 41 calls, and one sha256 over the outputs;
+  ``analyze_item`` sums the layers that one item of the ``analyze``
+  benchmark workload calls;
+- ``solvers``: per solver and tree, on the 32 (fixture, rotation) pairs
+  that the ``audit`` benchmark workload times, at 12 restarts, the fastest
+  of 21 rounds of each solve's prologue (from the call to the first
+  ``history_out`` append: gate, set-up and first iteration), mean lap
+  between appends, epilogue (from the last append: the merge) and whole
+  solve, and the iteration count.
+
+The parent tree builds the lap inputs.  The trees take turns call by
+call and the one that goes first alternates, so a slow phase of the host
+falls on both; a case whose output (for a solve, its iteration count)
+varies between rounds stops the run.  Equal hashes mean both trees return
+the same bits.  The report is printed and written to ``--out``, and then
+the exit code is 1 if any hash differs.  Run from the repository root,
+with BLAS on one thread::
+
+    python scripts/compare.py --parent HEAD~1 --out BENCH_9.json
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import itertools
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # nothing written into either source tree
+sys.path.insert(0, str(ROOT))
+from perfbench.spans import LapClock  # noqa: E402  (a history_out of timestamps)
+
+SOLVERS = ("max_singular_value", "max_c_eigenvalue", "max_z_eigenvalue")
+RESTARTS = 12
+LAYER_ROUNDS = 41
+SOLVER_ROUNDS = 21
+SIDES = ("right", "left", "central")
+# the reports run on every fixture the CLI prints, read from standard input
+REPORTS = (
+    ["classify", "-"],
+    ["classify", "-", "--json"],
+    *(["decompose", "-", "--side", side] for side in SIDES),
+    *(["decompose", "-", "--side", side, "--json"] for side in SIDES),
+)
+_now = time.perf_counter_ns
+
+
+def load_tree(pkg_dir: Path, name: str):
+    """Import the package in ``pkg_dir`` as the top-level module ``name``."""
+    spec = importlib.util.spec_from_file_location(
+        name, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def extract_revision(rev: str, into: Path) -> Path:
+    """``src/tritensor`` of git revision ``rev``, unpacked under ``into``."""
+    archive = subprocess.run(
+        ["git", "archive", rev, "src/tritensor"], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return into / "src" / "tritensor"
+
+
+def sha256_of(records) -> str:
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(record if isinstance(record, bytes) else record.encode())
+    return digest.hexdigest()
+
+
+def record_of(out) -> bytes:
+    """The bits of one library result: the bytes of every array in it, or
+    the repr of the error raised."""
+    if isinstance(out, Exception):
+        return repr(out).encode()
+    if isinstance(out, np.ndarray):
+        return np.ascontiguousarray(out).tobytes()
+    if isinstance(out, (tuple, list)):
+        return b"|".join(record_of(part) for part in out)
+    if hasattr(out, "__dataclass_fields__"):
+        return record_of([getattr(out, name) for name in out.__dataclass_fields__])
+    return repr(out).encode()
+
+
+def _library_records(tt):
+    rotations = [tt.random_rotation(r) for r in range(100)]
+    fixtures = [tt.make_fixture(k, seed) for k in tt.FIXTURE_CLASSES for seed in range(200)]
+    for a in fixtures:
+        yield np.ascontiguousarray(a).tobytes()
+        for tol in (1e-10, 1e-8):
+            yield json.dumps(tt.classify(a, tol).as_dict(), sort_keys=True)
+        for side in SIDES:
+            try:
+                yield json.dumps(tt.eig_decompose_partial(a, side).as_dict())
+            except tt.TensorError as exc:
+                yield repr(exc)
+    for p in rotations:
+        yield np.ascontiguousarray(p).tobytes()
+    gaussian = np.random.default_rng(0).standard_normal((100, 3, 3, 3))
+    scaled = [10.0**e * g for e in range(-40, 161, 20) for g in gaussian]
+    layers = (
+        tt.invariants, tt.kernel, tt.kernel_triple, tt.l_eigen, tt.l_inverse,
+        tt.rank_and_nullspace, tt.rotate,
+    )
+    for n, a in enumerate([*fixtures, *gaussian, *scaled]):
+        for layer in layers:
+            try:
+                out = layer(a, rotations[n % 100]) if layer is tt.rotate else layer(a)
+            except tt.TensorError as exc:
+                out = exc
+            yield record_of(out)
+
+
+def _run(cli, argv: list[str], stdin: str = "") -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``cli.run(argv)`` with ``stdin`` as input."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cli_records(tt, cli):
+    for klass in ("levi-civita", *(k.replace("_", "-") for k in tt.FIXTURE_CLASSES)):
+        for seed in range(3):
+            argv = ["fixture", klass, "--seed", str(seed)]
+            _, tensor, _ = result = _run(cli, argv)
+            yield json.dumps([argv, result])
+            for report in REPORTS:
+                yield json.dumps([report, _run(cli, report, tensor)])
+
+
+def closed_form_golden(tt, cli) -> str:
+    return sha256_of(itertools.chain(_library_records(tt), _cli_records(tt, cli)))
+
+
+def golden_solves(tt):
+    """(solver, tensor, restarts, seed) for every solve of criteria 4 and 6."""
+    fixtures = [tt.make_fixture("symmetric", s) for s in range(10)]
+    fixtures += [tt.make_fixture("primarily_symmetric", s) for s in range(10)]
+    for a in fixtures:
+        for r in range(-1, 100):
+            rot = a if r < 0 else tt.rotate(a, tt.random_rotation(r))
+            for s in SOLVERS:
+                yield s, rot, 12, 0
+    for seed in range(200):
+        a = tt.make_fixture("symmetric", seed)
+        for s in SOLVERS:
+            yield s, a, 24, seed
+    for seed in range(200):
+        a = tt.make_fixture("right_symmetric", seed)
+        for s in SOLVERS[:2]:
+            yield s, a, 24, seed
+
+
+def solve_records(tt, solves):
+    for s, a, restarts, seed in solves:
+        history = []
+        triple = getattr(tt, s)(a, restarts=restarts, seed=seed, history_out=history)
+        yield json.dumps(triple.as_dict(), sort_keys=True)
+        yield str(len(history))
+        for row in history:
+            yield np.ascontiguousarray(row).tobytes()
+
+
+def solver_golden(tt) -> dict:
+    solves = list(golden_solves(tt))
+    return {"sha256": sha256_of(solve_records(tt, solves)), "solves": len(solves)}
+
+
+def layer_inputs(tt) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """The 64 (tensor, rotation, rotation seed) inputs, from one seeded stream."""
+    rng = np.random.default_rng(8)
+    raws = [rng.standard_normal((3, 3, 3)) for _ in range(28)]
+    raws += [tt.make_fixture(k, 8) for k in tt.FIXTURE_CLASSES]
+    raws.append(tt.levi_civita())
+    for rank in range(3):
+        left = np.linalg.qr(rng.standard_normal((3, 3)))[0][:, :rank]
+        right = np.linalg.qr(rng.standard_normal((9, 9)))[0][:, :rank]
+        raws.append((left @ right.T).reshape(3, 3, 3))
+    for norm in np.geomspace(1e-12, 1e12, 18):
+        g = rng.standard_normal((3, 3, 3))
+        raws.append(g * (norm / np.linalg.norm(g)))
+    return [
+        (np.array(a, dtype=float), tt.random_rotation(1000 + n), 1000 + n)
+        for n, a in enumerate(raws)
+    ]
+
+
+def audit_pairs(tt) -> list[np.ndarray]:
+    return [
+        np.asarray(tt.rotate(tt.make_fixture(klass, i), tt.random_rotation(r)))
+        for klass in ("symmetric", "primarily_symmetric")
+        for i in range(8)
+        for r in range(2)
+    ]
+
+
+def _tensor(a, p, seed):
+    return (a,)
+
+
+# layer -> (library function, its arguments from (a, p, seed), and what
+# runs untimed just before: "cold" clears the SVD memo, "warm" fills it
+# with a's SVD by calling l_eigen)
+LAYERS = {
+    "hyper3": ("hyper3", _tensor, None),
+    "classify": ("classify", _tensor, None),
+    "kernel": ("kernel", _tensor, None),
+    "kernel_triple": ("kernel_triple", _tensor, None),
+    "l_eigen_cold": ("l_eigen", _tensor, "cold"),
+    "l_eigen_warm": ("l_eigen", _tensor, "warm"),
+    "l_inverse": ("l_inverse", _tensor, "warm"),
+    "rank_and_nullspace": ("rank_and_nullspace", _tensor, "warm"),
+    "invariants": ("invariants", _tensor, None),
+    "rotate": ("rotate", lambda a, p, seed: (a, p), None),
+    "random_rotation": ("random_rotation", lambda a, p, seed: (seed,), None),
+}
+ANALYZE_ITEM = (
+    "hyper3", "classify", "kernel", "l_eigen_cold", "l_inverse",
+    "rank_and_nullspace", "invariants", "rotate",
+)
+
+
+def run_layer(tt, layer: str, case) -> tuple[tuple[int], bytes]:
+    """((ns,), record of the output or of the library error raised) of one timed call."""
+    name, args_of, memo = LAYERS[layer]
+    if memo == "cold":
+        tt.spectral._svd_of_bytes.cache_clear()
+    elif memo == "warm":
+        tt.l_eigen(case[0])
+    fn, args = getattr(tt, name), args_of(*case)
+    t0 = _now()
+    try:
+        out = fn(*args)
+    except tt.TensorError as exc:  # an error is an output too: timed and hashed
+        out = exc
+    return (_now() - t0,), record_of(out)
+
+
+def run_solver(tt, solver: str, a) -> tuple[tuple, int]:
+    """((prologue ns, epilogue ns, mean inner lap ns, total ns), iterations)."""
+    clock = LapClock()
+    t0 = _now()
+    getattr(tt, solver)(a, restarts=RESTARTS, history_out=clock)
+    t1 = _now()
+    stamps = clock.times
+    inner = (stamps[-1] - stamps[0]) / (len(stamps) - 1) if len(stamps) > 1 else float("nan")
+    return (stamps[0] - t0, t1 - stamps[-1], inner, t1 - t0), len(stamps)
+
+
+def fastest(trees: dict, groups, cases: list, rounds: int, run) -> tuple[dict, dict]:
+    """Per tree, group and case: the fastest of ``rounds`` timings of
+    ``run(tt, group, case) -> (times, output)``, entry by entry, and the
+    output, which must be the same in every round."""
+    names = list(trees)
+    best = {n: {g: [None] * len(cases) for g in groups} for n in names}
+    outputs = {n: {g: [None] * len(cases) for g in groups} for n in names}
+    for rnd in range(rounds):
+        for g in groups:
+            for i, case in enumerate(cases):
+                # the trees take turns call by call, so a slow phase of the
+                # host falls on both
+                for name in names if (rnd + i) % 2 == 0 else names[::-1]:
+                    times, out = run(trees[name], g, case)
+                    if rnd == 0:
+                        best[name][g][i], outputs[name][g][i] = times, out
+                    elif out != outputs[name][g][i]:
+                        raise RuntimeError(f"{name} {g} case {i}: output varies between rounds")
+                    else:
+                        best[name][g][i] = tuple(map(min, best[name][g][i], times))
+    return best, outputs
+
+
+def compared(stats: dict) -> dict:
+    """``stats[group][tree]`` with each group's change over parent added."""
+    for by_tree in stats.values():
+        before, after = by_tree["parent"], by_tree["change"]
+        by_tree["change_over_parent"] = {
+            key: round(after[key] / before[key], 3) for key in before if key != "iterations"
+        }
+    return stats
+
+
+def layer_laps(trees: dict, inputs: list, rounds: int = LAYER_ROUNDS) -> dict:
+    best, outputs = fastest(trees, LAYERS, inputs, rounds, run_layer)
+    ns = {n: {layer: [t for (t,) in rows] for layer, rows in best[n].items()} for n in trees}
+    for n in trees:
+        ns[n]["analyze_item"] = [sum(col) for col in zip(*(ns[n][k] for k in ANALYZE_ITEM))]
+    laps = compared({
+        layer: {
+            n: {
+                "us_p50": round(statistics.median(ns[n][layer]) / 1e3, 2),
+                "us_sum": round(sum(ns[n][layer]) / 1e3, 1),
+            }
+            for n in trees
+        }
+        for layer in (*LAYERS, "analyze_item")
+    })
+    hashes = {n: {layer: sha256_of(rows) for layer, rows in outputs[n].items()} for n in trees}
+    for layer in LAYERS:
+        laps[layer]["sha256_equal"] = hashes["parent"][layer] == hashes["change"][layer]
+    return {"inputs": len(inputs), "rounds": rounds, "laps": laps, "sha256": hashes}
+
+
+def solver_laps(trees: dict, pairs: list, rounds: int = SOLVER_ROUNDS) -> dict:
+    best, iterations = fastest(trees, SOLVERS, pairs, rounds, run_solver)
+    laps = compared({
+        s: {
+            n: {
+                "iterations": sum(iterations[n][s]),
+                "prologue_us_sum": round(sum(r[0] for r in best[n][s]) / 1e3, 1),
+                "per_iteration_us_p50": round(statistics.median(r[2] for r in best[n][s]) / 1e3, 2),
+                "epilogue_us_sum": round(sum(r[1] for r in best[n][s]) / 1e3, 1),
+                "solve_ms_sum": round(sum(r[3] for r in best[n][s]) / 1e6, 3),
+            }
+            for n in trees
+        }
+        for s in SOLVERS
+    })
+    return {"pairs": len(pairs), "restarts": RESTARTS, "rounds": rounds, "laps": laps}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent tree")
+    parser.add_argument("--out", type=Path, help="write the report to this JSON file")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {
+            "parent": load_tree(extract_revision(args.parent, Path(tmp)), "parent"),
+            "change": load_tree(ROOT / "src" / "tritensor", "change"),
+        }
+        clis = {name: importlib.import_module(f"{name}.cli") for name in trees}
+    parent_rev = subprocess.run(
+        ["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
+        capture_output=True, text=True,
+    ).stdout.strip()
+    report = {
+        "script": "scripts/compare.py",
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+        },
+        "parent": parent_rev,
+        "change": "working tree",
+        "layers": layer_laps(trees, layer_inputs(trees["parent"])),
+    }
+    pairs = audit_pairs(trees["parent"])
+    for tt in trees.values():  # warm-up: imports, caches, lazy set-up
+        run_solver(tt, "max_z_eigenvalue", pairs[0])
+    report["solvers"] = solver_laps(trees, pairs)
+    golden = {
+        "closed_form_golden": {n: closed_form_golden(tt, clis[n]) for n, tt in trees.items()},
+        "solver_golden": {n: solver_golden(tt) for n, tt in trees.items()},
+    }
+    for part in golden.values():
+        part["equal"] = part["parent"] == part["change"]
+    report.update(golden)
+    report["equal"] = all(part["equal"] for part in golden.values()) and all(
+        report["layers"]["laps"][layer]["sha256_equal"] for layer in LAYERS
+    )
+    text = json.dumps(report, indent=2)
+    if args.out:
+        args.out.write_text(text + "\n")
+    print(text)
+    return 0 if report["equal"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "TensorError", "NotOrthogonal", "NotSymmetric", "NotRightSymmetric",
+    "NotPartiallySymmetric", "SingularTensor", "UnsupportedClass", "Unrepresentable",
+    "NoConvergence",
+]
+
 
 class TensorError(ValueError):
     """Base class for all domain errors raised by this package."""

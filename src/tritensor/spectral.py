@@ -129,9 +129,9 @@ def sym_eig3(u: core.Mat3, tol: float = 1e-8):
     component is positive, making the output deterministic.  Raises
     NotSymmetric when max |U - U^T| exceeds tol * ||U||; the check and
     ``eigh`` run on U scaled by a power of two (exact), so both are
-    scale-free.
+    scale-free.  Raises ValueError unless ``u`` is a finite 3x3 matrix.
     """
-    u, exp, bound = core._scaled_with_bound(u, tol)
+    u, exp, bound = core._scaled_with_bound(core._shaped(u, (3, 3), "Mat3"), tol)
     if float(np.abs(u - u.T).max()) > bound:
         raise NotSymmetric(f"matrix asymmetry exceeds {tol:.1e} * ||U||")
     vals, vecs = np.linalg.eigh(0.5 * (u + u.T))
@@ -170,8 +170,9 @@ def kernel_triple(a: core.Hyper3) -> KernelTriple:
 
 
 def unfold(a: core.Hyper3) -> np.ndarray:
-    """3x9 matrix with row i and columns (j,k) in order (1,1),(1,2),...,(3,3)."""
-    return np.asarray(a, dtype=float).reshape(3, 9).copy()
+    """3x9 matrix with row i and columns (j,k) in order (1,1),(1,2),...,(3,3).
+    Raises ValueError unless ``a`` is 3x3x3, as :func:`fold` does unless 3x9."""
+    return core._shaped(a, (3, 3, 3), "Hyper3").reshape(3, 9).copy()
 
 
 def fold(m: np.ndarray) -> core.Hyper3:

@@ -142,8 +142,9 @@ def selective_symmetry_via_levi_civita(
     condition (and ``diag(E A) = 0`` the selectively-left one) entry for
     entry.  The full products vanish only under the unrestricted
     right/left symmetries; see the package notes on this distinction.
+    Raises ValueError unless ``a`` is a finite 3x3x3 array.
     """
-    a, _, bound = core._scaled_with_bound(a, tol)
+    a, _, bound = core._scaled_with_bound(core._shaped(a, (3, 3, 3), "Hyper3"), tol)
     eps = core.levi_civita()
     right = float(np.abs(np.diagonal(core.prod2(a, eps))).max()) <= bound
     left = float(np.abs(np.diagonal(core.prod2(eps, a))).max()) <= bound

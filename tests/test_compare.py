@@ -1,0 +1,66 @@
+"""Smoke test of ``scripts/compare.py``: the working tree against itself.
+
+It runs the script's per-case helpers on a few inputs, so a library
+change that breaks a hook the script uses (the SVD memo's
+``cache_clear``, ``history_out``, ``perfbench.spans.LapClock``, the CLI's
+``run``) fails here rather than at the next measurement.
+"""
+
+import importlib
+import importlib.util
+import itertools
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TWINS = {"parent": "_compare_twin_parent", "change": "_compare_twin_change"}
+
+
+@pytest.fixture
+def compare(monkeypatch):
+    """The script loaded by path, with the environment, ``sys`` settings
+    and modules it touches restored afterwards."""
+    monkeypatch.setattr(os, "environ", os.environ.copy())
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    before = set(sys.modules)
+    spec = importlib.util.spec_from_file_location("_compare_script", ROOT / "scripts" / "compare.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in set(sys.modules) - before:
+        if name.split(".")[0] in ("perfbench", *TWINS.values()):
+            del sys.modules[name]
+
+
+def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare):
+    src = ROOT / "src" / "tritensor"
+    trees = {key: compare.load_tree(src, name) for key, name in TWINS.items()}
+
+    inputs = compare.layer_inputs(trees["parent"])[:2]
+    layers = compare.layer_laps(trees, inputs, rounds=1)
+    assert set(layers["laps"]) == {*compare.LAYERS, "analyze_item"}
+    assert all(layers["laps"][layer]["sha256_equal"] for layer in compare.LAYERS)
+    assert layers["sha256"]["parent"] == layers["sha256"]["change"]
+
+    pairs = compare.audit_pairs(trees["parent"])[:1]
+    solvers = compare.solver_laps(trees, pairs, rounds=1)
+    assert set(solvers["laps"]) == set(compare.SOLVERS)
+    for laps in solvers["laps"].values():
+        assert laps["parent"]["iterations"] == laps["change"]["iterations"] > 1
+
+    solves = [(s, pairs[0], compare.RESTARTS, 0) for s in compare.SOLVERS]
+    clis = {key: importlib.import_module(f"{name}.cli") for key, name in TWINS.items()}
+    # the first printed fixture and every report on it
+    cli_records = 1 + len(compare.REPORTS)
+    hashes = [
+        (
+            compare.sha256_of(compare.solve_records(tt, solves)),
+            compare.sha256_of(itertools.islice(compare._cli_records(tt, clis[key]), cli_records)),
+        )
+        for key, tt in trees.items()
+    ]
+    assert hashes[0] == hashes[1]

@@ -72,11 +72,27 @@ def test_unscaled_layers_reject_non_finite_entries(layer, bad):
 
 
 def test_is_symmetric_takes_only_3x3_matrices():
-    # u.T of a tensor reverses all three axes, which would test central symmetry
-    for u in (tt.make_fixture("centrally_symmetric", 1), np.zeros((3, 3, 3)), np.zeros(9), np.eye(4)):
-        with pytest.raises(ValueError, match="shape"):
-            tt.is_symmetric(u)
+    # u.T of a tensor reverses all three axes, which would test central
+    # symmetry, and eigh would decompose a square matrix of any size
+    for u in (
+        tt.make_fixture("centrally_symmetric", 1), np.zeros((3, 3, 3)), np.zeros(9), np.eye(2), np.eye(4)
+    ):
+        for check in (tt.is_symmetric, tt.sym_eig3):
+            with pytest.raises(ValueError, match="shape"):
+                check(u)
 
+
+
+def test_package_exports_each_public_name_once():
+    # the package namespace is the union of its modules' __all__ lists
+    from tritensor import errors, spectral, symmetry, varspec
+
+    modules = (core, errors, spectral, symmetry, varspec)
+    assert len(tt.__all__) == len(set(tt.__all__)) == 60
+    assert set(tt.__all__) == {name for m in modules for name in m.__all__}
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(tt, name) is getattr(m, name)
 
 def test_scaled_with_bound_takes_the_norm_of_np_linalg_norm_bitwise():
     # math.sqrt of the dot product is np.linalg.norm's own formula, in the

@@ -173,6 +173,7 @@ def test_spectral_rejects_arrays_that_are_not_3x3x3(solve, shape):
     [
         tt.kernel, tt.kernel_triple, tt.is_orthogonal_tensor, tt.invariants, tt.classify,
         lambda a: _swap_symmetric(a, 1e-8, "right"), lambda a: tt.rotate(a, np.eye(3)),
+        tt.unfold, tt.selective_symmetry_via_levi_civita,
     ],
 )
 def test_closed_form_layers_reject_arrays_that_are_not_3x3x3(layer, shape):

@@ -204,7 +204,7 @@ def _variational(solve):
 
 
 def _invariants(args, a, name):
-    doc = varspec.invariants(a).as_dict()
+    doc = spectral.invariants(a).as_dict()
     return doc, _aligned(f"invariants of {name}", {k: _fmt(v) for k, v in doc.items()})
 
 
@@ -233,7 +233,7 @@ def _nullspace(args, a, name):
 
 
 def _invariant_quantities(a, report, restarts, seed) -> dict[str, float]:
-    inv = varspec.invariants(a).as_dict()
+    inv = spectral.invariants(a).as_dict()
     sys_ = spectral.l_eigen(a)
     for j in range(3):
         inv[f"sigma_{j + 1}"] = float(sys_.sigma[j])

@@ -51,66 +51,93 @@ Mat3 = np.ndarray
 Hyper3 = np.ndarray
 Quad3 = np.ndarray
 
+# The input contract: each type's shape, stated once; the gates take its name.
+_SHAPES = {"Vec3": (3,), "Mat3": (3, 3), "Hyper3": (3, 3, 3), "Quad3": (3, 3, 3, 3)}
+_SHAPES["Unfolding"] = (3, 9)  # the matrix of unfold and fold
+_FLOAT64 = np.dtype(np.float64)  # tested by identity, the cheapest dtype test
 
-def _shaped(values, shape, what: str) -> np.ndarray:
+
+def _shaped(values, what: str) -> np.ndarray:
     """``values`` as a float64 array, not copied if it already is one;
-    ValueError unless it has ``shape``."""
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    ValueError unless it has the shape of type ``what`` and real entries."""
+    arr = np.asarray(values)
+    if arr.shape != _SHAPES[what]:
+        raise ValueError(f"{what} must have shape {_SHAPES[what]}, got {arr.shape}")
+    if arr.dtype is not _FLOAT64:
+        if arr.dtype.kind == "c":
+            raise ValueError(f"{what} entries must be real, got dtype {arr.dtype}")
+        arr = arr.astype(float)
     return arr
 
 
-def _finite(values, shape, what: str) -> np.ndarray:
-    """``_shaped(values, shape, what)``; ValueError on a NaN/Inf entry."""
-    arr = _shaped(values, shape, what)
+def _finite(values, what: str) -> np.ndarray:
+    """``_shaped(values, what)``; ValueError on a NaN/Inf entry."""
+    arr = _shaped(values, what)
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} entries must be finite (no NaN/Inf)")
     return arr
 
 
-def _validated(values, shape, what: str) -> np.ndarray:
-    arr = _finite(np.array(values, dtype=float), shape, what)
+def _scaled(values, what: str) -> tuple[np.ndarray, int]:
+    """``_shaped(values, what)`` scaled by a power of two (exact) to a largest
+    magnitude in [0.5, 1), and the exponent e with values = ldexp(scaled, e);
+    a zero array comes back unchanged with e = 0.  A NaN or infinite entry
+    makes that largest magnitude non-finite and raises ValueError."""
+    arr = _shaped(values, what)
+    peak = float(np.abs(arr).max())
+    if not math.isfinite(peak):
+        raise ValueError(f"{what} entries must be finite (no NaN/Inf)")
+    exp = math.frexp(peak)[1]
+    return np.ldexp(arr, -exp), exp
+
+
+def _read_only(arr) -> np.ndarray:
+    """A read-only float64 copy of ``arr``, in its memory order."""
+    arr = np.array(arr, dtype=float)
     arr.setflags(write=False)
     return arr
 
 
 def vec3(values) -> Vec3:
     """Build a 3-vector; rejects non-finite entries."""
-    return _validated(values, (3,), "Vec3")
+    return _read_only(_finite(values, "Vec3"))
 
 
 def mat3(values) -> Mat3:
     """Build a 3x3 matrix; rejects non-finite entries."""
-    return _validated(values, (3, 3), "Mat3")
+    return _read_only(_finite(values, "Mat3"))
 
 
 def hyper3(values) -> Hyper3:
     """Build a 3x3x3 hypermatrix; rejects non-finite entries."""
-    return _validated(values, (3, 3, 3), "Hyper3")
+    return _read_only(_finite(values, "Hyper3"))
 
 
 def quad3(values) -> Quad3:
     """Build a 3x3x3x3 hypermatrix; rejects non-finite entries."""
-    return _validated(values, (3, 3, 3, 3), "Quad3")
+    return _read_only(_finite(values, "Quad3"))
 
 
-_EYE3 = np.eye(3)
-_EYE3.setflags(write=False)
+_EYE3 = _read_only(np.eye(3))
 
 
 def is_symmetric(u: Mat3, tol: float = 1e-10) -> bool:
     """True if ``u`` equals its transpose within tol * ||u||, checked on
     ``u`` scaled by a power of two (exact), so the verdict is scale-free.
     Raises ValueError unless ``u`` is a finite 3x3 matrix."""
-    u, _, bound = _scaled_with_bound(_shaped(u, (3, 3), "Mat3"), tol)
-    return float(np.abs(u - u.T).max()) <= bound
+    u, _ = _scaled(u, "Mat3")
+    return float(np.abs(u - u.T).max()) <= tol * _frobenius(u)
+
+
+def _orthogonality(p: Mat3) -> tuple[np.ndarray, float]:
+    """``p`` through the Mat3 shape gate, and ||P P^T - I|| (Frobenius)."""
+    p = _shaped(p, "Mat3")
+    return p, _frobenius(p @ p.T - _EYE3)
 
 
 def is_orthogonal(p: Mat3, tol: float = 1e-10) -> bool:
-    """True if ``p p^T`` is the identity within tol (Frobenius)."""
-    p = np.asarray(p, dtype=float)
-    return _frobenius(p @ p.T - _EYE3) <= tol
+    """True if ``p p^T`` is the identity within tol (Frobenius); ValueError unless 3x3."""
+    return _orthogonality(p)[1] <= tol
 
 
 def contract_one(a: Hyper3, v: Vec3, slot: int) -> Mat3:
@@ -206,8 +233,7 @@ def transpose(a: Hyper3) -> Hyper3:
 
 
 def _check_rotation(p: Mat3, tol: float) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    residual = _frobenius(p @ p.T - _EYE3)
+    p, residual = _orthogonality(p)
     if not residual <= tol:
         raise NotOrthogonal(f"||P P^T - I|| = {residual:.3e} exceeds {tol:.1e}")
     return p
@@ -216,33 +242,22 @@ def _check_rotation(p: Mat3, tol: float) -> np.ndarray:
 def rotate(a: Hyper3, p: Mat3, tol: float = 1e-10) -> Hyper3:
     """Orthonormal change of basis a'_ijk = p_iq p_jr p_ks a_qrs.
 
-    Raises ValueError unless ``a`` is a finite 3x3x3 array."""
+    Raises ValueError unless ``a`` is a finite 3x3x3 array and ``p`` a
+    3x3 one, and NotOrthogonal unless ``p`` is orthogonal within tol."""
     p = _check_rotation(p, tol)
-    return np.einsum("iq,jr,ks,qrs->ijk", p, p, p, _finite(a, (3, 3, 3), "Hyper3"))
+    return np.einsum("iq,jr,ks,qrs->ijk", p, p, p, _finite(a, "Hyper3"))
 
 
 def rotate_mat(u: Mat3, p: Mat3, tol: float = 1e-10) -> Mat3:
-    """Change of basis for a second-order tensor: P U P^T."""
+    """Change of basis for a second-order tensor: P U P^T, gated as :func:`rotate`."""
     p = _check_rotation(p, tol)
-    return p @ np.asarray(u, dtype=float) @ p.T
+    return p @ _finite(u, "Mat3") @ p.T
 
 
 def rotate_vec(x: Vec3, p: Mat3, tol: float = 1e-10) -> Vec3:
-    """Change of basis for a first-order tensor: P x."""
+    """Change of basis for a first-order tensor: P x, gated as :func:`rotate`."""
     p = _check_rotation(p, tol)
-    return p @ np.asarray(x, dtype=float)
-
-
-def _pow2_scale(arr: np.ndarray) -> tuple[np.ndarray, int]:
-    """``arr`` scaled by a power of two (exact) to a largest magnitude in
-    [0.5, 1), and the exponent e with arr = ldexp(scaled, e); a zero
-    array comes back unchanged with e = 0.  A NaN or infinite entry
-    raises ValueError."""
-    peak = float(np.abs(arr).max())
-    if not math.isfinite(peak):
-        raise ValueError("tensor entries must be finite (no NaN/Inf)")
-    exp = math.frexp(peak)[1]
-    return np.ldexp(arr, -exp), exp
+    return p @ _finite(x, "Vec3")
 
 
 def _frobenius(arr: np.ndarray) -> float:
@@ -250,13 +265,6 @@ def _frobenius(arr: np.ndarray) -> float:
     entries in memory order, and a correctly rounded square root."""
     flat = arr.ravel(order="K")
     return math.sqrt(flat.dot(flat))
-
-
-def _scaled_with_bound(arr, tol: float) -> tuple[np.ndarray, int, float]:
-    """``_pow2_scale(arr)``, where the norm can neither under- nor overflow,
-    and the scale-free asymmetry bound tol * ||arr|| taken there."""
-    arr, exp = _pow2_scale(np.asarray(arr, dtype=float))
-    return arr, exp, tol * _frobenius(arr)
 
 
 def _random_frame(rng: np.random.Generator) -> np.ndarray:
@@ -286,8 +294,7 @@ def _build_levi_civita() -> Hyper3:
     eps = np.zeros((3, 3, 3))
     eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
     eps[1, 0, 2] = eps[2, 1, 0] = eps[0, 2, 1] = -1.0
-    eps.setflags(write=False)
-    return eps
+    return _read_only(eps)
 
 
 _LEVI_CIVITA = _build_levi_civita()

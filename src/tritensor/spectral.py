@@ -1,4 +1,5 @@
-"""Kernel tensor, L-eigenvalues, L-inverse and eigenvector decompositions.
+"""Kernel tensor, L-eigenvalues, L-inverse, eigenvector decompositions
+and the seven kernel-trace invariants.
 
 The L-eigenvalue pairs A V = sigma x, A^T x = sigma V are the singular
 triples of the 3x9 unfolding; their sigma^2 are the eigenvalues of the
@@ -11,18 +12,20 @@ representable norm.  The kernel itself keeps the Gram route's limits.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core
-from .errors import NotPartiallySymmetric, NotSymmetric, SingularTensor
+from .errors import NotPartiallySymmetric, NotSymmetric, SingularTensor, Unrepresentable
 from .symmetry import _gather, _swap_symmetric
 
 __all__ = [
     "LEigenSystem",
     "KernelTriple",
     "EigDecomposition3",
+    "InvariantSet",
     "sym_eig3",
     "kernel",
     "kernel_triple",
@@ -34,17 +37,12 @@ __all__ = [
     "recover",
     "is_orthogonal_tensor",
     "eig_decompose_partial",
+    "invariants",
 ]
 
 # Relative cutoff below which an L-eigenvalue counts as zero, so its
 # eigentensor need not inherit the tensor's partial symmetry.
 _SIGMA_FLOOR = 1e-12
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -80,6 +78,22 @@ class KernelTriple:
     u: np.ndarray
     u_bar: np.ndarray
     u_hat: np.ndarray
+
+
+@dataclass(frozen=True)
+class InvariantSet:
+    """Traces of powers of the three kernel tensors; all rotation invariant."""
+
+    trU: float
+    trU2: float
+    trU3: float
+    trUbar2: float
+    trUbar3: float
+    trUhat2: float
+    trUhat3: float
+
+    def as_dict(self) -> dict:
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -131,8 +145,8 @@ def sym_eig3(u: core.Mat3, tol: float = 1e-8):
     ``eigh`` run on U scaled by a power of two (exact), so both are
     scale-free.  Raises ValueError unless ``u`` is a finite 3x3 matrix.
     """
-    u, exp, bound = core._scaled_with_bound(core._shaped(u, (3, 3), "Mat3"), tol)
-    if float(np.abs(u - u.T).max()) > bound:
+    u, exp = core._scaled(u, "Mat3")
+    if float(np.abs(u - u.T).max()) > tol * core._frobenius(u):
         raise NotSymmetric(f"matrix asymmetry exceeds {tol:.1e} * ||U||")
     vals, vecs = np.linalg.eigh(0.5 * (u + u.T))
     vecs = vecs[:, ::-1]
@@ -156,7 +170,7 @@ def kernel(a: core.Hyper3) -> core.Mat3:
     """Kernel tensor U = A A^T, symmetric positive semi-definite.
 
     Raises ValueError unless ``a`` is a finite 3x3x3 array."""
-    flat = core._finite(a, (3, 3, 3), "Hyper3").reshape(27)
+    flat = core._finite(a, "Hyper3").reshape(27)
     return np.einsum("ij,jl->il", flat.reshape(3, 9), flat.take(_CYCLIC).reshape(9, 3))
 
 
@@ -164,23 +178,59 @@ def kernel_triple(a: core.Hyper3) -> KernelTriple:
     """Kernels of A, A^T and (A^T)^T; all three share trace A . A.
 
     Raises ValueError unless ``a`` is a finite 3x3x3 array."""
-    kernels = _kernels(core._finite(a, (3, 3, 3), "Hyper3"))
+    kernels = _kernels(core._finite(a, "Hyper3"))
     kernels.setflags(write=False)
     return KernelTriple(*kernels)
 
 
+_TINY = 2.0**-1022  # the smallest normal float64
+
+
+def _rescaled(trace: float, exp: int) -> float:
+    """ldexp(trace, exp), raising where a nonzero result leaves the normal
+    float64 range."""
+    try:
+        out = math.ldexp(trace, exp)
+    except OverflowError:
+        out = math.inf
+    if trace != 0.0 and not _TINY <= abs(out) < math.inf:
+        raise Unrepresentable(f"invariant {trace:.3g} x 2^{exp} is outside the float64 range")
+    return out
+
+
+def invariants(a: core.Hyper3) -> InvariantSet:
+    """The seven rotation invariants from the kernel triple.
+
+    tr(U) = tr(U_bar) = tr(U_hat) = A . A, so the first trace is reported
+    once; the squared and cubed traces of all three kernels complete the
+    set.  Cyclically symmetric tensors have all three kernels equal.  The
+    traces are taken on the tensor scaled by a power of two and scaled
+    back exactly by their degree 2, 4 or 6; Unrepresentable is raised
+    when a nonzero trace would under- or overflow float64.  Raises
+    ValueError unless ``a`` is a finite 3x3x3 array.
+    """
+    a, exp = core._scaled(a, "Hyper3")
+    u1 = _kernels(a)
+    u2 = u1 @ u1
+    tr3 = np.einsum("kij,kji->k", u2, u1).tolist()
+    # diagonals summed in order, as np.trace and einsum("kii->k") sum them
+    d1, d2 = u1[0].reshape(9).tolist(), u2.reshape(27).tolist()
+    tr2 = [d2[i] + d2[i + 4] + d2[i + 8] for i in (0, 9, 18)]
+    traces = (d1[0] + d1[4] + d1[8], tr2[0], tr3[0], tr2[1], tr3[1], tr2[2], tr3[2])
+    degrees = (2, 4, 6, 4, 6, 4, 6)
+    return InvariantSet(*(_rescaled(t, d * exp) for t, d in zip(traces, degrees)))
+
+
 def unfold(a: core.Hyper3) -> np.ndarray:
     """3x9 matrix with row i and columns (j,k) in order (1,1),(1,2),...,(3,3).
-    Raises ValueError unless ``a`` is 3x3x3, as :func:`fold` does unless 3x9."""
-    return core._shaped(a, (3, 3, 3), "Hyper3").reshape(3, 9).copy()
+    Raises ValueError unless ``a`` is a finite 3x3x3 array."""
+    return core._finite(a, "Hyper3").reshape(3, 9).copy()
 
 
 def fold(m: np.ndarray) -> core.Hyper3:
-    """Inverse of :func:`unfold`; exact (a pure reindexing)."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 9):
-        raise ValueError(f"expected a 3x9 matrix, got shape {m.shape}")
-    return m.reshape(3, 3, 3).copy()
+    """Inverse of :func:`unfold`; exact (a pure reindexing).
+    Raises ValueError unless ``m`` is a finite 3x9 array."""
+    return core._finite(m, "Unfolding").reshape(3, 3, 3).copy()
 
 
 def _unfolding_svd(a: core.Hyper3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,7 +241,7 @@ def _unfolding_svd(a: core.Hyper3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     result is memoized on the unfolding's bytes, one entry deep.  Its
     arrays are read-only, and no public function returns one of them.
     """
-    return _svd_of_bytes(core._shaped(a, (3, 3, 3), "Hyper3").tobytes())
+    return _svd_of_bytes(core._shaped(a, "Hyper3").tobytes())
 
 
 @functools.lru_cache(maxsize=1)
@@ -203,7 +253,7 @@ def _svd_of_bytes(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     under- nor overflows; the clamp keeps sigma non-increasing where
     rounding reorders near-equal values.
     """
-    m, exp = core._pow2_scale(np.frombuffer(key).reshape(3, 9))
+    m, exp = core._scaled(np.frombuffer(key).reshape(3, 9), "Unfolding")
     u, _, vt = np.linalg.svd(m, full_matrices=True)
     signs = _lead_signs(u.T)
     x = u.T * signs[:, None]
@@ -224,7 +274,8 @@ def l_eigen(a: core.Hyper3) -> LEigenSystem:
     kernel A A^T is never formed.
     """
     sigma, x, vt = _unfolding_svd(a)
-    return LEigenSystem(sigma=_frozen(sigma), x=_frozen(x), V=_frozen(vt[:3].reshape(3, 3, 3)))
+    V = vt[:3].reshape(3, 3, 3)
+    return LEigenSystem(sigma=core._read_only(sigma), x=core._read_only(x), V=core._read_only(V))
 
 
 def rank_and_nullspace(a: core.Hyper3, tol: float = 1e-10):
@@ -268,8 +319,9 @@ def l_inverse(a: core.Hyper3, tol: float = 1e-10) -> core.Hyper3:
 
 
 def recover(v: core.Mat3, a_inv: core.Hyper3) -> core.Vec3:
-    """Recover x from V = x A given the L-inverse of A (x = V A^-1)."""
-    return core.contract_mat(a_inv, v, "left")
+    """Recover x from V = x A given the L-inverse of A (x = V A^-1).
+    Raises ValueError unless ``v`` and ``a_inv`` are finite 3x3 and 3x3x3."""
+    return core.contract_mat(core._finite(a_inv, "Hyper3"), core._finite(v, "Mat3"), "left")
 
 
 def is_orthogonal_tensor(a: core.Hyper3, tol: float = 1e-10) -> bool:
@@ -323,7 +375,7 @@ def eig_decompose_partial(
     return EigDecomposition3(
         side=side,
         sigma=sys.sigma,
-        lam=_frozen(lam),
+        lam=core._read_only(lam),
         x=sys.x,
-        y=_frozen(yvecs),
+        y=core._read_only(yvecs),
     )

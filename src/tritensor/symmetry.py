@@ -82,17 +82,11 @@ _FLAG_ROWS = np.concatenate((
 ))
 
 
-def _scaled_flat(a: core.Hyper3, tol: float) -> tuple[np.ndarray, float]:
-    """``a`` scaled by a power of two (exact) and flattened, and the bound
-    tol * ||a|| taken there; ValueError unless ``a`` is a finite 3x3x3 array."""
-    a, _, bound = core._scaled_with_bound(core._shaped(a, (3, 3, 3), "Hyper3"), tol)
-    return a.reshape(27), bound
-
-
 def _swap_symmetric(a: core.Hyper3, tol: float, *names: str) -> bool:
     """classify(a, tol)'s verdict that ``a`` is symmetric under every named swap."""
-    flat, bound = _scaled_flat(a, tol)
-    return float(np.abs(flat - flat.take(_gather(names))).max()) <= bound
+    a, _ = core._scaled(a, "Hyper3")
+    flat = a.reshape(27)
+    return float(np.abs(flat - flat.take(_gather(names))).max()) <= tol * core._frobenius(a)
 
 
 def classify(a: core.Hyper3, tol: float = 1e-10) -> SymmetryReport:
@@ -106,7 +100,8 @@ def classify(a: core.Hyper3, tol: float = 1e-10) -> SymmetryReport:
     unlike the other flags they are not preserved by a change of basis.
     Raises ValueError unless ``a`` is a finite 3x3x3 array.
     """
-    flat, bound = _scaled_flat(a, tol)
+    a, _ = core._scaled(a, "Hyper3")
+    flat, bound = a.reshape(27), tol * core._frobenius(a)
     dev = np.abs(flat - (_SIGNS * flat).take(_FLAG_ROWS))
     flags = (dev.max(axis=1) <= bound).tolist()
     right, left, central, cyclic, right_anti, left_anti, central_anti, sel_right, sel_left = flags
@@ -144,7 +139,8 @@ def selective_symmetry_via_levi_civita(
     right/left symmetries; see the package notes on this distinction.
     Raises ValueError unless ``a`` is a finite 3x3x3 array.
     """
-    a, _, bound = core._scaled_with_bound(core._shaped(a, (3, 3, 3), "Hyper3"), tol)
+    a, _ = core._scaled(a, "Hyper3")
+    bound = tol * core._frobenius(a)
     eps = core.levi_civita()
     right = float(np.abs(np.diagonal(core.prod2(a, eps))).max()) <= bound
     left = float(np.abs(np.diagonal(core.prod2(eps, a))).max()) <= bound

@@ -1,4 +1,4 @@
-"""Variational eigenvalues and the seven polynomial invariants.
+"""Variational eigenvalues: singular values, C- and Z-eigenvalues.
 
 Singular values, C-eigenvalues and Z-eigenvalues are stationary values of
 the potential x A y z over one, two or three unit spheres.  One seeded
@@ -21,20 +21,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core
-from .errors import NoConvergence, NotRightSymmetric, NotSymmetric, Unrepresentable
-from .spectral import _frozen, _kernels, _lead_signs
+from .errors import NoConvergence, NotRightSymmetric, NotSymmetric
+from .spectral import _lead_signs
 from .symmetry import _PAIR_SWAPS, _swap_symmetric
 
-__all__ = [
-    "CriticalTriple", "InvariantSet",
-    "max_singular_value", "max_c_eigenvalue", "max_z_eigenvalue", "invariants",
-]
+__all__ = ["CriticalTriple", "max_singular_value", "max_c_eigenvalue", "max_z_eigenvalue"]
 
 _STALL = 1e-30
 # residual bound a restart must meet, relative to ||A||
@@ -74,22 +70,6 @@ class CriticalTriple:
         for key in "xyz":
             out[key] = out[key].tolist()
         return out
-
-
-@dataclass(frozen=True)
-class InvariantSet:
-    """Traces of powers of the three kernel tensors; all rotation invariant."""
-
-    trU: float
-    trU2: float
-    trU3: float
-    trUbar2: float
-    trUbar3: float
-    trUhat2: float
-    trUhat3: float
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))
 
 
 # The state of r restarts is an (r, k, 3) array of k unit vectors; a kind's
@@ -141,7 +121,7 @@ def _jacobian_weights(slots, k):
     out[i, n + i // 3, i, 27] = -1.0
     out[n + i // 3, i, i, 27] = 1.0
     keep = out.reshape(-1, 28).any(axis=1)
-    return np.flatnonzero(keep), _frozen(out.reshape(-1, 28)[keep].T.copy())
+    return np.flatnonzero(keep), core._read_only(out.reshape(-1, 28)[keep].T.copy())
 
 
 def _jacobian_map(a, slots, k):
@@ -271,12 +251,15 @@ def _starts(seed, restarts: int, drawn: tuple) -> np.ndarray:
     return s
 
 
-def _multistart(kind, a, restarts, tol, max_iters, seed, history_out) -> CriticalTriple:
+def _multistart(kind, a, exp, restarts, tol, max_iters, seed, history_out) -> CriticalTriple:
+    """The ``kind`` maximum of ldexp(a, exp), for ``a, exp = core._scaled(...)``."""
+    for name, count in (("restarts", restarts), ("max_iters", max_iters)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count!r}")
     if not np.any(a):
-        e1 = _frozen([1.0, 0.0, 0.0])
+        e1 = core._read_only([1.0, 0.0, 0.0])
         return CriticalTriple(kind, 0.0, e1, e1, e1, 0.0, restarts)
     slots, drawn, step, signs = _KINDS[kind]
-    a, exp = core._pow2_scale(a)
     m = a.reshape(3, 9)
     norm = float(np.linalg.norm(m))
     shift = _SHIFT * norm
@@ -329,7 +312,7 @@ def _multistart(kind, a, restarts, tol, max_iters, seed, history_out) -> Critica
     bval = values[best]
     close = np.abs(vecs - vecs[best]).max(axis=1) <= _MERGE_VECTOR
     agree = close & (np.abs(values - bval) <= _MERGE_VALUE * max(1.0, abs(bval)))
-    x, y, z = (_frozen(v) for v in vecs[best].reshape(3, 3))
+    x, y, z = (core._read_only(v) for v in vecs[best].reshape(3, 3))
     return CriticalTriple(kind, float(bval), x, y, z, float(resids[best]), int(agree.sum()))
 
 
@@ -350,8 +333,8 @@ def max_singular_value(
     The converged triple satisfies A y z = eta x, x A z = eta y,
     x y A = eta z, and eta equals contract_full(a, x, y, z).
     """
-    a = core._validated(a, (3, 3, 3), "Hyper3")
-    return _multistart("singular", a, restarts, tol, max_iters, seed, history_out)
+    a, exp = core._scaled(a, "Hyper3")
+    return _multistart("singular", a, exp, restarts, tol, max_iters, seed, history_out)
 
 
 def max_c_eigenvalue(
@@ -371,10 +354,10 @@ def max_c_eigenvalue(
     halving as a safeguard so the objective never decreases.  The
     converged pair satisfies A y y = mu x and x A y = mu y.
     """
-    a = core._validated(a, (3, 3, 3), "Hyper3")
+    a, exp = core._scaled(a, "Hyper3")
     if not _swap_symmetric(a, 1e-8, "right"):
         raise NotRightSymmetric("C-eigenvalues require a right-side symmetric tensor")
-    return _multistart("c_eigen", a, restarts, tol, max_iters, seed, history_out)
+    return _multistart("c_eigen", a, exp, restarts, tol, max_iters, seed, history_out)
 
 
 def max_z_eigenvalue(
@@ -395,45 +378,7 @@ def max_z_eigenvalue(
     x satisfies A x x = nu x with nu = x A x x >= 0 (x is flipped when
     the cubic form is negative, which the odd degree permits).
     """
-    a = core._validated(a, (3, 3, 3), "Hyper3")
+    a, exp = core._scaled(a, "Hyper3")
     if not _swap_symmetric(a, 1e-8, *_PAIR_SWAPS):
         raise NotSymmetric("Z-eigenvalues require a symmetric tensor")
-    return _multistart("z_eigen", a, restarts, tol, max_iters, seed, history_out)
-
-
-_TINY = sys.float_info.min  # the smallest normal float64
-
-
-def _rescaled(trace: float, exp: int) -> float:
-    """ldexp(trace, exp), raising where a nonzero result leaves the normal
-    float64 range."""
-    try:
-        out = math.ldexp(trace, exp)
-    except OverflowError:
-        out = math.inf
-    if trace != 0.0 and not _TINY <= abs(out) < math.inf:
-        raise Unrepresentable(f"invariant {trace:.3g} x 2^{exp} is outside the float64 range")
-    return out
-
-
-def invariants(a: core.Hyper3) -> InvariantSet:
-    """The seven rotation invariants from the kernel triple.
-
-    tr(U) = tr(U_bar) = tr(U_hat) = A . A, so the first trace is reported
-    once; the squared and cubed traces of all three kernels complete the
-    set.  Cyclically symmetric tensors have all three kernels equal.  The
-    traces are taken on the tensor scaled by a power of two and scaled
-    back exactly by their degree 2, 4 or 6; Unrepresentable is raised
-    when a nonzero trace would under- or overflow float64.  Raises
-    ValueError unless ``a`` is a finite 3x3x3 array.
-    """
-    a, exp = core._pow2_scale(core._shaped(a, (3, 3, 3), "Hyper3"))
-    u1 = _kernels(a)
-    u2 = u1 @ u1
-    tr3 = np.einsum("kij,kji->k", u2, u1).tolist()
-    # diagonals summed in order, as np.trace and einsum("kii->k") sum them
-    d1, d2 = u1[0].reshape(9).tolist(), u2.reshape(27).tolist()
-    tr2 = [d2[i] + d2[i + 4] + d2[i + 8] for i in (0, 9, 18)]
-    traces = (d1[0] + d1[4] + d1[8], tr2[0], tr3[0], tr2[1], tr3[1], tr2[2], tr3[2])
-    degrees = (2, 4, 6, 4, 6, 4, 6)
-    return InvariantSet(*(_rescaled(t, d * exp) for t, d in zip(traces, degrees)))
+    return _multistart("z_eigen", a, exp, restarts, tol, max_iters, seed, history_out)

@@ -4,6 +4,7 @@ import pytest
 import tritensor as tt
 from tritensor import core
 from tritensor.errors import NotOrthogonal
+from tritensor.symmetry import _swap_symmetric
 
 from helpers import (
     loop_contract_full,
@@ -18,19 +19,6 @@ from helpers import (
 )
 
 E1, E2, E3 = np.eye(3)
-
-
-def test_constructors_reject_non_finite():
-    with pytest.raises(ValueError):
-        tt.vec3([1.0, np.nan, 0.0])
-    with pytest.raises(ValueError):
-        tt.mat3(np.full((3, 3), np.inf))
-    bad = np.zeros((3, 3, 3))
-    bad[1, 1, 1] = np.nan
-    with pytest.raises(ValueError):
-        tt.hyper3(bad)
-    with pytest.raises(ValueError):
-        tt.quad3(np.full((3, 3, 3, 3), -np.inf))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -71,18 +59,6 @@ def test_unscaled_layers_reject_non_finite_entries(layer, bad):
         layer(a)
 
 
-def test_is_symmetric_takes_only_3x3_matrices():
-    # u.T of a tensor reverses all three axes, which would test central
-    # symmetry, and eigh would decompose a square matrix of any size
-    for u in (
-        tt.make_fixture("centrally_symmetric", 1), np.zeros((3, 3, 3)), np.zeros(9), np.eye(2), np.eye(4)
-    ):
-        for check in (tt.is_symmetric, tt.sym_eig3):
-            with pytest.raises(ValueError, match="shape"):
-                check(u)
-
-
-
 def test_package_exports_each_public_name_once():
     # the package namespace is the union of its modules' __all__ lists
     from tritensor import errors, spectral, symmetry, varspec
@@ -94,26 +70,24 @@ def test_package_exports_each_public_name_once():
         for name in m.__all__:
             assert getattr(tt, name) is getattr(m, name)
 
-def test_scaled_with_bound_takes_the_norm_of_np_linalg_norm_bitwise():
+
+def test_scale_gate_takes_the_norm_of_np_linalg_norm_bitwise():
+    # the callers' bound tol * _frobenius(scaled) is tol * np.linalg.norm(scaled):
     # math.sqrt of the dot product is np.linalg.norm's own formula, in the
     # same memory order, for contiguous and strided inputs alike
     rng = np.random.default_rng(4)
     for n in range(2000):
         a = rng.standard_normal((3, 3, 3)) * 10.0 ** rng.uniform(-300.0, 300.0)
         tol = 10.0 ** rng.uniform(-12.0, -6.0)
-        for arr in (a, a[0], np.asfortranarray(a), a.transpose(2, 0, 1), a[:, ::2]):
-            scaled, exp, bound = core._scaled_with_bound(arr, tol)
+        for arr, what in (
+            (a, "Hyper3"), (a[0], "Mat3"), (np.asfortranarray(a), "Hyper3"),
+            (a.transpose(2, 0, 1), "Hyper3"), (a[:, 1], "Mat3"), (a[1, :, 2], "Vec3"),
+        ):
+            scaled, exp = core._scaled(arr, what)
             _, want_exp = np.frexp(np.abs(arr).max())
             assert exp == want_exp
             assert scaled.tobytes() == np.ldexp(arr, -want_exp).tobytes()
-            assert bound == tol * float(np.linalg.norm(scaled))
-
-
-def test_constructors_reject_bad_shapes():
-    with pytest.raises(ValueError):
-        tt.vec3([1.0, 2.0])
-    with pytest.raises(ValueError):
-        tt.hyper3(np.zeros((3, 3)))
+            assert tol * core._frobenius(scaled) == tol * float(np.linalg.norm(scaled))
 
 
 def test_constructed_values_are_read_only():
@@ -370,3 +344,89 @@ def test_is_symmetric_is_scale_free(c):
     assert tt.is_symmetric(c * symmetric)
     assert tt.is_symmetric(c * np.eye(3))
     assert tt.is_symmetric(np.zeros((3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the input contract
+
+FIXTURE = np.asarray(tt.make_fixture("symmetric", 2))
+SHAPES = {
+    "Vec3": (3,), "Mat3": (3, 3), "Hyper3": (3, 3, 3), "Quad3": (3, 3, 3, 3), "Unfolding": (3, 9),
+}
+WRONG_SHAPES = [
+    (), (2,), (9,), (27,), (2, 2), (4, 4), (9, 3), (1, 3, 3), (3, 3, 3, 1), *SHAPES.values(),
+]
+NON_FINITE = (ValueError, "finite")
+NOT_ORTHOGONAL = (NotOrthogonal, "exceeds")
+
+
+def _restarts_2(solve):
+    return lambda a: solve(a, restarts=2)
+
+
+# Every public function that takes an array, called on one argument of the
+# listed type (any other argument valid), and the error a NaN or infinite
+# entry raises there: a non-finite P is not orthogonal, so is_orthogonal
+# returns False and the rotations raise NotOrthogonal.
+CONTRACT = {
+    "vec3": (tt.vec3, "Vec3", NON_FINITE),
+    "mat3": (tt.mat3, "Mat3", NON_FINITE),
+    "hyper3": (tt.hyper3, "Hyper3", NON_FINITE),
+    "quad3": (tt.quad3, "Quad3", NON_FINITE),
+    "is_symmetric": (tt.is_symmetric, "Mat3", NON_FINITE),
+    "is_orthogonal": (tt.is_orthogonal, "Mat3", False),
+    "rotate.a": (lambda a: tt.rotate(a, np.eye(3)), "Hyper3", NON_FINITE),
+    "rotate.p": (lambda p: tt.rotate(FIXTURE, p), "Mat3", NOT_ORTHOGONAL),
+    "rotate_mat.u": (lambda u: tt.rotate_mat(u, np.eye(3)), "Mat3", NON_FINITE),
+    "rotate_mat.p": (lambda p: tt.rotate_mat(np.eye(3), p), "Mat3", NOT_ORTHOGONAL),
+    "rotate_vec.x": (lambda x: tt.rotate_vec(x, np.eye(3)), "Vec3", NON_FINITE),
+    "rotate_vec.p": (lambda p: tt.rotate_vec(E1, p), "Mat3", NOT_ORTHOGONAL),
+    "classify": (tt.classify, "Hyper3", NON_FINITE),
+    "selective_symmetry_via_levi_civita": (
+        tt.selective_symmetry_via_levi_civita, "Hyper3", NON_FINITE
+    ),
+    "swap_gate": (lambda a: _swap_symmetric(a, 1e-8, "right"), "Hyper3", NON_FINITE),
+    "sym_eig3": (tt.sym_eig3, "Mat3", NON_FINITE),
+    "kernel": (tt.kernel, "Hyper3", NON_FINITE),
+    "kernel_triple": (tt.kernel_triple, "Hyper3", NON_FINITE),
+    "invariants": (tt.invariants, "Hyper3", NON_FINITE),
+    "unfold": (tt.unfold, "Hyper3", NON_FINITE),
+    "fold": (tt.fold, "Unfolding", NON_FINITE),
+    "l_eigen": (tt.l_eigen, "Hyper3", NON_FINITE),
+    "rank_and_nullspace": (tt.rank_and_nullspace, "Hyper3", NON_FINITE),
+    "l_inverse": (tt.l_inverse, "Hyper3", NON_FINITE),
+    "recover.v": (lambda v: tt.recover(v, FIXTURE), "Mat3", NON_FINITE),
+    "recover.a_inv": (lambda a_inv: tt.recover(np.eye(3), a_inv), "Hyper3", NON_FINITE),
+    "is_orthogonal_tensor": (tt.is_orthogonal_tensor, "Hyper3", NON_FINITE),
+    "eig_decompose_partial": (tt.eig_decompose_partial, "Hyper3", NON_FINITE),
+    "max_singular_value": (_restarts_2(tt.max_singular_value), "Hyper3", NON_FINITE),
+    "max_c_eigenvalue": (_restarts_2(tt.max_c_eigenvalue), "Hyper3", NON_FINITE),
+    "max_z_eigenvalue": (_restarts_2(tt.max_z_eigenvalue), "Hyper3", NON_FINITE),
+}
+
+
+@pytest.mark.parametrize("case", ["shape", np.nan, np.inf, -np.inf, "complex"])
+@pytest.mark.parametrize("name", list(CONTRACT))
+def test_input_contract(name, case):
+    # a wrong shape or complex entries raise ValueError naming them, rather
+    # than being read as another type or losing the imaginary part
+    call, kind, non_finite = CONTRACT[name]
+    valid = np.resize(FIXTURE, SHAPES[kind])
+    if case == "shape":
+        for shape in WRONG_SHAPES:
+            if shape != SHAPES[kind]:
+                for arr in (np.zeros(shape), np.resize(FIXTURE, shape)):
+                    with pytest.raises(ValueError, match="shape"):
+                        call(arr)
+    elif case == "complex":
+        with pytest.raises(ValueError, match="real"):
+            call(valid * 1j)
+    else:
+        for n in (0, valid.size // 2, slice(None)):
+            arr = valid.copy()
+            arr.flat[n] = case
+            if non_finite is False:
+                assert call(arr) is False
+            else:
+                with pytest.raises(non_finite[0], match=non_finite[1]):
+                    call(arr)

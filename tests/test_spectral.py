@@ -152,11 +152,6 @@ def test_unfold_levi_civita_first_row():
     assert np.array_equal(row, [0, 0, 0, 0, 0, 1, 0, -1, 0])
 
 
-def test_fold_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        tt.fold(np.zeros((9, 3)))
-
-
 @pytest.mark.parametrize("shape", [(27,), (3, 9), (9, 3), (3, 3, 3, 1)])
 @pytest.mark.parametrize("solve", [tt.l_eigen, tt.l_inverse, tt.rank_and_nullspace])
 def test_spectral_rejects_arrays_that_are_not_3x3x3(solve, shape):

@@ -386,6 +386,18 @@ def test_solvers_reject_non_finite_entries(solve, bad):
         solve(a, restarts=2)
 
 
+@pytest.mark.parametrize("name, count", [("restarts", 0), ("restarts", -1), ("max_iters", 0)])
+@pytest.mark.parametrize(
+    "solve", [tt.max_singular_value, tt.max_c_eigenvalue, tt.max_z_eigenvalue]
+)
+def test_solvers_refuse_counts_below_one(solve, name, count):
+    # no restart or no iteration cannot converge: a ValueError names the
+    # argument, rather than NoConvergence after the loop (or a zero triple)
+    for a in (tt.make_fixture("symmetric", 2), ZERO):
+        with pytest.raises(ValueError, match=name):
+            solve(a, **{name: count})
+
+
 def test_two_threads_alternating_seeds_get_the_serial_results():
     a = tt.make_fixture("symmetric", 3)
 

@@ -10,28 +10,37 @@ and reports four parts:
   the errors they raise) on the fixtures and on Gaussian tensors at norms
   from 1e-40 to 1e160, and the CLI's ``fixture``, ``classify`` and
   ``decompose`` reports, fed through standard input;
-- ``solver_golden``: one sha256 per tree over the 7060 solves of
-  acceptance criteria 4 and 6: each result and its ``history_out`` rows;
+- ``solver_golden``: for the singular and C solves of acceptance
+  criteria 4 and 6, one sha256 per tree and solver over each result
+  (without ``method``, which the parent may lack) and its
+  ``history_out`` rows; the 2220 Z solves are compared by value, since
+  the enumeration finds nu_1 without iterating: equal within
+  1e-12 * max(1, |nu|), or listed under ``rose`` (a maximum the
+  parent's multistart missed) or ``fell`` (a failure), with the count
+  of each ``method``.  A Z solve's index runs over criterion 4's 20
+  fixtures x 101 orientations (unrotated first), then criterion 6's
+  200 fixtures;
 - ``layers``: per closed-form layer and tree, the median and the sum over
   64 inputs of the fastest of 41 calls, and one sha256 over the outputs;
   ``analyze_item`` sums the layers that one item of the ``analyze``
   benchmark workload calls;
-- ``solvers``: per solver and tree, on the 32 (fixture, rotation) pairs
-  that the ``audit`` benchmark workload times, at 12 restarts, the fastest
-  of 21 rounds of each solve's prologue (from the call to the first
-  ``history_out`` append: gate, set-up and first iteration), mean lap
-  between appends, epilogue (from the last append: the merge) and whole
-  solve, and the iteration count.
+- ``solvers``: at 12 and at 64 restarts, per solver and tree, on the 32
+  (fixture, rotation) pairs that the ``audit`` benchmark workload times,
+  the fastest of 21 rounds of each whole solve and of its prologue (from
+  the call to the first ``history_out`` append: gate, set-up and first
+  iteration), mean lap between appends and epilogue (from the last
+  append: the merge), and the iteration count.  The lap parts cover the
+  solves that iterate; an enumerated Z solve has only its whole time.
 
 The parent tree builds the lap inputs.  The trees take turns call by
 call and the one that goes first alternates, so a slow phase of the host
 falls on both; a case whose output (for a solve, its iteration count)
 varies between rounds stops the run.  Equal hashes mean both trees return
 the same bits.  The report is printed and written to ``--out``, and then
-the exit code is 1 if any hash differs.  Run from the repository root,
-with BLAS on one thread::
+the exit code is 1 if any hash differs or any Z value fell.  Run from
+the repository root, with BLAS on one thread::
 
-    python scripts/compare.py --parent HEAD~1 --out BENCH_9.json
+    python scripts/compare.py --parent HEAD~1 --out BENCH_11.json
 """
 
 from __future__ import annotations
@@ -43,11 +52,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
 import itertools
 import json
+import math
 import platform
 import statistics
 import subprocess
@@ -66,6 +77,10 @@ from perfbench.spans import LapClock  # noqa: E402  (a history_out of timestamps
 
 SOLVERS = ("max_singular_value", "max_c_eigenvalue", "max_z_eigenvalue")
 RESTARTS = 12
+# the restart counts of the solver laps
+LAP_RESTARTS = (12, 64)
+# a Z value counts as equal within this, relative to max(1, |nu|)
+Z_VALUE_TOL = 1e-12
 LAYER_ROUNDS = 41
 SOLVER_ROUNDS = 21
 SIDES = ("right", "left", "central")
@@ -199,15 +214,40 @@ def solve_records(tt, solves):
     for s, a, restarts, seed in solves:
         history = []
         triple = getattr(tt, s)(a, restarts=restarts, seed=seed, history_out=history)
-        yield json.dumps(triple.as_dict(), sort_keys=True)
+        doc = triple.as_dict()
+        doc.pop("method", None)
+        yield json.dumps(doc, sort_keys=True)
         yield str(len(history))
         for row in history:
             yield np.ascontiguousarray(row).tobytes()
 
 
-def solver_golden(tt) -> dict:
-    solves = list(golden_solves(tt))
-    return {"sha256": sha256_of(solve_records(tt, solves)), "solves": len(solves)}
+def z_values(trees: dict, solves: list) -> dict:
+    """The Z solves of both trees compared by value."""
+    rose, fell, methods = [], [], {}
+    for n, (s, a, restarts, seed) in enumerate(solves):
+        before = trees["parent"].max_z_eigenvalue(a, restarts=restarts, seed=seed)
+        after = trees["change"].max_z_eigenvalue(a, restarts=restarts, seed=seed)
+        methods[after.method] = methods.get(after.method, 0) + 1
+        gap = after.value - before.value
+        if abs(gap) > Z_VALUE_TOL * max(1.0, abs(before.value)):
+            case = {"solve": n, "restarts": restarts, "seed": seed, "method": after.method,
+                    "parent": before.value, "change": after.value}
+            (rose if gap > 0.0 else fell).append(case)
+    return {"solves": len(solves), "methods": methods, "rose": rose, "fell": fell,
+            "equal": not fell}
+
+
+def solver_golden(trees: dict) -> dict:
+    solves = list(golden_solves(trees["parent"]))
+    out = {}
+    for solver in SOLVERS[:2]:
+        mine = [case for case in solves if case[0] == solver]
+        part = {n: sha256_of(solve_records(tt, mine)) for n, tt in trees.items()}
+        out[solver] = {"solves": len(mine), **part, "equal": part["parent"] == part["change"]}
+    out[SOLVERS[2]] = z_values(trees, [case for case in solves if case[0] == SOLVERS[2]])
+    out["equal"] = all(part["equal"] for part in out.values())
+    return out
 
 
 def layer_inputs(tt) -> list[tuple[np.ndarray, np.ndarray, int]]:
@@ -280,14 +320,17 @@ def run_layer(tt, layer: str, case) -> tuple[tuple[int], bytes]:
     return (_now() - t0,), record_of(out)
 
 
-def run_solver(tt, solver: str, a) -> tuple[tuple, int]:
-    """((prologue ns, epilogue ns, mean inner lap ns, total ns), iterations)."""
+def run_solver(tt, solver: str, a, restarts: int = RESTARTS) -> tuple[tuple, int]:
+    """((prologue ns, epilogue ns, mean inner lap ns, total ns), iterations);
+    the parts are NaN for a solve without iterations."""
     clock = LapClock()
     t0 = _now()
-    getattr(tt, solver)(a, restarts=RESTARTS, history_out=clock)
+    getattr(tt, solver)(a, restarts=restarts, history_out=clock)
     t1 = _now()
     stamps = clock.times
-    inner = (stamps[-1] - stamps[0]) / (len(stamps) - 1) if len(stamps) > 1 else float("nan")
+    if not stamps:
+        return (math.nan, math.nan, math.nan, t1 - t0), 0
+    inner = (stamps[-1] - stamps[0]) / (len(stamps) - 1) if len(stamps) > 1 else math.nan
     return (stamps[0] - t0, t1 - stamps[-1], inner, t1 - t0), len(stamps)
 
 
@@ -319,7 +362,8 @@ def compared(stats: dict) -> dict:
     for by_tree in stats.values():
         before, after = by_tree["parent"], by_tree["change"]
         by_tree["change_over_parent"] = {
-            key: round(after[key] / before[key], 3) for key in before if key != "iterations"
+            key: round(after[key] / before[key], 3)
+            for key in before if key != "iterations" and before[key] and after[key] is not None
         }
     return stats
 
@@ -345,22 +389,30 @@ def layer_laps(trees: dict, inputs: list, rounds: int = LAYER_ROUNDS) -> dict:
     return {"inputs": len(inputs), "rounds": rounds, "laps": laps, "sha256": hashes}
 
 
-def solver_laps(trees: dict, pairs: list, rounds: int = SOLVER_ROUNDS) -> dict:
-    best, iterations = fastest(trees, SOLVERS, pairs, rounds, run_solver)
+def _laps_of(rows: list) -> dict:
+    """One solver's laps over the pairs, from its fastest (prologue,
+    epilogue, inner, total) per pair; the parts over the solves that iterated."""
+    iterated = [r for r in rows if not math.isnan(r[0])]
+    inner = [r[2] for r in iterated if not math.isnan(r[2])]
+    part = lambda values, unit, digits: round(sum(values) / unit, digits) if iterated else None
+    return {
+        "solve_us_p50": round(statistics.median(r[3] for r in rows) / 1e3, 1),
+        "solve_ms_sum": round(sum(r[3] for r in rows) / 1e6, 3),
+        "prologue_us_sum": part([r[0] for r in iterated], 1e3, 1),
+        "per_iteration_us_p50": round(statistics.median(inner) / 1e3, 2) if inner else None,
+        "epilogue_us_sum": part([r[1] for r in iterated], 1e3, 1),
+    }
+
+
+def solver_laps(trees: dict, pairs: list, rounds: int = SOLVER_ROUNDS,
+                restarts: int = RESTARTS) -> dict:
+    run = functools.partial(run_solver, restarts=restarts)
+    best, iterations = fastest(trees, SOLVERS, pairs, rounds, run)
     laps = compared({
-        s: {
-            n: {
-                "iterations": sum(iterations[n][s]),
-                "prologue_us_sum": round(sum(r[0] for r in best[n][s]) / 1e3, 1),
-                "per_iteration_us_p50": round(statistics.median(r[2] for r in best[n][s]) / 1e3, 2),
-                "epilogue_us_sum": round(sum(r[1] for r in best[n][s]) / 1e3, 1),
-                "solve_ms_sum": round(sum(r[3] for r in best[n][s]) / 1e6, 3),
-            }
-            for n in trees
-        }
+        s: {n: {"iterations": sum(iterations[n][s]), **_laps_of(best[n][s])} for n in trees}
         for s in SOLVERS
     })
-    return {"pairs": len(pairs), "restarts": RESTARTS, "rounds": rounds, "laps": laps}
+    return {"pairs": len(pairs), "restarts": restarts, "rounds": rounds, "laps": laps}
 
 
 def main(argv=None) -> int:
@@ -395,13 +447,12 @@ def main(argv=None) -> int:
     pairs = audit_pairs(trees["parent"])
     for tt in trees.values():  # warm-up: imports, caches, lazy set-up
         run_solver(tt, "max_z_eigenvalue", pairs[0])
-    report["solvers"] = solver_laps(trees, pairs)
+    report["solvers"] = [solver_laps(trees, pairs, restarts=r) for r in LAP_RESTARTS]
+    closed = {n: closed_form_golden(tt, clis[n]) for n, tt in trees.items()}
     golden = {
-        "closed_form_golden": {n: closed_form_golden(tt, clis[n]) for n, tt in trees.items()},
-        "solver_golden": {n: solver_golden(tt) for n, tt in trees.items()},
+        "closed_form_golden": {**closed, "equal": closed["parent"] == closed["change"]},
+        "solver_golden": solver_golden(trees),
     }
-    for part in golden.values():
-        part["equal"] = part["parent"] == part["change"]
     report.update(golden)
     report["equal"] = all(part["equal"] for part in golden.values()) and all(
         report["layers"]["laps"][layer]["sha256_equal"] for layer in LAYERS

@@ -179,7 +179,7 @@ def _recover(args, a, name):
 
 
 def _variational(solve):
-    """The report function of one multistart solver."""
+    """The report function of one variational solver."""
 
     def report(args, a, name):
         cfg = {"restarts": args.restarts, "tol": args.tol, "max_iters": args.max_iters,
@@ -195,6 +195,7 @@ def _variational(solve):
             f"z = {_fmt_vec(triple.z)}",
             f"residual = {_fmt(triple.residual)}",
             f"starts_converged = {triple.starts_converged}",
+            f"method = {triple.method}",
             f"config: restarts={cfg['restarts']} tol={_fmt(cfg['tol'])} "
             f"max_iters={cfg['max_iters']} seed={cfg['seed']}",
         ]

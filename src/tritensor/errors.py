@@ -3,7 +3,7 @@
 __all__ = [
     "TensorError", "NotOrthogonal", "NotSymmetric", "NotRightSymmetric",
     "NotPartiallySymmetric", "SingularTensor", "UnsupportedClass", "Unrepresentable",
-    "NoConvergence",
+    "NoConvergence", "Uncertified",
 ]
 
 
@@ -41,3 +41,7 @@ class Unrepresentable(TensorError):
 
 class NoConvergence(RuntimeError):
     """No restart of an iterative eigenvalue search converged."""
+
+
+class Uncertified(RuntimeError):
+    """An enumeration of eigenpairs could not certify that it found them all."""

@@ -145,6 +145,7 @@ def sym_eig3(u: core.Mat3, tol: float = 1e-8):
     ``eigh`` run on U scaled by a power of two (exact), so both are
     scale-free.  Raises ValueError unless ``u`` is a finite 3x3 matrix.
     """
+    tol = core._tolerance(tol)
     u, exp = core._scaled(u, "Mat3")
     if float(np.abs(u - u.T).max()) > tol * core._frobenius(u):
         raise NotSymmetric(f"matrix asymmetry exceeds {tol:.1e} * ||U||")
@@ -287,6 +288,7 @@ def rank_and_nullspace(a: core.Hyper3, tol: float = 1e-10):
     of the unfolding, each sign-canonical.  Each basis element N
     satisfies ||contract_mat(a, N, "right")|| <= tol * ||a||.
     """
+    tol = core._tolerance(tol)
     sigma, _, vt = _unfolding_svd(a)
     rank = int(np.count_nonzero(sigma > tol * sigma[0]))
     null = vt[rank:] * _lead_signs(vt[rank:])[:, None]
@@ -308,6 +310,7 @@ def l_inverse(a: core.Hyper3, tol: float = 1e-10) -> core.Hyper3:
     B = l_inverse(a) by the transpose-conjugated mirror
     transpose(transpose(l_inverse(transpose(transpose(B))))).
     """
+    tol = core._tolerance(tol)
     sigma, x, vt = _unfolding_svd(a)
     s1, s3 = float(sigma[0]), float(sigma[2])
     if s1 <= 0.0 or s3 <= tol * s1:
@@ -328,7 +331,7 @@ def is_orthogonal_tensor(a: core.Hyper3, tol: float = 1e-10) -> bool:
     """True when the kernel A A^T is the identity within tol (Frobenius).
 
     Raises ValueError unless ``a`` is a finite 3x3x3 array."""
-    return core._frobenius(kernel(a) - core._EYE3) <= tol
+    return core._frobenius(kernel(a) - core._EYE3) <= core._tolerance(tol)
 
 
 # side -> the class it requires and the tensor the right-side procedure runs on
@@ -354,7 +357,7 @@ def eig_decompose_partial(
     if side not in _SIDES:
         raise ValueError(f"side must be one of {sorted(_SIDES)}, got {side!r}")
     klass, work = _SIDES[side]
-    if not _swap_symmetric(a, tol, side):
+    if not _swap_symmetric(a, core._tolerance(tol), side):
         raise NotPartiallySymmetric(f"tensor is not {klass} within {tol:.1e}")
     sys = l_eigen(work(a))
     floor = _SIGMA_FLOOR * sys.sigma[0]

@@ -100,6 +100,7 @@ def classify(a: core.Hyper3, tol: float = 1e-10) -> SymmetryReport:
     unlike the other flags they are not preserved by a change of basis.
     Raises ValueError unless ``a`` is a finite 3x3x3 array.
     """
+    tol = core._tolerance(tol)
     a, _ = core._scaled(a, "Hyper3")
     flat, bound = a.reshape(27), tol * core._frobenius(a)
     dev = np.abs(flat - (_SIGNS * flat).take(_FLAG_ROWS))
@@ -139,6 +140,7 @@ def selective_symmetry_via_levi_civita(
     right/left symmetries; see the package notes on this distinction.
     Raises ValueError unless ``a`` is a finite 3x3x3 array.
     """
+    tol = core._tolerance(tol)
     a, _ = core._scaled(a, "Hyper3")
     bound = tol * core._frobenius(a)
     eps = core.levi_civita()

@@ -14,6 +14,10 @@ independent, and merged after a value-then-lexicographic sort, so the
 triple does not depend on execution order.  Global optimality is not
 certified, so ``starts_converged`` reports how many restarts agreed
 with the returned point; raise ``restarts`` if it looks thin.
+
+Z-eigenpairs are enumerated instead, all of them in one elimination (see
+``z_spectrum``); ``max_z_eigenvalue`` runs the multistart only when the
+enumeration cannot certify its result.
 """
 
 from __future__ import annotations
@@ -26,11 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import NoConvergence, NotRightSymmetric, NotSymmetric
+from .errors import NoConvergence, NotRightSymmetric, NotSymmetric, Uncertified
 from .spectral import _lead_signs
 from .symmetry import _PAIR_SWAPS, _swap_symmetric
 
-__all__ = ["CriticalTriple", "max_singular_value", "max_c_eigenvalue", "max_z_eigenvalue"]
+__all__ = [
+    "CriticalTriple", "ZSpectrum", "max_singular_value", "max_c_eigenvalue", "max_z_eigenvalue",
+    "z_spectrum",
+]
 
 _STALL = 1e-30
 # residual bound a restart must meet, relative to ||A||
@@ -54,7 +61,10 @@ class CriticalTriple:
     largest defining-equation residual relative to max(1, ||A||), and
     ``starts_converged`` counts the restarts that converged to this same
     point (value within 1e-8, vectors within 1e-6 after sign
-    canonicalization).
+    canonicalization).  ``method`` is "multistart", or "enumerated" for a
+    Z-eigenpair taken from a certified ``z_spectrum``; there
+    ``starts_converged`` counts the real pairs that merge with the best
+    under the same tolerances, which certification makes 1.
     """
 
     kind: str
@@ -64,6 +74,7 @@ class CriticalTriple:
     z: np.ndarray
     residual: float
     starts_converged: int
+    method: str
 
     def as_dict(self) -> dict:
         out = dict(vars(self))
@@ -251,14 +262,25 @@ def _starts(seed, restarts: int, drawn: tuple) -> np.ndarray:
     return s
 
 
+def _merging(values: np.ndarray, vecs: np.ndarray, rows) -> np.ndarray:
+    """Mask [i, j]: pair j merges with pair ``rows[i]``, its value within
+    _MERGE_VALUE * max(1, |value|) and its vector entries within _MERGE_VECTOR."""
+    v = values[rows][:, None]
+    close = np.abs(vecs - vecs[rows][:, None]).max(axis=2) <= _MERGE_VECTOR
+    return close & (np.abs(values - v) <= _MERGE_VALUE * np.maximum(1.0, np.abs(v)))
+
+
+def _unscaled_residual(norm: float, exp: int) -> float:
+    """The factor that takes a residual relative to ``norm`` = ||a|| to one
+    relative to max(1, ||A||), for A = ldexp(a, exp)."""
+    return 1.0 if exp > 0 else min(1.0, math.ldexp(norm, exp))
+
+
 def _multistart(kind, a, exp, restarts, tol, max_iters, seed, history_out) -> CriticalTriple:
     """The ``kind`` maximum of ldexp(a, exp), for ``a, exp = core._scaled(...)``."""
-    for name, count in (("restarts", restarts), ("max_iters", max_iters)):
-        if count < 1:
-            raise ValueError(f"{name} must be at least 1, got {count!r}")
     if not np.any(a):
         e1 = core._read_only([1.0, 0.0, 0.0])
-        return CriticalTriple(kind, 0.0, e1, e1, e1, 0.0, restarts)
+        return CriticalTriple(kind, 0.0, e1, e1, e1, 0.0, restarts, "multistart")
     slots, drawn, step, signs = _KINDS[kind]
     m = a.reshape(3, 9)
     norm = float(np.linalg.norm(m))
@@ -303,17 +325,194 @@ def _multistart(kind, a, exp, restarts, tol, max_iters, seed, history_out) -> Cr
     s = s * signs(m, s)[:, :, None]
     f = f_of(s)
     values = np.ldexp(f, exp)
-    # residuals are reported relative to max(1, ||A||) = max(1, 2^exp * norm)
-    ref = 1.0 if exp > 0 else min(1.0, math.ldexp(norm, exp))
-    resids = _residual(jmap, s, f) / norm * ref
+    resids = _residual(jmap, s, f) / norm * _unscaled_residual(norm, exp)
     vecs = s[:, slots].reshape(len(s), 9)
     # best value first, ties broken lexicographically on the vectors
     best = np.lexsort((*vecs.T[::-1], -values))[0]
-    bval = values[best]
-    close = np.abs(vecs - vecs[best]).max(axis=1) <= _MERGE_VECTOR
-    agree = close & (np.abs(values - bval) <= _MERGE_VALUE * max(1.0, abs(bval)))
+    agree = _merging(values, vecs, [best])[0]
     x, y, z = (core._read_only(v) for v in vecs[best].reshape(3, 3))
-    return CriticalTriple(kind, float(bval), x, y, z, float(resids[best]), int(agree.sum()))
+    return CriticalTriple(
+        kind, float(values[best]), x, y, z, float(resids[best]), int(agree.sum()), "multistart"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Z-eigenpairs by elimination
+#
+# A symmetric 3x3x3 tensor whose Z-eigenvectors are isolated has 7 of
+# them, complex ones included, up to scale (Cartwright & Sturmfels, Linear
+# Algebra Appl. 438, 2013).  In the coordinates x' = R x of a fixed chart
+# rotation R, with g' = A' x' x' for the rotated tensor A', the points
+# x' = (1, t, s) where g' is parallel to x' are the common zeros of
+# p = g'_2 - t g'_1 (degree 2 in s) and q = g'_3 - s g'_1 (degree 3).
+# Their 5x5 Sylvester determinant in s is then a polynomial in t of
+# degree 7 whose roots are the t of the 7 eigenvectors (the E-
+# characteristic route of Qi, J. Symb. Comput. 40, 2005).  Its entries
+# have degree <= 3 in t, so the determinant has degree <= 13, and its
+# values at the 16th roots of unity give its coefficients through an
+# inverse DFT.
+
+# the chart rotations, fixed and generic; the second serves where the
+# first puts an eigenvector at x'_1 = 0 or two at one t
+_CHARTS = (
+    np.array([
+        [0.48814205186154747, -0.10277979675495673, 0.8666912083224384],
+        [-0.7060632483583964, -0.6302285846112621, 0.32293439032793453],
+        [0.5130224425129838, -0.7695766657831403, -0.38021011159636087],
+    ]),
+    np.array([
+        [0.5991846472517772, 0.6440934861477868, -0.4755221757181826],
+        [0.4670048837511749, -0.7636170492835762, -0.4458648232323291],
+        [-0.6502954690372025, 0.0450841784380635, -0.7583424159337586],
+    ]),
+)
+_POINTS = 16
+# The certificate, with the coefficients c of the determinant in t: the
+# coefficients 8..15, zero in exact arithmetic, at most _NOISE ||c||; the
+# degree-7 one above _LEAD ||c||; the roots distinct, each one's
+# first-order error bound, under coefficient errors as large as the
+# largest of 8..15 (at least the rounding of ||c||), at most _CONDITION
+# times its distance to the nearest other root; every real pair, after
+# _POLISH_STEPS Newton steps, within _POLISHED ||A|| of the defining
+# equations.  On 3000 symmetrized Gaussian tensors (default_rng(2026))
+# the first chart measured 3.2e-15, 1.8e-6, 2.6e-6 and 3.8e-16 at the
+# worst; a root of multiplicity k, which rounding splits by ~1e-15^(1/k),
+# measured 0.7 to 25 against _CONDITION.
+_NOISE = 1e-11
+_LEAD = 1e-8
+_CONDITION = 1e-3
+_POLISHED = 1e-12
+_POLISH_STEPS = 3
+
+
+@functools.cache
+def _chart_maps(chart: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, W, D) of chart ``chart``: for a tensor ``a``, the Sylvester
+    matrices at the 16 points are (a.ravel() @ E).reshape(16, 5, 5), the
+    coefficient of s^d t^e in p (n = 0) and q (n = 1) is
+    (a.ravel() @ W).reshape(2, 4, 4)[n, d, e], and D takes the 16
+    determinants to the coefficients of t^0 .. t^15."""
+    r = _CHARTS[chart]
+    # x'_j x'_k of x' = (1, t, s) is s^d t^e, d = [j = 2] + [k = 2], e = [j = 1] + [k = 1]
+    mono = np.zeros((3, 3, 4, 4))
+    for j, k in itertools.product(range(3), repeat=2):
+        mono[j, k, (j == 2) + (k == 2), (j == 1) + (k == 1)] = 1.0
+    # g'_i(1, t, s) of each unit tensor a = e_qrs, as a'_ijk = r_iq r_jr r_ks a_qrs
+    g = np.einsum("iq,jr,ks,jkde->qrside", r, r, r, mono).reshape(27, 3, 4, 4)
+    pq = np.stack((g[:, 1], g[:, 2]), axis=1)
+    pq[:, 0, :, 1:] -= g[:, 0, :, :3]  # p = g'_2 - t g'_1
+    pq[:, 1, 1:] -= g[:, 0, :3]  # q = g'_3 - s g'_1
+    # rows s^2 p, s p, p, s q, q of the Sylvester matrix; columns s^4 .. s^0
+    syl = np.zeros((27, 5, 5, 4))
+    for row in range(3):
+        syl[:, row, row:row + 3] = pq[:, 0, 2::-1]
+    for row in range(2):
+        syl[:, 3 + row, row:row + 4] = pq[:, 1, 3::-1]
+    unity = np.exp(2j * np.pi / _POINTS * np.arange(_POINTS))
+    at_points = syl @ (unity[:, None] ** np.arange(4)).T  # (27, 5, 5, 16)
+    inverse_dft = unity.conj()[None, :] ** np.arange(_POINTS)[:, None] / _POINTS
+    maps = (at_points.transpose(0, 3, 1, 2).reshape(27, -1), pq.reshape(27, 32), inverse_dft)
+    for arr in maps:  # shared by every caller
+        arr.setflags(write=False)
+    return maps
+
+
+def _z_chart(a: np.ndarray, chart: int):
+    """Every real Z-eigenpair of the scaled symmetric tensor ``a`` through
+    chart ``chart`` as (values >= 0, unit vectors (n, 3), residuals
+    relative to ||a||), best first, or None unless the certificate holds."""
+    at_points, pq, inverse_dft = _chart_maps(chart)
+    flat = a.reshape(27)
+    # a NaN or inf from rounding fails the certificate: each check is
+    # written so that a comparison with NaN fails it
+    with np.errstate(all="ignore"):
+        c = inverse_dft @ np.linalg.det((flat @ at_points).reshape(_POINTS, 5, 5))
+        size = math.sqrt(np.vdot(c, c).real)
+        if not (np.abs(c[8:]).max() <= _NOISE * size and abs(c[7]) > _LEAD * size):
+            return None
+        t = np.roots(c[7::-1].real)
+        powers = t[:, None] ** np.arange(8)
+        slope = powers[:, :7] @ (np.arange(1.0, 8.0) * c[1:8].real)
+        noise = max(np.abs(c[8:]).max(), np.finfo(float).eps * size)
+        bound = noise * np.abs(powers).sum(axis=1) / np.abs(slope)
+        gaps = np.abs(t[:, None] - t)
+        np.fill_diagonal(gaps, np.inf)
+        if not (bound <= _CONDITION * gaps.min(axis=1)).all():
+            return None
+        # a root within its bound of the real axis is real: a complex one
+        # would have its conjugate closer than the gaps allow
+        t = t.real[np.abs(t.imag) <= bound]
+        # per real t, the root s of p at which |q| is smaller
+        coef = (flat @ pq).reshape(2, 4, 4) @ (t ** np.arange(4)[:, None])
+        (p0, p1, p2, _), (q0, q1, q2, q3) = coef
+        big = -p1 - np.copysign(np.sqrt(np.maximum(p1 * p1 - 4.0 * p0 * p2, 0.0)), p1)
+        s = np.stack((0.5 * big / p2, 2.0 * p0 / big))
+        q = np.abs(((q3 * s + q2) * s + q1) * s + q0)
+        q[~np.isfinite(q)] = np.inf
+        s = s[(q[1] < q[0]).astype(int), np.arange(len(t))]
+        x = np.stack((np.ones_like(t), t, s), axis=1) @ _CHARTS[chart]  # x = R^T x'
+        state = (x / _norms(x)[:, None])[:, None]
+        m = a.reshape(3, 9)
+        jmap = _jacobian_map(a, (0, 0, 0), 1)
+        try:
+            for _ in range(_POLISH_STEPS):
+                state = _newton(jmap, state, _potential(m, state, (0, 0, 0)))
+        except np.linalg.LinAlgError:  # an exactly singular system
+            return None
+        vecs = state[:, 0]
+        g = _pair(vecs, vecs) @ m.T
+        f = _dot(g, vecs)
+        resid = _norms(g - f[:, None] * vecs) / core._frobenius(a)
+    if not (resid <= _POLISHED).all():
+        return None
+    # the odd degree lets x flip to make the cubic form nonnegative
+    flip = np.where(f < 0.0, -1.0, 1.0)
+    f, vecs = flip * f, flip[:, None] * vecs
+    order = np.lexsort((*vecs.T[::-1], -f))
+    f, vecs, resid = f[order], vecs[order], resid[order]
+    if _merging(f, vecs, np.arange(len(f))).sum() > len(f):  # two roots, one pair
+        return None
+    return f, vecs, resid
+
+
+def _z_enumerated(a: np.ndarray):
+    """``_z_chart`` of the first chart that certifies, or None."""
+    for chart in range(len(_CHARTS)):
+        pairs = _z_chart(a, chart)
+        if pairs is not None:
+            return pairs
+    return None
+
+
+@dataclass(frozen=True)
+class ZSpectrum:
+    """Every real Z-eigenpair A x x = lambda x, |x| = 1, of a symmetric tensor.
+
+    One pair per real eigenvector line, signed so that lambda = x A x x
+    >= 0 ((-lambda, -x) is the same line): 1, 3, 5 or 7 pairs.  ``values``
+    descend, ties broken lexicographically on the vectors; ``vectors[n]``
+    is the unit eigenvector of ``values[n]`` and ``residuals[n]`` its
+    largest |A x x - lambda x| relative to max(1, ||A||).
+    """
+
+    values: np.ndarray  # (n,)
+    vectors: np.ndarray  # (n, 3)
+    residuals: np.ndarray  # (n,)
+
+
+def _solver_inputs(a, tol, restarts: int, max_iters: int) -> tuple[np.ndarray, int, float]:
+    """The solvers' common gates: ``core._scaled(a, "Hyper3")`` and the checked ``tol``."""
+    a, exp = core._scaled(a, "Hyper3")
+    tol = core._tolerance(tol)
+    for name, count in (("restarts", restarts), ("max_iters", max_iters)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count!r}")
+    return a, exp, tol
+
+
+def _require_symmetric(a: np.ndarray) -> None:
+    if not _swap_symmetric(a, 1e-8, *_PAIR_SWAPS):
+        raise NotSymmetric("Z-eigenvalues require a symmetric tensor")
 
 
 def max_singular_value(
@@ -333,7 +532,7 @@ def max_singular_value(
     The converged triple satisfies A y z = eta x, x A z = eta y,
     x y A = eta z, and eta equals contract_full(a, x, y, z).
     """
-    a, exp = core._scaled(a, "Hyper3")
+    a, exp, tol = _solver_inputs(a, tol, restarts, max_iters)
     return _multistart("singular", a, exp, restarts, tol, max_iters, seed, history_out)
 
 
@@ -354,7 +553,7 @@ def max_c_eigenvalue(
     halving as a safeguard so the objective never decreases.  The
     converged pair satisfies A y y = mu x and x A y = mu y.
     """
-    a, exp = core._scaled(a, "Hyper3")
+    a, exp, tol = _solver_inputs(a, tol, restarts, max_iters)
     if not _swap_symmetric(a, 1e-8, "right"):
         raise NotRightSymmetric("C-eigenvalues require a right-side symmetric tensor")
     return _multistart("c_eigen", a, exp, restarts, tol, max_iters, seed, history_out)
@@ -370,15 +569,62 @@ def max_z_eigenvalue(
 ) -> CriticalTriple:
     """Largest Z-eigenvalue nu_1 = max x A x x of a symmetric tensor.
 
-    Shifted symmetric power iteration x <- (A x x + alpha x) / ||.|| on
-    the tensor scaled by a power of two, alpha being half its norm plus
-    |x A x x| where that is negative, or a Newton step on the 4x4 system
+    The best pair of ``z_spectrum`` whenever its enumeration certifies
+    (``method`` "enumerated"; no iterations, so nothing is appended to
+    ``history_out``, and ``restarts``, ``tol``, ``max_iters`` and ``seed``
+    go unused).  Otherwise (``method`` "multistart"): shifted symmetric
+    power iteration x <- (A x x + alpha x) / ||.|| on the tensor scaled by
+    a power of two, alpha being half its norm plus |x A x x| where that is
+    negative, or a Newton step on the 4x4 system
     [[2 A x - nu I, -x], [x^T, 0]] where that climbs further, plus the
-    same step-halving safeguard as the C-eigenvalue search.  A converged
-    x satisfies A x x = nu x with nu = x A x x >= 0 (x is flipped when
-    the cubic form is negative, which the odd degree permits).
+    same step-halving safeguard as the C-eigenvalue search.  Either way x
+    satisfies A x x = nu x with nu = x A x x >= 0 (x is flipped when the
+    cubic form is negative, which the odd degree permits).
+    """
+    a, exp, tol = _solver_inputs(a, tol, restarts, max_iters)
+    _require_symmetric(a)
+    pairs = _z_enumerated(a)
+    if pairs is None:
+        return _multistart("z_eigen", a, exp, restarts, tol, max_iters, seed, history_out)
+    values, vecs, resid = pairs
+    x = core._read_only(vecs[0])
+    scale = _unscaled_residual(core._frobenius(a), exp)
+    # the certificate leaves no two pairs merging, so only the best merges with the best
+    return CriticalTriple(
+        "z_eigen", float(np.ldexp(values[0], exp)), x, x, x, float(resid[0] * scale), 1,
+        "enumerated",
+    )
+
+
+def z_spectrum(a: core.Hyper3) -> ZSpectrum:
+    """Every real Z-eigenpair of a symmetric tensor, from one resultant.
+
+    On the tensor scaled by a power of two (exact), in the fixed chart
+    x = R^T (1, t, s): the Sylvester determinant of p = g'_2 - t g'_1 and
+    q = g'_3 - s g'_1 (g' = R A x x) at the 16th roots of unity, one
+    batched ``np.linalg.det``, gives the degree-7 polynomial in t through
+    a constant inverse DFT matrix; ``np.roots`` solves it, the quadratic
+    p = 0 gives s for every real t, and 3 batched Newton steps on the
+    bordered 4x4 system polish all real candidates together.
+
+    The result is certified: coefficients 8..15 of the determinant at
+    most 1e-11 ||c|| (zero in exact arithmetic, so they measure its
+    rounding), the degree-7 coefficient above 1e-8 ||c|| (no eigenvector
+    at x'_1 = 0), the 7 roots simple (each one's first-order error bound
+    under that rounding at most 1e-3 of its distance to the nearest
+    other root), every real pair polished to a residual of at most
+    1e-12 ||A|| and no two of them merged.  Failing that, a second fixed
+    chart is tried.  Raises Uncertified when neither certifies: the zero
+    tensor, tensors with infinitely many eigenvectors such as
+    ``c * outer(v, v, v)``, and tensors near those.  Raises NotSymmetric
+    unless ``a`` is symmetric within 1e-8 * ||A|| and ValueError unless
+    it is a finite 3x3x3 array.
     """
     a, exp = core._scaled(a, "Hyper3")
-    if not _swap_symmetric(a, 1e-8, *_PAIR_SWAPS):
-        raise NotSymmetric("Z-eigenvalues require a symmetric tensor")
-    return _multistart("z_eigen", a, exp, restarts, tol, max_iters, seed, history_out)
+    _require_symmetric(a)
+    pairs = _z_enumerated(a)
+    if pairs is None:
+        raise Uncertified("the Z-eigenpair enumeration certified in neither chart")
+    values, vecs, resid = pairs
+    scale = _unscaled_residual(core._frobenius(a), exp)
+    return ZSpectrum(*map(core._read_only, (np.ldexp(values, exp), vecs, resid * scale)))

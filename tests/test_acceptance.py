@@ -288,3 +288,23 @@ def test_criterion_9_selective_symmetry_equivalence():
     assert total == 1000
     assert disagreements == 0
     print("ACCEPTANCE 9 PASS: entrywise and Levi-Civita selective classifiers, 0/1000 disagree")
+
+
+def test_criterion_10_symmetric_eta_equals_nu():
+    # Banach (1938): on a symmetric tensor the largest singular value is
+    # attained at x = y = z, so eta_1 = nu_1; criterion 6 asserts only
+    # nu_1 <= mu_1 <= eta_1
+    start = time.monotonic()
+    worst = 0.0
+    for seed in range(20):
+        a = tt.make_fixture("symmetric", seed)
+        eta = tt.max_singular_value(a, restarts=24, seed=seed).value
+        nu = tt.max_z_eigenvalue(a, restarts=24, seed=seed)
+        assert nu.method == "enumerated"
+        worst = max(worst, abs(eta - nu.value) / eta)
+        assert abs(eta - nu.value) <= 1e-12 * eta
+    elapsed = time.monotonic() - start
+    print(
+        f"ACCEPTANCE 10 PASS: eta_1 = nu_1 on 20 symmetric fixtures, worst {worst:.1e} "
+        f"({elapsed:.1f}s)"
+    )

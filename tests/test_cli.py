@@ -129,8 +129,11 @@ def test_l_inverse_json_is_tensor_file(eps_file, tmp_path, capsys):
 def test_singular_json_schema(eps_file, capsys):
     assert run(["singular", eps_file, "--json", "--restarts", "8"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert set(doc) == {"kind", "value", "x", "y", "z", "residual", "starts_converged", "config"}
+    assert set(doc) == {
+        "kind", "value", "x", "y", "z", "residual", "starts_converged", "method", "config"
+    }
     assert doc["kind"] == "singular"
+    assert doc["method"] == "multistart"
     assert abs(doc["value"] - 1.0) <= 1e-8
 
 
@@ -238,10 +241,22 @@ def test_unrepresentable_invariants_exit_2(tmp_path, capsys):
 
 
 def test_no_convergence_exit_code(tmp_path, capsys):
-    a = tt.make_fixture("symmetric", 0)
-    path = write_tensor(tmp_path / "s.json", a)
+    # a rank-one tensor has a circle of Z-eigenvectors, so z-eigen falls
+    # back to the multistart, which one iteration cannot converge
+    x = np.array([0.6, 0.0, 0.8])
+    path = write_tensor(tmp_path / "s.json", tt.outer(x, x, x))
     assert run(["z-eigen", path, "--max-iters", "1"]) == 4
     assert "NoConvergence" in capsys.readouterr().err
+
+
+def test_z_eigen_reports_its_method(tmp_path, capsys):
+    path = write_tensor(tmp_path / "s.json", tt.make_fixture("symmetric", 0))
+    # enumerated: --max-iters does not limit it
+    assert run(["z-eigen", path, "--max-iters", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["method"], doc["starts_converged"]) == ("enumerated", 1)
+    assert run(["z-eigen", path]) == 0
+    assert "method = enumerated" in capsys.readouterr().out.splitlines()
 
 
 def test_nan_rejected_with_field_path(tmp_path, capsys):

@@ -64,7 +64,8 @@ def test_package_exports_each_public_name_once():
     from tritensor import errors, spectral, symmetry, varspec
 
     modules = (core, errors, spectral, symmetry, varspec)
-    assert len(tt.__all__) == len(set(tt.__all__)) == 60
+    # 60, plus ZSpectrum, z_spectrum and Uncertified
+    assert len(tt.__all__) == len(set(tt.__all__)) == 63
     assert set(tt.__all__) == {name for m in modules for name in m.__all__}
     for m in modules:
         for name in m.__all__:
@@ -402,6 +403,7 @@ CONTRACT = {
     "max_singular_value": (_restarts_2(tt.max_singular_value), "Hyper3", NON_FINITE),
     "max_c_eigenvalue": (_restarts_2(tt.max_c_eigenvalue), "Hyper3", NON_FINITE),
     "max_z_eigenvalue": (_restarts_2(tt.max_z_eigenvalue), "Hyper3", NON_FINITE),
+    "z_spectrum": (tt.z_spectrum, "Hyper3", NON_FINITE),
 }
 
 
@@ -430,3 +432,51 @@ def test_input_contract(name, case):
             else:
                 with pytest.raises(non_finite[0], match=non_finite[1]):
                     call(arr)
+
+
+# Every public function that takes ``tol``, called with valid arrays.
+TOL_CONTRACT = {
+    "is_symmetric": lambda tol: tt.is_symmetric(np.eye(3), tol),
+    "is_orthogonal": lambda tol: tt.is_orthogonal(np.eye(3), tol),
+    "rotate": lambda tol: tt.rotate(FIXTURE, np.eye(3), tol),
+    "rotate_mat": lambda tol: tt.rotate_mat(np.eye(3), np.eye(3), tol),
+    "rotate_vec": lambda tol: tt.rotate_vec(E1, np.eye(3), tol),
+    "classify": lambda tol: tt.classify(FIXTURE, tol),
+    "selective_symmetry_via_levi_civita": lambda tol: tt.selective_symmetry_via_levi_civita(
+        FIXTURE, tol
+    ),
+    "sym_eig3": lambda tol: tt.sym_eig3(np.eye(3), tol),
+    "rank_and_nullspace": lambda tol: tt.rank_and_nullspace(FIXTURE, tol),
+    "l_inverse": lambda tol: tt.l_inverse(FIXTURE, tol),
+    "is_orthogonal_tensor": lambda tol: tt.is_orthogonal_tensor(FIXTURE, tol),
+    "eig_decompose_partial": lambda tol: tt.eig_decompose_partial(FIXTURE, "right", tol),
+    "max_singular_value": lambda tol: tt.max_singular_value(FIXTURE, restarts=2, tol=tol),
+    "max_c_eigenvalue": lambda tol: tt.max_c_eigenvalue(FIXTURE, restarts=2, tol=tol),
+    "max_z_eigenvalue": lambda tol: tt.max_z_eigenvalue(FIXTURE, restarts=2, tol=tol),
+}
+
+
+def test_tol_contract_lists_every_public_tol():
+    import inspect
+
+    takes_tol = {
+        name for name in tt.__all__
+        if callable(getattr(tt, name)) and not isinstance(getattr(tt, name), type)
+        and "tol" in inspect.signature(getattr(tt, name)).parameters
+    }
+    assert takes_tol == set(TOL_CONTRACT)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-10 + 0j, True])
+@pytest.mark.parametrize("name", list(TOL_CONTRACT))
+def test_tol_contract(name, tol):
+    # NaN made verdicts false or ran a solver to max_iters, and -1 called
+    # a symmetric tensor non-symmetric; now each refuses with ValueError
+    with pytest.raises(ValueError, match="tol must be a finite real number > 0"):
+        TOL_CONTRACT[name](tol)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1, np.float32(1e-6), 2.0**-40])
+def test_valid_tols_pass_unchanged(tol):
+    assert core._tolerance(tol) is tol
+    assert tt.classify(FIXTURE, tol).tol is tol

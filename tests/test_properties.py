@@ -1,17 +1,20 @@
 """Property tests on generated 3x3x3 tensors (hypothesis)."""
 
+from itertools import permutations
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tritensor as tt
-from tritensor import spectral
+from tritensor import core, spectral, varspec
 
 # entries are normal floats of moderate size or exact zeros, so scaling
 # by 2^-60..2^60 stays inside the normal float64 range
 entries = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
 tensors = arrays(np.float64, (3, 3, 3), elements=entries)
+symmetric = tensors.map(lambda a: sum(a.transpose(p) for p in permutations(range(3))) / 6.0)
 
 # each property runs 50 examples, to keep the module near a second
 few = settings(max_examples=50)
@@ -66,3 +69,18 @@ def test_memoized_l_eigen_equals_a_fresh_one(a):
     fresh = tt.l_eigen(a)
     for name in ("sigma", "x", "V"):
         assert getattr(warm, name).tobytes() == getattr(fresh, name).tobytes()
+
+
+@few
+@given(symmetric, st.integers(0, 2**16))
+def test_enumerated_nu_1_tops_the_multistart_and_ignores_rotations(a, r):
+    try:
+        spectrum = tt.z_spectrum(a)
+    except tt.Uncertified:  # the zero tensor, rank-one ones and their like
+        return
+    nu, norm = spectrum.values[0], np.linalg.norm(a)
+    scaled, exp = core._scaled(a, "Hyper3")
+    multistart = varspec._multistart("z_eigen", scaled, exp, 12, 1e-12, 10000, 0, None)
+    assert nu >= multistart.value - 1e-12 * norm
+    rotated = tt.max_z_eigenvalue(tt.rotate(a, tt.random_rotation(r)))
+    assert abs(rotated.value - nu) <= 1e-12 * norm

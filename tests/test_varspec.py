@@ -1,15 +1,19 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tritensor as tt
-from tritensor import varspec
+from tritensor import core, varspec
 from tritensor.errors import (
-    NoConvergence, NotPartiallySymmetric, NotRightSymmetric, NotSymmetric, Unrepresentable,
+    NoConvergence, NotPartiallySymmetric, NotRightSymmetric, NotSymmetric, Uncertified,
+    Unrepresentable,
 )
 from tritensor.symmetry import FIXTURE_CLASSES, _swap_symmetric
 
@@ -20,6 +24,13 @@ ZERO = np.zeros((3, 3, 3))
 
 def unit(v):
     return v / np.linalg.norm(v)
+
+
+def z_multistart(a, restarts, seed=0, history_out=None, max_iters=10000):
+    """The Z multistart that ``max_z_eigenvalue`` falls back to, run
+    whether or not the enumeration would certify."""
+    a, exp = core._scaled(a, "Hyper3")
+    return varspec._multistart("z_eigen", a, exp, restarts, 1e-12, max_iters, seed, history_out)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +201,18 @@ def test_z_eigen_requires_symmetry():
 def test_z_eigen_single_cube():
     x = unit(random_vec(2))
     triple = tt.max_z_eigenvalue(2.25 * tt.outer(x, x, x), restarts=16)
+    # a circle of eigenvectors at 0: the enumeration cannot certify
+    assert triple.method == "multistart"
     assert abs(triple.value - 2.25) <= 1e-10
     assert np.array_equal(triple.x, triple.y)
     assert np.array_equal(triple.x, triple.z)
 
 
 def test_z_eigen_zero():
-    assert tt.max_z_eigenvalue(ZERO).value == 0.0
+    triple = tt.max_z_eigenvalue(ZERO)
+    assert (triple.value, triple.method) == (0.0, "multistart")
+    with pytest.raises(Uncertified):
+        tt.z_spectrum(ZERO)
 
 
 def test_z_eigen_eigenframe_cubes():
@@ -227,9 +243,139 @@ def test_z_eigen_chain_and_oracle(seed):
 def test_z_eigen_monotone_objective():
     a = tt.make_fixture("symmetric", 21)
     history = []
-    tt.max_z_eigenvalue(a, restarts=8, history_out=history)
+    z_multistart(a, 8, history_out=history)
     series = np.stack(history)
     assert np.diff(series, axis=0).min() >= -1e-13 * max(1.0, np.linalg.norm(a))
+
+
+# ---------------------------------------------------------------------------
+# every Z-eigenpair by elimination
+
+
+def _subset_pairs(lam):
+    """The Z-eigenpairs of sum_i lam_i e_i^(3): x ~ sum over a subset S of
+    e_i / lam_i, at 1 / sqrt(sum_S lam_i^-2), one per nonempty subset."""
+    pairs = []
+    for mask in itertools.product((0.0, 1.0), repeat=3):
+        if any(mask):
+            x = np.array(mask) / lam
+            pairs.append((1.0 / np.linalg.norm(x), x / np.linalg.norm(x)))
+    return sorted(pairs, key=lambda p: -p[0])
+
+
+def test_z_spectrum_of_eigenframe_cubes_is_the_subset_formula():
+    p = np.asarray(tt.random_rotation(30))
+    lam = np.array([0.5, 2.0, -1.0])
+    a = sum(lam[i] * tt.outer(p[:, i], p[:, i], p[:, i]) for i in range(3))
+    spectrum = tt.z_spectrum(a)
+    want = _subset_pairs(lam)
+    assert len(spectrum.values) == 7
+    for value, vector, (w_value, w_vector) in zip(spectrum.values, spectrum.vectors, want):
+        assert abs(value - w_value) <= 1e-14
+        # signed so that the cubic form is nonnegative
+        w_vector = p @ w_vector
+        w_vector = w_vector * np.sign(np.einsum("ijk,i,j,k->", a, w_vector, w_vector, w_vector))
+        assert np.abs(vector - w_vector).max() <= 1e-13
+
+
+@pytest.mark.parametrize("klass", ["symmetric", "primarily_symmetric"])
+def test_z_spectrum_pairs_solve_the_defining_equations(klass):
+    for seed in range(10):
+        a = np.asarray(tt.make_fixture(klass, seed))
+        spectrum = tt.z_spectrum(a)
+        values, vectors = spectrum.values, spectrum.vectors
+        assert len(values) in (1, 3, 5, 7)
+        assert np.all(np.diff(values) <= 0.0) and values[-1] >= 0.0
+        assert np.abs(np.linalg.norm(vectors, axis=1) - 1.0).max() <= 1e-15
+        gx = np.einsum("ijk,nj,nk->ni", a, vectors, vectors)
+        residual = np.linalg.norm(gx - values[:, None] * vectors, axis=1)
+        assert residual.max() <= 1e-14 * max(1.0, np.linalg.norm(a))
+        assert np.all(spectrum.residuals <= 1e-12)
+        triple = tt.max_z_eigenvalue(a)
+        assert triple.method == "enumerated"
+        assert triple.value == values[0]
+        assert triple.x.tobytes() == vectors[0].tobytes()
+
+
+def test_z_spectrum_requires_symmetry():
+    for a in (tt.make_fixture("right_symmetric", 0), 1e-9 * random_hyper3(0)):
+        with pytest.raises(NotSymmetric):
+            tt.z_spectrum(a)
+
+
+def _slow_tensor():
+    """The 15th draw of sum_i w_i v_i^(3) from default_rng(1), on which the
+    Z multistart took 1351 iterations at seed 1 and ran out of its
+    10 000 at seed 2 and 64 restarts."""
+    rng = np.random.default_rng(1)
+    for _ in range(15):
+        v, w = rng.standard_normal((3, 3)), rng.standard_normal(3)
+    return sum(w[i] * tt.outer(v[i], v[i], v[i]) for i in range(3))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_z_eigen_slow_tensor_in_one_enumerated_call(seed):
+    a = _slow_tensor()
+    history = []
+    triple = tt.max_z_eigenvalue(a, seed=seed, history_out=history)
+    assert (triple.method, history) == ("enumerated", [])
+    assert abs(triple.value - 9.6715231127223) <= 1e-12 * triple.value
+    assert len(tt.z_spectrum(a).values) == 7
+
+
+def _rank_one(noise):
+    v = unit(random_vec(3))
+    n = np.asarray(tt.make_fixture("symmetric", 1))
+    return 3.0 * tt.outer(v, v, v) + noise * n / np.linalg.norm(n)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-12, 1e-9, 1e-6])
+def test_z_eigen_rank_one_plus_noise(noise):
+    # nu_1 = 3 + noise * N(v, v, v) to first order, |N(v, v, v)| <= ||N|| = 1
+    # the restarts that reach v converge in ~30 iterations; those near the
+    # circle crawl, so max_iters is cut (the multistart keeps what converged)
+    a = _rank_one(noise)
+    triple = tt.max_z_eigenvalue(a, restarts=12, max_iters=300)
+    assert abs(triple.value - 3.0) <= 2.0 * noise + 1e-14
+    reference = z_multistart(a, 12, max_iters=300).value
+    assert triple.value >= reference - 1e-12 * np.linalg.norm(a)
+    # the eigenvectors orthogonal to v are (nearly) a circle: the
+    # resultant is (nearly) zero and its rounding fails the certificate,
+    # where the uncertified roots gave 6.9e-6 for noise 0
+    assert triple.method == "multistart"
+    with pytest.raises(Uncertified):
+        tt.z_spectrum(a)
+
+
+def test_z_eigen_rank_two_has_a_multiple_root():
+    # the eigenvector orthogonal to both terms has multiplicity 4, which
+    # rounding splits into roots ~1e-4 apart; without the conditioning
+    # bound the enumeration kept one real pair and lost that eigenvector
+    u = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    a = tt.outer(*[np.eye(3)[0]] * 3) + 2.0 * tt.outer(u, u, u)
+    with pytest.raises(Uncertified):
+        tt.z_spectrum(a)
+    triple = tt.max_z_eigenvalue(a, restarts=16)
+    assert triple.method == "multistart"
+    assert abs(triple.value - oracle_nu1(a)) <= 1e-6
+
+
+def test_z_eigen_imports_neither_numpy_random_nor_numpy_fft():
+    # the CLI process pays for every import: the enumeration uses neither
+    # module (numpy 2.4 imports both lazily)
+    entries = np.asarray(tt.make_fixture("symmetric", 7)).tolist()
+    code = (
+        "import sys, tritensor\n"
+        f"triple = tritensor.max_z_eigenvalue({entries!r})\n"
+        "print(triple.method, 'numpy.random' in sys.modules, 'numpy.fft' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["enumerated", "False", "False"]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +385,7 @@ def test_z_eigen_monotone_objective():
 @pytest.mark.parametrize("c", [2.0**-20, 1e-4, 1.0, 2.0**20, 1e160])
 def test_c_and_z_maxima_scale_with_the_tensor(c):
     a = np.asarray(tt.make_fixture("symmetric", 3))
-    for solve in (tt.max_c_eigenvalue, tt.max_z_eigenvalue):
+    for solve in (tt.max_c_eigenvalue, z_multistart):
         history, scaled_history = [], []
         value = solve(a, restarts=12, history_out=history).value
         scaled = solve(c * a, restarts=12, history_out=scaled_history).value
@@ -247,13 +393,22 @@ def test_c_and_z_maxima_scale_with_the_tensor(c):
         if np.log2(c).is_integer():
             # power-of-two scaling is exact, so the iteration is the same
             assert len(scaled_history) == len(history)
+    # the enumeration runs on the tensor scaled by a power of two as well
+    enumerated = tt.max_z_eigenvalue(a)
+    scaled = tt.max_z_eigenvalue(c * a)
+    assert enumerated.method == scaled.method == "enumerated"
+    assert abs(scaled.value - c * enumerated.value) <= 1e-12 * c * enumerated.value
+    if np.log2(c).is_integer():
+        assert scaled.value == np.ldexp(enumerated.value, int(np.log2(c)))
+        assert scaled.x.tobytes() == enumerated.x.tobytes()
 
 
 def test_audit_pairs_iteration_totals():
     # the 32 (fixture, rotation) pairs of criterion 4 that the audit
     # benchmark times; the fixed-shift power iterations without a Newton
     # finish needed 891 / 4773 / 6336 iterations in total
-    totals = {tt.max_singular_value: 0, tt.max_c_eigenvalue: 0, tt.max_z_eigenvalue: 0}
+    totals = {tt.max_singular_value: 0, tt.max_c_eigenvalue: 0, z_multistart: 0}
+    methods = []
     for klass in ("symmetric", "primarily_symmetric"):
         for i in range(8):
             a = tt.make_fixture(klass, i)
@@ -263,9 +418,11 @@ def test_audit_pairs_iteration_totals():
                     history = []
                     solve(rotated, restarts=12, history_out=history)
                     totals[solve] += len(history)
+                methods.append(tt.max_z_eigenvalue(rotated, restarts=12).method)
     assert totals[tt.max_singular_value] <= 891
     assert totals[tt.max_c_eigenvalue] <= 4773 // 2
-    assert totals[tt.max_z_eigenvalue] <= 6336 // 2
+    assert totals[z_multistart] <= 6336 // 2
+    assert methods == ["enumerated"] * 32
 
 
 def _gate_inputs():
@@ -353,13 +510,13 @@ def test_starts_are_the_per_block_draws_and_take_every_seed_form():
     # Generator draws the same starts as the integer behind it, and None
     # draws fresh entropy
     a = tt.make_fixture("symmetric", 5)
-    want = tt.max_z_eigenvalue(a, restarts=4, seed=3).as_dict()
+    want = z_multistart(a, 4, seed=3).as_dict()
     for seed in (np.random.SeedSequence(3), np.random.default_rng(3)):
-        assert tt.max_z_eigenvalue(a, restarts=4, seed=seed).as_dict() == want
+        assert z_multistart(a, 4, seed=seed).as_dict() == want
     # at 4 restarts about 1 fresh seed in 10 lands on the local maximum
     # 1.657 instead of 1.721; at the default 64 none did in 300 seeds
-    reference = tt.max_z_eigenvalue(a, seed=3).value
-    fresh = tt.max_z_eigenvalue(a, seed=None)
+    reference = z_multistart(a, 64, seed=3).value
+    fresh = z_multistart(a, 64, seed=None)
     assert abs(fresh.value - reference) <= 1e-9 * abs(reference)
 
 
@@ -403,7 +560,7 @@ def test_two_threads_alternating_seeds_get_the_serial_results():
 
     def solve(seed):
         history = []
-        triple = tt.max_z_eigenvalue(a, restarts=4, seed=seed, history_out=history)
+        triple = z_multistart(a, 4, seed=seed, history_out=history)
         return triple.as_dict(), [row.tobytes() for row in history]
 
     serial = [solve(0), solve(1)]

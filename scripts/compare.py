@@ -10,16 +10,16 @@ and reports four parts:
   the errors they raise) on the fixtures and on Gaussian tensors at norms
   from 1e-40 to 1e160, and the CLI's ``fixture``, ``classify`` and
   ``decompose`` reports, fed through standard input;
-- ``solver_golden``: for the singular and C solves of acceptance
-  criteria 4 and 6, one sha256 per tree and solver over each result
-  (without ``method``, which the parent may lack) and its
-  ``history_out`` rows; the 2220 Z solves are compared by value, since
-  the enumeration finds nu_1 without iterating: equal within
-  1e-12 * max(1, |nu|), or listed under ``rose`` (a maximum the
-  parent's multistart missed) or ``fell`` (a failure), with the count
-  of each ``method``.  A Z solve's index runs over criterion 4's 20
-  fixtures x 101 orientations (unrotated first), then criterion 6's
-  200 fixtures;
+- ``solver_golden``: for the singular solves of acceptance criteria 4
+  and 6, one sha256 per tree over each result (without ``method``,
+  which the parent may lack) and its ``history_out`` rows; the 2420 C
+  and 2220 Z solves are compared by value, since the enumerations find
+  mu_1 and nu_1 without iterating: equal within 1e-12 * max(1, |value|),
+  or listed under ``rose`` (a maximum the parent's multistart missed) or
+  ``fell`` (a failure), with the count of each ``method``.  A solve's
+  index runs over criterion 4's 20 fixtures x 101 orientations
+  (unrotated first), then criterion 6's 200 symmetric fixtures, then
+  (C only) its 200 right-side symmetric ones;
 - ``layers``: per closed-form layer and tree, the median and the sum over
   64 inputs of the fastest of 41 calls, and one sha256 over the outputs;
   ``analyze_item`` sums the layers that one item of the ``analyze``
@@ -30,17 +30,17 @@ and reports four parts:
   the call to the first ``history_out`` append: gate, set-up and first
   iteration), mean lap between appends and epilogue (from the last
   append: the merge), and the iteration count.  The lap parts cover the
-  solves that iterate; an enumerated Z solve has only its whole time.
+  solves that iterate; an enumerated C or Z solve has only its whole time.
 
 The parent tree builds the lap inputs.  The trees take turns call by
 call and the one that goes first alternates, so a slow phase of the host
 falls on both; a case whose output (for a solve, its iteration count)
 varies between rounds stops the run.  Equal hashes mean both trees return
 the same bits.  The report is printed and written to ``--out``, and then
-the exit code is 1 if any hash differs or any Z value fell.  Run from
-the repository root, with BLAS on one thread::
+the exit code is 1 if any hash differs or any C or Z value fell.  Run
+from the repository root, with BLAS on one thread::
 
-    python scripts/compare.py --parent HEAD~1 --out BENCH_11.json
+    python scripts/compare.py --parent HEAD~1 --out BENCH_12.json
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ SOLVERS = ("max_singular_value", "max_c_eigenvalue", "max_z_eigenvalue")
 RESTARTS = 12
 # the restart counts of the solver laps
 LAP_RESTARTS = (12, 64)
-# a Z value counts as equal within this, relative to max(1, |nu|)
-Z_VALUE_TOL = 1e-12
+# a C or Z value counts as equal within this, relative to max(1, |value|)
+VALUE_TOL = 1e-12
 LAYER_ROUNDS = 41
 SOLVER_ROUNDS = 21
 SIDES = ("right", "left", "central")
@@ -222,15 +222,15 @@ def solve_records(tt, solves):
             yield np.ascontiguousarray(row).tobytes()
 
 
-def z_values(trees: dict, solves: list) -> dict:
-    """The Z solves of both trees compared by value."""
+def by_value(trees: dict, solves: list) -> dict:
+    """The solves of both trees compared by value."""
     rose, fell, methods = [], [], {}
     for n, (s, a, restarts, seed) in enumerate(solves):
-        before = trees["parent"].max_z_eigenvalue(a, restarts=restarts, seed=seed)
-        after = trees["change"].max_z_eigenvalue(a, restarts=restarts, seed=seed)
+        before = getattr(trees["parent"], s)(a, restarts=restarts, seed=seed)
+        after = getattr(trees["change"], s)(a, restarts=restarts, seed=seed)
         methods[after.method] = methods.get(after.method, 0) + 1
         gap = after.value - before.value
-        if abs(gap) > Z_VALUE_TOL * max(1.0, abs(before.value)):
+        if abs(gap) > VALUE_TOL * max(1.0, abs(before.value)):
             case = {"solve": n, "restarts": restarts, "seed": seed, "method": after.method,
                     "parent": before.value, "change": after.value}
             (rose if gap > 0.0 else fell).append(case)
@@ -240,12 +240,12 @@ def z_values(trees: dict, solves: list) -> dict:
 
 def solver_golden(trees: dict) -> dict:
     solves = list(golden_solves(trees["parent"]))
-    out = {}
-    for solver in SOLVERS[:2]:
-        mine = [case for case in solves if case[0] == solver]
-        part = {n: sha256_of(solve_records(tt, mine)) for n, tt in trees.items()}
-        out[solver] = {"solves": len(mine), **part, "equal": part["parent"] == part["change"]}
-    out[SOLVERS[2]] = z_values(trees, [case for case in solves if case[0] == SOLVERS[2]])
+    mine = {s: [case for case in solves if case[0] == s] for s in SOLVERS}
+    part = {n: sha256_of(solve_records(tt, mine[SOLVERS[0]])) for n, tt in trees.items()}
+    out = {SOLVERS[0]: {"solves": len(mine[SOLVERS[0]]), **part,
+                        "equal": part["parent"] == part["change"]}}
+    for solver in SOLVERS[1:]:
+        out[solver] = by_value(trees, mine[solver])
     out["equal"] = all(part["equal"] for part in out.values())
     return out
 

@@ -6,7 +6,8 @@ identical inputs, flags and seeds: all randomness is seeded and numbers
 are printed with shortest round-trip formatting.
 
 Exit codes: 0 success, 2 validation error (including unreadable input and
-unwritable output files), 3 singular tensor, 4 no convergence.
+unwritable output files) or an eigenpair enumeration that cannot certify
+its result, 3 singular tensor, 4 no convergence.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from . import core, spectral, varspec
-from .errors import NoConvergence, SingularTensor, TensorError
+from .errors import NoConvergence, SingularTensor, TensorError, Uncertified
 from .symmetry import FIXTURE_CLASSES, classify, make_fixture
 
 EXIT_OK = 0
@@ -204,6 +205,27 @@ def _variational(solve):
     return report
 
 
+# a spectrum field's name in the row of one pair
+_ROW_KEYS = {"values": "value", "vectors": "vector", "residuals": "residual"}
+
+
+def _spectrum(solve, title: str):
+    """The report function of one eigenpair enumeration."""
+
+    def report(args, a, name):
+        fields = vars(solve(a))
+        lines = [f"{title} of {name}, real pairs: {len(fields['values'])}"]
+        for n in range(len(fields["values"])):
+            cells = [
+                f"{_ROW_KEYS.get(key, key)} = " + (_fmt_vec(v[n]) if v.ndim == 2 else _fmt(v[n]))
+                for key, v in fields.items()
+            ]
+            lines.append(f"  {n + 1}: " + "  ".join(cells))
+        return {key: v.tolist() for key, v in fields.items()}, lines
+
+    return report
+
+
 def _invariants(args, a, name):
     doc = spectral.invariants(a).as_dict()
     return doc, _aligned(f"invariants of {name}", {k: _fmt(v) for k, v in doc.items()})
@@ -322,6 +344,10 @@ _COMMANDS = {
     "singular": ("largest singular value", _variational(varspec.max_singular_value), _SOLVER),
     "c-eigen": ("largest C-eigenvalue", _variational(varspec.max_c_eigenvalue), _SOLVER),
     "z-eigen": ("largest Z-eigenvalue", _variational(varspec.max_z_eigenvalue), _SOLVER),
+    "c-spectrum": ("every real C-eigenpair, certified",
+                   _spectrum(varspec.c_spectrum, "C-eigenpairs"), _IO),
+    "z-spectrum": ("every real Z-eigenpair, certified",
+                   _spectrum(varspec.z_spectrum, "Z-eigenpairs"), _IO),
     "invariants": ("the seven kernel invariants", _invariants, _IO),
     "decompose": ("eigenvector decomposition", _decompose, (*_IO, _tol(1e-8),
                   _arg("--side", choices=("right", "left", "central"), default="right"))),
@@ -363,7 +389,7 @@ def run(argv=None) -> int:
     try:
         a, name = read_tensor(args.tensor) if hasattr(args, "tensor") else (None, None)
         _emit(args, *report(args, a, name))
-    except (TensorError, NoConvergence) as exc:
+    except (TensorError, NoConvergence, Uncertified) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         if isinstance(exc, SingularTensor):
             return EXIT_SINGULAR

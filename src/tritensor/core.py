@@ -285,23 +285,28 @@ def _random_frame(rng: np.random.Generator) -> np.ndarray:
     """Modified Gram-Schmidt on the columns of the first Gaussian 3x3 draw
     of ``rng`` that is not too degenerate for it."""
     q = rng.standard_normal((3, 3))
+    columns = (q[:, 0], q[:, 1], q[:, 2])  # views: each update lands in q
     for pass_ in range(2):  # second pass tightens orthogonality to ~1e-16
-        for j in range(3):
-            for i in range(j):
-                q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
-            n = float(np.linalg.norm(q[:, j]))
+        for j, column in enumerate(columns):
+            for earlier in columns[:j]:
+                column -= earlier.dot(column) * earlier
+            flat = column.ravel()  # np.linalg.norm's sqrt(x.dot(x)) on its contiguous copy
+            n = math.sqrt(flat.dot(flat))
             if n < 1e-8:
                 return _random_frame(rng)
-            q[:, j] /= n
+            column /= n
     return q
 
 
 def random_rotation(seed: int) -> Mat3:
     """Deterministic proper rotation (det = +1) from a seeded Gaussian sample."""
     q = _random_frame(np.random.default_rng(seed))
-    if np.linalg.det(q) < 0.0:
+    (a, b, c), (d, e, f), (g, h, i) = q.tolist()
+    # the determinant of an orthonormal q is +-1, so its sign is never in doubt
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0.0:
         q[:, 2] = -q[:, 2]
-    return mat3(q)
+    q.setflags(write=False)  # finite by construction, a fresh C-ordered array
+    return q
 
 
 def _build_levi_civita() -> Hyper3:

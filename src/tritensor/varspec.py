@@ -15,9 +15,11 @@ triple does not depend on execution order.  Global optimality is not
 certified, so ``starts_converged`` reports how many restarts agreed
 with the returned point; raise ``restarts`` if it looks thin.
 
-Z-eigenpairs are enumerated instead, all of them in one elimination (see
-``z_spectrum``); ``max_z_eigenvalue`` runs the multistart only when the
-enumeration cannot certify its result.
+C- and Z-eigenpairs are enumerated instead, all of them in one
+elimination per kind (see ``c_spectrum`` and ``z_spectrum``), whose
+certificate is shared; ``max_c_eigenvalue`` and ``max_z_eigenvalue`` run
+the multistart only when the enumeration cannot certify its result, so
+only ``max_singular_value`` (eta_1) always rests on the multistart.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .spectral import _lead_signs
 from .symmetry import _PAIR_SWAPS, _swap_symmetric
 
 __all__ = [
-    "CriticalTriple", "ZSpectrum", "max_singular_value", "max_c_eigenvalue", "max_z_eigenvalue",
-    "z_spectrum",
+    "CriticalTriple", "CSpectrum", "ZSpectrum", "max_singular_value", "max_c_eigenvalue",
+    "max_z_eigenvalue", "c_spectrum", "z_spectrum",
 ]
 
 _STALL = 1e-30
@@ -62,9 +64,10 @@ class CriticalTriple:
     ``starts_converged`` counts the restarts that converged to this same
     point (value within 1e-8, vectors within 1e-6 after sign
     canonicalization).  ``method`` is "multistart", or "enumerated" for a
-    Z-eigenpair taken from a certified ``z_spectrum``; there
-    ``starts_converged`` counts the real pairs that merge with the best
-    under the same tolerances, which certification makes 1.
+    C- or Z-eigenpair taken from a certified ``c_spectrum`` or
+    ``z_spectrum``; there ``starts_converged`` counts the real pairs that
+    merge with the best under the same tolerances, which certification
+    makes 1.
     """
 
     kind: str
@@ -337,23 +340,26 @@ def _multistart(kind, a, exp, restarts, tol, max_iters, seed, history_out) -> Cr
 
 
 # ---------------------------------------------------------------------------
-# Z-eigenpairs by elimination
+# Eigenpairs by elimination
 #
-# A symmetric 3x3x3 tensor whose Z-eigenvectors are isolated has 7 of
-# them, complex ones included, up to scale (Cartwright & Sturmfels, Linear
-# Algebra Appl. 438, 2013).  In the coordinates x' = R x of a fixed chart
-# rotation R, with g' = A' x' x' for the rotated tensor A', the points
-# x' = (1, t, s) where g' is parallel to x' are the common zeros of
-# p = g'_2 - t g'_1 (degree 2 in s) and q = g'_3 - s g'_1 (degree 3).
-# Their 5x5 Sylvester determinant in s is then a polynomial in t of
-# degree 7 whose roots are the t of the 7 eigenvectors (the E-
-# characteristic route of Qi, J. Symb. Comput. 40, 2005).  Its entries
-# have degree <= 3 in t, so the determinant has degree <= 13, and its
-# values at the 16th roots of unity give its coefficients through an
-# inverse DFT.
+# Both kinds of eigenvector are the points v on S^2 where a cubic vector
+# field g(v) is parallel to v: g = A x x for Z-eigenpairs, and for
+# C-eigenpairs g = sum_i (A y y)_i A_i y, the gradient / 4 of the quartic
+# ||A y y||^2, whose critical points y give mu = ||A y y|| and x = A y y / mu.
+# For a generic tensor these points are isolated: 7 lines of them for Z and
+# 13 for C, complex ones included (Cartwright & Sturmfels, Linear Algebra
+# Appl. 438, 2013).  In the coordinates v' = R v of a fixed chart rotation
+# R, with g' = R g, the points v' = (1, t, s) where g' is parallel to v'
+# are the common zeros of p = g'_2 - t g'_1 and q = g'_3 - s g'_1, of
+# degrees 2 and 3 in s for Z, 3 and 4 for C.  Their Sylvester determinant
+# in s (5x5 for Z, 7x7 for C) is then a polynomial in t of degree 7 (13)
+# whose roots are the t of the eigenvectors (the E-characteristic route of
+# Qi, J. Symb. Comput. 40, 2005).  Its entries bound its degree by 13 (28),
+# so its values at the 16th (32nd) roots of unity give its coefficients
+# through an inverse DFT.
 
-# the chart rotations, fixed and generic; the second serves where the
-# first puts an eigenvector at x'_1 = 0 or two at one t
+# the chart rotations, fixed and generic; each serves where the ones
+# before it put an eigenvector at v'_1 = 0 or two at (nearly) one t
 _CHARTS = (
     np.array([
         [0.48814205186154747, -0.10277979675495673, 0.8666912083224384],
@@ -365,33 +371,54 @@ _CHARTS = (
         [0.4670048837511749, -0.7636170492835762, -0.4458648232323291],
         [-0.6502954690372025, 0.0450841784380635, -0.7583424159337586],
     ]),
+    # random_rotation(2036): of seeds 2000..2199, the one whose R and R R_k^T
+    # for the charts k above have the largest smallest |entry|
+    np.array([
+        [0.9185490521171795, -0.3574215769388361, 0.16887112006849125],
+        [-0.30791743826857926, -0.9148107850067345, -0.2613581428719562],
+        [0.24790016148592323, 0.18807191170910623, -0.9503549157874311],
+    ]),
 )
-_POINTS = 16
-# The certificate, with the coefficients c of the determinant in t: the
-# coefficients 8..15, zero in exact arithmetic, at most _NOISE ||c||; the
-# degree-7 one above _LEAD ||c||; the roots distinct, each one's
-# first-order error bound, under coefficient errors as large as the
-# largest of 8..15 (at least the rounding of ||c||), at most _CONDITION
-# times its distance to the nearest other root; every real pair, after
-# _POLISH_STEPS Newton steps, within _POLISHED ||A|| of the defining
-# equations.  On 3000 symmetrized Gaussian tensors (default_rng(2026))
-# the first chart measured 3.2e-15, 1.8e-6, 2.6e-6 and 3.8e-16 at the
-# worst; a root of multiplicity k, which rounding splits by ~1e-15^(1/k),
-# measured 0.7 to 25 against _CONDITION.
+# The certificate, with the coefficients c of the determinant in t and n
+# its degree: the coefficients above n, zero in exact arithmetic, at most
+# _NOISE ||c||; the degree-n one above _LEAD ||c||; the roots distinct,
+# each one's first-order error bound, under coefficient errors as large
+# as the largest of those above n (at least the rounding of ||c||), at most
+# _CONDITION times its distance to the nearest other root; every real
+# pair, after _POLISH_STEPS Newton steps, within _POLISHED ||A|| of the
+# defining equations, and no two of them merging.  On 3000 symmetrized
+# Gaussian tensors (default_rng(2026)) the Z elimination in the first chart
+# measured 3.2e-15, 1.8e-6, 2.6e-6 and 3.8e-16 at the worst; a root of
+# multiplicity k, which rounding splits by ~1e-15^(1/k), measured 0.7 to 25
+# against _CONDITION.  On 3000 right-symmetrized ones the C elimination
+# certified 2997 in the first chart, at worst 4.3e-15, 2.1e-8, 1.3e-4 and
+# 4.8e-16, and the other 3 in the second.
 _NOISE = 1e-11
 _LEAD = 1e-8
 _CONDITION = 1e-3
 _POLISHED = 1e-12
 _POLISH_STEPS = 3
+_Z_POINTS = 16
+_C_POINTS = 32
 
 
 @functools.cache
-def _chart_maps(chart: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E, W, D) of chart ``chart``: for a tensor ``a``, the Sylvester
-    matrices at the 16 points are (a.ravel() @ E).reshape(16, 5, 5), the
-    coefficient of s^d t^e in p (n = 0) and q (n = 1) is
-    (a.ravel() @ W).reshape(2, 4, 4)[n, d, e], and D takes the 16
-    determinants to the coefficients of t^0 .. t^15."""
+def _roots_of_unity(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``points``-th roots of unity w^j and the inverse DFT matrix
+    that takes a polynomial's values at them to its coefficients."""
+    unity = np.exp(2j * np.pi / points * np.arange(points))
+    inverse_dft = unity.conj()[None, :] ** np.arange(points)[:, None] / points
+    for arr in (unity, inverse_dft):  # shared by every caller
+        arr.setflags(write=False)
+    return unity, inverse_dft
+
+
+@functools.cache
+def _z_maps(chart: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E, W) of chart ``chart``: for a symmetric tensor ``a``, the Z
+    Sylvester matrices at the 16 points are (a.ravel() @ E).reshape(16, 5, 5)
+    and the coefficient of s^d t^e in p (n = 0) and q (n = 1) is
+    (a.ravel() @ W).reshape(2, 4, 4)[n, d, e]."""
     r = _CHARTS[chart]
     # x'_j x'_k of x' = (1, t, s) is s^d t^e, d = [j = 2] + [k = 2], e = [j = 1] + [k = 1]
     mono = np.zeros((3, 3, 4, 4))
@@ -408,79 +435,195 @@ def _chart_maps(chart: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         syl[:, row, row:row + 3] = pq[:, 0, 2::-1]
     for row in range(2):
         syl[:, 3 + row, row:row + 4] = pq[:, 1, 3::-1]
-    unity = np.exp(2j * np.pi / _POINTS * np.arange(_POINTS))
+    unity = _roots_of_unity(_Z_POINTS)[0]
     at_points = syl @ (unity[:, None] ** np.arange(4)).T  # (27, 5, 5, 16)
-    inverse_dft = unity.conj()[None, :] ** np.arange(_POINTS)[:, None] / _POINTS
-    maps = (at_points.transpose(0, 3, 1, 2).reshape(27, -1), pq.reshape(27, 32), inverse_dft)
-    for arr in maps:  # shared by every caller
+    maps = (at_points.transpose(0, 3, 1, 2).reshape(27, -1), pq.reshape(27, 32))
+    for arr in maps:
         arr.setflags(write=False)
     return maps
 
 
-def _z_chart(a: np.ndarray, chart: int):
-    """Every real Z-eigenpair of the scaled symmetric tensor ``a`` through
-    chart ``chart`` as (values >= 0, unit vectors (n, 3), residuals
-    relative to ||a||), best first, or None unless the certificate holds."""
-    at_points, pq, inverse_dft = _chart_maps(chart)
-    flat = a.reshape(27)
-    # a NaN or inf from rounding fails the certificate: each check is
-    # written so that a comparison with NaN fails it
+def _z_sylvester(a: np.ndarray, chart: int) -> np.ndarray:
+    return (a.reshape(27) @ _z_maps(chart)[0]).reshape(_Z_POINTS, 5, 5)
+
+
+def _z_states(a: np.ndarray, chart: int, t: np.ndarray) -> np.ndarray:
+    """Per real root t, the unit x on the chart line through (1, t, s), s
+    the root of the quadratic p at which |q| is smaller."""
+    coef = (a.reshape(27) @ _z_maps(chart)[1]).reshape(2, 4, 4) @ (t ** np.arange(4)[:, None])
+    (p0, p1, p2, _), (q0, q1, q2, q3) = coef
+    big = -p1 - np.copysign(np.sqrt(np.maximum(p1 * p1 - 4.0 * p0 * p2, 0.0)), p1)
+    s = np.stack((0.5 * big / p2, 2.0 * p0 / big))
+    q = np.abs(((q3 * s + q2) * s + q1) * s + q0)
+    q[~np.isfinite(q)] = np.inf
+    s = s[(q[1] < q[0]).astype(int), np.arange(len(t))]
+    x = np.stack((np.ones_like(t), t, s), axis=1) @ _CHARTS[chart]  # x = R^T x'
+    return (x / _norms(x)[:, None])[:, None]
+
+
+@functools.cache
+def _c_maps(chart: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, K) of chart ``chart``: for a right-side symmetric tensor ``a``
+    and b_i = R A_i R^T, u = a.ravel() @ M[:, :27] holds at [i, d, e] the
+    coefficient of s^d t^e of y' b_i y' (3x3 grid) and w = a.ravel() @
+    M[:, 27:] at [i, m, d, e] that of (b_i y')_m (2x2 grid), y' = (1, t, s);
+    einsum("ide,imfg->mdefg", u, w).ravel() @ K holds the coefficients of
+    s^d t^e of p (4x5 grid) and then of q (5x4 grid)."""
+    r = _CHARTS[chart]
+    # y'_n y'_k and y'_n as s^d t^e
+    mono2 = np.zeros((3, 3, 3, 3))
+    for n, k in itertools.product(range(3), repeat=2):
+        mono2[n, k, (n == 2) + (k == 2), (n == 1) + (k == 1)] = 1.0
+    mono1 = mono2[0, :, :2, :2]
+    eye = np.eye(3)
+    u = np.einsum("ab,nj,mk,nmde->ajkbde", eye, r, r, mono2).reshape(27, 27)
+    w = np.einsum("ab,ml,nk,nde->alkbmde", eye, r, r, mono1).reshape(27, 36)
+    # the term u_i[d, e] w_im[f, g] of g'_m = sum_i u_i w_im is s^(d+f) t^(e+g);
+    # p = g'_2 - t g'_1 and q = g'_3 - s g'_1
+    p = np.zeros((3, 3, 3, 2, 2, 4, 5))
+    q = np.zeros((3, 3, 3, 2, 2, 5, 4))
+    for term in itertools.product(range(3), range(3), range(3), range(2), range(2)):
+        m, d, e, f, g = term
+        if m == 0:
+            p[(*term, d + f, e + g + 1)] = -1.0
+            q[(*term, d + f + 1, e + g)] = -1.0
+        else:
+            (p if m == 1 else q)[(*term, d + f, e + g)] = 1.0
+    k = np.concatenate((p.reshape(108, 20), q.reshape(108, 20)), axis=1)
+    maps = (np.concatenate((u, w), axis=1), k)
+    for arr in maps:
+        arr.setflags(write=False)
+    return maps
+
+
+def _c_pq(a: np.ndarray, chart: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of s^d t^e of p (4x5) and q (5x4) in chart ``chart``."""
+    uw, k = _c_maps(chart)
+    uw = a.reshape(27) @ uw
+    terms = np.einsum("ide,imfg->mdefg", uw[:27].reshape(3, 3, 3), uw[27:].reshape(3, 3, 2, 2))
+    pq = terms.reshape(108) @ k
+    return pq[:20].reshape(4, 5), pq[20:].reshape(5, 4)
+
+
+@functools.cache
+def _c_sylvester_layout() -> tuple[np.ndarray, np.ndarray]:
+    """The powers t^0 .. t^4 at the 32 points, and where the 4 shifts of p
+    and the 3 of q, highest power of s first, sit in the flattened 7x7
+    Sylvester matrix (columns s^6 .. s^0)."""
+    unity = _roots_of_unity(_C_POINTS)[0]
+    cells = [(r, r + c) for r in range(4) for c in range(4)]
+    cells += [(4 + r, r + c) for r in range(3) for c in range(5)]
+    layout = (unity ** np.arange(5)[:, None], np.array([7 * i + j for i, j in cells]))
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
+def _c_sylvester(a: np.ndarray, chart: int) -> np.ndarray:
+    p, q = _c_pq(a, chart)
+    powers, cells = _c_sylvester_layout()
+    mats = np.zeros((_C_POINTS, 49), complex)
+    mats[:, cells] = np.concatenate(
+        (np.tile((p @ powers).T[:, ::-1], 4), np.tile((q @ powers[:4]).T[:, ::-1], 3)), axis=1
+    )
+    return mats.reshape(_C_POINTS, 7, 7)
+
+
+def _c_states(a: np.ndarray, chart: int, t: np.ndarray) -> np.ndarray:
+    """Per real root t, the unit y on the chart line through (1, t, s), s
+    the root of the cubic p at which |q| is smallest, and x = A y y / ||.||."""
+    p, q = _c_pq(a, chart)
+    powers = t ** np.arange(5)[:, None]
+    p, q = p @ powers, q @ powers[:4]  # (4, n) and (5, n): s^0 first
+    companion = np.zeros((len(t), 3, 3))
+    companion[:, 0] = (-p[2::-1] / p[3]).T
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    s = np.linalg.eigvals(companion)
+    at = np.abs((((q[4] * s.T + q[3]) * s.T + q[2]) * s.T + q[1]) * s.T + q[0])
+    at[~np.isfinite(at)] = np.inf
+    s = s[np.arange(len(t)), at.argmin(axis=0)].real
+    y = np.stack((np.ones_like(t), t, s), axis=1) @ _CHARTS[chart]  # y = R^T y'
+    y /= _norms(y)[:, None]
+    g = _pair(y, y) @ a.reshape(3, 9).T
+    return _blocks(g / _norms(g)[:, None], y)
+
+
+# per kind: the degree of the determinant in t, the Sylvester matrices at
+# the roots of unity, and the unpolished unit states of the real roots t.
+# Z's matrices are linear in A, so one constant map per chart takes A to
+# them; C's are quadratic in A and come from the coefficients of p and q.
+_ELIMINATIONS = {
+    "z_eigen": (7, _z_sylvester, _z_states),
+    "c_eigen": (13, _c_sylvester, _c_states),
+}
+
+
+def _certified_roots(c: np.ndarray, degree: int) -> np.ndarray | None:
+    """The real roots of the polynomial of degree ``degree`` whose
+    coefficients (t^0 first) the rounded ``c`` holds, or None unless the
+    root part of the certificate holds.  A NaN or inf in ``c`` fails it:
+    each check is written so that a comparison with NaN fails it."""
+    size = math.sqrt(np.vdot(c, c).real)
+    tail = np.abs(c[degree + 1:]).max()
+    if not (tail <= _NOISE * size and abs(c[degree]) > _LEAD * size):
+        return None
+    t = np.roots(c[degree::-1].real)
+    powers = t[:, None] ** np.arange(degree + 1)
+    slope = powers[:, :degree] @ (np.arange(1.0, degree + 1) * c[1:degree + 1].real)
+    noise = max(tail, np.finfo(float).eps * size)
+    bound = noise * np.abs(powers).sum(axis=1) / np.abs(slope)
+    gaps = np.abs(t[:, None] - t)
+    np.fill_diagonal(gaps, np.inf)
+    if not (bound <= _CONDITION * gaps.min(axis=1)).all():
+        return None
+    # a root within its bound of the real axis is real: a complex one
+    # would have its conjugate closer than the gaps allow
+    return t.real[np.abs(t.imag) <= bound]
+
+
+def _chart_pairs(kind: str, a: np.ndarray, chart: int):
+    """Every real ``kind`` eigenpair of the scaled tensor ``a`` through
+    chart ``chart`` as (values >= 0, the (n, k, 3) state blocks,
+    residuals relative to ||a||), best first, or None unless the
+    certificate holds."""
+    degree, sylvester, states = _ELIMINATIONS[kind]
+    slots, drawn, _, signs = _KINDS[kind]
+    m = a.reshape(3, 9)
     with np.errstate(all="ignore"):
-        c = inverse_dft @ np.linalg.det((flat @ at_points).reshape(_POINTS, 5, 5))
-        size = math.sqrt(np.vdot(c, c).real)
-        if not (np.abs(c[8:]).max() <= _NOISE * size and abs(c[7]) > _LEAD * size):
+        mats = sylvester(a, chart)
+        t = _certified_roots(_roots_of_unity(len(mats))[1] @ np.linalg.det(mats), degree)
+        if t is None or not len(t):
             return None
-        t = np.roots(c[7::-1].real)
-        powers = t[:, None] ** np.arange(8)
-        slope = powers[:, :7] @ (np.arange(1.0, 8.0) * c[1:8].real)
-        noise = max(np.abs(c[8:]).max(), np.finfo(float).eps * size)
-        bound = noise * np.abs(powers).sum(axis=1) / np.abs(slope)
-        gaps = np.abs(t[:, None] - t)
-        np.fill_diagonal(gaps, np.inf)
-        if not (bound <= _CONDITION * gaps.min(axis=1)).all():
-            return None
-        # a root within its bound of the real axis is real: a complex one
-        # would have its conjugate closer than the gaps allow
-        t = t.real[np.abs(t.imag) <= bound]
-        # per real t, the root s of p at which |q| is smaller
-        coef = (flat @ pq).reshape(2, 4, 4) @ (t ** np.arange(4)[:, None])
-        (p0, p1, p2, _), (q0, q1, q2, q3) = coef
-        big = -p1 - np.copysign(np.sqrt(np.maximum(p1 * p1 - 4.0 * p0 * p2, 0.0)), p1)
-        s = np.stack((0.5 * big / p2, 2.0 * p0 / big))
-        q = np.abs(((q3 * s + q2) * s + q1) * s + q0)
-        q[~np.isfinite(q)] = np.inf
-        s = s[(q[1] < q[0]).astype(int), np.arange(len(t))]
-        x = np.stack((np.ones_like(t), t, s), axis=1) @ _CHARTS[chart]  # x = R^T x'
-        state = (x / _norms(x)[:, None])[:, None]
-        m = a.reshape(3, 9)
-        jmap = _jacobian_map(a, (0, 0, 0), 1)
+        jmap = _jacobian_map(a, slots, len(drawn))
         try:
+            state = states(a, chart, t)
             for _ in range(_POLISH_STEPS):
-                state = _newton(jmap, state, _potential(m, state, (0, 0, 0)))
-        except np.linalg.LinAlgError:  # an exactly singular system
+                state = _newton(jmap, state, _potential(m, state, slots))
+        except np.linalg.LinAlgError:  # an exactly singular system, or a NaN
             return None
-        vecs = state[:, 0]
-        g = _pair(vecs, vecs) @ m.T
-        f = _dot(g, vecs)
-        resid = _norms(g - f[:, None] * vecs) / core._frobenius(a)
+        state = state * signs(m, state)[:, :, None]
+        f = _potential(m, state, slots)
+        resid = _residual(jmap, state, f) / core._frobenius(a)
     if not (resid <= _POLISHED).all():
         return None
-    # the odd degree lets x flip to make the cubic form nonnegative
-    flip = np.where(f < 0.0, -1.0, 1.0)
-    f, vecs = flip * f, flip[:, None] * vecs
+    # the blocks order and merge as the slot vectors do, which repeat them
+    vecs = state.reshape(len(f), -1)
     order = np.lexsort((*vecs.T[::-1], -f))
-    f, vecs, resid = f[order], vecs[order], resid[order]
-    if _merging(f, vecs, np.arange(len(f))).sum() > len(f):  # two roots, one pair
+    if _merging(f[order], vecs[order], np.arange(len(f))).sum() > len(f):  # two roots, one pair
         return None
-    return f, vecs, resid
+    return f[order], state[order], resid[order]
 
 
-def _z_enumerated(a: np.ndarray):
-    """``_z_chart`` of the first chart that certifies, or None."""
+def _enumerated(kind: str, a: np.ndarray, exp: int):
+    """The real ``kind`` eigenpairs of ldexp(a, exp) from the first chart
+    that certifies, as (values, (n, k, 3) state blocks, residuals relative
+    to max(1, ||A||)), or None."""
     for chart in range(len(_CHARTS)):
-        pairs = _z_chart(a, chart)
+        pairs = _chart_pairs(kind, a, chart)
         if pairs is not None:
-            return pairs
+            values, blocks, resid = pairs
+            scale = _unscaled_residual(core._frobenius(a), exp)
+            return np.ldexp(values, exp), blocks, resid * scale
     return None
 
 
@@ -500,6 +643,25 @@ class ZSpectrum:
     residuals: np.ndarray  # (n,)
 
 
+@dataclass(frozen=True)
+class CSpectrum:
+    """Every real C-eigenpair A y y = mu x, x A y = mu y, |x| = |y| = 1, of
+    a right-side symmetric tensor.
+
+    One pair per critical line +-y of ||A y y||^2 on the unit sphere, with
+    mu = ||A y y|| > 0, x = A y y / mu and y signed so that its first
+    largest-magnitude entry is positive ((x, -y) is the same pair): an odd
+    number from 3 to 13.  ``values`` descend, ties broken
+    lexicographically on (x, y); ``residuals[n]`` is the larger of
+    |A y y - mu x| and |x A y - mu y| relative to max(1, ||A||).
+    """
+
+    values: np.ndarray  # (n,)
+    x: np.ndarray  # (n, 3)
+    y: np.ndarray  # (n, 3)
+    residuals: np.ndarray  # (n,)
+
+
 def _solver_inputs(a, tol, restarts: int, max_iters: int) -> tuple[np.ndarray, int, float]:
     """The solvers' common gates: ``core._scaled(a, "Hyper3")`` and the checked ``tol``."""
     a, exp = core._scaled(a, "Hyper3")
@@ -510,9 +672,42 @@ def _solver_inputs(a, tol, restarts: int, max_iters: int) -> tuple[np.ndarray, i
     return a, exp, tol
 
 
-def _require_symmetric(a: np.ndarray) -> None:
-    if not _swap_symmetric(a, 1e-8, *_PAIR_SWAPS):
-        raise NotSymmetric("Z-eigenvalues require a symmetric tensor")
+# per kind: the swaps its tensor must be symmetric under, and the error if not
+_GATES = {
+    "c_eigen": (("right",), NotRightSymmetric,
+                "C-eigenvalues require a right-side symmetric tensor"),
+    "z_eigen": (_PAIR_SWAPS, NotSymmetric, "Z-eigenvalues require a symmetric tensor"),
+}
+
+
+def _require(kind: str, a: np.ndarray) -> None:
+    swaps, error, message = _GATES[kind]
+    if not _swap_symmetric(a, 1e-8, *swaps):
+        raise error(message)
+
+
+def _maximum(kind, a, exp, restarts, tol, max_iters, seed, history_out) -> CriticalTriple:
+    """The best pair of the certified enumeration, else the multistart's."""
+    _require(kind, a)
+    pairs = _enumerated(kind, a, exp)
+    if pairs is None:
+        return _multistart(kind, a, exp, restarts, tol, max_iters, seed, history_out)
+    values, blocks, resid = pairs
+    vecs = [core._read_only(v) for v in blocks[0]]
+    x, y, z = (vecs[slot] for slot in _KINDS[kind][0])
+    # the certificate leaves no two pairs merging, so only the best merges with the best
+    return CriticalTriple(kind, float(values[0]), x, y, z, float(resid[0]), 1, "enumerated")
+
+
+def _spectrum(kind: str, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    a, exp = core._scaled(a, "Hyper3")
+    _require(kind, a)
+    pairs = _enumerated(kind, a, exp)
+    if pairs is None:
+        raise Uncertified(
+            f"the {kind[0].upper()}-eigenpair enumeration certified in none of its charts"
+        )
+    return pairs
 
 
 def max_singular_value(
@@ -546,17 +741,20 @@ def max_c_eigenvalue(
 ) -> CriticalTriple:
     """Largest C-eigenvalue mu_1 = max x A y y of a right-side symmetric tensor.
 
-    The x-step is exact (x <- A y y normalized); the y-step is a
-    normalized move toward x A y shifted by ||A|| / 2 times y (norm of
-    the tensor scaled by a power of two), or a Newton step on the 8x8
-    Lagrange system in (x, y) where that climbs further, with step
-    halving as a safeguard so the objective never decreases.  The
-    converged pair satisfies A y y = mu x and x A y = mu y.
+    The best pair of ``c_spectrum`` whenever its enumeration certifies
+    (``method`` "enumerated"; no iterations, so nothing is appended to
+    ``history_out``, and ``restarts``, ``tol``, ``max_iters`` and ``seed``
+    go unused).  Otherwise (``method`` "multistart", as for rank-one
+    tensors ``x (x) y (x) y``, the zero tensor and tensors near them): the
+    x-step is exact (x <- A y y normalized); the y-step is a normalized
+    move toward x A y shifted by ||A|| / 2 times y (norm of the tensor
+    scaled by a power of two), or a Newton step on the 8x8 Lagrange
+    system in (x, y) where that climbs further, with step halving as a
+    safeguard so the objective never decreases.  Either way the pair
+    satisfies A y y = mu x and x A y = mu y.
     """
     a, exp, tol = _solver_inputs(a, tol, restarts, max_iters)
-    if not _swap_symmetric(a, 1e-8, "right"):
-        raise NotRightSymmetric("C-eigenvalues require a right-side symmetric tensor")
-    return _multistart("c_eigen", a, exp, restarts, tol, max_iters, seed, history_out)
+    return _maximum("c_eigen", a, exp, restarts, tol, max_iters, seed, history_out)
 
 
 def max_z_eigenvalue(
@@ -582,18 +780,7 @@ def max_z_eigenvalue(
     cubic form is negative, which the odd degree permits).
     """
     a, exp, tol = _solver_inputs(a, tol, restarts, max_iters)
-    _require_symmetric(a)
-    pairs = _z_enumerated(a)
-    if pairs is None:
-        return _multistart("z_eigen", a, exp, restarts, tol, max_iters, seed, history_out)
-    values, vecs, resid = pairs
-    x = core._read_only(vecs[0])
-    scale = _unscaled_residual(core._frobenius(a), exp)
-    # the certificate leaves no two pairs merging, so only the best merges with the best
-    return CriticalTriple(
-        "z_eigen", float(np.ldexp(values[0], exp)), x, x, x, float(resid[0] * scale), 1,
-        "enumerated",
-    )
+    return _maximum("z_eigen", a, exp, restarts, tol, max_iters, seed, history_out)
 
 
 def z_spectrum(a: core.Hyper3) -> ZSpectrum:
@@ -613,18 +800,38 @@ def z_spectrum(a: core.Hyper3) -> ZSpectrum:
     at x'_1 = 0), the 7 roots simple (each one's first-order error bound
     under that rounding at most 1e-3 of its distance to the nearest
     other root), every real pair polished to a residual of at most
-    1e-12 ||A|| and no two of them merged.  Failing that, a second fixed
-    chart is tried.  Raises Uncertified when neither certifies: the zero
-    tensor, tensors with infinitely many eigenvectors such as
+    1e-12 ||A|| and no two of them merged.  Failing that, two more fixed
+    charts are tried in turn.  Raises Uncertified when none certifies: the
+    zero tensor, tensors with infinitely many eigenvectors such as
     ``c * outer(v, v, v)``, and tensors near those.  Raises NotSymmetric
     unless ``a`` is symmetric within 1e-8 * ||A|| and ValueError unless
     it is a finite 3x3x3 array.
     """
-    a, exp = core._scaled(a, "Hyper3")
-    _require_symmetric(a)
-    pairs = _z_enumerated(a)
-    if pairs is None:
-        raise Uncertified("the Z-eigenpair enumeration certified in neither chart")
-    values, vecs, resid = pairs
-    scale = _unscaled_residual(core._frobenius(a), exp)
-    return ZSpectrum(*map(core._read_only, (np.ldexp(values, exp), vecs, resid * scale)))
+    values, blocks, resid = _spectrum("z_eigen", a)
+    return ZSpectrum(*map(core._read_only, (values, blocks[:, 0], resid)))
+
+
+def c_spectrum(a: core.Hyper3) -> CSpectrum:
+    """Every real C-eigenpair of a right-side symmetric tensor, from one resultant.
+
+    The y of a C-eigenpair are the critical points of q(y) = ||A y y||^2 on
+    the unit sphere.  On the tensor scaled by a power of two (exact), in
+    the fixed chart y = R^T (1, t, s), with g' = R sum_i (A y y)_i A_i y
+    the gradient of q / 4: the 7x7 Sylvester determinant of the cubic
+    p = g'_2 - t g'_1 and the quartic q' = g'_3 - s g'_1 in s at the 32nd
+    roots of unity, one batched ``np.linalg.det``, gives the degree-13
+    polynomial in t through a constant inverse DFT matrix; ``np.roots``
+    solves it, the root of p = 0 at which |q'| is smallest gives s for
+    every real t, x = A y y / ||A y y||, and 3 batched Newton steps on the
+    bordered 8x8 system of the C multistart polish all real candidates
+    together.
+
+    Certified as ``z_spectrum`` is, with coefficients 14..31 as the
+    rounding and 13 simple roots.  Raises Uncertified when no chart
+    certifies: the zero tensor, rank-one tensors ``x (x) y (x) y`` (a
+    circle of critical points at q = 0) and tensors near those.  Raises
+    NotRightSymmetric unless ``a`` is right-side symmetric within
+    1e-8 * ||A|| and ValueError unless it is a finite 3x3x3 array.
+    """
+    values, blocks, resid = _spectrum("c_eigen", a)
+    return CSpectrum(*map(core._read_only, (values, blocks[:, 0], blocks[:, 1], resid)))

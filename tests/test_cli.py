@@ -34,6 +34,8 @@ WIRED = {
     "singular": ["{sym}"],
     "c-eigen": ["{sym}"],
     "z-eigen": ["{sym}"],
+    "c-spectrum": ["{sym}"],
+    "z-spectrum": ["{sym}"],
     "invariants": ["{eps}"],
     "decompose": ["{central}", "--side", "central"],
     "nullspace": ["{eps}"],
@@ -257,6 +259,34 @@ def test_z_eigen_reports_its_method(tmp_path, capsys):
     assert (doc["method"], doc["starts_converged"]) == ("enumerated", 1)
     assert run(["z-eigen", path]) == 0
     assert "method = enumerated" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("command, count", [("c-spectrum", 13), ("z-spectrum", 7)])
+def test_spectrum_reports_every_pair(command, count, tmp_path, capsys):
+    p = np.asarray(tt.random_rotation(30))
+    lam = (0.5, 2.0, -1.0)
+    cube = sum(lam[i] * tt.outer(p[:, i], p[:, i], p[:, i]) for i in range(3))
+    path = write_tensor(tmp_path / "cube.json", cube, name="cube")
+    assert run([command, path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    spectrum = (tt.c_spectrum if command == "c-spectrum" else tt.z_spectrum)(cube)
+    assert doc == {key: v.tolist() for key, v in vars(spectrum).items()}
+    assert len(doc["values"]) == count
+    assert run([command, path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(f"of cube, real pairs: {count}")
+    assert len(lines) == 1 + count
+    assert lines[1].startswith(f"  1: value = {float(spectrum.values[0])!r}  ")
+    assert "  residual = " in lines[-1]
+
+
+@pytest.mark.parametrize("command", ["c-spectrum", "z-spectrum"])
+def test_uncertified_spectrum_exits_2(command, tmp_path, capsys):
+    x = np.array([0.6, 0.0, 0.8])
+    path = write_tensor(tmp_path / "r1.json", tt.outer(x, x, x))
+    assert run([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("Uncertified: ") and "Traceback" not in err
 
 
 def test_nan_rejected_with_field_path(tmp_path, capsys):

@@ -50,16 +50,18 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare):
     solvers = compare.solver_laps(trees, pairs, rounds=1)
     assert set(solvers["laps"]) == set(compare.SOLVERS)
     for solver, laps in solvers["laps"].items():
-        # the enumerated Z solve runs no iterations: only its whole time counts
-        iterated = solver != "max_z_eigenvalue"
+        # the enumerated C and Z solves run no iterations: only their whole time counts
+        iterated = solver == "max_singular_value"
         assert laps["parent"]["iterations"] == laps["change"]["iterations"]
         assert (laps["change"]["iterations"] > 1) == iterated
         assert (laps["change"]["per_iteration_us_p50"] is not None) == iterated
         assert laps["change"]["solve_ms_sum"] > 0.0
 
     solves = [(s, pairs[0], compare.RESTARTS, 0) for s in compare.SOLVERS]
-    z = compare.z_values(trees, solves[2:])
-    assert (z["methods"], z["rose"], z["fell"], z["equal"]) == ({"enumerated": 1}, [], [], True)
+    values = compare.by_value(trees, solves[1:])
+    assert (values["methods"], values["rose"], values["fell"], values["equal"]) == (
+        {"enumerated": 2}, [], [], True
+    )
     clis = {key: importlib.import_module(f"{name}.cli") for key, name in TWINS.items()}
     # the first printed fixture and every report on it
     cli_records = 1 + len(compare.REPORTS)

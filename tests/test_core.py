@@ -64,8 +64,8 @@ def test_package_exports_each_public_name_once():
     from tritensor import errors, spectral, symmetry, varspec
 
     modules = (core, errors, spectral, symmetry, varspec)
-    # 60, plus ZSpectrum, z_spectrum and Uncertified
-    assert len(tt.__all__) == len(set(tt.__all__)) == 63
+    # 60, plus ZSpectrum, z_spectrum and Uncertified, plus CSpectrum and c_spectrum
+    assert len(tt.__all__) == len(set(tt.__all__)) == 65
     assert set(tt.__all__) == {name for m in modules for name in m.__all__}
     for m in modules:
         for name in m.__all__:

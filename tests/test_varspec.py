@@ -33,6 +33,13 @@ def z_multistart(a, restarts, seed=0, history_out=None, max_iters=10000):
     return varspec._multistart("z_eigen", a, exp, restarts, 1e-12, max_iters, seed, history_out)
 
 
+def c_multistart(a, restarts, seed=0, history_out=None, max_iters=10000):
+    """The C multistart that ``max_c_eigenvalue`` falls back to, run
+    whether or not the enumeration would certify."""
+    a, exp = core._scaled(a, "Hyper3")
+    return varspec._multistart("c_eigen", a, exp, restarts, 1e-12, max_iters, seed, history_out)
+
+
 # ---------------------------------------------------------------------------
 # singular values
 
@@ -183,7 +190,7 @@ def test_c_eigen_matches_oracle_and_bounds(seed):
 def test_c_eigen_monotone_objective():
     a = tt.make_fixture("right_symmetric", 3)
     history = []
-    tt.max_c_eigenvalue(a, restarts=8, history_out=history)
+    c_multistart(a, 8, history_out=history)
     series = np.stack(history)
     assert np.diff(series, axis=0).min() >= -1e-13 * max(1.0, np.linalg.norm(a))
 
@@ -361,13 +368,15 @@ def test_z_eigen_rank_two_has_a_multiple_root():
 
 
 def test_z_eigen_imports_neither_numpy_random_nor_numpy_fft():
-    # the CLI process pays for every import: the enumeration uses neither
+    # the CLI process pays for every import: the enumerations use neither
     # module (numpy 2.4 imports both lazily)
     entries = np.asarray(tt.make_fixture("symmetric", 7)).tolist()
+    right = np.asarray(tt.make_fixture("right_symmetric", 7)).tolist()
     code = (
         "import sys, tritensor\n"
-        f"triple = tritensor.max_z_eigenvalue({entries!r})\n"
-        "print(triple.method, 'numpy.random' in sys.modules, 'numpy.fft' in sys.modules)\n"
+        f"methods = [tritensor.max_z_eigenvalue({entries!r}).method,\n"
+        f"           tritensor.max_c_eigenvalue({right!r}).method]\n"
+        "print(*methods, 'numpy.random' in sys.modules, 'numpy.fft' in sys.modules)\n"
     )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -375,7 +384,97 @@ def test_z_eigen_imports_neither_numpy_random_nor_numpy_fft():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.split() == ["enumerated", "False", "False"]
+    assert out.split() == ["enumerated", "enumerated", "False", "False"]
+
+
+# ---------------------------------------------------------------------------
+# every C-eigenpair by elimination
+
+
+def _c_subset_pairs(lam, p):
+    """The C-eigenpairs of sum_i lam_i p_i^(3) over an orthonormal frame p:
+    per nonempty subset S and signs e_i, y ~ sum_S e_i p_i / |lam_i| at
+    mu_S = (sum_S lam_i^-2)^(-1/2), with x ~ sum_S p_i / lam_i; 13 lines."""
+    pairs = []
+    for mask in itertools.product((0.0, 1.0), repeat=3):
+        inside = np.flatnonzero(mask)
+        if not len(inside):
+            continue
+        w = np.array(mask) / lam
+        # the first sign is +1: one pair per line +-y
+        for rest in itertools.product((1.0, -1.0), repeat=len(inside) - 1):
+            signs = np.zeros(3)
+            signs[inside] = (1.0, *rest)
+            pairs.append((1.0 / np.linalg.norm(w), unit(p @ w), unit(p @ (signs / np.abs(lam)))))
+    return pairs
+
+
+def test_c_spectrum_of_eigenframe_cubes_is_the_subset_formula():
+    p = np.asarray(tt.random_rotation(30))
+    lam = np.array([0.5, 2.0, -1.0])
+    a = sum(lam[i] * tt.outer(p[:, i], p[:, i], p[:, i]) for i in range(3))
+    spectrum = tt.c_spectrum(a)
+    want = _c_subset_pairs(lam, p)
+    assert len(want) == len(spectrum.values) == 13
+    values = sorted((w[0] for w in want), reverse=True)
+    np.testing.assert_allclose(spectrum.values, values, rtol=0, atol=1e-14)
+    for mu, x, y in want:
+        # y up to sign: the pair is (x, y) with y's first largest entry positive
+        y = y * np.sign(y[np.argmax(np.abs(y))])
+        n = np.argmin(np.abs(spectrum.y - y).max(axis=1))
+        assert abs(spectrum.values[n] - mu) <= 1e-14
+        assert np.abs(spectrum.y[n] - y).max() <= 1e-13
+        assert np.abs(spectrum.x[n] - x).max() <= 1e-13
+
+
+@pytest.mark.parametrize("klass", ["right_symmetric", "symmetric"])
+def test_c_spectrum_pairs_solve_the_defining_equations(klass):
+    for seed in range(10):
+        a = np.asarray(tt.make_fixture(klass, seed))
+        spectrum = tt.c_spectrum(a)
+        values, x, y = spectrum.values, spectrum.x, spectrum.y
+        # an odd count: max - saddles + min = 1 on the projective plane
+        assert len(values) in (3, 5, 7, 9, 11, 13)
+        assert np.all(np.diff(values) <= 0.0) and values[-1] > 0.0
+        for v in (x, y):
+            assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= 1e-15
+        scale = max(1.0, np.linalg.norm(a))
+        ayy = np.einsum("ijk,nj,nk->ni", a, y, y)
+        xay = np.einsum("ijk,ni,nj->nk", a, x, y)
+        assert np.linalg.norm(ayy - values[:, None] * x, axis=1).max() <= 1e-14 * scale
+        assert np.linalg.norm(xay - values[:, None] * y, axis=1).max() <= 1e-14 * scale
+        assert np.all(spectrum.residuals <= 1e-12)
+        triple = tt.max_c_eigenvalue(a)
+        assert (triple.method, triple.starts_converged) == ("enumerated", 1)
+        assert triple.value == values[0]
+        assert triple.x.tobytes() == x[0].tobytes()
+        assert triple.y.tobytes() == triple.z.tobytes() == y[0].tobytes()
+
+
+def test_c_spectrum_requires_right_symmetry():
+    for a in (tt.make_fixture("left_symmetric", 0), 1e-9 * random_hyper3(0)):
+        with pytest.raises(NotRightSymmetric):
+            tt.c_spectrum(a)
+
+
+def _c_rank_one(noise):
+    x, y = unit(random_vec(5)), unit(random_vec(6))
+    n = np.asarray(tt.make_fixture("right_symmetric", 1))
+    return tt.outer(x, y, y) + noise * n / np.linalg.norm(n)
+
+
+@pytest.mark.parametrize("noise", [None, 0.0, 1e-12, 1e-9, 1e-6])
+def test_c_spectrum_uncertified_on_zero_and_rank_one(noise):
+    # q(y) = ||A y y||^2 of x (x) y (x) y vanishes on the circle orthogonal
+    # to y, so the resultant is (nearly) zero and its rounding fails the
+    # certificate; mu_1 = 1 + noise * N(x, y, y) to first order
+    a = ZERO if noise is None else _c_rank_one(noise)
+    with pytest.raises(Uncertified):
+        tt.c_spectrum(a)
+    triple = tt.max_c_eigenvalue(a, restarts=12, max_iters=300)
+    assert triple.method == "multistart"
+    want = 0.0 if noise is None else 1.0
+    assert abs(triple.value - want) <= 2.0 * (noise or 0.0) + 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +484,7 @@ def test_z_eigen_imports_neither_numpy_random_nor_numpy_fft():
 @pytest.mark.parametrize("c", [2.0**-20, 1e-4, 1.0, 2.0**20, 1e160])
 def test_c_and_z_maxima_scale_with_the_tensor(c):
     a = np.asarray(tt.make_fixture("symmetric", 3))
-    for solve in (tt.max_c_eigenvalue, z_multistart):
+    for solve in (c_multistart, z_multistart):
         history, scaled_history = [], []
         value = solve(a, restarts=12, history_out=history).value
         scaled = solve(c * a, restarts=12, history_out=scaled_history).value
@@ -393,21 +492,23 @@ def test_c_and_z_maxima_scale_with_the_tensor(c):
         if np.log2(c).is_integer():
             # power-of-two scaling is exact, so the iteration is the same
             assert len(scaled_history) == len(history)
-    # the enumeration runs on the tensor scaled by a power of two as well
-    enumerated = tt.max_z_eigenvalue(a)
-    scaled = tt.max_z_eigenvalue(c * a)
-    assert enumerated.method == scaled.method == "enumerated"
-    assert abs(scaled.value - c * enumerated.value) <= 1e-12 * c * enumerated.value
-    if np.log2(c).is_integer():
-        assert scaled.value == np.ldexp(enumerated.value, int(np.log2(c)))
-        assert scaled.x.tobytes() == enumerated.x.tobytes()
+    # the enumerations run on the tensor scaled by a power of two as well
+    for solve in (tt.max_c_eigenvalue, tt.max_z_eigenvalue):
+        enumerated = solve(a)
+        scaled = solve(c * a)
+        assert enumerated.method == scaled.method == "enumerated"
+        assert abs(scaled.value - c * enumerated.value) <= 1e-12 * c * enumerated.value
+        if np.log2(c).is_integer():
+            assert scaled.value == np.ldexp(enumerated.value, int(np.log2(c)))
+            assert scaled.x.tobytes() == enumerated.x.tobytes()
+            assert scaled.y.tobytes() == enumerated.y.tobytes()
 
 
 def test_audit_pairs_iteration_totals():
     # the 32 (fixture, rotation) pairs of criterion 4 that the audit
     # benchmark times; the fixed-shift power iterations without a Newton
     # finish needed 891 / 4773 / 6336 iterations in total
-    totals = {tt.max_singular_value: 0, tt.max_c_eigenvalue: 0, z_multistart: 0}
+    totals = {tt.max_singular_value: 0, c_multistart: 0, z_multistart: 0}
     methods = []
     for klass in ("symmetric", "primarily_symmetric"):
         for i in range(8):
@@ -418,11 +519,12 @@ def test_audit_pairs_iteration_totals():
                     history = []
                     solve(rotated, restarts=12, history_out=history)
                     totals[solve] += len(history)
-                methods.append(tt.max_z_eigenvalue(rotated, restarts=12).method)
+                for solve in (tt.max_c_eigenvalue, tt.max_z_eigenvalue):
+                    methods.append((solve.__name__, solve(rotated, restarts=12).method))
     assert totals[tt.max_singular_value] <= 891
-    assert totals[tt.max_c_eigenvalue] <= 4773 // 2
+    assert totals[c_multistart] <= 4773 // 2
     assert totals[z_multistart] <= 6336 // 2
-    assert methods == ["enumerated"] * 32
+    assert methods == [("max_c_eigenvalue", "enumerated"), ("max_z_eigenvalue", "enumerated")] * 32
 
 
 def _gate_inputs():

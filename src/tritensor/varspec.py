@@ -15,11 +15,12 @@ triple does not depend on execution order.  Global optimality is not
 certified, so ``starts_converged`` reports how many restarts agreed
 with the returned point; raise ``restarts`` if it looks thin.
 
-C- and Z-eigenpairs are enumerated instead, all of them in one
-elimination per kind (see ``c_spectrum`` and ``z_spectrum``), whose
-certificate is shared; ``max_c_eigenvalue`` and ``max_z_eigenvalue`` run
-the multistart only when the enumeration cannot certify its result, so
-only ``max_singular_value`` (eta_1) always rests on the multistart.
+C- and Z-eigenpairs are enumerated instead, all of them by one
+certified elimination that each kind feeds its own gradient field (see
+``c_spectrum`` and ``z_spectrum``); ``max_c_eigenvalue`` and
+``max_z_eigenvalue`` run the multistart only when the enumeration cannot
+certify its result, so only ``max_singular_value`` (eta_1) always rests
+on the multistart.
 """
 
 from __future__ import annotations
@@ -195,9 +196,14 @@ def _singular_step(m, s, shift):
     return s, _dot(g, x), _blocks(xn, yn, zn), _dot(zraw, zn)
 
 
+def _c_x(m, y, old):
+    """The exact x-substep of the C step, x <- A y y / ||.||."""
+    return _unit(_pair(y, y) @ m.T, old)
+
+
 def _c_step(m, s, shift):
     x, y = s[:, 0], s[:, 1]
-    xn = _unit(_pair(y, y) @ m.T, x)
+    xn = _c_x(m, y, x)
     w = (xn @ m).reshape(-1, 3, 3)
     wy = np.matmul(w, y[:, :, None])[:, :, 0]
     yp = _unit(wy + shift * y, y)
@@ -208,11 +214,8 @@ def _c_step(m, s, shift):
 def _z_step(m, s, shift):
     x = s[:, 0]
     g = _pair(x, x) @ m.T
-    f = _dot(g, x)
-    # a negative cubic form raises the shift by |f|, which keeps a local
-    # maximum with f near -shift from turning into a slow 2-cycle
-    xp = _unit(g + (shift + np.maximum(-f, 0.0))[:, None] * x, x)
-    return s, f, xp[:, None], _dot(_pair(xp, xp) @ m.T, xp)
+    xp = _unit(g + shift * x, x)
+    return s, _dot(g, x), xp[:, None], _dot(_pair(xp, xp) @ m.T, xp)
 
 
 def _singular_signs(m, s):
@@ -342,21 +345,24 @@ def _multistart(kind, a, exp, restarts, tol, max_iters, seed, history_out) -> Cr
 # ---------------------------------------------------------------------------
 # Eigenpairs by elimination
 #
-# Both kinds of eigenvector are the points v on S^2 where a cubic vector
-# field g(v) is parallel to v: g = A x x for Z-eigenpairs, and for
-# C-eigenpairs g = sum_i (A y y)_i A_i y, the gradient / 4 of the quartic
-# ||A y y||^2, whose critical points y give mu = ||A y y|| and x = A y y / mu.
-# For a generic tensor these points are isolated: 7 lines of them for Z and
-# 13 for C, complex ones included (Cartwright & Sturmfels, Linear Algebra
-# Appl. 438, 2013).  In the coordinates v' = R v of a fixed chart rotation
-# R, with g' = R g, the points v' = (1, t, s) where g' is parallel to v'
-# are the common zeros of p = g'_2 - t g'_1 and q = g'_3 - s g'_1, of
-# degrees 2 and 3 in s for Z, 3 and 4 for C.  Their Sylvester determinant
-# in s (5x5 for Z, 7x7 for C) is then a polynomial in t of degree 7 (13)
-# whose roots are the t of the eigenvectors (the E-characteristic route of
-# Qi, J. Symb. Comput. 40, 2005).  Its entries bound its degree by 13 (28),
-# so its values at the 16th (32nd) roots of unity give its coefficients
-# through an inverse DFT.
+# Both kinds of eigenvector are the points v on S^2 where a vector field
+# g(v), homogeneous of degree d, is parallel to v: g = A v v (d = 2) for
+# Z-eigenpairs, and g = sum_i (A v v)_i A_i v (d = 3) for C-eigenpairs, the
+# gradient / 4 of the quartic ||A y y||^2, whose critical points y = v give
+# mu = ||A y y|| and x = A y y / mu.  For a generic tensor these points are
+# isolated: d^2 + d + 1 lines of them, 7 for Z and 13 for C, complex ones
+# included (Cartwright & Sturmfels, Linear Algebra Appl. 438, 2013).  In the
+# coordinates v' = R v of a fixed chart rotation R, with g' = R g, the points
+# v' = (1, t, s) where g' is parallel to v' are the common zeros of
+# p = g'_2 - t g'_1 and q = g'_3 - s g'_1, of degrees d and d + 1 in s.
+# Their (2d + 1)-square Sylvester determinant in s is then a polynomial in t
+# of degree d^2 + d + 1 whose roots are the t of the eigenvectors (the
+# E-characteristic route of Qi, J. Symb. Comput. 40, 2005).  Its entries
+# bound its degree by (d + 1)^2 + d^2 (13 for Z, 25 for C), so its values at
+# the 16th (32nd) roots of unity, the first power of two above that, give
+# its coefficients through an inverse DFT.  Each real root t gives s through
+# the root of p at which |q| is smallest.  A kind states only g' and how a
+# unit v becomes its state blocks; everything else is shared.
 
 # the chart rotations, fixed and generic; each serves where the ones
 # before it put an eigenvector at v'_1 = 0 or two at (nearly) one t
@@ -398,8 +404,6 @@ _LEAD = 1e-8
 _CONDITION = 1e-3
 _POLISHED = 1e-12
 _POLISH_STEPS = 3
-_Z_POINTS = 16
-_C_POINTS = 32
 
 
 @functools.cache
@@ -414,147 +418,92 @@ def _roots_of_unity(points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _z_maps(chart: int) -> tuple[np.ndarray, np.ndarray]:
-    """(E, W) of chart ``chart``: for a symmetric tensor ``a``, the Z
-    Sylvester matrices at the 16 points are (a.ravel() @ E).reshape(16, 5, 5)
-    and the coefficient of s^d t^e in p (n = 0) and q (n = 1) is
-    (a.ravel() @ W).reshape(2, 4, 4)[n, d, e]."""
+def _pq_map(d: int) -> np.ndarray:
+    """The constant map from the coefficients c (3, 3^d) of a field
+    g'_m = c[m] . v'^(x)d of degree d in v' = (1, t, s), raveled, to the
+    (2d + 4, d + 2) grid whose [i, j] holds the coefficient of s^i t^j of
+    p = g'_2 - t g'_1 in rows 0 .. d, that of s^(i-d-1) t^j of
+    q = g'_3 - s g'_1 in rows d + 1 .. 2d + 2, and zeros in the last row."""
+    n = d + 1
+    g = np.zeros((3, 3**d, 3, n, n))  # the coefficient of s^i t^j in g'_m
+    for col, index in enumerate(itertools.product(range(3), repeat=d)):
+        g[range(3), col, range(3), index.count(2), index.count(1)] = 1.0
+    g = g.reshape(-1, 3, n, n)
+    pq = np.zeros((len(g), 2 * n + 2, n + 1))
+    p, q = pq[:, :n], pq[:, n:2 * n + 1]
+    p[:, :, :n] = g[:, 1]
+    p[:, :, 1:] -= g[:, 0]
+    q[:, :n, :n] = g[:, 2]
+    q[:, 1:, :n] -= g[:, 0]
+    return core._read_only(pq.reshape(len(g), -1))
+
+
+def _pq(kind: str, a: np.ndarray, chart: int) -> np.ndarray:
+    """The ``_pq_map`` grid of p and q of ``kind`` in chart ``chart``."""
+    d, field, _ = _ELIMINATIONS[kind]
     r = _CHARTS[chart]
-    # x'_j x'_k of x' = (1, t, s) is s^d t^e, d = [j = 2] + [k = 2], e = [j = 1] + [k = 1]
-    mono = np.zeros((3, 3, 4, 4))
-    for j, k in itertools.product(range(3), repeat=2):
-        mono[j, k, (j == 2) + (k == 2), (j == 1) + (k == 1)] = 1.0
-    # g'_i(1, t, s) of each unit tensor a = e_qrs, as a'_ijk = r_iq r_jr r_ks a_qrs
-    g = np.einsum("iq,jr,ks,jkde->qrside", r, r, r, mono).reshape(27, 3, 4, 4)
-    pq = np.stack((g[:, 1], g[:, 2]), axis=1)
-    pq[:, 0, :, 1:] -= g[:, 0, :, :3]  # p = g'_2 - t g'_1
-    pq[:, 1, 1:] -= g[:, 0, :3]  # q = g'_3 - s g'_1
-    # rows s^2 p, s p, p, s q, q of the Sylvester matrix; columns s^4 .. s^0
-    syl = np.zeros((27, 5, 5, 4))
-    for row in range(3):
-        syl[:, row, row:row + 3] = pq[:, 0, 2::-1]
-    for row in range(2):
-        syl[:, 3 + row, row:row + 4] = pq[:, 1, 3::-1]
-    unity = _roots_of_unity(_Z_POINTS)[0]
-    at_points = syl @ (unity[:, None] ** np.arange(4)).T  # (27, 5, 5, 16)
-    maps = (at_points.transpose(0, 3, 1, 2).reshape(27, -1), pq.reshape(27, 32))
-    for arr in maps:
-        arr.setflags(write=False)
-    return maps
-
-
-def _z_sylvester(a: np.ndarray, chart: int) -> np.ndarray:
-    return (a.reshape(27) @ _z_maps(chart)[0]).reshape(_Z_POINTS, 5, 5)
-
-
-def _z_states(a: np.ndarray, chart: int, t: np.ndarray) -> np.ndarray:
-    """Per real root t, the unit x on the chart line through (1, t, s), s
-    the root of the quadratic p at which |q| is smaller."""
-    coef = (a.reshape(27) @ _z_maps(chart)[1]).reshape(2, 4, 4) @ (t ** np.arange(4)[:, None])
-    (p0, p1, p2, _), (q0, q1, q2, q3) = coef
-    big = -p1 - np.copysign(np.sqrt(np.maximum(p1 * p1 - 4.0 * p0 * p2, 0.0)), p1)
-    s = np.stack((0.5 * big / p2, 2.0 * p0 / big))
-    q = np.abs(((q3 * s + q2) * s + q1) * s + q0)
-    q[~np.isfinite(q)] = np.inf
-    s = s[(q[1] < q[0]).astype(int), np.arange(len(t))]
-    x = np.stack((np.ones_like(t), t, s), axis=1) @ _CHARTS[chart]  # x = R^T x'
-    return (x / _norms(x)[:, None])[:, None]
+    return (field(r @ a @ r.T, r).reshape(-1) @ _pq_map(d)).reshape(2 * d + 4, d + 2)
 
 
 @functools.cache
-def _c_maps(chart: int) -> tuple[np.ndarray, np.ndarray]:
-    """(M, K) of chart ``chart``: for a right-side symmetric tensor ``a``
-    and b_i = R A_i R^T, u = a.ravel() @ M[:, :27] holds at [i, d, e] the
-    coefficient of s^d t^e of y' b_i y' (3x3 grid) and w = a.ravel() @
-    M[:, 27:] at [i, m, d, e] that of (b_i y')_m (2x2 grid), y' = (1, t, s);
-    einsum("ide,imfg->mdefg", u, w).ravel() @ K holds the coefficients of
-    s^d t^e of p (4x5 grid) and then of q (5x4 grid)."""
-    r = _CHARTS[chart]
-    # y'_n y'_k and y'_n as s^d t^e
-    mono2 = np.zeros((3, 3, 3, 3))
-    for n, k in itertools.product(range(3), repeat=2):
-        mono2[n, k, (n == 2) + (k == 2), (n == 1) + (k == 1)] = 1.0
-    mono1 = mono2[0, :, :2, :2]
-    eye = np.eye(3)
-    u = np.einsum("ab,nj,mk,nmde->ajkbde", eye, r, r, mono2).reshape(27, 27)
-    w = np.einsum("ab,ml,nk,nde->alkbmde", eye, r, r, mono1).reshape(27, 36)
-    # the term u_i[d, e] w_im[f, g] of g'_m = sum_i u_i w_im is s^(d+f) t^(e+g);
-    # p = g'_2 - t g'_1 and q = g'_3 - s g'_1
-    p = np.zeros((3, 3, 3, 2, 2, 4, 5))
-    q = np.zeros((3, 3, 3, 2, 2, 5, 4))
-    for term in itertools.product(range(3), range(3), range(3), range(2), range(2)):
-        m, d, e, f, g = term
-        if m == 0:
-            p[(*term, d + f, e + g + 1)] = -1.0
-            q[(*term, d + f + 1, e + g)] = -1.0
-        else:
-            (p if m == 1 else q)[(*term, d + f, e + g)] = 1.0
-    k = np.concatenate((p.reshape(108, 20), q.reshape(108, 20)), axis=1)
-    maps = (np.concatenate((u, w), axis=1), k)
-    for arr in maps:
-        arr.setflags(write=False)
-    return maps
-
-
-def _c_pq(a: np.ndarray, chart: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients of s^d t^e of p (4x5) and q (5x4) in chart ``chart``."""
-    uw, k = _c_maps(chart)
-    uw = a.reshape(27) @ uw
-    terms = np.einsum("ide,imfg->mdefg", uw[:27].reshape(3, 3, 3), uw[27:].reshape(3, 3, 2, 2))
-    pq = terms.reshape(108) @ k
-    return pq[:20].reshape(4, 5), pq[20:].reshape(5, 4)
-
-
-@functools.cache
-def _c_sylvester_layout() -> tuple[np.ndarray, np.ndarray]:
-    """The powers t^0 .. t^4 at the 32 points, and where the 4 shifts of p
-    and the 3 of q, highest power of s first, sit in the flattened 7x7
-    Sylvester matrix (columns s^6 .. s^0)."""
-    unity = _roots_of_unity(_C_POINTS)[0]
-    cells = [(r, r + c) for r in range(4) for c in range(4)]
-    cells += [(4 + r, r + c) for r in range(3) for c in range(5)]
-    layout = (unity ** np.arange(5)[:, None], np.array([7 * i + j for i, j in cells]))
+def _sylvester_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The powers t^0 .. t^(d+1) at the roots of unity, and the rows of
+    the ``_pq_map`` grid that sit in the (2d + 1)-square Sylvester matrix
+    of p and q in s: rows s^d p .. p, then s^(d-1) q .. q; columns
+    s^(2d) .. s^0; the zero row elsewhere."""
+    n = 2 * d + 1
+    # the first power of two above the degree bound (d + 1)^2 + d^2
+    unity = _roots_of_unity(1 << ((d + 1) ** 2 + d * d).bit_length())[0]
+    cells = np.full((n, n), 2 * d + 3)
+    for row in range(d + 1):
+        cells[row, row:row + d + 1] = np.arange(d, -1, -1)
+    for row in range(d):
+        cells[d + 1 + row, row:row + d + 2] = np.arange(2 * d + 2, d, -1)
+    layout = (unity ** np.arange(d + 2)[:, None], cells)
     for arr in layout:
         arr.setflags(write=False)
     return layout
 
 
-def _c_sylvester(a: np.ndarray, chart: int) -> np.ndarray:
-    p, q = _c_pq(a, chart)
-    powers, cells = _c_sylvester_layout()
-    mats = np.zeros((_C_POINTS, 49), complex)
-    mats[:, cells] = np.concatenate(
-        (np.tile((p @ powers).T[:, ::-1], 4), np.tile((q @ powers[:4]).T[:, ::-1], 3)), axis=1
-    )
-    return mats.reshape(_C_POINTS, 7, 7)
+def _sylvester(pq: np.ndarray) -> np.ndarray:
+    """The Sylvester matrices of p and q in s at the roots of unity."""
+    powers, cells = _sylvester_layout(len(pq[0]) - 2)
+    return (pq @ powers).T[:, cells]
 
 
-def _c_states(a: np.ndarray, chart: int, t: np.ndarray) -> np.ndarray:
-    """Per real root t, the unit y on the chart line through (1, t, s), s
-    the root of the cubic p at which |q| is smallest, and x = A y y / ||.||."""
-    p, q = _c_pq(a, chart)
-    powers = t ** np.arange(5)[:, None]
-    p, q = p @ powers, q @ powers[:4]  # (4, n) and (5, n): s^0 first
-    companion = np.zeros((len(t), 3, 3))
-    companion[:, 0] = (-p[2::-1] / p[3]).T
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    s = np.linalg.eigvals(companion)
-    at = np.abs((((q[4] * s.T + q[3]) * s.T + q[2]) * s.T + q[1]) * s.T + q[0])
+def _chart_points(pq: np.ndarray, chart: int, t: np.ndarray) -> np.ndarray:
+    """Per real root t, the unit v on the chart line through (1, t, s), s
+    the root of p at which |q| is smallest."""
+    d = len(pq[0]) - 2
+    at_t = pq @ t ** np.arange(d + 2)[:, None]  # s^0 first
+    p, q = at_t[:d + 1], at_t[d + 1:-1]
+    companion = np.zeros((len(t), d * d))  # flattened, rows first
+    companion[:, :d] = (-p[d - 1::-1] / p[d]).T
+    companion[:, d::d + 1] = 1.0
+    s = np.linalg.eigvals(companion.reshape(-1, d, d)).T
+    at = np.abs(np.polyval(q[::-1], s))
     at[~np.isfinite(at)] = np.inf
-    s = s[np.arange(len(t)), at.argmin(axis=0)].real
-    y = np.stack((np.ones_like(t), t, s), axis=1) @ _CHARTS[chart]  # y = R^T y'
-    y /= _norms(y)[:, None]
-    g = _pair(y, y) @ a.reshape(3, 9).T
-    return _blocks(g / _norms(g)[:, None], y)
+    s = s[at.argmin(axis=0), np.arange(len(t))].real
+    v = np.concatenate((np.ones_like(t), t, s)).reshape(3, -1).T @ _CHARTS[chart]  # R^T v'
+    return v / _norms(v)[:, None]
 
 
-# per kind: the degree of the determinant in t, the Sylvester matrices at
-# the roots of unity, and the unpolished unit states of the real roots t.
-# Z's matrices are linear in A, so one constant map per chart takes A to
-# them; C's are quadratic in A and come from the coefficients of p and q.
+def _z_field(b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """R A v v: the tensor rotated in all three slots."""
+    return r @ b.reshape(3, 9)
+
+
+def _c_field(b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """R sum_i (A v v)_i A_i v = sum_i (v' b_i v') b_i v'."""
+    return np.einsum("ijk,imn->mjkn", b, b)
+
+
+# per kind: the degree d of g'; the coefficients of g' in v', c (3, 3^d)
+# with g'_m = c[m] . v'^(x)d, from b_i = R A_i R^T and R; and the state
+# blocks of the scaled unit rows v, m = a.reshape(3, 9)
 _ELIMINATIONS = {
-    "z_eigen": (7, _z_sylvester, _z_states),
-    "c_eigen": (13, _c_sylvester, _c_states),
+    "z_eigen": (2, _z_field, lambda m, v: v[:, None]),
+    "c_eigen": (3, _c_field, lambda m, y: _blocks(_c_x(m, y, y), y)),
 }
 
 
@@ -586,17 +535,18 @@ def _chart_pairs(kind: str, a: np.ndarray, chart: int):
     chart ``chart`` as (values >= 0, the (n, k, 3) state blocks,
     residuals relative to ||a||), best first, or None unless the
     certificate holds."""
-    degree, sylvester, states = _ELIMINATIONS[kind]
+    d, _, lift = _ELIMINATIONS[kind]
     slots, drawn, _, signs = _KINDS[kind]
     m = a.reshape(3, 9)
     with np.errstate(all="ignore"):
-        mats = sylvester(a, chart)
-        t = _certified_roots(_roots_of_unity(len(mats))[1] @ np.linalg.det(mats), degree)
+        pq = _pq(kind, a, chart)
+        mats = _sylvester(pq)
+        t = _certified_roots(_roots_of_unity(len(mats))[1] @ np.linalg.det(mats), d * d + d + 1)
         if t is None or not len(t):
             return None
         jmap = _jacobian_map(a, slots, len(drawn))
         try:
-            state = states(a, chart, t)
+            state = lift(m, _chart_points(pq, chart, t))
             for _ in range(_POLISH_STEPS):
                 state = _newton(jmap, state, _potential(m, state, slots))
         except np.linalg.LinAlgError:  # an exactly singular system, or a NaN
@@ -772,8 +722,8 @@ def max_z_eigenvalue(
     ``history_out``, and ``restarts``, ``tol``, ``max_iters`` and ``seed``
     go unused).  Otherwise (``method`` "multistart"): shifted symmetric
     power iteration x <- (A x x + alpha x) / ||.|| on the tensor scaled by
-    a power of two, alpha being half its norm plus |x A x x| where that is
-    negative, or a Newton step on the 4x4 system
+    a power of two, alpha being half its norm, or a Newton step on the
+    4x4 system
     [[2 A x - nu I, -x], [x^T, 0]] where that climbs further, plus the
     same step-halving safeguard as the C-eigenvalue search.  Either way x
     satisfies A x x = nu x with nu = x A x x >= 0 (x is flipped when the
@@ -786,13 +736,16 @@ def max_z_eigenvalue(
 def z_spectrum(a: core.Hyper3) -> ZSpectrum:
     """Every real Z-eigenpair of a symmetric tensor, from one resultant.
 
-    On the tensor scaled by a power of two (exact), in the fixed chart
-    x = R^T (1, t, s): the Sylvester determinant of p = g'_2 - t g'_1 and
-    q = g'_3 - s g'_1 (g' = R A x x) at the 16th roots of unity, one
-    batched ``np.linalg.det``, gives the degree-7 polynomial in t through
-    a constant inverse DFT matrix; ``np.roots`` solves it, the quadratic
-    p = 0 gives s for every real t, and 3 batched Newton steps on the
-    bordered 4x4 system polish all real candidates together.
+    The elimination that ``c_spectrum`` shares, on the field
+    g' = R A x x of degree d = 2: on the tensor scaled by a power of two
+    (exact), in the fixed chart x = R^T (1, t, s), the 5x5 Sylvester
+    determinant of the quadratic p = g'_2 - t g'_1 and the cubic
+    q = g'_3 - s g'_1 in s at the 16th roots of unity, one batched
+    ``np.linalg.det``, gives the degree-7 polynomial in t through a
+    constant inverse DFT matrix; ``np.roots`` solves it, the root of p
+    at which |q| is smaller gives s for every real t, and 3 batched
+    Newton steps on the bordered 4x4 system polish all real candidates
+    together.
 
     The result is certified: coefficients 8..15 of the determinant at
     most 1e-11 ||c|| (zero in exact arithmetic, so they measure its
@@ -814,22 +767,21 @@ def z_spectrum(a: core.Hyper3) -> ZSpectrum:
 def c_spectrum(a: core.Hyper3) -> CSpectrum:
     """Every real C-eigenpair of a right-side symmetric tensor, from one resultant.
 
-    The y of a C-eigenpair are the critical points of q(y) = ||A y y||^2 on
-    the unit sphere.  On the tensor scaled by a power of two (exact), in
-    the fixed chart y = R^T (1, t, s), with g' = R sum_i (A y y)_i A_i y
-    the gradient of q / 4: the 7x7 Sylvester determinant of the cubic
-    p = g'_2 - t g'_1 and the quartic q' = g'_3 - s g'_1 in s at the 32nd
-    roots of unity, one batched ``np.linalg.det``, gives the degree-13
-    polynomial in t through a constant inverse DFT matrix; ``np.roots``
-    solves it, the root of p = 0 at which |q'| is smallest gives s for
-    every real t, x = A y y / ||A y y||, and 3 batched Newton steps on the
-    bordered 8x8 system of the C multistart polish all real candidates
-    together.
+    The y of a C-eigenpair are the critical points of ||A y y||^2 on the
+    unit sphere.  The elimination of ``z_spectrum``, on the field
+    g' = R sum_i (A y y)_i A_i y of degree d = 3, a quarter of that
+    form's gradient: in the chart y = R^T (1, t, s), the 7x7 Sylvester
+    determinant of the cubic p = g'_2 - t g'_1 and the quartic
+    q = g'_3 - s g'_1 in s at the 32nd roots of unity gives the
+    degree-13 polynomial in t, the root of p at which |q| is smallest
+    gives s for every real t, x = A y y / ||A y y|| is the C step's exact
+    x-substep, and 3 batched Newton steps on the bordered 8x8 system of
+    the C multistart polish all real candidates together.
 
     Certified as ``z_spectrum`` is, with coefficients 14..31 as the
     rounding and 13 simple roots.  Raises Uncertified when no chart
     certifies: the zero tensor, rank-one tensors ``x (x) y (x) y`` (a
-    circle of critical points at q = 0) and tensors near those.  Raises
+    circle of critical points where A y y = 0) and tensors near those.  Raises
     NotRightSymmetric unless ``a`` is right-side symmetric within
     1e-8 * ||A|| and ValueError unless it is a finite 3x3x3 array.
     """

@@ -478,6 +478,74 @@ def test_c_spectrum_uncertified_on_zero_and_rank_one(noise):
 
 
 # ---------------------------------------------------------------------------
+# the elimination both kinds share
+
+
+def _field(kind, a, v):
+    """The kind's field straight from A: A v v for Z, sum_i (A v v)_i A_i v for C."""
+    avv = np.einsum("ijk,j,k->i", a, v, v)
+    return avv if kind == "z_eigen" else np.einsum("i,ijk,k->j", avv, a, v)
+
+
+def _sylvester_by_hand(p, q):
+    """The Sylvester matrix of p (degree m) and q (degree n) in s, given
+    s^0 first: rows s^(n-1) p .. p, then s^(m-1) q .. q, s^(m+n-1) first."""
+    m, n = len(p) - 1, len(q) - 1
+    out = np.zeros((m + n, m + n), complex)
+    for row in range(n):
+        out[row, row:row + m + 1] = p[::-1]
+    for row in range(m):
+        out[n + row, row:row + n + 1] = q[::-1]
+    return out
+
+
+@pytest.mark.parametrize("chart", range(3))
+@pytest.mark.parametrize("kind", ["z_eigen", "c_eigen"])
+def test_pq_and_sylvester_match_the_field_written_out(kind, chart):
+    d = varspec._ELIMINATIONS[kind][0]
+    r = varspec._CHARTS[chart]
+    rng = np.random.default_rng(chart)
+    for seed in range(5):
+        a = random_hyper3(seed)
+        pq = varspec._pq(kind, a, chart)
+        p, q = pq[:d + 1], pq[d + 1:-1]
+        assert pq.shape == (2 * d + 4, d + 2) and not pq[-1].any()
+        # p = g'_2 - t g'_1 and q = g'_3 - s g'_1 with g' = R g(R^T (1, t, s))
+        for t, s in rng.standard_normal((10, 2)):
+            g = r @ _field(kind, a, r.T @ [1.0, t, s])
+            sp, tp = s ** np.arange(d + 2), t ** np.arange(d + 2)
+            for grid, want in ((p, g[1] - t * g[0]), (q, g[2] - s * g[0])):
+                rows = sp[:len(grid)]
+                scale = np.abs(rows) @ np.abs(grid) @ np.abs(tp)
+                assert abs(rows @ grid @ tp - want) <= 1e-13 * scale
+        # one (2d + 1)-square matrix per root of unity, 16 for Z and 32 for C
+        mats = varspec._sylvester(pq)
+        assert mats.shape == ({2: 16, 3: 32}[d], 2 * d + 1, 2 * d + 1)
+        for j in (0, 3, len(mats) - 1):
+            w = np.exp(2j * np.pi * j / len(mats)) ** np.arange(d + 2)
+            want = _sylvester_by_hand(p @ w, q @ w)
+            assert np.abs(mats[j] - want).max() <= 1e-15 * np.abs(pq).max()
+
+
+@pytest.mark.parametrize(
+    "kind, klass",
+    [("z_eigen", "symmetric"), ("z_eigen", "primarily_symmetric"), ("c_eigen", "right_symmetric"),
+     ("c_eigen", "symmetric"), ("c_eigen", "primarily_symmetric")],
+)
+def test_charts_agree_where_they_certify(kind, klass):
+    # a chart may decline (chart 3 does for C on make_fixture("symmetric", 4)),
+    # but the first one certifies every fixture, and so does at least one more
+    for seed in range(10):
+        a, _ = core._scaled(tt.make_fixture(klass, seed), "Hyper3")
+        pairs = [varspec._chart_pairs(kind, a, chart) for chart in range(3)]
+        certified = [values for values, _, _ in filter(None, pairs)]
+        assert pairs[0] is not None and len(certified) >= 2
+        for values in certified[1:]:
+            assert len(values) == len(certified[0])
+            assert np.abs(values - certified[0]).max() <= 1e-12 * max(1.0, core._frobenius(a))
+
+
+# ---------------------------------------------------------------------------
 # the multistart driver
 
 

@@ -2,7 +2,7 @@
 
 Loads ``src/tritensor`` of a git revision (``--parent``) and of the
 working tree into one process, as the modules ``parent`` and ``change``,
-and reports four parts:
+and reports five parts:
 
 - ``closed_form_golden``: one sha256 per tree over the fixtures of every
   class, the rotations, the ``classify`` verdicts and the
@@ -30,14 +30,21 @@ and reports four parts:
   the call to the first ``history_out`` append: gate, set-up and first
   iteration), mean lap between appends and epilogue (from the last
   append: the merge), and the iteration count.  The lap parts cover the
-  solves that iterate; an enumerated C or Z solve has only its whole time.
+  solves that iterate; an enumerated C or Z solve has only its whole time;
+- ``fallback``: at 12 and 64 restarts, the C and Z solves of tensors
+  whose enumeration cannot certify (the zero tensor, and
+  ``3 v (x) v (x) v`` and, for C, ``2 x (x) y (x) y``, each plus 0,
+  1e-12, 1e-9 and 1e-6 of a unit-norm fixture), compared by value as
+  above, with each solve's iteration count and the fastest of 3 whole
+  solves per tree.
 
 The parent tree builds the lap inputs.  The trees take turns call by
 call and the one that goes first alternates, so a slow phase of the host
 falls on both; a case whose output (for a solve, its iteration count)
 varies between rounds stops the run.  Equal hashes mean both trees return
 the same bits.  The report is printed and written to ``--out``, and then
-the exit code is 1 if any hash differs or any C or Z value fell.  Run
+the exit code is 1 if any hash differs or any C or Z value fell,
+fallback solves included.  Run
 from the repository root, with BLAS on one thread::
 
     python scripts/compare.py --parent HEAD~1 --out BENCH_12.json
@@ -83,6 +90,10 @@ LAP_RESTARTS = (12, 64)
 VALUE_TOL = 1e-12
 LAYER_ROUNDS = 41
 SOLVER_ROUNDS = 21
+# a fallback solve can take seconds in a tree whose fallback crawls
+FALLBACK_ROUNDS = 3
+# noise levels of the fallback inputs, times a unit-norm fixture
+FALLBACK_NOISE = (0.0, 1e-12, 1e-9, 1e-6)
 SIDES = ("right", "left", "central")
 # the reports run on every fixture the CLI prints, read from standard input
 REPORTS = (
@@ -415,6 +426,36 @@ def solver_laps(trees: dict, pairs: list, rounds: int = SOLVER_ROUNDS,
     return {"pairs": len(pairs), "restarts": restarts, "rounds": rounds, "laps": laps}
 
 
+def fallback_inputs(tt) -> dict:
+    """Per solver, tensors its enumeration cannot certify: the zero tensor,
+    then 3 v (x) v (x) v and (C only) 2 x (x) y (x) y, each plus noise."""
+    x, y, v = (u / np.linalg.norm(u) for u in np.random.default_rng(14).standard_normal((3, 3)))
+    noise = {k: np.asarray(tt.make_fixture(k, 1)) for k in ("symmetric", "right_symmetric")}
+    noise = {k: n / np.linalg.norm(n) for k, n in noise.items()}
+    z = [np.zeros((3, 3, 3))]
+    z += [3.0 * tt.outer(v, v, v) + e * noise["symmetric"] for e in FALLBACK_NOISE]
+    c = z + [2.0 * tt.outer(x, y, y) + e * noise["right_symmetric"] for e in FALLBACK_NOISE]
+    return {"max_c_eigenvalue": c, "max_z_eigenvalue": z}
+
+
+def fallback(trees: dict, rounds: int = FALLBACK_ROUNDS) -> dict:
+    """The C and Z solves of ``fallback_inputs`` at each lap restart count:
+    by value, and per tree each solve's iterations and fastest whole time."""
+    out = {"rounds": rounds}
+    for restarts in LAP_RESTARTS:
+        for solver, tensors in fallback_inputs(trees["parent"]).items():
+            run = functools.partial(run_solver, restarts=restarts)
+            best, iterations = fastest(trees, [solver], tensors, rounds, run)
+            part = by_value(trees, [(solver, a, restarts, 0) for a in tensors])
+            for n in trees:
+                ms = [round(times[3] / 1e6, 3) for times in best[n][solver]]
+                part[n] = {"iterations": iterations[n][solver], "solve_ms": ms,
+                           "solve_ms_sum": round(sum(ms), 3)}
+            out[f"{solver}@{restarts}"] = part
+    out["equal"] = all(part["equal"] for key, part in out.items() if "@" in key)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent tree")
@@ -452,6 +493,7 @@ def main(argv=None) -> int:
     golden = {
         "closed_form_golden": {**closed, "equal": closed["parent"] == closed["change"]},
         "solver_golden": solver_golden(trees),
+        "fallback": fallback(trees),
     }
     report.update(golden)
     report["equal"] = all(part["equal"] for part in golden.values()) and all(

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import core, spectral, varspec
-from .errors import NoConvergence, SingularTensor, TensorError, Uncertified
+from .errors import NoConvergence, SingularTensor, TensorError, Uncertified, Unrepresentable
 from .symmetry import FIXTURE_CLASSES, classify, make_fixture
 
 EXIT_OK = 0
@@ -152,6 +152,8 @@ def _classify(args, a, name):
 
 def _kernel(args, a, name):
     u = spectral.kernel(a)
+    if not np.isfinite(u).all():  # JSON has no inf or NaN
+        raise Unrepresentable(f"the kernel of {name} is outside the float64 range")
     lines = [f"kernel tensor of {name}"] + [f"  {_fmt_vec(row)}" for row in u]
     lines.append(f"trace = {_fmt(np.trace(u))}")
     return {"kernel": u.tolist(), "trace": float(np.trace(u))}, lines
@@ -233,8 +235,13 @@ def _invariants(args, a, name):
 
 def _decompose(args, a, name):
     dec = spectral.eig_decompose_partial(a, side=args.side, tol=args.tol)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    residual = float(np.linalg.norm(dec.reconstruct() - a)) / scale
+    # ||R - A|| / max(1, ||A||) for the reconstruction R, on R and A scaled
+    # by one power of two: exact, and the squares of their entries stay finite
+    scaled, exp = core._scaled(a, "Hyper3")
+    with np.errstate(over="ignore"):  # 1 / 2^exp overflows only where ||A|| < 2^-1023
+        one = np.ldexp(1.0, -exp)
+    diff = np.linalg.norm(np.ldexp(dec.reconstruct(), -exp) - scaled)
+    residual = float(diff / max(one, np.linalg.norm(scaled)))
     doc = dec.as_dict()
     doc["residual"] = residual
     lines = [f"{args.side}-side eigenvector decomposition of {name}"]

@@ -2,25 +2,28 @@
 
 Singular values, C-eigenvalues and Z-eigenvalues are stationary values of
 the potential x A y z over one, two or three unit spheres.  One seeded
-multistart driver finds all three maxima on the tensor scaled by a power
-of two (exact, so results scale with the tensor).  Each kind supplies a
-monotone ascent step: alternating normalized updates for singular
-values, an exact x-step plus a shifted power step in y for C-eigenvalues,
-a shifted symmetric power iteration for Z-eigenvalues.  Once a restart's
-step is below 1e-2 the driver also proposes a Newton step on its
-bordered Lagrange system, kept where the objective ends at least as
-high, so the tail converges quadratically.  Restarts are vectorized and
-independent, and merged after a value-then-lexicographic sort, so the
-triple does not depend on execution order.  Global optimality is not
-certified, so ``starts_converged`` reports how many restarts agreed
-with the returned point; raise ``restarts`` if it looks thin.
+multistart driver finds the largest singular value eta_1 on the tensor
+scaled by a power of two (exact, so results scale with the tensor):
+alternating normalized updates, each substep an exact maximization, and
+once a restart's step is below 1e-2 a Newton step on its bordered
+Lagrange system, kept where the objective ends at least as high, so the
+objective never decreases and the tail converges quadratically.
+Restarts are vectorized and independent, and merged after a
+value-then-lexicographic sort, so the triple does not depend on
+execution order.  Global optimality is not certified, so
+``starts_converged`` reports how many restarts agreed with the returned
+point; raise ``restarts`` if it looks thin.
 
 C- and Z-eigenpairs are enumerated instead, all of them by one
 certified elimination that each kind feeds its own gradient field (see
-``c_spectrum`` and ``z_spectrum``); ``max_c_eigenvalue`` and
-``max_z_eigenvalue`` run the multistart only when the enumeration cannot
-certify its result, so only ``max_singular_value`` (eta_1) always rests
-on the multistart.
+``c_spectrum`` and ``z_spectrum``).  Where the enumeration cannot
+certify its result, ``max_c_eigenvalue`` and ``max_z_eigenvalue`` take
+their pair from eta_1, which the maxima equal on the tensors they
+accept: mu_1 = eta_1 for a right-side symmetric tensor, since x A is
+then symmetric, and nu_1 = eta_1 for a symmetric one (Banach, Studia
+Math. 7, 1938).  The eigenvector of the largest |eigenvalue| of x A,
+for the x of eta_1, is the y of the pair, polished as an enumerated
+point is.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,9 +51,6 @@ _RESIDUAL_OK = 1e-9
 # merge tolerances for duplicate critical points across restarts
 _MERGE_VALUE = 1e-8
 _MERGE_VECTOR = 1e-6
-# shift of the C and Z power steps, relative to ||A||: below the
-# convexifying bound of SS-HOPM, so the descent guard keeps them monotone
-_SHIFT = 0.5
 # a restart whose last step was shorter than this gets a Newton proposal
 _NEWTON_BELOW = 1e-2
 
@@ -68,7 +68,8 @@ class CriticalTriple:
     C- or Z-eigenpair taken from a certified ``c_spectrum`` or
     ``z_spectrum``; there ``starts_converged`` counts the real pairs that
     merge with the best under the same tolerances, which certification
-    makes 1.
+    makes 1.  A C- or Z-eigenpair from the multistart is derived from the
+    singular maximum, and its ``starts_converged`` is that maximum's.
     """
 
     kind: str
@@ -180,12 +181,9 @@ def _newton(jmap, s, f):
     return _unit(s + step, s)
 
 
-# Each kind has an ascent step (m, s, shift) -> (base, f(base), proposal,
-# f(proposal)), base being s after any exact substep, and a sign rule that
-# makes a converged state canonical.
-
-
-def _singular_step(m, s, shift):
+def _singular_step(m, s):
+    """One sweep x <- A y z, y <- x A z, z <- x y A, each normalized and
+    each an exact maximization: (f(s), the new state, its f)."""
     x, y, z = s[:, 0], s[:, 1], s[:, 2]
     g = _pair(y, z) @ m.T
     xn = _unit(g, x)
@@ -193,29 +191,7 @@ def _singular_step(m, s, shift):
     yn = _unit(np.matmul(xa, z[:, :, None])[:, :, 0], y)
     zraw = np.matmul(yn[:, None, :], xa)[:, 0]
     zn = _unit(zraw, z)
-    return s, _dot(g, x), _blocks(xn, yn, zn), _dot(zraw, zn)
-
-
-def _c_x(m, y, old):
-    """The exact x-substep of the C step, x <- A y y / ||.||."""
-    return _unit(_pair(y, y) @ m.T, old)
-
-
-def _c_step(m, s, shift):
-    x, y = s[:, 0], s[:, 1]
-    xn = _c_x(m, y, x)
-    w = (xn @ m).reshape(-1, 3, 3)
-    wy = np.matmul(w, y[:, :, None])[:, :, 0]
-    yp = _unit(wy + shift * y, y)
-    f_prop = _dot(np.matmul(w, yp[:, :, None])[:, :, 0], yp)
-    return _blocks(xn, y), _dot(wy, y), _blocks(xn, yp), f_prop
-
-
-def _z_step(m, s, shift):
-    x = s[:, 0]
-    g = _pair(x, x) @ m.T
-    xp = _unit(g + shift * x, x)
-    return s, _dot(g, x), xp[:, None], _dot(_pair(xp, xp) @ m.T, xp)
+    return _dot(g, x), _blocks(xn, yn, zn), _dot(zraw, zn)
 
 
 def _singular_signs(m, s):
@@ -232,40 +208,20 @@ def _z_signs(m, s):
     return np.where(_potential(m, s, (0, 0, 0)) < 0.0, -1.0, 1.0)[:, None]
 
 
-# per kind: the state block in x, y and z, the blocks seeded with random
-# unit rows (the others start at 0), the ascent step and the sign rule
+# per kind: the state block in x, y and z, the number of blocks and the sign
+# rule that makes a converged state canonical
 _KINDS = {
-    "singular": ((0, 1, 2), (True, True, True), _singular_step, _singular_signs),
-    "c_eigen": ((0, 1, 1), (False, True), _c_step, _c_signs),
-    "z_eigen": ((0, 0, 0), (True,), _z_step, _z_signs),
+    "singular": ((0, 1, 2), 3, _singular_signs),
+    "c_eigen": ((0, 1, 1), 2, _c_signs),
+    "z_eigen": ((0, 0, 0), 1, _z_signs),
 }
 
 
-def _descend_guard(s_old, s_prop, f_old, f_prop, f_of, noise):
-    """Blend proposals back toward the previous iterate until the
-    objective stops decreasing (allowing ``noise``)."""
-    bad = f_prop < f_old - noise
-    if not bad.any():
-        return s_prop, f_prop
-    out = s_prop.copy()
-    for t in 0.5 ** np.arange(1.0, 31.0):
-        old = s_old[bad]
-        out[bad] = _unit(old + t * (s_prop[bad] - old), old)
-        f_new = f_of(out)
-        bad = f_new < f_old - noise
-        if not bad.any():
-            return out, f_new
-    out[bad] = s_old[bad]
-    return out, f_of(out)
-
-
-def _starts(seed, restarts: int, drawn: tuple) -> np.ndarray:
-    """Seeded starts: random unit rows in the ``drawn`` blocks, drawn in one
+def _starts(seed, restarts: int) -> np.ndarray:
+    """Seeded starts: random unit rows in the three blocks, drawn in one
     call, the same stream as one (restarts, 3) draw per block."""
-    g = np.random.default_rng(seed).standard_normal((sum(drawn), restarts, 3))
-    s = np.zeros((restarts, len(drawn), 3))
-    s[:, list(drawn)] = (g / _norms(g)[..., None]).transpose(1, 0, 2)
-    return s
+    g = np.random.default_rng(seed).standard_normal((3, restarts, 3))
+    return np.ascontiguousarray((g / _norms(g)[..., None]).transpose(1, 0, 2))
 
 
 def _merging(values: np.ndarray, vecs: np.ndarray, rows) -> np.ndarray:
@@ -282,36 +238,41 @@ def _unscaled_residual(norm: float, exp: int) -> float:
     return 1.0 if exp > 0 else min(1.0, math.ldexp(norm, exp))
 
 
-def _multistart(kind, a, exp, restarts, tol, max_iters, seed, history_out) -> CriticalTriple:
-    """The ``kind`` maximum of ldexp(a, exp), for ``a, exp = core._scaled(...)``."""
+def _triple(kind, value, blocks, residual, count, method) -> CriticalTriple:
+    """The ``kind`` triple of one state's blocks, at the kind's slots."""
+    vecs = [core._read_only(v) for v in blocks]
+    x, y, z = (vecs[slot] for slot in _KINDS[kind][0])
+    return CriticalTriple(kind, float(value), x, y, z, float(residual), count, method)
+
+
+def _multistart(a, exp, restarts, tol, max_iters, seed, history_out) -> CriticalTriple:
+    """The singular maximum of ldexp(a, exp), for ``a, exp = core._scaled(...)``."""
     if not np.any(a):
         e1 = core._read_only([1.0, 0.0, 0.0])
-        return CriticalTriple(kind, 0.0, e1, e1, e1, 0.0, restarts, "multistart")
-    slots, drawn, step, signs = _KINDS[kind]
+        return CriticalTriple("singular", 0.0, e1, e1, e1, 0.0, restarts, "multistart")
+    slots, k, signs = _KINDS["singular"]
     m = a.reshape(3, 9)
     norm = float(np.linalg.norm(m))
-    shift = _SHIFT * norm
-    jmap = _jacobian_map(a, slots, len(drawn))
-    s = _starts(seed, restarts, drawn)
+    jmap = _jacobian_map(a, slots, k)
+    s = _starts(seed, restarts)
     f_of = functools.partial(_potential, m, slots=slots)
     delta = np.full(restarts, np.inf)
     converged = np.zeros(restarts, dtype=bool)
     for it in range(max_iters):
-        base, f_base, prop, f_prop = step(m, s, shift)
+        f_base, s_new, f = _singular_step(m, s)
         near = ((delta < _NEWTON_BELOW) & (delta >= tol)).nonzero()[0]
         if len(near):
-            # a Newton proposal replaces the power step's only where the
+            # a Newton proposal replaces the sweep's only where the
             # objective ends at least as high, which a NaN never does
             with np.errstate(all="ignore"):
                 try:
-                    cand = _newton(jmap, base[near], f_base[near])
+                    cand = _newton(jmap, s[near], f_base[near])
                 except np.linalg.LinAlgError:  # an exactly singular system
-                    cand = prop[near]
+                    cand = s_new[near]
                 f_cand = f_of(cand)
-            take = f_cand >= f_prop[near]
-            prop[near[take]] = cand[take]
-            f_prop[near[take]] = f_cand[take]
-        s_new, f = _descend_guard(base, prop, f_base, f_prop, f_of, 1e-13 * norm)
+            take = f_cand >= f[near]
+            s_new[near[take]] = cand[take]
+            f[near[take]] = f_cand[take]
         delta = _norms(s_new - s).max(axis=1)
         s = s_new
         if history_out is not None:
@@ -332,14 +293,11 @@ def _multistart(kind, a, exp, restarts, tol, max_iters, seed, history_out) -> Cr
     f = f_of(s)
     values = np.ldexp(f, exp)
     resids = _residual(jmap, s, f) / norm * _unscaled_residual(norm, exp)
-    vecs = s[:, slots].reshape(len(s), 9)
+    vecs = s.reshape(len(s), 9)
     # best value first, ties broken lexicographically on the vectors
     best = np.lexsort((*vecs.T[::-1], -values))[0]
     agree = _merging(values, vecs, [best])[0]
-    x, y, z = (core._read_only(v) for v in vecs[best].reshape(3, 3))
-    return CriticalTriple(
-        kind, float(values[best]), x, y, z, float(resids[best]), int(agree.sum()), "multistart"
-    )
+    return _triple("singular", values[best], s[best], resids[best], int(agree.sum()), "multistart")
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +458,11 @@ def _c_field(b: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 # per kind: the degree d of g'; the coefficients of g' in v', c (3, 3^d)
 # with g'_m = c[m] . v'^(x)d, from b_i = R A_i R^T and R; and the state
-# blocks of the scaled unit rows v, m = a.reshape(3, 9)
+# blocks of the scaled unit rows v, m = a.reshape(3, 9) (for C,
+# x = A y y / ||A y y||)
 _ELIMINATIONS = {
     "z_eigen": (2, _z_field, lambda m, v: v[:, None]),
-    "c_eigen": (3, _c_field, lambda m, y: _blocks(_c_x(m, y, y), y)),
+    "c_eigen": (3, _c_field, lambda m, y: _blocks(_unit(_pair(y, y) @ m.T, y), y)),
 }
 
 
@@ -530,32 +489,50 @@ def _certified_roots(c: np.ndarray, degree: int) -> np.ndarray | None:
     return t.real[np.abs(t.imag) <= bound]
 
 
-def _chart_pairs(kind: str, a: np.ndarray, chart: int):
-    """Every real ``kind`` eigenpair of the scaled tensor ``a`` through
-    chart ``chart`` as (values >= 0, the (n, k, 3) state blocks,
-    residuals relative to ||a||), best first, or None unless the
-    certificate holds."""
-    d, _, lift = _ELIMINATIONS[kind]
-    slots, drawn, _, signs = _KINDS[kind]
+def _polished(kind: str, a: np.ndarray, v: np.ndarray, steps: int = _POLISH_STEPS):
+    """The ``kind`` pairs of the scaled tensor ``a`` at the unit rows
+    ``v``: the kind's lift of ``v`` to state blocks after ``steps``
+    Newton steps, with canonical signs, as (values, (n, k, 3) state
+    blocks, residuals relative to ||a||), or None unless every residual
+    is within _POLISHED."""
+    slots, k, signs = _KINDS[kind]
     m = a.reshape(3, 9)
+    jmap = _jacobian_map(a, slots, k)
     with np.errstate(all="ignore"):
-        pq = _pq(kind, a, chart)
-        mats = _sylvester(pq)
-        t = _certified_roots(_roots_of_unity(len(mats))[1] @ np.linalg.det(mats), d * d + d + 1)
-        if t is None or not len(t):
-            return None
-        jmap = _jacobian_map(a, slots, len(drawn))
         try:
-            state = lift(m, _chart_points(pq, chart, t))
-            for _ in range(_POLISH_STEPS):
+            state = _ELIMINATIONS[kind][2](m, v)
+            for _ in range(steps):
                 state = _newton(jmap, state, _potential(m, state, slots))
-        except np.linalg.LinAlgError:  # an exactly singular system, or a NaN
+        except np.linalg.LinAlgError:  # an exactly singular system
             return None
         state = state * signs(m, state)[:, :, None]
         f = _potential(m, state, slots)
         resid = _residual(jmap, state, f) / core._frobenius(a)
     if not (resid <= _POLISHED).all():
         return None
+    return f, state, resid
+
+
+def _chart_pairs(kind: str, a: np.ndarray, chart: int):
+    """Every real ``kind`` eigenpair of the scaled tensor ``a`` through
+    chart ``chart`` as (values >= 0, the (n, k, 3) state blocks,
+    residuals relative to ||a||), best first, or None unless the
+    certificate holds."""
+    d = _ELIMINATIONS[kind][0]
+    with np.errstate(all="ignore"):
+        pq = _pq(kind, a, chart)
+        mats = _sylvester(pq)
+        t = _certified_roots(_roots_of_unity(len(mats))[1] @ np.linalg.det(mats), d * d + d + 1)
+        if t is None or not len(t):
+            return None
+        try:
+            v = _chart_points(pq, chart, t)
+        except np.linalg.LinAlgError:  # a NaN
+            return None
+    pairs = _polished(kind, a, v)
+    if pairs is None:
+        return None
+    f, state, resid = pairs
     # the blocks order and merge as the slot vectors do, which repeat them
     vecs = state.reshape(len(f), -1)
     order = np.lexsort((*vecs.T[::-1], -f))
@@ -636,17 +613,38 @@ def _require(kind: str, a: np.ndarray) -> None:
         raise error(message)
 
 
+def _fallback(kind, a, exp, restarts, tol, max_iters, seed, history_out) -> CriticalTriple:
+    """The ``kind`` maximum of ldexp(a, exp) from the singular one: x A is
+    symmetrized (it is symmetric to the gate's bound) for the x of eta_1,
+    and the unit eigenvector of its largest |eigenvalue|, a y of the
+    maximum since the maxima are equal, is polished as an enumerated
+    point is."""
+    eta = _multistart(a, exp, restarts, tol, max_iters, seed, history_out)
+    if not np.any(a):
+        return replace(eta, kind=kind)
+    w = (eta.x @ a.reshape(3, 9)).reshape(3, 3)
+    lam, vecs = np.linalg.eigh(w + w.T)
+    y = vecs[:, np.abs(lam).argmax()][None]
+    # where the pair is not isolated (x A of e_1 (x) I is the identity) a
+    # Newton step can fail or wander, and the exact lift stands unpolished
+    pairs = _polished(kind, a, y) or _polished(kind, a, y, steps=0)
+    if pairs is None:
+        raise NoConvergence(f"the {kind} pair of eta_1 did not polish to a residual of "
+                            f"{_POLISHED:g} ||A||")
+    f, state, resid = pairs
+    resid = resid[0] * _unscaled_residual(core._frobenius(a), exp)
+    return _triple(kind, np.ldexp(f[0], exp), state[0], resid, eta.starts_converged, "multistart")
+
+
 def _maximum(kind, a, exp, restarts, tol, max_iters, seed, history_out) -> CriticalTriple:
-    """The best pair of the certified enumeration, else the multistart's."""
+    """The best pair of the certified enumeration, else the fallback's."""
     _require(kind, a)
     pairs = _enumerated(kind, a, exp)
     if pairs is None:
-        return _multistart(kind, a, exp, restarts, tol, max_iters, seed, history_out)
+        return _fallback(kind, a, exp, restarts, tol, max_iters, seed, history_out)
     values, blocks, resid = pairs
-    vecs = [core._read_only(v) for v in blocks[0]]
-    x, y, z = (vecs[slot] for slot in _KINDS[kind][0])
     # the certificate leaves no two pairs merging, so only the best merges with the best
-    return CriticalTriple(kind, float(values[0]), x, y, z, float(resid[0]), 1, "enumerated")
+    return _triple(kind, values[0], blocks[0], resid[0], 1, "enumerated")
 
 
 def _spectrum(kind: str, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -678,7 +676,7 @@ def max_singular_value(
     x y A = eta z, and eta equals contract_full(a, x, y, z).
     """
     a, exp, tol = _solver_inputs(a, tol, restarts, max_iters)
-    return _multistart("singular", a, exp, restarts, tol, max_iters, seed, history_out)
+    return _multistart(a, exp, restarts, tol, max_iters, seed, history_out)
 
 
 def max_c_eigenvalue(
@@ -695,13 +693,15 @@ def max_c_eigenvalue(
     (``method`` "enumerated"; no iterations, so nothing is appended to
     ``history_out``, and ``restarts``, ``tol``, ``max_iters`` and ``seed``
     go unused).  Otherwise (``method`` "multistart", as for rank-one
-    tensors ``x (x) y (x) y``, the zero tensor and tensors near them): the
-    x-step is exact (x <- A y y normalized); the y-step is a normalized
-    move toward x A y shifted by ||A|| / 2 times y (norm of the tensor
-    scaled by a power of two), or a Newton step on the 8x8 Lagrange
-    system in (x, y) where that climbs further, with step halving as a
-    safeguard so the objective never decreases.  Either way the pair
-    satisfies A y y = mu x and x A y = mu y.
+    tensors ``x (x) y (x) y``, the zero tensor and tensors near them) the
+    pair comes from ``max_singular_value`` run with these arguments: x A
+    is symmetric, so mu_1 = eta_1, and y is the eigenvector of the
+    largest |eigenvalue| of x A for the x of eta_1, lifted to
+    x = A y y / ||A y y|| and polished as an enumerated pair is (or left
+    unpolished where a Newton step fails); ``history_out`` gets the
+    singular objective and ``starts_converged`` is eta_1's.  Either way
+    the pair satisfies A y y = mu x and x A y = mu y; NoConvergence is
+    raised if the residual of the fallback's pair exceeds 1e-12 ||A||.
     """
     a, exp, tol = _solver_inputs(a, tol, restarts, max_iters)
     return _maximum("c_eigen", a, exp, restarts, tol, max_iters, seed, history_out)
@@ -720,12 +720,10 @@ def max_z_eigenvalue(
     The best pair of ``z_spectrum`` whenever its enumeration certifies
     (``method`` "enumerated"; no iterations, so nothing is appended to
     ``history_out``, and ``restarts``, ``tol``, ``max_iters`` and ``seed``
-    go unused).  Otherwise (``method`` "multistart"): shifted symmetric
-    power iteration x <- (A x x + alpha x) / ||.|| on the tensor scaled by
-    a power of two, alpha being half its norm, or a Newton step on the
-    4x4 system
-    [[2 A x - nu I, -x], [x^T, 0]] where that climbs further, plus the
-    same step-halving safeguard as the C-eigenvalue search.  Either way x
+    go unused).  Otherwise (``method`` "multistart"): nu_1 = eta_1 on a
+    symmetric tensor (Banach 1938), and x is the eigenvector of the
+    largest |eigenvalue| of x' A for the x' of ``max_singular_value`` run
+    with these arguments, as for ``max_c_eigenvalue``.  Either way x
     satisfies A x x = nu x with nu = x A x x >= 0 (x is flipped when the
     cubic form is negative, which the odd degree permits).
     """
@@ -774,9 +772,9 @@ def c_spectrum(a: core.Hyper3) -> CSpectrum:
     determinant of the cubic p = g'_2 - t g'_1 and the quartic
     q = g'_3 - s g'_1 in s at the 32nd roots of unity gives the
     degree-13 polynomial in t, the root of p at which |q| is smallest
-    gives s for every real t, x = A y y / ||A y y|| is the C step's exact
-    x-substep, and 3 batched Newton steps on the bordered 8x8 system of
-    the C multistart polish all real candidates together.
+    gives s for every real t, x = A y y / ||A y y||, and 3 batched Newton
+    steps on the bordered 8x8 system in (x, y) polish all real candidates
+    together.
 
     Certified as ``z_spectrum`` is, with coefficients 14..31 as the
     rounding and 13 simple roots.  Raises Uncertified when no chart

@@ -308,3 +308,23 @@ def test_criterion_10_symmetric_eta_equals_nu():
         f"ACCEPTANCE 10 PASS: eta_1 = nu_1 on 20 symmetric fixtures, worst {worst:.1e} "
         f"({elapsed:.1f}s)"
     )
+
+
+def test_criterion_11_right_symmetric_eta_equals_mu():
+    # x A is symmetric for a right-side symmetric A, so the largest y (x A) z
+    # over unit y, z is the largest |y (x A) y| and eta_1 = mu_1; criterion 6
+    # asserts only mu_1 <= eta_1
+    start = time.monotonic()
+    worst = 0.0
+    for seed in range(20):
+        a = tt.make_fixture("right_symmetric", seed)
+        eta = tt.max_singular_value(a, restarts=24, seed=seed).value
+        mu = tt.max_c_eigenvalue(a, restarts=24, seed=seed)
+        assert mu.method == "enumerated"
+        worst = max(worst, abs(eta - mu.value) / eta)
+        assert abs(eta - mu.value) <= 1e-12 * eta
+    elapsed = time.monotonic() - start
+    print(
+        f"ACCEPTANCE 11 PASS: eta_1 = mu_1 on 20 right-side symmetric fixtures, worst "
+        f"{worst:.1e} ({elapsed:.1f}s)"
+    )

@@ -242,6 +242,26 @@ def test_unrepresentable_invariants_exit_2(tmp_path, capsys):
     assert "Unrepresentable" in capsys.readouterr().err
 
 
+def test_reports_near_the_float64_limit_print_no_nan_or_infinity(tmp_path, capsys):
+    # ||A||^2 overflows near 1e300: the decompose residual is taken on the
+    # tensor scaled by a power of two, so it equals the unscaled one (and
+    # 1 / 2^1070 overflows for the subnormal one); the kernel A A^T itself
+    # is not representable
+    a = np.asarray(tt.make_fixture("right_symmetric", 1))
+    residuals = []
+    for k in (0, 996, -1070):
+        path = write_tensor(tmp_path / f"a{k}.json", np.ldexp(a, k))
+        assert run(["decompose", path, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert "NaN" not in out and "Infinity" not in out
+        residuals.append(json.loads(out)["residual"])
+    assert residuals[0] == residuals[1] <= 1e-14
+    for mode in ([], ["--json"]):
+        assert run(["kernel", str(tmp_path / "a996.json"), *mode]) == 2
+        captured = capsys.readouterr()
+        assert "Unrepresentable" in captured.err and not captured.out
+
+
 def test_no_convergence_exit_code(tmp_path, capsys):
     # a rank-one tensor has a circle of Z-eigenvectors, so z-eigen falls
     # back to the multistart, which one iteration cannot converge

@@ -36,7 +36,7 @@ def compare(monkeypatch):
             del sys.modules[name]
 
 
-def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare):
+def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monkeypatch):
     src = ROOT / "src" / "tritensor"
     trees = {key: compare.load_tree(src, name) for key, name in TWINS.items()}
 
@@ -62,6 +62,16 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare):
     assert (values["methods"], values["rose"], values["fell"], values["equal"]) == (
         {"enumerated": 2}, [], [], True
     )
+    # one fallback row: 3 v (x) v (x) v plus 1e-12 noise, which no enumeration certifies
+    row = compare.fallback_inputs(trees["parent"])["max_z_eigenvalue"][2:3]
+    monkeypatch.setattr(compare, "fallback_inputs", lambda tt: {"max_z_eigenvalue": row})
+    monkeypatch.setattr(compare, "LAP_RESTARTS", (compare.RESTARTS,))
+    fallback = compare.fallback(trees, rounds=1)
+    part = fallback[f"max_z_eigenvalue@{compare.RESTARTS}"]
+    assert (part["methods"], part["fell"], fallback["equal"]) == ({"multistart": 1}, [], True)
+    assert part["parent"]["iterations"] == part["change"]["iterations"] != [0]
+    assert part["change"]["solve_ms_sum"] > 0.0
+
     clis = {key: importlib.import_module(f"{name}.cli") for key, name in TWINS.items()}
     # the first printed fixture and every report on it
     cli_records = 1 + len(compare.REPORTS)

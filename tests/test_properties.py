@@ -1,8 +1,10 @@
 """Property tests on generated 3x3x3 tensors (hypothesis)."""
 
+import functools
 from itertools import permutations
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -87,7 +89,7 @@ def test_enumerated_nu_1_tops_the_multistart_and_ignores_rotations(a, r):
         return
     nu, norm = spectrum.values[0], np.linalg.norm(a)
     scaled, exp = core._scaled(a, "Hyper3")
-    multistart = varspec._multistart("z_eigen", scaled, exp, 12, 1e-12, 10000, 0, None)
+    multistart = varspec._fallback("z_eigen", scaled, exp, 12, 1e-12, 10000, 0, None)
     assert nu >= multistart.value - 1e-12 * norm
     rotated = tt.max_z_eigenvalue(tt.rotate(a, tt.random_rotation(r)))
     assert abs(rotated.value - nu) <= 1e-12 * norm
@@ -102,7 +104,34 @@ def test_enumerated_mu_1_tops_the_multistart_and_ignores_rotations(a, r):
         return
     mu, norm = spectrum.values[0], np.linalg.norm(a)
     scaled, exp = core._scaled(a, "Hyper3")
-    multistart = varspec._multistart("c_eigen", scaled, exp, 12, 1e-12, 10000, 0, None)
+    multistart = varspec._fallback("c_eigen", scaled, exp, 12, 1e-12, 10000, 0, None)
     assert mu >= multistart.value - 1e-12 * norm
     rotated = tt.max_c_eigenvalue(tt.rotate(a, tt.random_rotation(r)))
     assert abs(rotated.value - mu) <= 1e-12 * norm
+
+
+@few
+@given(right_symmetric, st.integers(0, 2**16))
+def test_uncertified_mu_1_is_eta_1(a, seed):
+    # x A is symmetric, so mu_1 = eta_1, and the fallback takes its pair
+    # from eta_1: the same solve, so it fails exactly where eta_1 does
+    try:
+        tt.c_spectrum(a)
+    except tt.Uncertified:
+        pass
+    else:
+        return
+    solves = [
+        functools.partial(solve, a, restarts=12, seed=seed, max_iters=1000)
+        for solve in (tt.max_c_eigenvalue, tt.max_singular_value)
+    ]
+    try:
+        eta = solves[1]()
+    except tt.NoConvergence:
+        with pytest.raises(tt.NoConvergence):
+            solves[0]()
+        return
+    mu = solves[0]()
+    assert mu.method == "multistart"
+    assert abs(mu.value - eta.value) <= 1e-12 * np.linalg.norm(a)
+    assert mu.residual <= 1e-12

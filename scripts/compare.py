@@ -10,16 +10,19 @@ and reports five parts:
   the errors they raise) on the fixtures and on Gaussian tensors at norms
   from 1e-40 to 1e160, and the CLI's ``fixture``, ``classify`` and
   ``decompose`` reports, fed through standard input;
-- ``solver_golden``: for the singular solves of acceptance criteria 4
-  and 6, one sha256 per tree over each result (without ``method``,
-  which the parent may lack) and its ``history_out`` rows; the 2420 C
-  and 2220 Z solves are compared by value, since the enumerations find
-  mu_1 and nu_1 without iterating: equal within 1e-12 * max(1, |value|),
-  or listed under ``rose`` (a maximum the parent's multistart missed) or
-  ``fell`` (a failure), with the count of each ``method``.  A solve's
-  index runs over criterion 4's 20 fixtures x 101 orientations
-  (unrotated first), then criterion 6's 200 symmetric fixtures, then
-  (C only) its 200 right-side symmetric ones;
+- ``solver_golden``: the 2420 singular, 2420 C and 2220 Z solves of
+  acceptance criteria 4 and 6 compared by value, since the enumerations
+  find eta_1, mu_1 and nu_1 of these tensors without iterating: equal
+  within 1e-12 * max(1, |value|), or listed under ``rose`` (a maximum
+  the parent's multistart missed) or ``fell`` (a failure), with the
+  count of each ``method``.  A solve's index runs over criterion 4's 20
+  fixtures x 101 orientations (unrotated first), then criterion 6's 200
+  symmetric fixtures, then (singular and C only) its 200 right-side
+  symmetric ones.  ``multistart_golden`` is one sha256 per tree over the
+  singular solves of tensors with no symmetric pair, which run the
+  multistart in both trees (criterion 8's 20 Gaussian tensors and the
+  Levi-Civita tensor, at 12 and 24 restarts): each result (without
+  ``method``, which an old parent may lack) and its ``history_out`` rows;
 - ``layers``: per closed-form layer and tree, the median and the sum over
   64 inputs of the fastest of 41 calls, and one sha256 over the outputs;
   ``analyze_item`` sums the layers that one item of the ``analyze``
@@ -30,7 +33,10 @@ and reports five parts:
   the call to the first ``history_out`` append: gate, set-up and first
   iteration), mean lap between appends and epilogue (from the last
   append: the merge), and the iteration count.  The lap parts cover the
-  solves that iterate; an enumerated C or Z solve has only its whole time;
+  solves that iterate; an enumerated solve has only its whole time.  The
+  memo of C and Z enumerations is cleared before each timed solve, and
+  ``audit_item`` times eta_1, mu_1 and nu_1 in turn from a cleared memo,
+  as one audit item solves them;
 - ``fallback``: at 12 and 64 restarts, the C and Z solves of tensors
   whose enumeration cannot certify (the zero tensor, and
   ``3 v (x) v (x) v`` and, for C, ``2 x (x) y (x) y``, each plus 0,
@@ -43,9 +49,8 @@ call and the one that goes first alternates, so a slow phase of the host
 falls on both; a case whose output (for a solve, its iteration count)
 varies between rounds stops the run.  Equal hashes mean both trees return
 the same bits.  The report is printed and written to ``--out``, and then
-the exit code is 1 if any hash differs or any C or Z value fell,
-fallback solves included.  Run
-from the repository root, with BLAS on one thread::
+the exit code is 1 if any hash differs or any value fell, fallback
+solves included.  Run from the repository root, with BLAS on one thread::
 
     python scripts/compare.py --parent HEAD~1 --out BENCH_12.json
 """
@@ -83,6 +88,8 @@ sys.path.insert(0, str(ROOT))
 from perfbench.spans import LapClock  # noqa: E402  (a history_out of timestamps)
 
 SOLVERS = ("max_singular_value", "max_c_eigenvalue", "max_z_eigenvalue")
+# the solver lap of eta_1, mu_1 and nu_1 in turn, as one audit item runs them
+AUDIT_ITEM = "audit_item"
 RESTARTS = 12
 # the restart counts of the solver laps
 LAP_RESTARTS = (12, 64)
@@ -221,6 +228,17 @@ def golden_solves(tt):
             yield s, a, 24, seed
 
 
+def multistart_solves(tt):
+    """(solver, tensor, restarts, seed) for the singular solves of tensors
+    with no symmetric pair: criterion 8's 20 Gaussian tensors and the
+    Levi-Civita tensor, at 12 and 24 restarts."""
+    tensors = [np.random.default_rng(s).standard_normal((3, 3, 3)) for s in range(20)]
+    tensors.append(np.asarray(tt.levi_civita()))
+    for restarts in (12, 24):
+        for seed, a in enumerate(tensors):
+            yield SOLVERS[0], a, restarts, seed
+
+
 def solve_records(tt, solves):
     for s, a, restarts, seed in solves:
         history = []
@@ -251,12 +269,11 @@ def by_value(trees: dict, solves: list) -> dict:
 
 def solver_golden(trees: dict) -> dict:
     solves = list(golden_solves(trees["parent"]))
-    mine = {s: [case for case in solves if case[0] == s] for s in SOLVERS}
-    part = {n: sha256_of(solve_records(tt, mine[SOLVERS[0]])) for n, tt in trees.items()}
-    out = {SOLVERS[0]: {"solves": len(mine[SOLVERS[0]]), **part,
-                        "equal": part["parent"] == part["change"]}}
-    for solver in SOLVERS[1:]:
-        out[solver] = by_value(trees, mine[solver])
+    out = {s: by_value(trees, [case for case in solves if case[0] == s]) for s in SOLVERS}
+    plain = list(multistart_solves(trees["parent"]))
+    part = {n: sha256_of(solve_records(tt, plain)) for n, tt in trees.items()}
+    out["multistart_golden"] = {"solves": len(plain), **part,
+                                "equal": part["parent"] == part["change"]}
     out["equal"] = all(part["equal"] for part in out.values())
     return out
 
@@ -331,16 +348,27 @@ def run_layer(tt, layer: str, case) -> tuple[tuple[int], bytes]:
     return (_now() - t0,), record_of(out)
 
 
+def clear_memos(tt) -> None:
+    """Empty the memo of C and Z enumerations, which a parent older than
+    it lacks."""
+    memo = getattr(tt.varspec, "_pairs_of_bytes", None)
+    if memo is not None:
+        memo.cache_clear()
+
+
 def run_solver(tt, solver: str, a, restarts: int = RESTARTS) -> tuple[tuple, int]:
-    """((prologue ns, epilogue ns, mean inner lap ns, total ns), iterations);
-    the parts are NaN for a solve without iterations."""
+    """((prologue ns, epilogue ns, mean inner lap ns, total ns), iterations)
+    from a cleared memo; the parts are NaN for a solve without iterations
+    and for ``AUDIT_ITEM``, which runs the three solvers in turn."""
+    clear_memos(tt)
     clock = LapClock()
     t0 = _now()
-    getattr(tt, solver)(a, restarts=restarts, history_out=clock)
+    for name in SOLVERS if solver == AUDIT_ITEM else (solver,):
+        getattr(tt, name)(a, restarts=restarts, history_out=clock)
     t1 = _now()
     stamps = clock.times
-    if not stamps:
-        return (math.nan, math.nan, math.nan, t1 - t0), 0
+    if not stamps or solver == AUDIT_ITEM:
+        return (math.nan, math.nan, math.nan, t1 - t0), len(stamps)
     inner = (stamps[-1] - stamps[0]) / (len(stamps) - 1) if len(stamps) > 1 else math.nan
     return (stamps[0] - t0, t1 - stamps[-1], inner, t1 - t0), len(stamps)
 
@@ -417,11 +445,12 @@ def _laps_of(rows: list) -> dict:
 
 def solver_laps(trees: dict, pairs: list, rounds: int = SOLVER_ROUNDS,
                 restarts: int = RESTARTS) -> dict:
+    groups = (*SOLVERS, AUDIT_ITEM)
     run = functools.partial(run_solver, restarts=restarts)
-    best, iterations = fastest(trees, SOLVERS, pairs, rounds, run)
+    best, iterations = fastest(trees, groups, pairs, rounds, run)
     laps = compared({
         s: {n: {"iterations": sum(iterations[n][s]), **_laps_of(best[n][s])} for n in trees}
-        for s in SOLVERS
+        for s in groups
     })
     return {"pairs": len(pairs), "restarts": restarts, "rounds": rounds, "laps": laps}
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import core
 from .errors import NotPartiallySymmetric, NotSymmetric, SingularTensor, Unrepresentable
-from .symmetry import _gather, _swap_symmetric
+from .symmetry import _PAIR_LAST, _gather, _swap_symmetric
 
 __all__ = [
     "LEigenSystem",
@@ -334,12 +334,8 @@ def is_orthogonal_tensor(a: core.Hyper3, tol: float = 1e-10) -> bool:
     return core._frobenius(kernel(a) - core._EYE3) <= core._tolerance(tol)
 
 
-# side -> the class it requires and the tensor the right-side procedure runs on
-_SIDES = {
-    "right": ("right_symmetric", lambda a: np.asarray(a, dtype=float)),
-    "left": ("left_symmetric", lambda a: core.transpose(core.transpose(a))),
-    "central": ("centrally_symmetric", core.transpose),
-}
+# side -> the class it requires
+_SIDES = {"right": "right_symmetric", "left": "left_symmetric", "central": "centrally_symmetric"}
 
 
 def eig_decompose_partial(
@@ -356,10 +352,10 @@ def eig_decompose_partial(
     """
     if side not in _SIDES:
         raise ValueError(f"side must be one of {sorted(_SIDES)}, got {side!r}")
-    klass, work = _SIDES[side]
+    klass = _SIDES[side]
     if not _swap_symmetric(a, core._tolerance(tol), side):
         raise NotPartiallySymmetric(f"tensor is not {klass} within {tol:.1e}")
-    sys = l_eigen(work(a))
+    sys = l_eigen(np.transpose(a, _PAIR_LAST[side]))
     floor = _SIGMA_FLOOR * sys.sigma[0]
     lam = np.zeros((3, 3))
     yvecs = np.zeros((3, 3, 3))

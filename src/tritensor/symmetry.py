@@ -56,6 +56,9 @@ class SymmetryReport:
 # symmetric (antisymmetric) under a swap when a = a.transpose(p) (= -...).
 _SWAPS = {"right": (0, 2, 1), "left": (1, 0, 2), "central": (2, 1, 0), "cyclic": (1, 2, 0)}
 _PAIR_SWAPS = ("right", "left", "central")
+# per pair swap: the axis permutation p that moves its pair of slots last,
+# so that a.transpose(p) is right-side symmetric when a is symmetric under it
+_PAIR_LAST = {"right": (0, 1, 2), "left": (2, 0, 1), "central": (1, 2, 0)}
 
 
 @cache
@@ -82,11 +85,17 @@ _FLAG_ROWS = np.concatenate((
 ))
 
 
-def _swap_symmetric(a: core.Hyper3, tol: float, *names: str) -> bool:
-    """classify(a, tol)'s verdict that ``a`` is symmetric under every named swap."""
+def _swap_verdicts(a: core.Hyper3, tol: float, *names: str) -> list[bool]:
+    """classify(a, tol)'s verdicts that ``a`` is symmetric under each named swap."""
     a, _ = core._scaled(a, "Hyper3")
     flat = a.reshape(27)
-    return float(np.abs(flat - flat.take(_gather(names))).max()) <= tol * core._frobenius(a)
+    dev = np.abs(flat - flat.take(_gather(names))).max(axis=1)
+    return (dev <= tol * core._frobenius(a)).tolist()
+
+
+def _swap_symmetric(a: core.Hyper3, tol: float, *names: str) -> bool:
+    """classify(a, tol)'s verdict that ``a`` is symmetric under every named swap."""
+    return all(_swap_verdicts(a, tol, *names))
 
 
 def classify(a: core.Hyper3, tol: float = 1e-10) -> SymmetryReport:

@@ -1,29 +1,36 @@
 """Variational eigenvalues: singular values, C- and Z-eigenvalues.
 
 Singular values, C-eigenvalues and Z-eigenvalues are stationary values of
-the potential x A y z over one, two or three unit spheres.  One seeded
-multistart driver finds the largest singular value eta_1 on the tensor
-scaled by a power of two (exact, so results scale with the tensor):
-alternating normalized updates, each substep an exact maximization, and
-once a restart's step is below 1e-2 a Newton step on its bordered
-Lagrange system, kept where the objective ends at least as high, so the
-objective never decreases and the tail converges quadratically.
-Restarts are vectorized and independent, and merged after a
-value-then-lexicographic sort, so the triple does not depend on
-execution order.  Global optimality is not certified, so
-``starts_converged`` reports how many restarts agreed with the returned
-point; raise ``restarts`` if it looks thin.
+the potential x A y z over one, two or three unit spheres.  C- and
+Z-eigenpairs are enumerated, all of them by one certified elimination
+that each kind feeds its own gradient field (see ``c_spectrum`` and
+``z_spectrum``), on the tensor scaled by a power of two (exact, so
+results scale with the tensor).  A one-entry memo keeps the last
+enumeration, so eta_1 and then mu_1 of one tensor pay for one.
 
-C- and Z-eigenpairs are enumerated instead, all of them by one
-certified elimination that each kind feeds its own gradient field (see
-``c_spectrum`` and ``z_spectrum``).  Where the enumeration cannot
-certify its result, ``max_c_eigenvalue`` and ``max_z_eigenvalue`` take
-their pair from eta_1, which the maxima equal on the tensors they
-accept: mu_1 = eta_1 for a right-side symmetric tensor, since x A is
-then symmetric, and nu_1 = eta_1 for a symmetric one (Banach, Studia
-Math. 7, 1938).  The eigenvector of the largest |eigenvalue| of x A,
-for the x of eta_1, is the y of the pair, polished as an enumerated
-point is.
+The largest singular value eta_1 of a partially symmetric tensor is mu_1
+of the tensor with its symmetric pair of slots moved last: that tensor
+is right-side symmetric, x A is then symmetric, and the largest
+y (x A) z is the largest |y (x A) y|.  Its best C-eigenpair (x, y),
+put back as (x, y, y) in the original slots, is eta_1's triple once it
+passes the singular residual test.
+
+Elsewhere, or where that enumeration cannot certify, one seeded
+multistart driver finds eta_1: alternating normalized updates, each
+substep an exact maximization, and once a restart's step is below 1e-2 a
+Newton step on its bordered Lagrange system, kept where the objective
+ends at least as high, so the objective never decreases and the tail
+converges quadratically.  Restarts are vectorized and independent, and
+merged after a value-then-lexicographic sort, so the triple does not
+depend on execution order.  Global optimality is not certified, so
+``starts_converged`` reports how many restarts agreed with the returned
+point; raise ``restarts`` if it looks thin.  Where the enumeration
+cannot certify, ``max_c_eigenvalue`` and ``max_z_eigenvalue`` take
+their pair from that multistart's eta_1, which the maxima equal on the
+tensors they accept: mu_1 = eta_1 for a right-side symmetric tensor and
+nu_1 = eta_1 for a symmetric one (Banach, Studia Math. 7, 1938).  The
+eigenvector of the largest |eigenvalue| of x A, for the x of eta_1, is
+the y of the pair, polished as an enumerated point is.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import numpy as np
 from . import core
 from .errors import NoConvergence, NotRightSymmetric, NotSymmetric, Uncertified
 from .spectral import _lead_signs
-from .symmetry import _PAIR_SWAPS, _swap_symmetric
+from .symmetry import _PAIR_LAST, _PAIR_SWAPS, _swap_symmetric, _swap_verdicts
 
 __all__ = [
     "CriticalTriple", "CSpectrum", "ZSpectrum", "max_singular_value", "max_c_eigenvalue",
@@ -66,10 +73,12 @@ class CriticalTriple:
     point (value within 1e-8, vectors within 1e-6 after sign
     canonicalization).  ``method`` is "multistart", or "enumerated" for a
     C- or Z-eigenpair taken from a certified ``c_spectrum`` or
-    ``z_spectrum``; there ``starts_converged`` counts the real pairs that
-    merge with the best under the same tolerances, which certification
-    makes 1.  A C- or Z-eigenpair from the multistart is derived from the
-    singular maximum, and its ``starts_converged`` is that maximum's.
+    ``z_spectrum`` and for the singular triple of a partially symmetric
+    tensor lifted from one; there ``starts_converged`` counts the real
+    pairs that merge with the best under the same tolerances, which
+    certification makes 1.  A C- or Z-eigenpair from the multistart is
+    derived from the singular maximum, and its ``starts_converged`` is
+    that maximum's.
     """
 
     kind: str
@@ -545,13 +554,53 @@ def _enumerated(kind: str, a: np.ndarray, exp: int):
     """The real ``kind`` eigenpairs of ldexp(a, exp) from the first chart
     that certifies, as (values, (n, k, 3) state blocks, residuals relative
     to max(1, ||A||)), or None."""
+    pairs = _pairs_of_bytes(kind, a.tobytes())
+    if pairs is None:
+        return None
+    values, blocks, resid = pairs
+    return np.ldexp(values, exp), blocks, resid * _unscaled_residual(core._frobenius(a), exp)
+
+
+@functools.lru_cache(maxsize=1)
+def _pairs_of_bytes(kind: str, key: bytes):
+    """The ``_chart_pairs`` of the first chart that certifies, for the
+    scaled tensor stored in ``key``, read-only, or None.  One entry is
+    enough for eta_1 and then mu_1 of one tensor to share an enumeration."""
+    a = np.frombuffer(key).reshape(3, 3, 3)
     for chart in range(len(_CHARTS)):
         pairs = _chart_pairs(kind, a, chart)
         if pairs is not None:
-            values, blocks, resid = pairs
-            scale = _unscaled_residual(core._frobenius(a), exp)
-            return np.ldexp(values, exp), blocks, resid * scale
+            for arr in pairs:
+                arr.setflags(write=False)
+            return pairs
     return None
+
+
+def _lifted(a: np.ndarray, exp: int) -> CriticalTriple | None:
+    """eta_1 of ldexp(a, exp) from the best C-eigenpair (x, y) of
+    a.transpose(perm), for the first pair swap under which ``a`` is
+    symmetric within _POLISHED ||a||, or None: (x, y, y) in the slots of
+    that permutation, with the singular sign rule, unless the singular
+    residual exceeds _POLISHED ||a|| or no chart certifies."""
+    swap = next(itertools.compress(_PAIR_SWAPS, _swap_verdicts(a, _POLISHED, *_PAIR_SWAPS)), None)
+    if swap is None:
+        return None
+    perm = _PAIR_LAST[swap]
+    pairs = _pairs_of_bytes("c_eigen", a.transpose(perm).tobytes())
+    if pairs is None:
+        return None
+    x, y = pairs[1][0]
+    slots, k, signs = _KINDS["singular"]
+    m = a.reshape(3, 9)
+    state = np.stack((x, y, y))[np.argsort(perm)][None]  # slot perm[i] gets block i
+    state = state * signs(m, state)[:, :, None]
+    f = _potential(m, state, slots)
+    norm = core._frobenius(a)
+    resid = float(_residual(_jacobian_map(a, slots, k), state, f)[0]) / norm
+    if not resid <= _POLISHED:
+        return None
+    resid *= _unscaled_residual(norm, exp)
+    return _triple("singular", np.ldexp(f[0], exp), state[0], resid, 1, "enumerated")
 
 
 @dataclass(frozen=True)
@@ -668,14 +717,27 @@ def max_singular_value(
 ) -> CriticalTriple:
     """Largest singular value eta_1 = max x A y z over three unit spheres.
 
-    Alternating normalized updates x <- A y z, y <- x A z, z <- x y A from
-    seeded random unit starts; each substep maximizes the potential
-    exactly, so the objective is monotone, and a Newton step on the
-    12x12 Lagrange system replaces the sweep where it climbs further.
-    The converged triple satisfies A y z = eta x, x A z = eta y,
-    x y A = eta z, and eta equals contract_full(a, x, y, z).
+    On a tensor symmetric in a pair of slots (the first of the right, left
+    and central swaps that holds within 1e-12 ||A||), eta_1 is mu_1 of
+    the tensor with that pair moved last, and the triple is the best pair
+    of its certified ``c_spectrum``, (x, y, y) put back in the original
+    slots (``method`` "enumerated", ``starts_converged`` 1; no
+    iterations, so nothing is appended to ``history_out``, and
+    ``restarts``, ``tol``, ``max_iters`` and ``seed`` go unused).  It
+    must pass the same residual test of 1e-12 ||A|| on A as an
+    enumerated pair.  Otherwise (``method`` "multistart": no symmetric
+    pair, or no chart certifies, or the test fails) alternating
+    normalized updates x <- A y z, y <- x A z, z <- x y A from seeded
+    random unit starts; each substep maximizes the potential exactly, so
+    the objective is monotone, and a Newton step on the 12x12 Lagrange
+    system replaces the sweep where it climbs further.  Either way the
+    triple satisfies A y z = eta x, x A z = eta y, x y A = eta z, and
+    eta equals contract_full(a, x, y, z).
     """
     a, exp, tol = _solver_inputs(a, tol, restarts, max_iters)
+    lifted = _lifted(a, exp)
+    if lifted is not None:
+        return lifted
     return _multistart(a, exp, restarts, tol, max_iters, seed, history_out)
 
 
@@ -694,9 +756,9 @@ def max_c_eigenvalue(
     ``history_out``, and ``restarts``, ``tol``, ``max_iters`` and ``seed``
     go unused).  Otherwise (``method`` "multistart", as for rank-one
     tensors ``x (x) y (x) y``, the zero tensor and tensors near them) the
-    pair comes from ``max_singular_value`` run with these arguments: x A
-    is symmetric, so mu_1 = eta_1, and y is the eigenvector of the
-    largest |eigenvalue| of x A for the x of eta_1, lifted to
+    pair comes from the multistart of ``max_singular_value`` run with
+    these arguments: x A is symmetric, so mu_1 = eta_1, and y is the
+    eigenvector of the largest |eigenvalue| of x A for the x of eta_1, lifted to
     x = A y y / ||A y y|| and polished as an enumerated pair is (or left
     unpolished where a Newton step fails); ``history_out`` gets the
     singular objective and ``starts_converged`` is eta_1's.  Either way
@@ -722,8 +784,9 @@ def max_z_eigenvalue(
     ``history_out``, and ``restarts``, ``tol``, ``max_iters`` and ``seed``
     go unused).  Otherwise (``method`` "multistart"): nu_1 = eta_1 on a
     symmetric tensor (Banach 1938), and x is the eigenvector of the
-    largest |eigenvalue| of x' A for the x' of ``max_singular_value`` run
-    with these arguments, as for ``max_c_eigenvalue``.  Either way x
+    largest |eigenvalue| of x' A for the x' of the multistart of
+    ``max_singular_value`` run with these arguments, as for
+    ``max_c_eigenvalue``.  Either way x
     satisfies A x x = nu x with nu = x A x x >= 0 (x is flipped when the
     cubic form is negative, which the odd degree permits).
     """

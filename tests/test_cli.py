@@ -281,6 +281,16 @@ def test_z_eigen_reports_its_method(tmp_path, capsys):
     assert "method = enumerated" in capsys.readouterr().out.splitlines()
 
 
+def test_singular_reports_its_method(tmp_path, capsys):
+    # a symmetric tensor takes eta_1 from the C enumeration, a Gaussian one
+    # from the multistart
+    for entries, method in ((tt.make_fixture("symmetric", 0), "enumerated"),
+                            (random_hyper3(0), "multistart")):
+        path = write_tensor(tmp_path / f"{method}.json", entries)
+        assert run(["singular", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == method
+
+
 @pytest.mark.parametrize("command, count", [("c-spectrum", 13), ("z-spectrum", 7)])
 def test_spectrum_reports_every_pair(command, count, tmp_path, capsys):
     p = np.asarray(tt.random_rotation(30))

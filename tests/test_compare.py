@@ -1,9 +1,9 @@
 """Smoke test of ``scripts/compare.py``: the working tree against itself.
 
 It runs the script's per-case helpers on a few inputs, so a library
-change that breaks a hook the script uses (the SVD memo's
-``cache_clear``, ``history_out``, ``perfbench.spans.LapClock``, the CLI's
-``run``) fails here rather than at the next measurement.
+change that breaks a hook the script uses (the SVD and enumeration
+memos' ``cache_clear``, ``history_out``, ``perfbench.spans.LapClock``,
+the CLI's ``run``) fails here rather than at the next measurement.
 """
 
 import importlib
@@ -48,20 +48,30 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monke
 
     pairs = compare.audit_pairs(trees["parent"])[:1]
     solvers = compare.solver_laps(trees, pairs, rounds=1)
-    assert set(solvers["laps"]) == set(compare.SOLVERS)
+    assert set(solvers["laps"]) == {*compare.SOLVERS, compare.AUDIT_ITEM}
     for solver, laps in solvers["laps"].items():
-        # the enumerated C and Z solves run no iterations: only their whole time counts
-        iterated = solver == "max_singular_value"
-        assert laps["parent"]["iterations"] == laps["change"]["iterations"]
-        assert (laps["change"]["iterations"] > 1) == iterated
-        assert (laps["change"]["per_iteration_us_p50"] is not None) == iterated
+        # every solve of a symmetric pair is enumerated: no iterations, only its whole time
+        assert laps["parent"]["iterations"] == laps["change"]["iterations"] == 0
+        assert laps["change"]["per_iteration_us_p50"] is None
         assert laps["change"]["solve_ms_sum"] > 0.0
+    # each timed solve starts from a cleared memo, so none hits it
+    enumerations = trees["change"].varspec._pairs_of_bytes
+    compare.run_solver(trees["change"], "max_c_eigenvalue", pairs[0])
+    compare.run_solver(trees["change"], "max_c_eigenvalue", pairs[0])
+    assert enumerations.cache_info().hits == 0
+    compare.run_solver(trees["change"], compare.AUDIT_ITEM, pairs[0])
+    assert enumerations.cache_info().hits == 1  # mu_1 takes eta_1's enumeration
 
     solves = [(s, pairs[0], compare.RESTARTS, 0) for s in compare.SOLVERS]
-    values = compare.by_value(trees, solves[1:])
+    values = compare.by_value(trees, solves)
     assert (values["methods"], values["rose"], values["fell"], values["equal"]) == (
-        {"enumerated": 2}, [], [], True
+        {"enumerated": 3}, [], [], True
     )
+    # the first and last multistart solves, of a Gaussian tensor and Levi-Civita
+    plain = list(compare.multistart_solves(trees["parent"]))
+    assert len(plain) == 42
+    plain = [plain[0], plain[-1]]
+    assert compare.by_value(trees, plain)["methods"] == {"multistart": 2}
     # one fallback row: 3 v (x) v (x) v plus 1e-12 noise, which no enumeration certifies
     row = compare.fallback_inputs(trees["parent"])["max_z_eigenvalue"][2:3]
     monkeypatch.setattr(compare, "fallback_inputs", lambda tt: {"max_z_eigenvalue": row})
@@ -77,7 +87,7 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monke
     cli_records = 1 + len(compare.REPORTS)
     hashes = [
         (
-            compare.sha256_of(compare.solve_records(tt, solves)),
+            compare.sha256_of(compare.solve_records(tt, [*solves, *plain])),
             compare.sha256_of(itertools.islice(compare._cli_records(tt, clis[key]), cli_records)),
         )
         for key, tt in trees.items()

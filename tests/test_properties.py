@@ -135,3 +135,30 @@ def test_uncertified_mu_1_is_eta_1(a, seed):
     assert mu.method == "multistart"
     assert abs(mu.value - eta.value) <= 1e-12 * np.linalg.norm(a)
     assert mu.residual <= 1e-12
+
+
+# one symmetric pair of slots, at any of the three places, or a seeded
+# Gaussian fixture of that class
+partially_symmetric = st.one_of(
+    *(tensors.map(lambda a, p=p: (a + a.transpose(p)) / 2.0)
+      for p in ((0, 2, 1), (1, 0, 2), (2, 1, 0))),
+    st.tuples(
+        st.sampled_from(["right_symmetric", "left_symmetric", "centrally_symmetric"]),
+        st.integers(0, 2**16),
+    ).map(lambda case: np.asarray(tt.make_fixture(*case))),
+)
+
+
+@few
+@given(partially_symmetric)
+def test_enumerated_eta_1_tops_the_multistart(a):
+    try:  # one iteration converges only on the zero tensor and its like
+        eta = tt.max_singular_value(a, restarts=1, max_iters=1)
+    except tt.NoConvergence:
+        return
+    if eta.method != "enumerated":
+        return
+    scaled, exp = core._scaled(a, "Hyper3")
+    multistart = varspec._multistart(scaled, exp, 12, 1e-12, 10000, 0, None)
+    assert eta.value >= multistart.value - 1e-12 * np.linalg.norm(a)
+    assert eta.residual <= 1e-12

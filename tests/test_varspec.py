@@ -26,6 +26,13 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def singular_multistart(a, restarts, seed=0, history_out=None, max_iters=10000):
+    """The singular multistart of ``max_singular_value``, run whether or
+    not the tensor has a symmetric pair whose C enumeration certifies."""
+    a, exp = core._scaled(a, "Hyper3")
+    return varspec._multistart(a, exp, restarts, 1e-12, max_iters, seed, history_out)
+
+
 def z_multistart(a, restarts, seed=0, history_out=None, max_iters=10000):
     """The Z fallback of ``max_z_eigenvalue`` (through the singular
     multistart), run whether or not the enumeration would certify."""
@@ -494,6 +501,106 @@ def test_c_eigen_fallback_where_the_pairs_are_not_isolated():
 
 
 # ---------------------------------------------------------------------------
+# eta_1 of a partially symmetric tensor, from the C enumeration
+
+
+def _near_circle(noise):
+    """3 sym(e_1 (x) (e_2 (x) e_2 + e_3 (x) e_3)), whose maxima form a
+    circle, plus ``noise`` times the third symmetrized Gaussian draw of
+    default_rng(3)."""
+    sym = lambda a: sum(a.transpose(p) for p in itertools.permutations(range(3))) / 6.0
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        n = sym(rng.standard_normal((3, 3, 3)))
+    return 3.0 * sym(np.einsum("i,jk->ijk", np.eye(3)[0], np.diag([0.0, 1.0, 1.0]))) + noise * n
+
+
+def test_eta_1_near_a_circle_of_maxima_is_enumerated():
+    # the multistart alone raises NoConvergence here after all its
+    # iterations: Newton near the circle leaves steps above tol
+    a = _near_circle(1e-5)
+    triple = tt.max_singular_value(a, restarts=12)
+    assert (triple.method, triple.starts_converged) == ("enumerated", 1)
+    assert abs(triple.value - 1.1547151559891802) <= 1e-12 * triple.value
+    assert abs(triple.value - tt.max_c_eigenvalue(a).value) <= 1e-12 * triple.value
+    assert triple.residual <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=NoConvergence,
+                   reason="no chart certifies and the multistart does not converge")
+def test_eta_1_nearer_a_circle_of_maxima():
+    triple = tt.max_singular_value(_near_circle(1e-9), restarts=12, max_iters=1000)
+    assert abs(triple.value - 2.0 / np.sqrt(3.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("t, method", [(0.5, "enumerated"), (2.0, "multistart")])
+def test_eta_1_gate_is_the_polish_bound(t, method):
+    # one entry off by t times 1e-12 ||A|| breaks the right, left and
+    # central swaps at once
+    a = np.array(tt.make_fixture("symmetric", 4))
+    a[0, 1, 2] += t * 1e-12 * np.linalg.norm(a)
+    triple = tt.max_singular_value(a, restarts=12)
+    assert triple.method == method
+    assert triple.residual <= 1e-12
+    assert abs(triple.value - singular_multistart(a, 12).value) <= 1e-12 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("klass, pair", [
+    ("right_symmetric", (1, 2)), ("left_symmetric", (0, 1)), ("centrally_symmetric", (0, 2)),
+])
+def test_lifted_eta_1_solves_the_singular_equations(klass, pair):
+    for seed in range(5):
+        a = np.asarray(tt.make_fixture(klass, seed))
+        t = tt.max_singular_value(a, restarts=12, seed=seed)
+        assert (t.method, t.starts_converged) == ("enumerated", 1)
+        scale = np.linalg.norm(a)
+        r1 = np.linalg.norm(tt.contract_two(a, t.y, t.z, (2, 3)) - t.value * t.x)
+        r2 = np.linalg.norm(tt.contract_two(a, t.x, t.z, (1, 3)) - t.value * t.y)
+        r3 = np.linalg.norm(tt.contract_two(a, t.x, t.y, (1, 2)) - t.value * t.z)
+        assert max(r1, r2, r3) <= 1e-12 * scale
+        assert t.residual <= 1e-12
+        # the symmetric pair of slots holds one vector, up to its sign
+        first, second = (np.abs((t.x, t.y, t.z)[i]) for i in pair)
+        assert first.tobytes() == second.tobytes()
+        assert abs(t.value - singular_multistart(a, 24, seed=seed).value) <= 1e-12 * scale
+
+
+def test_eta_1_and_mu_1_share_one_read_only_enumeration():
+    a = np.asarray(tt.make_fixture("symmetric", 9))
+    varspec._pairs_of_bytes.cache_clear()
+    history = []
+    eta = tt.max_singular_value(a, history_out=history)
+    mu = tt.max_c_eigenvalue(a)
+    info = varspec._pairs_of_bytes.cache_info()
+    assert (info.misses, info.hits, history) == (1, 1, [])
+    assert abs(eta.value - mu.value) <= 1e-12 * eta.value
+    pairs = varspec._pairs_of_bytes("c_eigen", core._scaled(a, "Hyper3")[0].tobytes())
+    arrays = [*pairs, *(getattr(t, v) for t in (eta, mu) for v in "xyz")]
+    assert not any(arr.flags.writeable for arr in arrays)
+
+
+def test_eta_1_follows_an_input_mutated_in_place():
+    a = np.array(tt.make_fixture("symmetric", 9))
+    b = np.asarray(tt.make_fixture("left_symmetric", 9))
+    before = tt.max_singular_value(a).as_dict()
+    want = tt.max_singular_value(b).as_dict()
+    tt.max_singular_value(a)
+    a[...] = b
+    assert tt.max_singular_value(a).as_dict() == want != before
+
+
+@pytest.mark.parametrize("k", [-60, -1, 3, 500])
+def test_enumerated_eta_1_scales_exactly_by_powers_of_two(k):
+    a = np.asarray(tt.make_fixture("centrally_symmetric", 2))
+    t = tt.max_singular_value(a)
+    s = tt.max_singular_value(np.ldexp(a, k))
+    assert s.method == t.method == "enumerated"
+    assert s.value == np.ldexp(t.value, k)
+    for v in "xyz":
+        assert getattr(s, v).tobytes() == getattr(t, v).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the elimination both kinds share
 
 
@@ -592,7 +699,7 @@ def test_audit_pairs_iteration_totals():
     # the 32 (fixture, rotation) pairs of criterion 4 that the audit
     # benchmark times; the fixed-shift power iterations without a Newton
     # finish needed 891 / 4773 / 6336 iterations in total
-    totals = {tt.max_singular_value: 0, c_multistart: 0, z_multistart: 0}
+    totals = {singular_multistart: 0, c_multistart: 0, z_multistart: 0}
     methods = []
     for klass in ("symmetric", "primarily_symmetric"):
         for i in range(8):
@@ -603,12 +710,13 @@ def test_audit_pairs_iteration_totals():
                     history = []
                     solve(rotated, restarts=12, history_out=history)
                     totals[solve] += len(history)
-                for solve in (tt.max_c_eigenvalue, tt.max_z_eigenvalue):
+                for solve in (tt.max_singular_value, tt.max_c_eigenvalue, tt.max_z_eigenvalue):
                     methods.append((solve.__name__, solve(rotated, restarts=12).method))
-    assert totals[tt.max_singular_value] <= 891
+    assert totals[singular_multistart] <= 891
     assert totals[c_multistart] <= 4773 // 2
     assert totals[z_multistart] <= 6336 // 2
-    assert methods == [("max_c_eigenvalue", "enumerated"), ("max_z_eigenvalue", "enumerated")] * 32
+    solvers = ("max_singular_value", "max_c_eigenvalue", "max_z_eigenvalue")
+    assert methods == [(name, "enumerated") for name in solvers] * 32
 
 
 def _gate_inputs():
@@ -740,19 +848,13 @@ def test_solvers_refuse_counts_below_one(solve, name, count):
             solve(a, **{name: count})
 
 
-def test_two_threads_alternating_seeds_get_the_serial_results():
-    a = tt.make_fixture("symmetric", 3)
-
-    def solve(seed):
-        history = []
-        triple = z_multistart(a, 4, seed=seed, history_out=history)
-        return triple.as_dict(), [row.tobytes() for row in history]
-
-    serial = [solve(0), solve(1)]
+def _in_two_threads(solve, calls=200):
+    """Per thread t, [solve((i + t) % 2) for i < calls], the two threads
+    switching as often as the interpreter lets them."""
     got = [[], []]
 
     def work(t):
-        for i in range(200):
+        for i in range(calls):
             got[t].append(solve((i + t) % 2))
 
     threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
@@ -766,8 +868,35 @@ def test_two_threads_alternating_seeds_get_the_serial_results():
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
+    return got
+
+
+def test_two_threads_alternating_seeds_get_the_serial_results():
+    a = tt.make_fixture("symmetric", 3)
+
+    def solve(seed):
+        history = []
+        triple = z_multistart(a, 4, seed=seed, history_out=history)
+        return triple.as_dict(), [row.tobytes() for row in history]
+
+    serial = [solve(0), solve(1)]
+    got = _in_two_threads(solve)
     for t in range(2):
         assert got[t] == [serial[(i + t) % 2] for i in range(200)]
+
+
+def test_two_threads_alternating_tensors_get_the_serial_enumerations():
+    # each call evicts the other thread's entry from the one-entry memo
+    tensors = [tt.make_fixture("symmetric", 3), tt.make_fixture("left_symmetric", 3)]
+
+    def solve(n):
+        return tt.max_singular_value(tensors[n]).as_dict(), tt.c_spectrum(tensors[0]).values[0]
+
+    serial = [solve(0), solve(1)]
+    assert [eta["method"] for eta, _ in serial] == ["enumerated"] * 2
+    got = _in_two_threads(solve, 100)
+    for t in range(2):
+        assert got[t] == [serial[(i + t) % 2] for i in range(100)]
 
 
 def _jacobian_map_loop(a, slots, k):

@@ -36,7 +36,8 @@ and reports five parts:
   solves that iterate; an enumerated solve has only its whole time.  The
   memo of C and Z enumerations is cleared before each timed solve, and
   ``audit_item`` times eta_1, mu_1 and nu_1 in turn from a cleared memo,
-  as one audit item solves them;
+  as one audit item solves them: on these symmetric pairs mu_1 and nu_1
+  read the Z enumeration that eta_1 filled;
 - ``fallback``: at 12 and 64 restarts, the C and Z solves of tensors
   whose enumeration cannot certify (the zero tensor, and
   ``3 v (x) v (x) v`` and, for C, ``2 x (x) y (x) y``, each plus 0,

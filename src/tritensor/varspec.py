@@ -5,17 +5,23 @@ the potential x A y z over one, two or three unit spheres.  C- and
 Z-eigenpairs are enumerated, all of them by one certified elimination
 that each kind feeds its own gradient field (see ``c_spectrum`` and
 ``z_spectrum``), on the tensor scaled by a power of two (exact, so
-results scale with the tensor).  A one-entry memo keeps the last
-enumeration, so eta_1 and then mu_1 of one tensor pay for one.
+results scale with the tensor).  A two-entry memo keeps the last two
+enumerations, so eta_1, mu_1 and then nu_1 of one symmetric tensor pay
+for one, or for one of each kind where the Z enumeration cannot
+certify.
 
-The largest singular value eta_1 of a partially symmetric tensor is mu_1
-of the tensor with its symmetric pair of slots moved last: that tensor
-is right-side symmetric, x A is then symmetric, and the largest
-y (x A) z is the largest |y (x A) y|.  Its best C-eigenpair (x, y),
-put back as (x, y, y) in the original slots, is eta_1's triple once it
-passes the singular residual test.
+On a symmetric tensor eta_1 = mu_1 = nu_1, all three attained at
+(v, v, v) for the best Z-eigenvector v (Banach, Studia Math. 7, 1938),
+so eta_1 and mu_1 lift the best pair of the Z enumeration to (v, v, v)
+and (v, v), and take its value: the three are equal to the bit.  The
+largest singular value eta_1 of a tensor symmetric in only one pair of
+slots is mu_1 of the tensor with that pair moved last: that tensor is
+right-side symmetric, x A is then symmetric, and the largest y (x A) z
+is the largest |y (x A) y|.  Its best C-eigenpair (x, y), put back as
+(x, y, y) in the original slots, is eta_1's triple.  A lift gets the
+sign rule of its kind and must pass the kind's residual test.
 
-Elsewhere, or where that enumeration cannot certify, one seeded
+Elsewhere, or where no enumeration certifies, one seeded
 multistart driver finds eta_1: alternating normalized updates, each
 substep an exact maximization, and once a restart's step is below 1e-2 a
 Newton step on its bordered Lagrange system, kept where the objective
@@ -28,9 +34,9 @@ point; raise ``restarts`` if it looks thin.  Where the enumeration
 cannot certify, ``max_c_eigenvalue`` and ``max_z_eigenvalue`` take
 their pair from that multistart's eta_1, which the maxima equal on the
 tensors they accept: mu_1 = eta_1 for a right-side symmetric tensor and
-nu_1 = eta_1 for a symmetric one (Banach, Studia Math. 7, 1938).  The
-eigenvector of the largest |eigenvalue| of x A, for the x of eta_1, is
-the y of the pair, polished as an enumerated point is.
+nu_1 = eta_1 for a symmetric one.  The eigenvector of the largest
+|eigenvalue| of x A, for the x of eta_1, is the y of the pair, polished
+as an enumerated point is.
 """
 
 from __future__ import annotations
@@ -73,12 +79,13 @@ class CriticalTriple:
     point (value within 1e-8, vectors within 1e-6 after sign
     canonicalization).  ``method`` is "multistart", or "enumerated" for a
     C- or Z-eigenpair taken from a certified ``c_spectrum`` or
-    ``z_spectrum`` and for the singular triple of a partially symmetric
-    tensor lifted from one; there ``starts_converged`` counts the real
-    pairs that merge with the best under the same tolerances, which
-    certification makes 1.  A C- or Z-eigenpair from the multistart is
-    derived from the singular maximum, and its ``starts_converged`` is
-    that maximum's.
+    ``z_spectrum`` and for a triple lifted from one: the singular triple
+    and C-eigenpair of a symmetric tensor from its ``z_spectrum``, the
+    singular triple of a partially symmetric one from a ``c_spectrum``;
+    there ``starts_converged`` counts the real pairs that merge with the
+    best under the same tolerances, which certification makes 1.  A C- or
+    Z-eigenpair from the multistart is derived from the singular maximum,
+    and its ``starts_converged`` is that maximum's.
     """
 
     kind: str
@@ -561,11 +568,14 @@ def _enumerated(kind: str, a: np.ndarray, exp: int):
     return np.ldexp(values, exp), blocks, resid * _unscaled_residual(core._frobenius(a), exp)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _pairs_of_bytes(kind: str, key: bytes):
     """The ``_chart_pairs`` of the first chart that certifies, for the
-    scaled tensor stored in ``key``, read-only, or None.  One entry is
-    enough for eta_1 and then mu_1 of one tensor to share an enumeration."""
+    scaled tensor stored in ``key``, read-only, or None.  eta_1, mu_1
+    and then nu_1 of one symmetric tensor share the Z enumeration, and
+    eta_1 and then mu_1 of a right-side symmetric one the C enumeration;
+    the second entry keeps a symmetric tensor whose Z enumeration cannot
+    certify from enumerating again in each solver."""
     a = np.frombuffer(key).reshape(3, 3, 3)
     for chart in range(len(_CHARTS)):
         pairs = _chart_pairs(kind, a, chart)
@@ -576,31 +586,34 @@ def _pairs_of_bytes(kind: str, key: bytes):
     return None
 
 
-def _lifted(a: np.ndarray, exp: int) -> CriticalTriple | None:
-    """eta_1 of ldexp(a, exp) from the best C-eigenpair (x, y) of
-    a.transpose(perm), for the first pair swap under which ``a`` is
-    symmetric within _POLISHED ||a||, or None: (x, y, y) in the slots of
-    that permutation, with the singular sign rule, unless the singular
-    residual exceeds _POLISHED ||a|| or no chart certifies."""
-    swap = next(itertools.compress(_PAIR_SWAPS, _swap_verdicts(a, _POLISHED, *_PAIR_SWAPS)), None)
-    if swap is None:
-        return None
-    perm = _PAIR_LAST[swap]
-    pairs = _pairs_of_bytes("c_eigen", a.transpose(perm).tobytes())
+def _lift(kind: str, source: str, a: np.ndarray, exp: int, perm=(0, 1, 2)):
+    """The ``kind`` maximum of ldexp(a, exp) from the best pair of the
+    certified ``source`` enumeration of a.transpose(perm), or None if no
+    chart certifies or the lift's ``kind`` residual exceeds _POLISHED
+    ||a||: the pair's slot vectors, put back in the slots of ``a``, fill
+    the kind's state blocks, and the kind's sign rule makes them
+    canonical.  The maxima are equal on the tensors each route serves
+    (Banach, Studia Math. 7, 1938)."""
+    pairs = _pairs_of_bytes(source, a.transpose(perm).tobytes())
     if pairs is None:
         return None
-    x, y = pairs[1][0]
-    slots, k, signs = _KINDS["singular"]
+    slots, k, signs = _KINDS[kind]
     m = a.reshape(3, 9)
-    state = np.stack((x, y, y))[np.argsort(perm)][None]  # slot perm[i] gets block i
+    # held[j]: the source block in slot j of ``a`` (slot i of the source's
+    # tensor is slot perm[i] of ``a``); the kind reads block b from its first slot
+    held = np.array(_KINDS[source][0])[np.argsort(perm)]
+    state = pairs[1][:1, held[[slots.index(b) for b in range(k)]]]
     state = state * signs(m, state)[:, :, None]
-    f = _potential(m, state, slots)
+    # a Z-eigenvalue is the potential at (v, v, v) on ``a`` itself up to
+    # rounding, and taking it makes eta_1, mu_1 and nu_1 equal to the bit;
+    # a C pair's tensor permutes the slots, so the potential is taken on ``a``
+    f = pairs[0][:1] if source == "z_eigen" else _potential(m, state, slots)
     norm = core._frobenius(a)
     resid = float(_residual(_jacobian_map(a, slots, k), state, f)[0]) / norm
     if not resid <= _POLISHED:
         return None
     resid *= _unscaled_residual(norm, exp)
-    return _triple("singular", np.ldexp(f[0], exp), state[0], resid, 1, "enumerated")
+    return _triple(kind, np.ldexp(f[0], exp), state[0], resid, 1, "enumerated")
 
 
 @dataclass(frozen=True)
@@ -686,8 +699,8 @@ def _fallback(kind, a, exp, restarts, tol, max_iters, seed, history_out) -> Crit
 
 
 def _maximum(kind, a, exp, restarts, tol, max_iters, seed, history_out) -> CriticalTriple:
-    """The best pair of the certified enumeration, else the fallback's."""
-    _require(kind, a)
+    """The best pair of the certified enumeration of a gated tensor, else
+    the fallback's."""
     pairs = _enumerated(kind, a, exp)
     if pairs is None:
         return _fallback(kind, a, exp, restarts, tol, max_iters, seed, history_out)
@@ -717,25 +730,32 @@ def max_singular_value(
 ) -> CriticalTriple:
     """Largest singular value eta_1 = max x A y z over three unit spheres.
 
-    On a tensor symmetric in a pair of slots (the first of the right, left
-    and central swaps that holds within 1e-12 ||A||), eta_1 is mu_1 of
+    The right, left and central swaps that hold within 1e-12 ||A|| pick
+    the route.  All three: eta_1 = nu_1 (Banach 1938), and the triple is
+    the best pair v of the certified ``z_spectrum`` as (v, v, v), with
+    nu_1 as its value, so it equals ``max_z_eigenvalue`` to the bit.
+    Otherwise, or if that fails, the first that holds: eta_1 is mu_1 of
     the tensor with that pair moved last, and the triple is the best pair
     of its certified ``c_spectrum``, (x, y, y) put back in the original
-    slots (``method`` "enumerated", ``starts_converged`` 1; no
-    iterations, so nothing is appended to ``history_out``, and
-    ``restarts``, ``tol``, ``max_iters`` and ``seed`` go unused).  It
-    must pass the same residual test of 1e-12 ||A|| on A as an
-    enumerated pair.  Otherwise (``method`` "multistart": no symmetric
-    pair, or no chart certifies, or the test fails) alternating
-    normalized updates x <- A y z, y <- x A z, z <- x y A from seeded
-    random unit starts; each substep maximizes the potential exactly, so
-    the objective is monotone, and a Newton step on the 12x12 Lagrange
-    system replaces the sweep where it climbs further.  Either way the
+    slots.  Either lift gets the singular sign rule and must pass the
+    same residual test of 1e-12 ||A|| on A as an enumerated pair
+    (``method`` "enumerated", ``starts_converged`` 1; no iterations, so
+    nothing is appended to ``history_out``, and ``restarts``, ``tol``,
+    ``max_iters`` and ``seed`` go unused).  Otherwise (``method``
+    "multistart": no symmetric pair, or no chart certifies, or the test
+    fails) alternating normalized updates x <- A y z, y <- x A z,
+    z <- x y A from seeded random unit starts; each substep maximizes the
+    potential exactly, so the objective is monotone, and a Newton step on
+    the 12x12 Lagrange system replaces the sweep where it climbs further.  Either way the
     triple satisfies A y z = eta x, x A z = eta y, x y A = eta z, and
     eta equals contract_full(a, x, y, z).
     """
     a, exp, tol = _solver_inputs(a, tol, restarts, max_iters)
-    lifted = _lifted(a, exp)
+    verdicts = _swap_verdicts(a, _POLISHED, *_PAIR_SWAPS)
+    lifted = _lift("singular", "z_eigen", a, exp) if all(verdicts) else None
+    swap = next(itertools.compress(_PAIR_SWAPS, verdicts), None)
+    if lifted is None and swap is not None:
+        lifted = _lift("singular", "c_eigen", a, exp, _PAIR_LAST[swap])
     if lifted is not None:
         return lifted
     return _multistart(a, exp, restarts, tol, max_iters, seed, history_out)
@@ -751,21 +771,33 @@ def max_c_eigenvalue(
 ) -> CriticalTriple:
     """Largest C-eigenvalue mu_1 = max x A y y of a right-side symmetric tensor.
 
-    The best pair of ``c_spectrum`` whenever its enumeration certifies
-    (``method`` "enumerated"; no iterations, so nothing is appended to
-    ``history_out``, and ``restarts``, ``tol``, ``max_iters`` and ``seed``
-    go unused).  Otherwise (``method`` "multistart", as for rank-one
-    tensors ``x (x) y (x) y``, the zero tensor and tensors near them) the
-    pair comes from the multistart of ``max_singular_value`` run with
-    these arguments: x A is symmetric, so mu_1 = eta_1, and y is the
-    eigenvector of the largest |eigenvalue| of x A for the x of eta_1, lifted to
-    x = A y y / ||A y y|| and polished as an enumerated pair is (or left
-    unpolished where a Newton step fails); ``history_out`` gets the
-    singular objective and ``starts_converged`` is eta_1's.  Either way
+    On a tensor symmetric within 1e-12 ||A|| under the right, left and
+    central swaps, mu_1 = nu_1 (Banach 1938): the best pair v of the
+    certified ``z_spectrum`` as (v, +-v), with the C sign rule and nu_1
+    as its value, so it equals ``max_z_eigenvalue`` to the bit, once it
+    passes the C residual test of 1e-12 ||A||.  Otherwise, or if that
+    fails, the best pair of ``c_spectrum`` whenever its enumeration
+    certifies.  Both are ``method`` "enumerated" (no iterations, so
+    nothing is appended to ``history_out``, and ``restarts``, ``tol``,
+    ``max_iters`` and ``seed`` go unused).  Otherwise (``method``
+    "multistart", as for rank-one tensors ``x (x) y (x) y``, the zero
+    tensor and tensors near them) the pair comes from the multistart of
+    ``max_singular_value`` run with these arguments: x A is symmetric, so
+    mu_1 = eta_1, and y is the eigenvector of the largest |eigenvalue| of
+    x A for the x of eta_1, lifted to x = A y y / ||A y y|| and polished
+    as an enumerated pair is (or left unpolished where a Newton step
+    fails); ``history_out`` gets the singular objective and
+    ``starts_converged`` is eta_1's.  Either way
     the pair satisfies A y y = mu x and x A y = mu y; NoConvergence is
     raised if the residual of the fallback's pair exceeds 1e-12 ||A||.
     """
     a, exp, tol = _solver_inputs(a, tol, restarts, max_iters)
+    verdicts = _swap_verdicts(a, _POLISHED, *_PAIR_SWAPS)
+    if not verdicts[0]:  # symmetric within _POLISHED passes the gate's 1e-8
+        _require("c_eigen", a)
+    lifted = _lift("c_eigen", "z_eigen", a, exp) if all(verdicts) else None
+    if lifted is not None:
+        return lifted
     return _maximum("c_eigen", a, exp, restarts, tol, max_iters, seed, history_out)
 
 
@@ -791,6 +823,7 @@ def max_z_eigenvalue(
     cubic form is negative, which the odd degree permits).
     """
     a, exp, tol = _solver_inputs(a, tol, restarts, max_iters)
+    _require("z_eigen", a)
     return _maximum("z_eigen", a, exp, restarts, tol, max_iters, seed, history_out)
 
 

@@ -60,7 +60,8 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monke
     compare.run_solver(trees["change"], "max_c_eigenvalue", pairs[0])
     assert enumerations.cache_info().hits == 0
     compare.run_solver(trees["change"], compare.AUDIT_ITEM, pairs[0])
-    assert enumerations.cache_info().hits == 1  # mu_1 takes eta_1's enumeration
+    # mu_1 and nu_1 of a symmetric pair take eta_1's Z enumeration
+    assert enumerations.cache_info().hits == 2
 
     solves = [(s, pairs[0], compare.RESTARTS, 0) for s in compare.SOLVERS]
     values = compare.by_value(trees, solves)

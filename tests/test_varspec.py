@@ -455,9 +455,21 @@ def test_c_spectrum_pairs_solve_the_defining_equations(klass):
         assert np.all(spectrum.residuals <= 1e-12)
         triple = tt.max_c_eigenvalue(a)
         assert (triple.method, triple.starts_converged) == ("enumerated", 1)
-        assert triple.value == values[0]
-        assert triple.x.tobytes() == x[0].tobytes()
-        assert triple.y.tobytes() == triple.z.tobytes() == y[0].tobytes()
+        if klass == "symmetric":
+            # mu_1 of a symmetric tensor is the best Z pair v lifted to
+            # (v, +-v), y signed as the C pair's is; the best C pair agrees
+            # to rounding, mu_1 = nu_1 (Banach 1938)
+            z = tt.z_spectrum(a)
+            v, eps = z.vectors[0], np.finfo(float).eps
+            assert triple.value == z.values[0]
+            assert triple.x.tobytes() == v.tobytes()
+            assert triple.y.tobytes() == triple.z.tobytes() == (np.sign(y[0] @ v) * v).tobytes()
+            assert abs(triple.value - values[0]) <= 8 * eps * triple.value
+            assert max(np.abs(triple.x - x[0]).max(), np.abs(triple.y - y[0]).max()) <= 8 * eps
+        else:
+            assert triple.value == values[0]
+            assert triple.x.tobytes() == x[0].tobytes()
+            assert triple.y.tobytes() == triple.z.tobytes() == y[0].tobytes()
 
 
 def test_c_spectrum_requires_right_symmetry():
@@ -501,18 +513,22 @@ def test_c_eigen_fallback_where_the_pairs_are_not_isolated():
 
 
 # ---------------------------------------------------------------------------
-# eta_1 of a partially symmetric tensor, from the C enumeration
+# eta_1 and mu_1 lifted from the Z or C enumeration
+
+
+def _symmetrized(g):
+    return sum(g.transpose(p) for p in itertools.permutations(range(3))) / 6.0
 
 
 def _near_circle(noise):
     """3 sym(e_1 (x) (e_2 (x) e_2 + e_3 (x) e_3)), whose maxima form a
     circle, plus ``noise`` times the third symmetrized Gaussian draw of
     default_rng(3)."""
-    sym = lambda a: sum(a.transpose(p) for p in itertools.permutations(range(3))) / 6.0
     rng = np.random.default_rng(3)
     for _ in range(3):
-        n = sym(rng.standard_normal((3, 3, 3)))
-    return 3.0 * sym(np.einsum("i,jk->ijk", np.eye(3)[0], np.diag([0.0, 1.0, 1.0]))) + noise * n
+        n = _symmetrized(rng.standard_normal((3, 3, 3)))
+    circle = np.einsum("i,jk->ijk", np.eye(3)[0], np.diag([0.0, 1.0, 1.0]))
+    return 3.0 * _symmetrized(circle) + noise * n
 
 
 def test_eta_1_near_a_circle_of_maxima_is_enumerated():
@@ -545,6 +561,27 @@ def test_eta_1_gate_is_the_polish_bound(t, method):
     assert abs(triple.value - singular_multistart(a, 12).value) <= 1e-12 * np.linalg.norm(a)
 
 
+def test_eta_1_route_at_the_polish_bound(monkeypatch):
+    # within 1e-12 ||A|| of symmetric: the Z route; only right-side
+    # symmetric there (two entries off by 2e-12 ||A||): the C route
+    enumerate_, kinds = varspec._pairs_of_bytes, []
+    monkeypatch.setattr(varspec, "_pairs_of_bytes",
+                        lambda kind, key: kinds.append(kind) or enumerate_(kind, key))
+    a = np.array(tt.make_fixture("symmetric", 4))
+    bound = 1e-12 * np.linalg.norm(a)
+    near = a.copy()
+    near[0, 1, 2] += 0.5 * bound
+    right = a.copy()
+    right[0, 1, 2] += 2.0 * bound
+    right[0, 2, 1] += 2.0 * bound
+    for b, kind in ((near, "z_eigen"), (right, "c_eigen")):
+        kinds.clear()
+        triple = tt.max_singular_value(b, restarts=12)
+        assert (kinds, triple.method) == ([kind], "enumerated")
+        assert triple.residual <= 1e-12
+    assert tt.max_singular_value(near).value == tt.max_z_eigenvalue(near).value
+
+
 @pytest.mark.parametrize("klass, pair", [
     ("right_symmetric", (1, 2)), ("left_symmetric", (0, 1)), ("centrally_symmetric", (0, 2)),
 ])
@@ -566,17 +603,82 @@ def test_lifted_eta_1_solves_the_singular_equations(klass, pair):
 
 
 def test_eta_1_and_mu_1_share_one_read_only_enumeration():
-    a = np.asarray(tt.make_fixture("symmetric", 9))
-    varspec._pairs_of_bytes.cache_clear()
+    # a symmetric tensor: eta_1, mu_1 and nu_1 from its Z enumeration; a
+    # right-side symmetric one: eta_1 and mu_1 from its C enumeration
+    for klass, kind, solves in (
+        ("symmetric", "z_eigen", (tt.max_singular_value, tt.max_c_eigenvalue, tt.max_z_eigenvalue)),
+        ("right_symmetric", "c_eigen", (tt.max_singular_value, tt.max_c_eigenvalue)),
+    ):
+        a = np.asarray(tt.make_fixture(klass, 9))
+        varspec._pairs_of_bytes.cache_clear()
+        history = []
+        triples = [solve(a, history_out=history) for solve in solves]
+        info = varspec._pairs_of_bytes.cache_info()
+        assert (info.misses, info.hits, history) == (1, len(solves) - 1, [])
+        assert all(t.method == "enumerated" for t in triples)
+        assert max(abs(t.value - triples[0].value) for t in triples) <= 1e-12 * triples[0].value
+        pairs = varspec._pairs_of_bytes(kind, core._scaled(a, "Hyper3")[0].tobytes())
+        arrays = [*pairs, *(getattr(t, v) for t in triples for v in "xyz")]
+        assert not any(arr.flags.writeable for arr in arrays)
+
+
+def _banach_inputs():
+    """The 32 (fixture, rotation) pairs of criterion 4 that the audit
+    benchmark times, and 50 symmetrized Gaussian tensors."""
+    out = [tt.rotate(tt.make_fixture(klass, i), tt.random_rotation(r))
+           for klass in ("symmetric", "primarily_symmetric") for i in range(8) for r in range(2)]
+    rng = np.random.default_rng(17)
+    return out + [_symmetrized(rng.standard_normal((3, 3, 3))) for _ in range(50)]
+
+
+def test_symmetric_eta_1_mu_1_and_nu_1_are_one_z_pair():
+    # Banach (1938): on a symmetric tensor the three maxima are one value,
+    # attained at (v, v, v) for the best Z-eigenvector v
+    for a in _banach_inputs():
+        eta, mu, nu = (solve(a, restarts=12) for solve in
+                       (tt.max_singular_value, tt.max_c_eigenvalue, tt.max_z_eigenvalue))
+        assert eta.method == mu.method == nu.method == "enumerated"
+        assert eta.value == mu.value == nu.value
+        assert max(eta.residual, mu.residual, nu.residual) <= 1e-12
+        v = tt.z_spectrum(a).vectors[0]
+        for u in (eta.x, eta.y, eta.z):
+            assert u.tobytes() in (v.tobytes(), (-v).tobytes())
+
+
+def _without(monkeypatch, *kinds):
+    """``varspec._pairs_of_bytes`` with the enumerations of ``kinds`` uncertified."""
+    enumerate_ = varspec._pairs_of_bytes
+    monkeypatch.setattr(varspec, "_pairs_of_bytes",
+                        lambda kind, key: None if kind in kinds else enumerate_(kind, key))
+
+
+# eta_1 of make_fixture("symmetric", s) by the C route, lifted from the
+# best pair of its c_spectrum with the singular potential recomputed
+_C_ROUTE_ETA = ("0x1.e3f274e873236p+0", "0x1.32d4af8379411p+0",
+                "0x1.3ae10ec010fc5p+1", "0x1.08a6ecb7c2d49p+1")
+
+
+def test_uncertified_z_falls_back_to_the_c_route_then_the_multistart(monkeypatch):
+    _without(monkeypatch, "z_eigen")
+    for seed, want in enumerate(_C_ROUTE_ETA):
+        a = np.asarray(tt.make_fixture("symmetric", seed))
+        c = tt.c_spectrum(a)
+        eta = tt.max_singular_value(a)
+        assert (eta.method, eta.value) == ("enumerated", float.fromhex(want))
+        assert eta.y.tobytes() == c.y[0].tobytes()
+        assert eta.x.tobytes() in (c.x[0].tobytes(), (-c.x[0]).tobytes())
+        assert eta.z.tobytes() in (c.y[0].tobytes(), (-c.y[0]).tobytes())
+        mu = tt.max_c_eigenvalue(a)
+        assert (mu.method, mu.value) == ("enumerated", c.values[0])
+        assert mu.x.tobytes() == c.x[0].tobytes() and mu.y.tobytes() == c.y[0].tobytes()
+    _without(monkeypatch, "z_eigen", "c_eigen")
+    a = np.asarray(tt.make_fixture("symmetric", 4))
     history = []
-    eta = tt.max_singular_value(a, history_out=history)
-    mu = tt.max_c_eigenvalue(a)
-    info = varspec._pairs_of_bytes.cache_info()
-    assert (info.misses, info.hits, history) == (1, 1, [])
-    assert abs(eta.value - mu.value) <= 1e-12 * eta.value
-    pairs = varspec._pairs_of_bytes("c_eigen", core._scaled(a, "Hyper3")[0].tobytes())
-    arrays = [*pairs, *(getattr(t, v) for t in (eta, mu) for v in "xyz")]
-    assert not any(arr.flags.writeable for arr in arrays)
+    eta = tt.max_singular_value(a, restarts=12, history_out=history)
+    assert eta.method == "multistart" and len(history) > 0
+    assert eta.as_dict() == singular_multistart(a, 12).as_dict()
+    assert tt.max_c_eigenvalue(a, restarts=12).as_dict() == c_multistart(a, 12).as_dict()
+    assert tt.max_z_eigenvalue(a, restarts=12).as_dict() == z_multistart(a, 12).as_dict()
 
 
 def test_eta_1_follows_an_input_mutated_in_place():
@@ -886,7 +988,7 @@ def test_two_threads_alternating_seeds_get_the_serial_results():
 
 
 def test_two_threads_alternating_tensors_get_the_serial_enumerations():
-    # each call evicts the other thread's entry from the one-entry memo
+    # the other thread's calls evict entries from the shared memo
     tensors = [tt.make_fixture("symmetric", 3), tt.make_fixture("left_symmetric", 3)]
 
     def solve(n):

@@ -14,15 +14,10 @@ and reports five parts:
   acceptance criteria 4 and 6 compared by value, since the enumerations
   find eta_1, mu_1 and nu_1 of these tensors without iterating: equal
   within 1e-12 * max(1, |value|), or listed under ``rose`` (a maximum
-  the parent's multistart missed) or ``fell`` (a failure), with the
-  count of each ``method``.  A solve's index runs over criterion 4's 20
-  fixtures x 101 orientations (unrotated first), then criterion 6's 200
-  symmetric fixtures, then (singular and C only) its 200 right-side
-  symmetric ones.  ``multistart_golden`` is one sha256 per tree over the
-  singular solves of tensors with no symmetric pair, which run the
-  multistart in both trees (criterion 8's 20 Gaussian tensors and the
-  Levi-Civita tensor, at 12 and 24 restarts): each result (without
-  ``method``, which an old parent may lack) and its ``history_out`` rows;
+  the parent missed) or ``fell`` (a failure), with the count of each
+  ``method``.  A solve's index runs over criterion 4's 20 fixtures x 101
+  orientations (unrotated first), then criterion 6's 200 symmetric
+  fixtures, then (singular and C only) its 200 right-side symmetric ones;
 - ``layers``: per closed-form layer and tree, the median and the sum over
   64 inputs of the fastest of 41 calls, and one sha256 over the outputs;
   ``analyze_item`` sums the layers that one item of the ``analyze``
@@ -38,12 +33,22 @@ and reports five parts:
   ``audit_item`` times eta_1, mu_1 and nu_1 in turn from a cleared memo,
   as one audit item solves them: on these symmetric pairs mu_1 and nu_1
   read the Z enumeration that eta_1 filled;
-- ``fallback``: at 12 and 64 restarts, the C and Z solves of tensors
-  whose enumeration cannot certify (the zero tensor, and
-  ``3 v (x) v (x) v`` and, for C, ``2 x (x) y (x) y``, each plus 0,
-  1e-12, 1e-9 and 1e-6 of a unit-norm fixture), compared by value as
-  above, with each solve's iteration count and the fastest of 3 whole
-  solves per tree.
+- ``fallback``: at 12 and 64 restarts of a parent that takes them, the
+  C and Z solves of tensors whose enumeration cannot certify (the zero
+  tensor, and ``3 v (x) v (x) v`` and, for C, ``2 x (x) y (x) y``, each
+  plus 0, 1e-12, 1e-9 and 1e-6 of a unit-norm fixture), compared by
+  value as above, with the fastest of 3 whole solves per tree;
+- ``bounded``: the singular solves of tensors with no symmetric pair
+  (criterion 8's 20 Gaussian tensors, the Levi-Civita tensor and 200
+  Gaussian tensors from ``default_rng(11)``): per tensor the change's
+  value, its gap (upper_bound - value) / value and the evaluations of its
+  branch and bound, the value relative to the parent's at 12 and at 64
+  restarts, and the fastest of 3 whole solves of the change and of the
+  parent at each restart count.  It is equal when every Gaussian value is
+  within 1e-12 relative of the parent's at 64 restarts.
+
+A tree is called with only the keyword arguments its solvers accept: a
+parent's ``restarts`` and ``seed``, a change's ``restarts`` (ignored).
 
 The parent tree builds the lap inputs.  The trees take turns call by
 call and the one that goes first alternates, so a slow phase of the host
@@ -71,6 +76,7 @@ import importlib.util
 import io
 import itertools
 import json
+import inspect
 import math
 import platform
 import statistics
@@ -98,7 +104,7 @@ LAP_RESTARTS = (12, 64)
 VALUE_TOL = 1e-12
 LAYER_ROUNDS = 41
 SOLVER_ROUNDS = 21
-# a fallback solve can take seconds in a tree whose fallback crawls
+# whole solves of the fallback and bounded parts
 FALLBACK_ROUNDS = 3
 # noise levels of the fallback inputs, times a unit-norm fixture
 FALLBACK_NOISE = (0.0, 1e-12, 1e-9, 1e-6)
@@ -229,35 +235,19 @@ def golden_solves(tt):
             yield s, a, 24, seed
 
 
-def multistart_solves(tt):
-    """(solver, tensor, restarts, seed) for the singular solves of tensors
-    with no symmetric pair: criterion 8's 20 Gaussian tensors and the
-    Levi-Civita tensor, at 12 and 24 restarts."""
-    tensors = [np.random.default_rng(s).standard_normal((3, 3, 3)) for s in range(20)]
-    tensors.append(np.asarray(tt.levi_civita()))
-    for restarts in (12, 24):
-        for seed, a in enumerate(tensors):
-            yield SOLVERS[0], a, restarts, seed
-
-
-def solve_records(tt, solves):
-    for s, a, restarts, seed in solves:
-        history = []
-        triple = getattr(tt, s)(a, restarts=restarts, seed=seed, history_out=history)
-        doc = triple.as_dict()
-        doc.pop("method", None)
-        yield json.dumps(doc, sort_keys=True)
-        yield str(len(history))
-        for row in history:
-            yield np.ascontiguousarray(row).tobytes()
+def solve(tt, solver: str, a, **kwargs):
+    """``tt``'s solver on ``a`` with those of ``kwargs`` that it accepts."""
+    fn = getattr(tt, solver)
+    accepted = inspect.signature(fn).parameters
+    return fn(a, **{key: value for key, value in kwargs.items() if key in accepted})
 
 
 def by_value(trees: dict, solves: list) -> dict:
     """The solves of both trees compared by value."""
     rose, fell, methods = [], [], {}
     for n, (s, a, restarts, seed) in enumerate(solves):
-        before = getattr(trees["parent"], s)(a, restarts=restarts, seed=seed)
-        after = getattr(trees["change"], s)(a, restarts=restarts, seed=seed)
+        before = solve(trees["parent"], s, a, restarts=restarts, seed=seed)
+        after = solve(trees["change"], s, a, restarts=restarts, seed=seed)
         methods[after.method] = methods.get(after.method, 0) + 1
         gap = after.value - before.value
         if abs(gap) > VALUE_TOL * max(1.0, abs(before.value)):
@@ -271,10 +261,6 @@ def by_value(trees: dict, solves: list) -> dict:
 def solver_golden(trees: dict) -> dict:
     solves = list(golden_solves(trees["parent"]))
     out = {s: by_value(trees, [case for case in solves if case[0] == s]) for s in SOLVERS}
-    plain = list(multistart_solves(trees["parent"]))
-    part = {n: sha256_of(solve_records(tt, plain)) for n, tt in trees.items()}
-    out["multistart_golden"] = {"solves": len(plain), **part,
-                                "equal": part["parent"] == part["change"]}
     out["equal"] = all(part["equal"] for part in out.values())
     return out
 
@@ -365,7 +351,7 @@ def run_solver(tt, solver: str, a, restarts: int = RESTARTS) -> tuple[tuple, int
     clock = LapClock()
     t0 = _now()
     for name in SOLVERS if solver == AUDIT_ITEM else (solver,):
-        getattr(tt, name)(a, restarts=restarts, history_out=clock)
+        solve(tt, name, a, restarts=restarts, history_out=clock)
     t1 = _now()
     stamps = clock.times
     if not stamps or solver == AUDIT_ITEM:
@@ -470,19 +456,80 @@ def fallback_inputs(tt) -> dict:
 
 def fallback(trees: dict, rounds: int = FALLBACK_ROUNDS) -> dict:
     """The C and Z solves of ``fallback_inputs`` at each lap restart count:
-    by value, and per tree each solve's iterations and fastest whole time."""
+    by value, and per tree each solve's fastest whole time."""
     out = {"rounds": rounds}
     for restarts in LAP_RESTARTS:
         for solver, tensors in fallback_inputs(trees["parent"]).items():
             run = functools.partial(run_solver, restarts=restarts)
-            best, iterations = fastest(trees, [solver], tensors, rounds, run)
+            best, _ = fastest(trees, [solver], tensors, rounds, run)
             part = by_value(trees, [(solver, a, restarts, 0) for a in tensors])
             for n in trees:
                 ms = [round(times[3] / 1e6, 3) for times in best[n][solver]]
-                part[n] = {"iterations": iterations[n][solver], "solve_ms": ms,
-                           "solve_ms_sum": round(sum(ms), 3)}
+                part[n] = {"solve_ms": ms, "solve_ms_sum": round(sum(ms), 3)}
             out[f"{solver}@{restarts}"] = part
     out["equal"] = all(part["equal"] for key, part in out.items() if "@" in key)
+    return out
+
+
+def bounded_inputs(tt) -> list[np.ndarray]:
+    """Criterion 8's 20 Gaussian tensors, the Levi-Civita tensor, then 200
+    Gaussian tensors from default_rng(11)."""
+    rng = np.random.default_rng(11)
+    return [
+        *(np.random.default_rng(s).standard_normal((3, 3, 3)) for s in range(20)),
+        np.asarray(tt.levi_civita()),
+        *(rng.standard_normal((3, 3, 3)) for _ in range(200)),
+    ]
+
+
+def _whole_solve(tt, restarts: int, a) -> tuple[tuple[int], float]:
+    """((ns,), value) of one ``max_singular_value`` solve."""
+    t0 = _now()
+    value = solve(tt, SOLVERS[0], a, restarts=restarts).value
+    return (_now() - t0,), value
+
+
+def bounded(trees: dict, rounds: int = FALLBACK_ROUNDS) -> dict:
+    """The singular solves of ``bounded_inputs``: the change's bracket and
+    evaluations, its value against the parent's at each lap restart count,
+    and per tree the fastest whole solve."""
+    tensors = bounded_inputs(trees["parent"])
+    change = trees["change"]
+    triples = [change.max_singular_value(a) for a in tensors]
+    levi = np.asarray(change.levi_civita())
+    out = {
+        "tensors": len(tensors),
+        "levi_civita": [i for i, a in enumerate(tensors) if np.array_equal(a, levi)],
+        "method": sorted({t.method for t in triples}),
+        "value": [t.value for t in triples],
+        "gap": [(t.upper_bound - t.value) / t.value for t in triples],
+        "evaluations": [change.varspec._bounded(change.core._scaled(a, "Hyper3")[0])[2]
+                        for a in tensors],
+    }
+    ms = {}
+    for restarts in LAP_RESTARTS:
+        run = lambda tt, _, a: _whole_solve(tt, restarts, a)
+        best, values = fastest(trees, [restarts], tensors, rounds, run)
+        ms[f"parent@{restarts}"] = [t / 1e6 for (t,) in best["parent"][restarts]]
+        ms.setdefault("change", [t / 1e6 for (t,) in best["change"][restarts]])
+        out[f"relative_to_parent@{restarts}"] = [
+            (after - before) / before
+            for after, before in zip(values["change"][restarts], values["parent"][restarts])
+        ]
+    out["solve_ms"] = {n: [round(t, 3) for t in times] for n, times in ms.items()}
+    gaussian = [i for i in range(len(tensors)) if i not in out["levi_civita"]]
+    rel = [out[f"relative_to_parent@{LAP_RESTARTS[-1]}"][i] for i in gaussian]
+    out["summary"] = {
+        "gaussian_gap_max": max(out["gap"][i] for i in gaussian),
+        "levi_civita_gap": [out["gap"][i] for i in out["levi_civita"]],
+        "gaussian_evaluations_p50": statistics.median(out["evaluations"][i] for i in gaussian),
+        "gaussian_evaluations_max": max(out["evaluations"][i] for i in gaussian),
+        "levi_civita_evaluations": [out["evaluations"][i] for i in out["levi_civita"]],
+        f"gaussian_relative_to_parent@{LAP_RESTARTS[-1]}_min": min(rel),
+        f"gaussian_relative_to_parent@{LAP_RESTARTS[-1]}_max": max(rel),
+        "solve_ms_p50": {n: round(statistics.median(times), 3) for n, times in ms.items()},
+    }
+    out["equal"] = all(abs(r) <= VALUE_TOL for r in rel)
     return out
 
 
@@ -524,6 +571,7 @@ def main(argv=None) -> int:
         "closed_form_golden": {**closed, "equal": closed["parent"] == closed["change"]},
         "solver_golden": solver_golden(trees),
         "fallback": fallback(trees),
+        "bounded": bounded(trees),
     }
     report.update(golden)
     report["equal"] = all(part["equal"] for part in golden.values()) and all(

@@ -40,7 +40,7 @@ class Unrepresentable(TensorError):
 
 
 class NoConvergence(RuntimeError):
-    """No restart of an iterative eigenvalue search converged."""
+    """An eigenpair taken from another maximum did not polish to its residual bound."""
 
 
 class Uncertified(RuntimeError):

@@ -21,22 +21,24 @@ is the largest |y (x A) y|.  Its best C-eigenpair (x, y), put back as
 (x, y, y) in the original slots, is eta_1's triple.  A lift gets the
 sign rule of its kind and must pass the kind's residual test.
 
-Elsewhere, or where no enumeration certifies, one seeded
-multistart driver finds eta_1: alternating normalized updates, each
-substep an exact maximization, and once a restart's step is below 1e-2 a
-Newton step on its bordered Lagrange system, kept where the objective
-ends at least as high, so the objective never decreases and the tail
-converges quadratically.  Restarts are vectorized and independent, and
-merged after a value-then-lexicographic sort, so the triple does not
-depend on execution order.  Global optimality is not certified, so
-``starts_converged`` reports how many restarts agreed with the returned
-point; raise ``restarts`` if it looks thin.  Where the enumeration
-cannot certify, ``max_c_eigenvalue`` and ``max_z_eigenvalue`` take
-their pair from that multistart's eta_1, which the maxima equal on the
-tensors they accept: mu_1 = eta_1 for a right-side symmetric tensor and
-nu_1 = eta_1 for a symmetric one.  The eigenvector of the largest
-|eigenvalue| of x A, for the x of eta_1, is the y of the pair, polished
-as an enumerated point is.
+Elsewhere, or where no enumeration certifies, eta_1 is bracketed by a
+branch and bound over the sphere of x.  phi(x) = ||x A||_2 is a norm of a
+linear map of x, hence convex, so on a spherical triangle with unit
+vertices v_i it is at most max_i phi(v_i) / sqrt(min_{i != j} v_i . v_j):
+every unit x in it is p / |p| for a p of the flat triangle, where
+phi(p) <= max_i phi(v_i) and |p|^2 >= min v_i . v_j (Horst & Tuy, Global
+Optimization).  From the four octahedron faces with x_3 >= 0 (phi is
+even), each level splits every live triangle four ways at its normalized
+edge midpoints and prunes those whose bound is within 1e-8 of the best
+value, polished by Newton steps.  It stops when no triangle is live or
+before 20 000 evaluations of phi, which bounds its time and memory, and
+the bound left is ``upper_bound``.  Where the enumeration cannot
+certify, ``max_c_eigenvalue`` and ``max_z_eigenvalue`` take their pair
+from that eta_1, which the maxima equal on the tensors they accept:
+mu_1 = eta_1 for a right-side symmetric tensor and nu_1 = eta_1 for a
+symmetric one.  The eigenvector of the largest |eigenvalue| of x A, for
+the x of eta_1, is the y of the pair, polished as an enumerated point
+is, and eta_1's upper bound is theirs too.
 """
 
 from __future__ import annotations
@@ -59,37 +61,34 @@ __all__ = [
 ]
 
 _STALL = 1e-30
-# residual bound a restart must meet, relative to ||A||
-_RESIDUAL_OK = 1e-9
-# merge tolerances for duplicate critical points across restarts
+# merge tolerances for duplicate critical points
 _MERGE_VALUE = 1e-8
 _MERGE_VECTOR = 1e-6
-# a restart whose last step was shorter than this gets a Newton proposal
-_NEWTON_BELOW = 1e-2
 
 
 @dataclass(frozen=True)
 class CriticalTriple:
-    """One converged stationary point of a spherical potential.
+    """One stationary point of a spherical potential, with a bound on the maximum.
 
     ``kind`` is "singular", "c_eigen" or "z_eigen"; for C-eigenpairs the
     stored z equals y, for Z-eigenpairs x = y = z.  ``residual`` is the
-    largest defining-equation residual relative to max(1, ||A||), and
-    ``starts_converged`` counts the restarts that converged to this same
-    point (value within 1e-8, vectors within 1e-6 after sign
-    canonicalization).  ``method`` is "multistart", or "enumerated" for a
-    C- or Z-eigenpair taken from a certified ``c_spectrum`` or
-    ``z_spectrum`` and for a triple lifted from one: the singular triple
-    and C-eigenpair of a symmetric tensor from its ``z_spectrum``, the
-    singular triple of a partially symmetric one from a ``c_spectrum``;
-    there ``starts_converged`` counts the real pairs that merge with the
-    best under the same tolerances, which certification makes 1.  A C- or
-    Z-eigenpair from the multistart is derived from the singular maximum,
-    and its ``starts_converged`` is that maximum's.
+    largest defining-equation residual relative to max(1, ||A||).
+    ``method`` is "enumerated" for a C- or Z-eigenpair taken from a
+    certified ``c_spectrum`` or ``z_spectrum`` and for a triple lifted from
+    one (the singular triple and C-eigenpair of a symmetric tensor from its
+    ``z_spectrum``, the singular triple of a partially symmetric one from a
+    ``c_spectrum``); there ``upper_bound`` equals ``value``.  It is
+    "bounded" for the singular maximum of the branch and bound and for a C-
+    or Z-eigenpair derived from it; there ``upper_bound`` is the bound the
+    search left on eta_1, which also bounds mu_1 and nu_1, and ``value`` is
+    attained at (x, y, z).  ``upper_bound`` scales with the tensor as
+    ``value`` does.  ``starts_converged`` is always 1; it is kept for
+    callers written against the multistart this replaced.
     """
 
     kind: str
     value: float
+    upper_bound: float
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -197,19 +196,6 @@ def _newton(jmap, s, f):
     return _unit(s + step, s)
 
 
-def _singular_step(m, s):
-    """One sweep x <- A y z, y <- x A z, z <- x y A, each normalized and
-    each an exact maximization: (f(s), the new state, its f)."""
-    x, y, z = s[:, 0], s[:, 1], s[:, 2]
-    g = _pair(y, z) @ m.T
-    xn = _unit(g, x)
-    xa = (xn @ m).reshape(-1, 3, 3)
-    yn = _unit(np.matmul(xa, z[:, :, None])[:, :, 0], y)
-    zraw = np.matmul(yn[:, None, :], xa)[:, 0]
-    zn = _unit(zraw, z)
-    return _dot(g, x), _blocks(xn, yn, zn), _dot(zraw, zn)
-
-
 def _singular_signs(m, s):
     sx, sy = _lead_signs(s[:, 0]), _lead_signs(s[:, 1])
     return np.stack((sx, sy, sx * sy), axis=1)
@@ -224,20 +210,24 @@ def _z_signs(m, s):
     return np.where(_potential(m, s, (0, 0, 0)) < 0.0, -1.0, 1.0)[:, None]
 
 
-# per kind: the state block in x, y and z, the number of blocks and the sign
-# rule that makes a converged state canonical
+def _singular_lift(m, x):
+    """(x, y, z) with (y, z) the top singular pair of x A, so x A y z = phi(x)."""
+    u, _, vt = np.linalg.svd((x @ m).reshape(-1, 3, 3))
+    return _blocks(x, u[:, :, 0], vt[:, 0])
+
+
+def _c_lift(m, y):
+    return _blocks(_unit(_pair(y, y) @ m.T, y), y)  # x = A y y / ||A y y||
+
+
+# per kind: the state block in x, y and z, the number of blocks, the sign
+# rule that makes a state canonical and the lift of unit rows v (x for
+# singular, y for C) to state blocks, m = a.reshape(3, 9)
 _KINDS = {
-    "singular": ((0, 1, 2), 3, _singular_signs),
-    "c_eigen": ((0, 1, 1), 2, _c_signs),
-    "z_eigen": ((0, 0, 0), 1, _z_signs),
+    "singular": ((0, 1, 2), 3, _singular_signs, _singular_lift),
+    "c_eigen": ((0, 1, 1), 2, _c_signs, _c_lift),
+    "z_eigen": ((0, 0, 0), 1, _z_signs, lambda m, v: v[:, None]),
 }
-
-
-def _starts(seed, restarts: int) -> np.ndarray:
-    """Seeded starts: random unit rows in the three blocks, drawn in one
-    call, the same stream as one (restarts, 3) draw per block."""
-    g = np.random.default_rng(seed).standard_normal((3, restarts, 3))
-    return np.ascontiguousarray((g / _norms(g)[..., None]).transpose(1, 0, 2))
 
 
 def _merging(values: np.ndarray, vecs: np.ndarray, rows) -> np.ndarray:
@@ -254,66 +244,101 @@ def _unscaled_residual(norm: float, exp: int) -> float:
     return 1.0 if exp > 0 else min(1.0, math.ldexp(norm, exp))
 
 
-def _triple(kind, value, blocks, residual, count, method) -> CriticalTriple:
-    """The ``kind`` triple of one state's blocks, at the kind's slots."""
+def _triple(kind, value, blocks, residual, method, upper=None) -> CriticalTriple:
+    """The ``kind`` triple of one state's blocks, at the kind's slots; the
+    upper bound is the value unless given."""
     vecs = [core._read_only(v) for v in blocks]
     x, y, z = (vecs[slot] for slot in _KINDS[kind][0])
-    return CriticalTriple(kind, float(value), x, y, z, float(residual), count, method)
+    upper = value if upper is None else upper
+    return CriticalTriple(kind, float(value), float(upper), x, y, z, float(residual), 1, method)
 
 
-def _multistart(a, exp, restarts, tol, max_iters, seed, history_out) -> CriticalTriple:
-    """The singular maximum of ldexp(a, exp), for ``a, exp = core._scaled(...)``."""
-    if not np.any(a):
-        e1 = core._read_only([1.0, 0.0, 0.0])
-        return CriticalTriple("singular", 0.0, e1, e1, e1, 0.0, restarts, "multistart")
-    slots, k, signs = _KINDS["singular"]
+# ---------------------------------------------------------------------------
+# eta_1 by branch and bound
+#
+# Triangles are (n, 3, 3) arrays of unit vertex rows with their (n, 3)
+# values phi.  The bound of a triangle is inflated by _ROUNDING ||a||: the
+# SVD's backward error (a few eps ||x A||), unit vertices off by an ulp and
+# the seams of that width that the rounded midpoints leave between children.
+
+_GAP = 1e-8
+_BUDGET = 20_000
+_ROUNDING = 16 * np.finfo(float).eps
+# the octahedron vertices with x_3 >= 0, and its four faces there
+_OCTAHEDRON = np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1]])
+_FACES = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
+# the four children of a triangle in the rows (v0, v1, v2, m01, m12, m20)
+_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
+
+
+def _phi(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """phi = ||x A||_2 at the rows x."""
+    return np.linalg.svd((x @ m).reshape(-1, 3, 3), compute_uv=False)[:, 0]
+
+
+def _bounded(a: np.ndarray):
+    """Branch and bound for eta_1 of the scaled nonzero tensor ``a``:
+    ((value, (1, 3, 3) singular state, residual) of the best point, as
+    ``_polished`` returns them, the upper bound, evaluations of phi).  The
+    value is the bracket's lower end, attained at the state, whose x is
+    the best x.  From level 3 on the best vertex is polished whenever it
+    beats the value, and the state once more at the end; a polish keeps
+    its final Newton iterate unless that lost more than the rounding
+    margin, and otherwise takes the lift after _POLISH_STEPS sweeps."""
     m = a.reshape(3, 9)
-    norm = float(np.linalg.norm(m))
-    jmap = _jacobian_map(a, slots, k)
-    s = _starts(seed, restarts)
-    f_of = functools.partial(_potential, m, slots=slots)
-    delta = np.full(restarts, np.inf)
-    converged = np.zeros(restarts, dtype=bool)
-    for it in range(max_iters):
-        f_base, s_new, f = _singular_step(m, s)
-        near = ((delta < _NEWTON_BELOW) & (delta >= tol)).nonzero()[0]
-        if len(near):
-            # a Newton proposal replaces the sweep's only where the
-            # objective ends at least as high, which a NaN never does
-            with np.errstate(all="ignore"):
-                try:
-                    cand = _newton(jmap, s[near], f_base[near])
-                except np.linalg.LinAlgError:  # an exactly singular system
-                    cand = s_new[near]
-                f_cand = f_of(cand)
-            take = f_cand >= f[near]
-            s_new[near[take]] = cand[take]
-            f[near[take]] = f_cand[take]
-        delta = _norms(s_new - s).max(axis=1)
-        s = s_new
-        if history_out is not None:
-            history_out.append(np.ldexp(f, exp))
-        # only a check with every step below tol can stop the loop; the
-        # periodic ones keep ``converged`` current should max_iters run out
-        if (delta < tol).all() or it % 8 == 7 or it == max_iters - 1:
-            resid = _residual(jmap, s, f) / norm
-            converged = (delta < tol) & (resid < _RESIDUAL_OK)
-            if converged.all():
-                break
-    if not converged.any():
-        msg = f"no restart converged in {max_iters} iterations (restarts={restarts})"
-        raise NoConvergence(msg)
-    # canonical signs, exact values and residuals of the converged restarts
-    s = s[converged]
-    s = s * signs(m, s)[:, :, None]
-    f = f_of(s)
-    values = np.ldexp(f, exp)
-    resids = _residual(jmap, s, f) / norm * _unscaled_residual(norm, exp)
-    vecs = s.reshape(len(s), 9)
-    # best value first, ties broken lexicographically on the vectors
-    best = np.lexsort((*vecs.T[::-1], -values))[0]
-    agree = _merging(values, vecs, [best])[0]
-    return _triple("singular", values[best], s[best], resids[best], int(agree.sum()), "multistart")
+    margin = _ROUNDING * core._frobenius(a)
+
+    def polish(x, floor):
+        got = _polished("singular", a, x[None], bound=None)
+        if got is None or not got[0][0] >= floor - margin:
+            # Newton fails where the top singular value of x A is multiple;
+            # sweeps x <- A y z / ||A y z|| over the lift do not: each is an
+            # exact maximization, so phi never decreases
+            x = x[None]
+            for _ in range(_POLISH_STEPS):
+                s = _singular_lift(m, x)
+                x = _unit(_pair(s[:, 1], s[:, 2]) @ m.T, x)
+            got = _polished("singular", a, x, steps=0, bound=None)
+        return got
+
+    values = _phi(m, _OCTAHEDRON)
+    tri, phi = _OCTAHEDRON[_FACES], values[_FACES]
+    evaluations, pruned = len(values), 0.0
+    top, x_top = values.max(), _OCTAHEDRON[values.argmax()]
+    best = None
+    for level in itertools.count():
+        if level >= 3 and (best is None or top > best[0][0]):
+            best = polish(x_top, top)
+        lower = top if best is None else max(top, best[0][0])
+        last, last_phi = tri, phi
+        cos = np.einsum("nij,nij->ni", tri, tri[:, [1, 2, 0]]).min(axis=1)
+        with np.errstate(divide="ignore"):  # cos = 0 on the octahedron's faces
+            bound = phi.max(axis=1) / np.sqrt(cos) + margin
+        live = bound > lower * (1.0 + _GAP)
+        pruned = max(pruned, bound[~live].max(initial=0.0))
+        tri, phi, bound = tri[live], phi[live], bound[live]
+        if not len(tri) or evaluations + 3 * len(tri) > _BUDGET:
+            break
+        mids = _unit(tri + tri[:, [1, 2, 0]], tri)
+        new = _phi(m, mids.reshape(-1, 3))
+        evaluations += len(new)
+        if new.max() > top:
+            top, x_top = new.max(), mids.reshape(-1, 3)[new.argmax()]
+        rows = np.concatenate((tri, mids), axis=1)
+        vals = np.concatenate((phi, new.reshape(-1, 3)), axis=1)
+        tri, phi = rows[:, _CHILDREN].reshape(-1, 3, 3), vals[:, _CHILDREN].reshape(-1, 3)
+    x, f = (x_top, top) if best is None else (best[1][0, 0], best[0][0])
+    if not len(tri):
+        # local maxima within _GAP of each other all reach the last level:
+        # the best vertex of each of its triangles, polished together
+        got = _polished("singular", a, last[np.arange(len(last)), last_phi.argmax(axis=1)],
+                        bound=None)
+        if got is not None:
+            converged = np.where(got[2] <= _POLISHED, got[0], -np.inf)
+            k = converged.argmax()
+            if converged[k] > f:
+                x, f = got[1][k, 0], converged[k]
+    return polish(x, f), max(pruned, bound.max(initial=0.0)), evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +439,7 @@ def _pq_map(d: int) -> np.ndarray:
 
 def _pq(kind: str, a: np.ndarray, chart: int) -> np.ndarray:
     """The ``_pq_map`` grid of p and q of ``kind`` in chart ``chart``."""
-    d, field, _ = _ELIMINATIONS[kind]
+    d, field = _ELIMINATIONS[kind]
     r = _CHARTS[chart]
     return (field(r @ a @ r.T, r).reshape(-1) @ _pq_map(d)).reshape(2 * d + 4, d + 2)
 
@@ -472,14 +497,9 @@ def _c_field(b: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,imn->mjkn", b, b)
 
 
-# per kind: the degree d of g'; the coefficients of g' in v', c (3, 3^d)
-# with g'_m = c[m] . v'^(x)d, from b_i = R A_i R^T and R; and the state
-# blocks of the scaled unit rows v, m = a.reshape(3, 9) (for C,
-# x = A y y / ||A y y||)
-_ELIMINATIONS = {
-    "z_eigen": (2, _z_field, lambda m, v: v[:, None]),
-    "c_eigen": (3, _c_field, lambda m, y: _blocks(_unit(_pair(y, y) @ m.T, y), y)),
-}
+# per kind: the degree d of g', and the coefficients of g' in v',
+# c (3, 3^d) with g'_m = c[m] . v'^(x)d, from b_i = R A_i R^T and R
+_ELIMINATIONS = {"z_eigen": (2, _z_field), "c_eigen": (3, _c_field)}
 
 
 def _certified_roots(c: np.ndarray, degree: int) -> np.ndarray | None:
@@ -505,18 +525,20 @@ def _certified_roots(c: np.ndarray, degree: int) -> np.ndarray | None:
     return t.real[np.abs(t.imag) <= bound]
 
 
-def _polished(kind: str, a: np.ndarray, v: np.ndarray, steps: int = _POLISH_STEPS):
+def _polished(kind: str, a: np.ndarray, v: np.ndarray, steps: int = _POLISH_STEPS,
+              bound: float | None = _POLISHED):
     """The ``kind`` pairs of the scaled tensor ``a`` at the unit rows
     ``v``: the kind's lift of ``v`` to state blocks after ``steps``
     Newton steps, with canonical signs, as (values, (n, k, 3) state
     blocks, residuals relative to ||a||), or None unless every residual
-    is within _POLISHED."""
-    slots, k, signs = _KINDS[kind]
+    is within ``bound`` (None: any, NaN included) or where a Newton system
+    is exactly singular."""
+    slots, k, signs, lift = _KINDS[kind]
     m = a.reshape(3, 9)
     jmap = _jacobian_map(a, slots, k)
     with np.errstate(all="ignore"):
         try:
-            state = _ELIMINATIONS[kind][2](m, v)
+            state = lift(m, v)
             for _ in range(steps):
                 state = _newton(jmap, state, _potential(m, state, slots))
         except np.linalg.LinAlgError:  # an exactly singular system
@@ -524,7 +546,7 @@ def _polished(kind: str, a: np.ndarray, v: np.ndarray, steps: int = _POLISH_STEP
         state = state * signs(m, state)[:, :, None]
         f = _potential(m, state, slots)
         resid = _residual(jmap, state, f) / core._frobenius(a)
-    if not (resid <= _POLISHED).all():
+    if bound is not None and not (resid <= bound).all():
         return None
     return f, state, resid
 
@@ -597,7 +619,7 @@ def _lift(kind: str, source: str, a: np.ndarray, exp: int, perm=(0, 1, 2)):
     pairs = _pairs_of_bytes(source, a.transpose(perm).tobytes())
     if pairs is None:
         return None
-    slots, k, signs = _KINDS[kind]
+    slots, k, signs, _ = _KINDS[kind]
     m = a.reshape(3, 9)
     # held[j]: the source block in slot j of ``a`` (slot i of the source's
     # tensor is slot perm[i] of ``a``); the kind reads block b from its first slot
@@ -613,7 +635,7 @@ def _lift(kind: str, source: str, a: np.ndarray, exp: int, perm=(0, 1, 2)):
     if not resid <= _POLISHED:
         return None
     resid *= _unscaled_residual(norm, exp)
-    return _triple(kind, np.ldexp(f[0], exp), state[0], resid, 1, "enumerated")
+    return _triple(kind, np.ldexp(f[0], exp), state[0], resid, "enumerated")
 
 
 @dataclass(frozen=True)
@@ -651,16 +673,6 @@ class CSpectrum:
     residuals: np.ndarray  # (n,)
 
 
-def _solver_inputs(a, tol, restarts: int, max_iters: int) -> tuple[np.ndarray, int, float]:
-    """The solvers' common gates: ``core._scaled(a, "Hyper3")`` and the checked ``tol``."""
-    a, exp = core._scaled(a, "Hyper3")
-    tol = core._tolerance(tol)
-    for name, count in (("restarts", restarts), ("max_iters", max_iters)):
-        if count < 1:
-            raise ValueError(f"{name} must be at least 1, got {count!r}")
-    return a, exp, tol
-
-
 # per kind: the swaps its tensor must be symmetric under, and the error if not
 _GATES = {
     "c_eigen": (("right",), NotRightSymmetric,
@@ -675,13 +687,24 @@ def _require(kind: str, a: np.ndarray) -> None:
         raise error(message)
 
 
-def _fallback(kind, a, exp, restarts, tol, max_iters, seed, history_out) -> CriticalTriple:
+def _singular(a, exp) -> CriticalTriple:
+    """The bounded singular maximum of ldexp(a, exp), for ``a, exp = core._scaled(...)``."""
+    if not np.any(a):
+        e1 = core._read_only([1.0, 0.0, 0.0])
+        return CriticalTriple("singular", 0.0, 0.0, e1, e1, e1, 0.0, 1, "bounded")
+    (f, state, resid), upper, _ = _bounded(a)
+    resid = resid[0] * _unscaled_residual(core._frobenius(a), exp)
+    return _triple("singular", np.ldexp(f[0], exp), state[0], resid, "bounded",
+                   np.ldexp(upper, exp))
+
+
+def _fallback(kind, a, exp) -> CriticalTriple:
     """The ``kind`` maximum of ldexp(a, exp) from the singular one: x A is
     symmetrized (it is symmetric to the gate's bound) for the x of eta_1,
     and the unit eigenvector of its largest |eigenvalue|, a y of the
     maximum since the maxima are equal, is polished as an enumerated
     point is."""
-    eta = _multistart(a, exp, restarts, tol, max_iters, seed, history_out)
+    eta = _singular(a, exp)
     if not np.any(a):
         return replace(eta, kind=kind)
     w = (eta.x @ a.reshape(3, 9)).reshape(3, 3)
@@ -695,18 +718,17 @@ def _fallback(kind, a, exp, restarts, tol, max_iters, seed, history_out) -> Crit
                             f"{_POLISHED:g} ||A||")
     f, state, resid = pairs
     resid = resid[0] * _unscaled_residual(core._frobenius(a), exp)
-    return _triple(kind, np.ldexp(f[0], exp), state[0], resid, eta.starts_converged, "multistart")
+    return _triple(kind, np.ldexp(f[0], exp), state[0], resid, "bounded", eta.upper_bound)
 
 
-def _maximum(kind, a, exp, restarts, tol, max_iters, seed, history_out) -> CriticalTriple:
+def _maximum(kind, a, exp) -> CriticalTriple:
     """The best pair of the certified enumeration of a gated tensor, else
     the fallback's."""
     pairs = _enumerated(kind, a, exp)
     if pairs is None:
-        return _fallback(kind, a, exp, restarts, tol, max_iters, seed, history_out)
+        return _fallback(kind, a, exp)
     values, blocks, resid = pairs
-    # the certificate leaves no two pairs merging, so only the best merges with the best
-    return _triple(kind, values[0], blocks[0], resid[0], 1, "enumerated")
+    return _triple(kind, values[0], blocks[0], resid[0], "enumerated")
 
 
 def _spectrum(kind: str, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -720,14 +742,13 @@ def _spectrum(kind: str, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pairs
 
 
-def max_singular_value(
-    a: core.Hyper3,
-    restarts: int = 64,
-    tol: float = 1e-12,
-    max_iters: int = 10000,
-    seed: int = 0,
-    history_out: list | None = None,
-) -> CriticalTriple:
+# The solvers take no setting that changes their answer.  ``restarts`` and
+# ``history_out`` are accepted and ignored, for callers written against the
+# multistart the branch and bound replaced; they go with the next change to
+# the benchmark that passes them.
+
+
+def max_singular_value(a: core.Hyper3, *, restarts=None, history_out=None) -> CriticalTriple:
     """Largest singular value eta_1 = max x A y z over three unit spheres.
 
     The right, left and central swaps that hold within 1e-12 ||A|| pick
@@ -739,36 +760,27 @@ def max_singular_value(
     of its certified ``c_spectrum``, (x, y, y) put back in the original
     slots.  Either lift gets the singular sign rule and must pass the
     same residual test of 1e-12 ||A|| on A as an enumerated pair
-    (``method`` "enumerated", ``starts_converged`` 1; no iterations, so
-    nothing is appended to ``history_out``, and ``restarts``, ``tol``,
-    ``max_iters`` and ``seed`` go unused).  Otherwise (``method``
-    "multistart": no symmetric pair, or no chart certifies, or the test
-    fails) alternating normalized updates x <- A y z, y <- x A z,
-    z <- x y A from seeded random unit starts; each substep maximizes the
-    potential exactly, so the objective is monotone, and a Newton step on
-    the 12x12 Lagrange system replaces the sweep where it climbs further.  Either way the
-    triple satisfies A y z = eta x, x A z = eta y, x y A = eta z, and
-    eta equals contract_full(a, x, y, z).
+    (``method`` "enumerated", ``upper_bound`` = ``value``).
+
+    Otherwise (``method`` "bounded") the branch and bound of the module
+    docstring brackets eta_1 in [``value``, ``upper_bound``] and returns
+    its polished best point.  The bracket closes to 1e-8 ``value`` where
+    the maximum is isolated; where the maxima form a continuum (the
+    Levi-Civita tensor, 3 sym(e_1 (x) (e_2 (x) e_2 + e_3 (x) e_3)) and
+    tensors near them) the budget leaves it wider, about 4e-4 and 2e-5.
+    Either way the triple satisfies A y z = eta x, x A z = eta y,
+    x y A = eta z to its ``residual``, and eta = contract_full(a, x, y, z).
     """
-    a, exp, tol = _solver_inputs(a, tol, restarts, max_iters)
+    a, exp = core._scaled(a, "Hyper3")
     verdicts = _swap_verdicts(a, _POLISHED, *_PAIR_SWAPS)
     lifted = _lift("singular", "z_eigen", a, exp) if all(verdicts) else None
     swap = next(itertools.compress(_PAIR_SWAPS, verdicts), None)
     if lifted is None and swap is not None:
         lifted = _lift("singular", "c_eigen", a, exp, _PAIR_LAST[swap])
-    if lifted is not None:
-        return lifted
-    return _multistart(a, exp, restarts, tol, max_iters, seed, history_out)
+    return lifted or _singular(a, exp)
 
 
-def max_c_eigenvalue(
-    a: core.Hyper3,
-    restarts: int = 64,
-    tol: float = 1e-12,
-    max_iters: int = 10000,
-    seed: int = 0,
-    history_out: list | None = None,
-) -> CriticalTriple:
+def max_c_eigenvalue(a: core.Hyper3, *, restarts=None, history_out=None) -> CriticalTriple:
     """Largest C-eigenvalue mu_1 = max x A y y of a right-side symmetric tensor.
 
     On a tensor symmetric within 1e-12 ||A|| under the right, left and
@@ -777,54 +789,41 @@ def max_c_eigenvalue(
     as its value, so it equals ``max_z_eigenvalue`` to the bit, once it
     passes the C residual test of 1e-12 ||A||.  Otherwise, or if that
     fails, the best pair of ``c_spectrum`` whenever its enumeration
-    certifies.  Both are ``method`` "enumerated" (no iterations, so
-    nothing is appended to ``history_out``, and ``restarts``, ``tol``,
-    ``max_iters`` and ``seed`` go unused).  Otherwise (``method``
-    "multistart", as for rank-one tensors ``x (x) y (x) y``, the zero
-    tensor and tensors near them) the pair comes from the multistart of
-    ``max_singular_value`` run with these arguments: x A is symmetric, so
-    mu_1 = eta_1, and y is the eigenvector of the largest |eigenvalue| of
-    x A for the x of eta_1, lifted to x = A y y / ||A y y|| and polished
-    as an enumerated pair is (or left unpolished where a Newton step
-    fails); ``history_out`` gets the singular objective and
-    ``starts_converged`` is eta_1's.  Either way
-    the pair satisfies A y y = mu x and x A y = mu y; NoConvergence is
-    raised if the residual of the fallback's pair exceeds 1e-12 ||A||.
+    certifies.  Both are ``method`` "enumerated".  Otherwise (``method``
+    "bounded", as for rank-one tensors ``x (x) y (x) y``, the zero tensor
+    and tensors near them) the pair comes from the bounded eta_1 of
+    ``max_singular_value``: x A is symmetric, so mu_1 = eta_1, and y is
+    the eigenvector of the largest |eigenvalue| of x A for the x of
+    eta_1, lifted to x = A y y / ||A y y|| and polished as an enumerated
+    pair is (or left unpolished where a Newton step fails), and
+    ``upper_bound`` is eta_1's.  Either way the pair satisfies
+    A y y = mu x and x A y = mu y; NoConvergence is raised if the
+    residual of the fallback's pair exceeds 1e-12 ||A||, which happens
+    near a continuum of maxima, where the bracket of eta_1 stays wide.
     """
-    a, exp, tol = _solver_inputs(a, tol, restarts, max_iters)
+    a, exp = core._scaled(a, "Hyper3")
     verdicts = _swap_verdicts(a, _POLISHED, *_PAIR_SWAPS)
     if not verdicts[0]:  # symmetric within _POLISHED passes the gate's 1e-8
         _require("c_eigen", a)
     lifted = _lift("c_eigen", "z_eigen", a, exp) if all(verdicts) else None
-    if lifted is not None:
-        return lifted
-    return _maximum("c_eigen", a, exp, restarts, tol, max_iters, seed, history_out)
+    return lifted or _maximum("c_eigen", a, exp)
 
 
-def max_z_eigenvalue(
-    a: core.Hyper3,
-    restarts: int = 64,
-    tol: float = 1e-12,
-    max_iters: int = 10000,
-    seed: int = 0,
-    history_out: list | None = None,
-) -> CriticalTriple:
+def max_z_eigenvalue(a: core.Hyper3, *, restarts=None, history_out=None) -> CriticalTriple:
     """Largest Z-eigenvalue nu_1 = max x A x x of a symmetric tensor.
 
     The best pair of ``z_spectrum`` whenever its enumeration certifies
-    (``method`` "enumerated"; no iterations, so nothing is appended to
-    ``history_out``, and ``restarts``, ``tol``, ``max_iters`` and ``seed``
-    go unused).  Otherwise (``method`` "multistart"): nu_1 = eta_1 on a
-    symmetric tensor (Banach 1938), and x is the eigenvector of the
-    largest |eigenvalue| of x' A for the x' of the multistart of
-    ``max_singular_value`` run with these arguments, as for
-    ``max_c_eigenvalue``.  Either way x
-    satisfies A x x = nu x with nu = x A x x >= 0 (x is flipped when the
-    cubic form is negative, which the odd degree permits).
+    (``method`` "enumerated").  Otherwise (``method`` "bounded"):
+    nu_1 = eta_1 on a symmetric tensor (Banach 1938), and x is the
+    eigenvector of the largest |eigenvalue| of x' A for the x' of the
+    bounded eta_1 of ``max_singular_value``, as for ``max_c_eigenvalue``,
+    with eta_1's ``upper_bound`` and the same NoConvergence.  Either way
+    x satisfies A x x = nu x with nu = x A x x >= 0 (x is flipped when
+    the cubic form is negative, which the odd degree permits).
     """
-    a, exp, tol = _solver_inputs(a, tol, restarts, max_iters)
+    a, exp = core._scaled(a, "Hyper3")
     _require("z_eigen", a)
-    return _maximum("z_eigen", a, exp, restarts, tol, max_iters, seed, history_out)
+    return _maximum("z_eigen", a, exp)
 
 
 def z_spectrum(a: core.Hyper3) -> ZSpectrum:

@@ -29,9 +29,16 @@ from helpers import (
     random_hyper3,
     random_vec,
 )
-from test_varspec import singular_multistart
+from test_varspec import eta_1_bracket
 
 SQRT2 = np.sqrt(2.0)
+
+
+def certified(triple) -> bool:
+    """An enumerated triple, or a bounded one whose bracket closed to 1e-8."""
+    if triple.method == "enumerated":
+        return triple.upper_bound == triple.value
+    return triple.method == "bounded" and triple.upper_bound - triple.value <= 1e-8 * triple.value
 
 
 def _nonsingular(seed):
@@ -143,14 +150,13 @@ def test_criterion_4_rotation_invariance_suite():
     start = time.monotonic()
     fixtures = [tt.make_fixture("symmetric", s) for s in range(10)]
     fixtures += [tt.make_fixture("primarily_symmetric", s) for s in range(10)]
-    restarts = 12
     worst = 0.0
     for a in fixtures:
         inv0 = np.array(list(tt.invariants(a).as_dict().values()))
         sig0 = tt.l_eigen(a).sigma
-        eta0 = tt.max_singular_value(a, restarts=restarts).value
-        mu0 = tt.max_c_eigenvalue(a, restarts=restarts).value
-        nu0 = tt.max_z_eigenvalue(a, restarts=restarts).value
+        eta0 = tt.max_singular_value(a).value
+        mu0 = tt.max_c_eigenvalue(a).value
+        nu0 = tt.max_z_eigenvalue(a).value
         for r in range(100):
             p = tt.random_rotation(r)
             rot = tt.rotate(a, p)
@@ -158,9 +164,11 @@ def test_criterion_4_rotation_invariance_suite():
             drift = np.abs(inv - inv0) / np.maximum(1.0, np.abs(inv0))
             sig = tt.l_eigen(rot).sigma
             drift_sig = np.abs(sig - sig0) / max(1.0, sig0[0])
-            eta = tt.max_singular_value(rot, restarts=restarts).value
-            mu = tt.max_c_eigenvalue(rot, restarts=restarts).value
-            nu = tt.max_z_eigenvalue(rot, restarts=restarts).value
+            eta_1 = tt.max_singular_value(rot)
+            assert certified(eta_1)
+            eta = eta_1.value
+            mu = tt.max_c_eigenvalue(rot).value
+            nu = tt.max_z_eigenvalue(rot).value
             drift_var = [
                 abs(eta - eta0) / max(1.0, eta0),
                 abs(mu - mu0) / max(1.0, mu0),
@@ -202,19 +210,22 @@ def test_criterion_5_rank_nullity_sweep():
 
 def test_criterion_6_ordering_chain():
     start = time.monotonic()
-    restarts = 24
     for seed in range(200):
         a = tt.make_fixture("symmetric", seed)
-        eta = tt.max_singular_value(a, restarts=restarts, seed=seed).value
-        mu = tt.max_c_eigenvalue(a, restarts=restarts, seed=seed).value
-        nu = tt.max_z_eigenvalue(a, restarts=restarts, seed=seed).value
+        eta_1 = tt.max_singular_value(a)
+        assert certified(eta_1)
+        eta = eta_1.value
+        mu = tt.max_c_eigenvalue(a).value
+        nu = tt.max_z_eigenvalue(a).value
         assert nu <= mu + 1e-9
         assert mu <= eta + 1e-9
         assert abs(nu - mu) <= 1e-9
     for seed in range(200):
         a = tt.make_fixture("right_symmetric", seed)
-        eta = tt.max_singular_value(a, restarts=restarts, seed=seed).value
-        mu = tt.max_c_eigenvalue(a, restarts=restarts, seed=seed).value
+        eta_1 = tt.max_singular_value(a)
+        assert certified(eta_1)
+        eta = eta_1.value
+        mu = tt.max_c_eigenvalue(a).value
         assert mu <= eta + 1e-9
     elapsed = time.monotonic() - start
     print(f"ACCEPTANCE 6 PASS: ordering chain nu <= mu <= eta on 400 fixtures ({elapsed:.1f}s)")
@@ -247,18 +258,19 @@ def test_criterion_7_eigenvector_decompositions():
 def test_criterion_8_variational_cross_check():
     start = time.monotonic()
     assert abs(oracle_eta1(tt.levi_civita()) - 1.0) <= 1e-6
-    assert abs(tt.max_singular_value(tt.levi_civita(), restarts=16).value - 1.0) <= 1e-6
+    assert abs(tt.max_singular_value(tt.levi_civita()).value - 1.0) <= 1e-6
     for seed in range(20):
         a = random_hyper3(seed)
-        eta = tt.max_singular_value(a, restarts=24, seed=seed).value
-        assert abs(eta - oracle_eta1(a)) <= 1e-6
+        eta = tt.max_singular_value(a)
+        assert certified(eta)
+        assert abs(eta.value - oracle_eta1(a)) <= 1e-6
     for seed in range(20):
         a = tt.make_fixture("right_symmetric", seed)
-        mu = tt.max_c_eigenvalue(a, restarts=24, seed=seed).value
+        mu = tt.max_c_eigenvalue(a).value
         assert abs(mu - oracle_mu1(a)) <= 1e-6
     for seed in range(20):
         a = tt.make_fixture("symmetric", seed)
-        nu = tt.max_z_eigenvalue(a, restarts=24, seed=seed).value
+        nu = tt.max_z_eigenvalue(a).value
         assert abs(nu - oracle_nu1(a)) <= 1e-6
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
@@ -294,17 +306,19 @@ def test_criterion_9_selective_symmetry_equivalence():
 def test_criterion_10_symmetric_eta_equals_nu():
     # Banach (1938): on a symmetric tensor the largest singular value is
     # attained at x = y = z, so eta_1 = nu_1; criterion 6 asserts only
-    # nu_1 <= mu_1 <= eta_1.  eta_1 comes from the multistart, since
-    # max_singular_value would take it from the C enumeration here
+    # nu_1 <= mu_1 <= eta_1.  eta_1 is bracketed by the branch and bound,
+    # since max_singular_value would lift it from the Z enumeration here
     start = time.monotonic()
     worst = 0.0
     for seed in range(20):
         a = tt.make_fixture("symmetric", seed)
-        eta = singular_multistart(a, 24, seed=seed).value
-        nu = tt.max_z_eigenvalue(a, restarts=24, seed=seed)
+        lower, upper = eta_1_bracket(a)
+        assert upper - lower <= 1e-8 * lower
+        nu = tt.max_z_eigenvalue(a)
         assert nu.method == "enumerated"
-        worst = max(worst, abs(eta - nu.value) / eta)
-        assert abs(eta - nu.value) <= 1e-12 * eta
+        worst = max(worst, abs(lower - nu.value) / lower)
+        slack = 1e-12 * np.linalg.norm(a)
+        assert lower - slack <= nu.value <= upper + slack
     elapsed = time.monotonic() - start
     print(
         f"ACCEPTANCE 10 PASS: eta_1 = nu_1 on 20 symmetric fixtures, worst {worst:.1e} "
@@ -315,17 +329,19 @@ def test_criterion_10_symmetric_eta_equals_nu():
 def test_criterion_11_right_symmetric_eta_equals_mu():
     # x A is symmetric for a right-side symmetric A, so the largest y (x A) z
     # over unit y, z is the largest |y (x A) y| and eta_1 = mu_1; criterion 6
-    # asserts only mu_1 <= eta_1.  eta_1 comes from the multistart, since
-    # max_singular_value would take it from the same C enumeration as mu_1
+    # asserts only mu_1 <= eta_1.  eta_1 is bracketed by the branch and
+    # bound, since max_singular_value would take it from the same C
+    # enumeration as mu_1
     start = time.monotonic()
     worst = 0.0
     for seed in range(20):
         a = tt.make_fixture("right_symmetric", seed)
-        eta = singular_multistart(a, 24, seed=seed).value
-        mu = tt.max_c_eigenvalue(a, restarts=24, seed=seed)
+        lower, upper = eta_1_bracket(a)
+        mu = tt.max_c_eigenvalue(a)
         assert mu.method == "enumerated"
-        worst = max(worst, abs(eta - mu.value) / eta)
-        assert abs(eta - mu.value) <= 1e-12 * eta
+        worst = max(worst, abs(lower - mu.value) / lower)
+        slack = 1e-12 * np.linalg.norm(a)
+        assert lower - slack <= mu.value <= upper + slack
     elapsed = time.monotonic() - start
     print(
         f"ACCEPTANCE 11 PASS: eta_1 = mu_1 on 20 right-side symmetric fixtures, worst "

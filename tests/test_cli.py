@@ -8,6 +8,7 @@ import tritensor as tt
 from tritensor.cli import SUBCOMMANDS, run
 
 from helpers import random_hyper3
+from test_varspec import _near_circle
 
 
 def write_tensor(path, entries, name=None, dim=3, order=3):
@@ -39,7 +40,7 @@ WIRED = {
     "invariants": ["{eps}"],
     "decompose": ["{central}", "--side", "central"],
     "nullspace": ["{eps}"],
-    "invariance-check": ["{sym}", "--rotations", "2", "--restarts", "8"],
+    "invariance-check": ["{sym}", "--rotations", "2"],
     "fixture": ["symmetric", "--seed", "7"],
 }
 
@@ -129,14 +130,15 @@ def test_l_inverse_json_is_tensor_file(eps_file, tmp_path, capsys):
 
 
 def test_singular_json_schema(eps_file, capsys):
-    assert run(["singular", eps_file, "--json", "--restarts", "8"]) == 0
+    assert run(["singular", eps_file, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {
-        "kind", "value", "x", "y", "z", "residual", "starts_converged", "method", "config"
+        "kind", "value", "upper_bound", "x", "y", "z", "residual", "starts_converged", "method"
     }
     assert doc["kind"] == "singular"
-    assert doc["method"] == "multistart"
+    assert doc["method"] == "bounded"
     assert abs(doc["value"] - 1.0) <= 1e-8
+    assert doc["value"] <= doc["upper_bound"] <= 1.0 + 1e-3
 
 
 def test_recover_round_trip(tmp_path, capsys):
@@ -176,12 +178,11 @@ def test_invariance_check(tmp_path, capsys):
     a = tt.make_fixture("symmetric", 1)
     path = write_tensor(tmp_path / "s.json", a)
     code = run(
-        ["invariance-check", str(path), "--rotations", "5", "--seed", "7",
-         "--restarts", "12", "--json"]
+        ["invariance-check", str(path), "--rotations", "5", "--seed", "7", "--json"]
     )
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["config"] == {"rotations": 5, "seed": 7, "restarts": 12}
+    assert doc["config"] == {"rotations": 5, "seed": 7}
     assert set(doc["drift"]) >= {"trU", "trU2", "sigma_1", "eta_1", "mu_1", "nu_1"}
     assert doc["max_drift"] <= 1e-8
 
@@ -263,32 +264,37 @@ def test_reports_near_the_float64_limit_print_no_nan_or_infinity(tmp_path, capsy
 
 
 def test_no_convergence_exit_code(tmp_path, capsys):
-    # a rank-one tensor has a circle of Z-eigenvectors, so z-eigen falls
-    # back to the multistart, which one iteration cannot converge
-    x = np.array([0.6, 0.0, 0.8])
-    path = write_tensor(tmp_path / "s.json", tt.outer(x, x, x))
-    assert run(["z-eigen", path, "--max-iters", "1"]) == 4
-    assert "NoConvergence" in capsys.readouterr().err
+    # no chart certifies near a circle of maxima, and the Z pair taken from
+    # the bounded eta_1 there does not polish to 1e-12 ||A||
+    path = write_tensor(tmp_path / "s.json", _near_circle(1e-9))
+    assert run(["z-eigen", path]) == 4
+    err = capsys.readouterr().err
+    assert "NoConvergence" in err and "Traceback" not in err
 
 
 def test_z_eigen_reports_its_method(tmp_path, capsys):
     path = write_tensor(tmp_path / "s.json", tt.make_fixture("symmetric", 0))
-    # enumerated: --max-iters does not limit it
-    assert run(["z-eigen", path, "--max-iters", "1", "--json"]) == 0
+    assert run(["z-eigen", path, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["method"], doc["starts_converged"]) == ("enumerated", 1)
+    assert doc["upper_bound"] == doc["value"]
     assert run(["z-eigen", path]) == 0
     assert "method = enumerated" in capsys.readouterr().out.splitlines()
 
 
 def test_singular_reports_its_method(tmp_path, capsys):
-    # a symmetric tensor takes eta_1 from the C enumeration, a Gaussian one
-    # from the multistart
+    # a symmetric tensor takes eta_1 from the Z enumeration, a Gaussian one
+    # from the branch and bound, whose upper bound is another line
     for entries, method in ((tt.make_fixture("symmetric", 0), "enumerated"),
-                            (random_hyper3(0), "multistart")):
+                            (random_hyper3(0), "bounded")):
         path = write_tensor(tmp_path / f"{method}.json", entries)
         assert run(["singular", path, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["method"] == method
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["method"] == method
+        assert run(["singular", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == [f"value = {doc['value']!r}", f"upper_bound = {doc['upper_bound']!r}"]
+        assert f"method = {method}" in lines
 
 
 @pytest.mark.parametrize("command, count", [("c-spectrum", 13), ("z-spectrum", 7)])
@@ -330,9 +336,9 @@ def test_nan_rejected_with_field_path(tmp_path, capsys):
 
 
 def test_byte_identical_reports(eps_file, capsys):
-    assert run(["singular", eps_file, "--json", "--restarts", "6", "--seed", "9"]) == 0
+    assert run(["singular", eps_file, "--json"]) == 0
     first = capsys.readouterr().out
-    assert run(["singular", eps_file, "--json", "--restarts", "6", "--seed", "9"]) == 0
+    assert run(["singular", eps_file, "--json"]) == 0
     second = capsys.readouterr().out
     assert first == second
     assert run(["l-eigen", eps_file]) == 0
@@ -353,18 +359,18 @@ def test_stdin_input(eps_file, monkeypatch, capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["singular", "{eps}", "--restarts", "-1"],
-        ["singular", "{eps}", "--restarts", "0"],
-        ["singular", "{eps}", "--max-iters", "0"],
-        ["singular", "{eps}", "--seed", "-1"],
-        ["singular", "{eps}", "--tol", "-1"],
-        ["z-eigen", "{eps}", "--tol", "nan"],
+        ["invariance-check", "{eps}", "--rotations", "0"],
+        ["invariance-check", "{eps}", "--rotations", "1.5"],
+        ["l-inverse", "{eps}", "--tol", "0"],
+        ["recover", "{eps}", "--matrix", "v.json", "--tol", "-1"],
+        ["decompose", "{eps}", "--tol", "nan"],
+        ["nullspace", "{eps}", "--tol", "-inf"],
         ["classify", "{eps}", "--tol", "-1"],
         ["nullspace", "{eps}", "--tol", "inf"],
         ["fixture", "symmetric", "--seed", "-1"],
         ["invariance-check", "{eps}", "--seed", "-1"],
         ["invariance-check", "{eps}", "--rotations", "-2"],
-        ["invariance-check", "{eps}", "--restarts", "0"],
+        ["fixture", "symmetric", "--seed", "x"],
     ],
 )
 def test_out_of_range_arguments_exit_2(argv, eps_file, capsys):
@@ -373,3 +379,14 @@ def test_out_of_range_arguments_exit_2(argv, eps_file, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"error: argument {option}:" in err
+
+
+@pytest.mark.parametrize("flag", ["--restarts", "--max-iters", "--tol", "--seed"])
+def test_solvers_take_no_search_settings(flag, eps_file, capsys):
+    # the solvers have no setting that changes their answer; invariance-check
+    # keeps --seed for its rotations but not --restarts
+    for command in ("singular", "c-eigen", "z-eigen"):
+        assert run([command, eps_file, flag, "1"]) == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert run(["invariance-check", eps_file, "--restarts", "1"]) == 2
+    assert "unrecognized arguments: --restarts 1" in capsys.readouterr().err

@@ -3,7 +3,8 @@
 It runs the script's per-case helpers on a few inputs, so a library
 change that breaks a hook the script uses (the SVD and enumeration
 memos' ``cache_clear``, ``history_out``, ``perfbench.spans.LapClock``,
-the CLI's ``run``) fails here rather than at the next measurement.
+``varspec._bounded``, the CLI's ``run``) fails here rather than at the
+next measurement.
 """
 
 import importlib
@@ -68,29 +69,30 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monke
     assert (values["methods"], values["rose"], values["fell"], values["equal"]) == (
         {"enumerated": 3}, [], [], True
     )
-    # the first and last multistart solves, of a Gaussian tensor and Levi-Civita
-    plain = list(compare.multistart_solves(trees["parent"]))
-    assert len(plain) == 42
-    plain = [plain[0], plain[-1]]
-    assert compare.by_value(trees, plain)["methods"] == {"multistart": 2}
+    # the first Gaussian tensor and Levi-Civita, which no enumeration serves
+    tensors = compare.bounded_inputs(trees["parent"])
+    assert len(tensors) == 221
+    monkeypatch.setattr(compare, "bounded_inputs", lambda tt: tensors[19:22])
+    part = compare.bounded(trees, rounds=1)
+    assert (part["tensors"], part["method"], part["equal"]) == (3, ["bounded"], True)
+    assert part["relative_to_parent@64"] == [0.0] * 3
+    assert part["gap"][0] <= 1e-8 and part["gap"][1] <= 1e-3
+    assert max(part["evaluations"]) <= trees["change"].varspec._BUDGET
+    assert set(part["solve_ms"]) == {"change", "parent@12", "parent@64"}
     # one fallback row: 3 v (x) v (x) v plus 1e-12 noise, which no enumeration certifies
     row = compare.fallback_inputs(trees["parent"])["max_z_eigenvalue"][2:3]
     monkeypatch.setattr(compare, "fallback_inputs", lambda tt: {"max_z_eigenvalue": row})
     monkeypatch.setattr(compare, "LAP_RESTARTS", (compare.RESTARTS,))
     fallback = compare.fallback(trees, rounds=1)
     part = fallback[f"max_z_eigenvalue@{compare.RESTARTS}"]
-    assert (part["methods"], part["fell"], fallback["equal"]) == ({"multistart": 1}, [], True)
-    assert part["parent"]["iterations"] == part["change"]["iterations"] != [0]
+    assert (part["methods"], part["fell"], fallback["equal"]) == ({"bounded": 1}, [], True)
     assert part["change"]["solve_ms_sum"] > 0.0
 
     clis = {key: importlib.import_module(f"{name}.cli") for key, name in TWINS.items()}
     # the first printed fixture and every report on it
     cli_records = 1 + len(compare.REPORTS)
     hashes = [
-        (
-            compare.sha256_of(compare.solve_records(tt, [*solves, *plain])),
-            compare.sha256_of(itertools.islice(compare._cli_records(tt, clis[key]), cli_records)),
-        )
+        compare.sha256_of(itertools.islice(compare._cli_records(tt, clis[key]), cli_records))
         for key, tt in trees.items()
     ]
     assert hashes[0] == hashes[1]

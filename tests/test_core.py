@@ -361,10 +361,6 @@ NON_FINITE = (ValueError, "finite")
 NOT_ORTHOGONAL = (NotOrthogonal, "exceeds")
 
 
-def _restarts_2(solve):
-    return lambda a: solve(a, restarts=2)
-
-
 # Every public function that takes an array, called on one argument of the
 # listed type (any other argument valid), and the error a NaN or infinite
 # entry raises there: a non-finite P is not orthogonal, so is_orthogonal
@@ -400,9 +396,9 @@ CONTRACT = {
     "recover.a_inv": (lambda a_inv: tt.recover(np.eye(3), a_inv), "Hyper3", NON_FINITE),
     "is_orthogonal_tensor": (tt.is_orthogonal_tensor, "Hyper3", NON_FINITE),
     "eig_decompose_partial": (tt.eig_decompose_partial, "Hyper3", NON_FINITE),
-    "max_singular_value": (_restarts_2(tt.max_singular_value), "Hyper3", NON_FINITE),
-    "max_c_eigenvalue": (_restarts_2(tt.max_c_eigenvalue), "Hyper3", NON_FINITE),
-    "max_z_eigenvalue": (_restarts_2(tt.max_z_eigenvalue), "Hyper3", NON_FINITE),
+    "max_singular_value": (tt.max_singular_value, "Hyper3", NON_FINITE),
+    "max_c_eigenvalue": (tt.max_c_eigenvalue, "Hyper3", NON_FINITE),
+    "max_z_eigenvalue": (tt.max_z_eigenvalue, "Hyper3", NON_FINITE),
     "z_spectrum": (tt.z_spectrum, "Hyper3", NON_FINITE),
 }
 
@@ -450,9 +446,6 @@ TOL_CONTRACT = {
     "l_inverse": lambda tol: tt.l_inverse(FIXTURE, tol),
     "is_orthogonal_tensor": lambda tol: tt.is_orthogonal_tensor(FIXTURE, tol),
     "eig_decompose_partial": lambda tol: tt.eig_decompose_partial(FIXTURE, "right", tol),
-    "max_singular_value": lambda tol: tt.max_singular_value(FIXTURE, restarts=2, tol=tol),
-    "max_c_eigenvalue": lambda tol: tt.max_c_eigenvalue(FIXTURE, restarts=2, tol=tol),
-    "max_z_eigenvalue": lambda tol: tt.max_z_eigenvalue(FIXTURE, restarts=2, tol=tol),
 }
 
 
@@ -470,7 +463,7 @@ def test_tol_contract_lists_every_public_tol():
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-10 + 0j, True])
 @pytest.mark.parametrize("name", list(TOL_CONTRACT))
 def test_tol_contract(name, tol):
-    # NaN made verdicts false or ran a solver to max_iters, and -1 called
+    # NaN made verdicts false, and -1 called
     # a symmetric tensor non-symmetric; now each refuses with ValueError
     with pytest.raises(ValueError, match="tol must be a finite real number > 0"):
         TOL_CONTRACT[name](tol)

@@ -1,16 +1,16 @@
 """Property tests on generated 3x3x3 tensors (hypothesis)."""
 
-import functools
 from itertools import permutations
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tritensor as tt
-from tritensor import core, spectral, varspec
+from tritensor import spectral
+
+from test_varspec import in_bracket
 
 # entries are normal floats of moderate size or exact zeros, so scaling
 # by 2^-60..2^60 stays inside the normal float64 range
@@ -82,57 +82,50 @@ def test_memoized_l_eigen_equals_a_fresh_one(a):
 
 @few
 @given(symmetric, st.integers(0, 2**16))
-def test_enumerated_nu_1_tops_the_multistart_and_ignores_rotations(a, r):
+def test_enumerated_nu_1_is_in_the_bracket_and_ignores_rotations(a, r):
     try:
         spectrum = tt.z_spectrum(a)
     except tt.Uncertified:  # the zero tensor, rank-one ones and their like
         return
     nu, norm = spectrum.values[0], np.linalg.norm(a)
-    scaled, exp = core._scaled(a, "Hyper3")
-    multistart = varspec._fallback("z_eigen", scaled, exp, 12, 1e-12, 10000, 0, None)
-    assert nu >= multistart.value - 1e-12 * norm
+    # nu_1 = eta_1 on a symmetric tensor (Banach 1938)
+    assert in_bracket(nu, a)
     rotated = tt.max_z_eigenvalue(tt.rotate(a, tt.random_rotation(r)))
     assert abs(rotated.value - nu) <= 1e-12 * norm
 
 
 @few
 @given(right_symmetric_or_generic, st.integers(0, 2**16))
-def test_enumerated_mu_1_tops_the_multistart_and_ignores_rotations(a, r):
+def test_enumerated_mu_1_is_in_the_bracket_and_ignores_rotations(a, r):
     try:
         spectrum = tt.c_spectrum(a)
     except tt.Uncertified:  # the zero tensor, rank-one ones and their like
         return
     mu, norm = spectrum.values[0], np.linalg.norm(a)
-    scaled, exp = core._scaled(a, "Hyper3")
-    multistart = varspec._fallback("c_eigen", scaled, exp, 12, 1e-12, 10000, 0, None)
-    assert mu >= multistart.value - 1e-12 * norm
+    # x A is symmetric, so mu_1 = eta_1
+    assert in_bracket(mu, a)
     rotated = tt.max_c_eigenvalue(tt.rotate(a, tt.random_rotation(r)))
     assert abs(rotated.value - mu) <= 1e-12 * norm
 
 
 @few
-@given(right_symmetric, st.integers(0, 2**16))
-def test_uncertified_mu_1_is_eta_1(a, seed):
+@given(right_symmetric)
+def test_uncertified_mu_1_is_eta_1(a):
     # x A is symmetric, so mu_1 = eta_1, and the fallback takes its pair
-    # from eta_1: the same solve, so it fails exactly where eta_1 does
+    # from the bounded eta_1, whose upper bound it shares
     try:
         tt.c_spectrum(a)
     except tt.Uncertified:
         pass
     else:
         return
-    solves = [
-        functools.partial(solve, a, restarts=12, seed=seed, max_iters=1000)
-        for solve in (tt.max_c_eigenvalue, tt.max_singular_value)
-    ]
+    eta = tt.max_singular_value(a)
     try:
-        eta = solves[1]()
-    except tt.NoConvergence:
-        with pytest.raises(tt.NoConvergence):
-            solves[0]()
+        mu = tt.max_c_eigenvalue(a)
+    except tt.NoConvergence:  # the pair did not polish: near a continuum of maxima
         return
-    mu = solves[0]()
-    assert mu.method == "multistart"
+    assert mu.method == eta.method == "bounded"
+    assert mu.upper_bound == eta.upper_bound
     assert abs(mu.value - eta.value) <= 1e-12 * np.linalg.norm(a)
     assert mu.residual <= 1e-12
 
@@ -151,14 +144,9 @@ partially_symmetric = st.one_of(
 
 @few
 @given(partially_symmetric)
-def test_enumerated_eta_1_tops_the_multistart(a):
-    try:  # one iteration converges only on the zero tensor and its like
-        eta = tt.max_singular_value(a, restarts=1, max_iters=1)
-    except tt.NoConvergence:
-        return
+def test_enumerated_eta_1_is_in_the_bracket(a):
+    eta = tt.max_singular_value(a)
     if eta.method != "enumerated":
         return
-    scaled, exp = core._scaled(a, "Hyper3")
-    multistart = varspec._multistart(scaled, exp, 12, 1e-12, 10000, 0, None)
-    assert eta.value >= multistart.value - 1e-12 * np.linalg.norm(a)
+    assert in_bracket(eta.value, a)
     assert eta.residual <= 1e-12

@@ -285,11 +285,15 @@ def _slow_tensor():
     return sum(w[i] * tt.outer(v[i], v[i], v[i]) for i in range(3))
 
 
-def test_z_eigen_slow_tensor_in_one_enumerated_call():
-    a = _slow_tensor()
-    triple = tt.max_z_eigenvalue(a)
-    assert (triple.method, triple.upper_bound) == ("enumerated", triple.value)
-    assert abs(triple.value - 9.6715231127223) <= 1e-12 * triple.value
+@pytest.mark.parametrize("scale", [1, 2])
+def test_z_eigen_slow_tensor_in_one_enumerated_call(scale):
+    # nu_1 is homogeneous of degree 1, and scaling by 2 is exact
+    a = scale * _slow_tensor()
+    history = []
+    triple = tt.max_z_eigenvalue(a, history_out=history)
+    assert (triple.method, history) == ("enumerated", [])
+    assert triple.upper_bound == triple.value
+    assert abs(triple.value - scale * 9.6715231127223) <= 1e-12 * triple.value
     assert len(tt.z_spectrum(a).values) == 7
 
 

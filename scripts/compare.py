@@ -2,7 +2,7 @@
 
 Loads ``src/tritensor`` of a git revision (``--parent``) and of the
 working tree into one process, as the modules ``parent`` and ``change``,
-and reports five parts:
+and reports six parts:
 
 - ``closed_form_golden``: one sha256 per tree over the fixtures of every
   class, the rotations, the ``classify`` verdicts and the
@@ -15,50 +15,46 @@ and reports five parts:
   find eta_1, mu_1 and nu_1 of these tensors without iterating: equal
   within 1e-12 * max(1, |value|), or listed under ``rose`` (a maximum
   the parent missed) or ``fell`` (a failure), with the count of each
-  ``method``.  A solve's index runs over criterion 4's 20 fixtures x 101
-  orientations (unrotated first), then criterion 6's 200 symmetric
-  fixtures, then (singular and C only) its 200 right-side symmetric ones;
+  ``method``, and one sha256 per tree over every solve's triple (or the
+  repr of the library error raised).  A solve's index runs over
+  criterion 4's 20 fixtures x 101 orientations (unrotated first), then
+  criterion 6's 200 symmetric fixtures, then (singular and C only) its
+  200 right-side symmetric ones;
 - ``layers``: per closed-form layer and tree, the median and the sum over
   64 inputs of the fastest of 41 calls, and one sha256 over the outputs;
   ``analyze_item`` sums the layers that one item of the ``analyze``
   benchmark workload calls;
-- ``solvers``: at 12 and at 64 restarts, per solver and tree, on the 32
-  (fixture, rotation) pairs that the ``audit`` benchmark workload times,
-  the fastest of 21 rounds of each whole solve and of its prologue (from
-  the call to the first ``history_out`` append: gate, set-up and first
-  iteration), mean lap between appends and epilogue (from the last
-  append: the merge), and the iteration count.  The lap parts cover the
-  solves that iterate; an enumerated solve has only its whole time.  The
-  memo of C and Z enumerations is cleared before each timed solve, and
-  ``audit_item`` times eta_1, mu_1 and nu_1 in turn from a cleared memo,
-  as one audit item solves them: on these symmetric pairs mu_1 and nu_1
-  read the Z enumeration that eta_1 filled;
-- ``fallback``: at 12 and 64 restarts of a parent that takes them, the
-  C and Z solves of tensors whose enumeration cannot certify (the zero
-  tensor, and ``3 v (x) v (x) v`` and, for C, ``2 x (x) y (x) y``, each
-  plus 0, 1e-12, 1e-9 and 1e-6 of a unit-norm fixture), compared by
-  value as above, with the fastest of 3 whole solves per tree;
+- ``solvers``: per solver and tree, on the 32 (fixture, rotation) pairs
+  that the ``audit`` benchmark workload times, the fastest of 21 rounds
+  of each whole solve.  The memo of C and Z enumerations is cleared
+  before each timed solve, and ``audit_item`` times eta_1, mu_1 and nu_1
+  in turn from a cleared memo, as one audit item solves them: on these
+  symmetric pairs mu_1 and nu_1 read the Z enumeration that eta_1
+  filled;
+- ``fallback``: the C and Z solves of tensors whose enumeration cannot
+  certify (the zero tensor, and ``3 v (x) v (x) v`` and, for C,
+  ``2 x (x) y (x) y``, each plus 0, 1e-12, 1e-9 and 1e-6 of a unit-norm
+  fixture), compared by value and hashed as above, with the fastest of 3
+  whole solves per tree;
 - ``bounded``: the singular solves of tensors with no symmetric pair
   (criterion 8's 20 Gaussian tensors, the Levi-Civita tensor and 200
-  Gaussian tensors from ``default_rng(11)``): per tensor the change's
-  value, its gap (upper_bound - value) / value and the evaluations of its
-  branch and bound, the value relative to the parent's at 12 and at 64
-  restarts, and the fastest of 3 whole solves of the change and of the
-  parent at each restart count.  It is equal when every Gaussian value is
-  within 1e-12 relative of the parent's at 64 restarts.
-
-A tree is called with only the keyword arguments its solvers accept: a
-parent's ``restarts`` and ``seed``, a change's ``restarts`` (ignored).
+  Gaussian tensors from ``default_rng(11)``), compared by value and
+  hashed as above: per tensor the change's value, its gap
+  (upper_bound - value) / value and the evaluations of its branch and
+  bound, the value relative to the parent's, and the fastest of 3 whole
+  solves per tree.
 
 The parent tree builds the lap inputs.  The trees take turns call by
 call and the one that goes first alternates, so a slow phase of the host
-falls on both; a case whose output (for a solve, its iteration count)
-varies between rounds stops the run.  Equal hashes mean both trees return
-the same bits.  The report is printed and written to ``--out``, and then
-the exit code is 1 if any hash differs or any value fell, fallback
-solves included.  Run from the repository root, with BLAS on one thread::
+falls on both; a case whose output (for a solve, its triples) varies
+between rounds stops the run.  Equal hashes mean both trees return the
+same bits.  The report is printed and written to ``--out``, and then the
+exit code is 1 if the closed-form golden or a layer hash differs or any
+value fell, fallback and bounded solves included; the solve hashes are
+reported, not gated.  Run from the repository root, with BLAS on one
+thread::
 
-    python scripts/compare.py --parent HEAD~1 --out BENCH_12.json
+    python scripts/compare.py --parent HEAD~1 --out BENCH_19.json
 """
 
 from __future__ import annotations
@@ -70,14 +66,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
-import functools
 import hashlib
 import importlib.util
 import io
 import itertools
 import json
-import inspect
-import math
 import platform
 import statistics
 import subprocess
@@ -91,15 +84,10 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # nothing written into either source tree
-sys.path.insert(0, str(ROOT))
-from perfbench.spans import LapClock  # noqa: E402  (a history_out of timestamps)
 
 SOLVERS = ("max_singular_value", "max_c_eigenvalue", "max_z_eigenvalue")
 # the solver lap of eta_1, mu_1 and nu_1 in turn, as one audit item runs them
 AUDIT_ITEM = "audit_item"
-RESTARTS = 12
-# the restart counts of the solver laps
-LAP_RESTARTS = (12, 64)
 # a C or Z value counts as equal within this, relative to max(1, |value|)
 VALUE_TOL = 1e-12
 LAYER_ROUNDS = 41
@@ -217,51 +205,67 @@ def closed_form_golden(tt, cli) -> str:
 
 
 def golden_solves(tt):
-    """(solver, tensor, restarts, seed) for every solve of criteria 4 and 6."""
+    """(solver, tensor) for every solve of criteria 4 and 6."""
     fixtures = [tt.make_fixture("symmetric", s) for s in range(10)]
     fixtures += [tt.make_fixture("primarily_symmetric", s) for s in range(10)]
     for a in fixtures:
         for r in range(-1, 100):
             rot = a if r < 0 else tt.rotate(a, tt.random_rotation(r))
             for s in SOLVERS:
-                yield s, rot, 12, 0
+                yield s, rot
     for seed in range(200):
         a = tt.make_fixture("symmetric", seed)
         for s in SOLVERS:
-            yield s, a, 24, seed
+            yield s, a
     for seed in range(200):
         a = tt.make_fixture("right_symmetric", seed)
         for s in SOLVERS[:2]:
-            yield s, a, 24, seed
+            yield s, a
 
 
-def solve(tt, solver: str, a, **kwargs):
-    """``tt``'s solver on ``a`` with those of ``kwargs`` that it accepts."""
-    fn = getattr(tt, solver)
-    accepted = inspect.signature(fn).parameters
-    return fn(a, **{key: value for key, value in kwargs.items() if key in accepted})
+def solved(tt, solver: str, a):
+    """``tt``'s solver on ``a``: its triple, or the library error it raises."""
+    try:
+        return getattr(tt, solver)(a)
+    except (tt.TensorError, tt.NoConvergence, tt.Uncertified) as exc:
+        return exc
 
 
-def by_value(trees: dict, solves: list) -> dict:
-    """The solves of both trees compared by value."""
+def outcomes(trees: dict, solves: list) -> dict:
+    """Per tree, the outcome of every (solver, tensor) solve."""
+    return {n: [solved(tt, s, a) for s, a in solves] for n, tt in trees.items()}
+
+
+def by_value(out: dict) -> dict:
+    """The ``outcomes`` of both trees compared by value, and one sha256 per
+    tree over their records."""
     rose, fell, methods = [], [], {}
-    for n, (s, a, restarts, seed) in enumerate(solves):
-        before = solve(trees["parent"], s, a, restarts=restarts, seed=seed)
-        after = solve(trees["change"], s, a, restarts=restarts, seed=seed)
-        methods[after.method] = methods.get(after.method, 0) + 1
-        gap = after.value - before.value
-        if abs(gap) > VALUE_TOL * max(1.0, abs(before.value)):
-            case = {"solve": n, "restarts": restarts, "seed": seed, "method": after.method,
-                    "parent": before.value, "change": after.value}
-            (rose if gap > 0.0 else fell).append(case)
-    return {"solves": len(solves), "methods": methods, "rose": rose, "fell": fell,
-            "equal": not fell}
+    for n, (before, after) in enumerate(zip(out["parent"], out["change"])):
+        method = getattr(after, "method", type(after).__name__)
+        methods[method] = methods.get(method, 0) + 1
+        # a triple's value, or the repr of the library error raised instead
+        b, c = (repr(o) if isinstance(o, Exception) else o.value for o in (before, after))
+        if b == c:
+            continue
+        if isinstance(b, float) and isinstance(c, float):
+            if abs(c - b) <= VALUE_TOL * max(1.0, abs(b)):
+                continue
+            up = c > b
+        else:
+            up = isinstance(c, float)  # the change solves where the parent raised
+        (rose if up else fell).append({"solve": n, "method": method, "parent": b, "change": c})
+    hashes = {n: sha256_of(map(record_of, outs)) for n, outs in out.items()}
+    return {"solves": len(out["change"]), "methods": methods, "rose": rose, "fell": fell,
+            "equal": not fell, "sha256": hashes,
+            "sha256_equal": hashes["parent"] == hashes["change"]}
 
 
 def solver_golden(trees: dict) -> dict:
     solves = list(golden_solves(trees["parent"]))
-    out = {s: by_value(trees, [case for case in solves if case[0] == s]) for s in SOLVERS}
+    out = {s: by_value(outcomes(trees, [case for case in solves if case[0] == s]))
+           for s in SOLVERS}
     out["equal"] = all(part["equal"] for part in out.values())
+    out["sha256_equal"] = all(out[s]["sha256_equal"] for s in SOLVERS)
     return out
 
 
@@ -336,28 +340,18 @@ def run_layer(tt, layer: str, case) -> tuple[tuple[int], bytes]:
 
 
 def clear_memos(tt) -> None:
-    """Empty the memo of C and Z enumerations, which a parent older than
-    it lacks."""
-    memo = getattr(tt.varspec, "_pairs_of_bytes", None)
-    if memo is not None:
-        memo.cache_clear()
+    """Empty the memo of C and Z enumerations."""
+    tt.varspec._pairs_of_bytes.cache_clear()
 
 
-def run_solver(tt, solver: str, a, restarts: int = RESTARTS) -> tuple[tuple, int]:
-    """((prologue ns, epilogue ns, mean inner lap ns, total ns), iterations)
-    from a cleared memo; the parts are NaN for a solve without iterations
-    and for ``AUDIT_ITEM``, which runs the three solvers in turn."""
+def run_solver(tt, solver: str, a) -> tuple[tuple[int], bytes]:
+    """((ns,), record of the triples) of one whole solve from a cleared
+    memo; ``AUDIT_ITEM`` runs the three solvers in turn."""
     clear_memos(tt)
-    clock = LapClock()
+    names = SOLVERS if solver == AUDIT_ITEM else (solver,)
     t0 = _now()
-    for name in SOLVERS if solver == AUDIT_ITEM else (solver,):
-        solve(tt, name, a, restarts=restarts, history_out=clock)
-    t1 = _now()
-    stamps = clock.times
-    if not stamps or solver == AUDIT_ITEM:
-        return (math.nan, math.nan, math.nan, t1 - t0), len(stamps)
-    inner = (stamps[-1] - stamps[0]) / (len(stamps) - 1) if len(stamps) > 1 else math.nan
-    return (stamps[0] - t0, t1 - stamps[-1], inner, t1 - t0), len(stamps)
+    out = [solved(tt, name, a) for name in names]
+    return (_now() - t0,), record_of(out)
 
 
 def fastest(trees: dict, groups, cases: list, rounds: int, run) -> tuple[dict, dict]:
@@ -388,8 +382,7 @@ def compared(stats: dict) -> dict:
     for by_tree in stats.values():
         before, after = by_tree["parent"], by_tree["change"]
         by_tree["change_over_parent"] = {
-            key: round(after[key] / before[key], 3)
-            for key in before if key != "iterations" and before[key] and after[key] is not None
+            key: round(after[key] / before[key], 3) for key in before if before[key]
         }
     return stats
 
@@ -416,30 +409,19 @@ def layer_laps(trees: dict, inputs: list, rounds: int = LAYER_ROUNDS) -> dict:
 
 
 def _laps_of(rows: list) -> dict:
-    """One solver's laps over the pairs, from its fastest (prologue,
-    epilogue, inner, total) per pair; the parts over the solves that iterated."""
-    iterated = [r for r in rows if not math.isnan(r[0])]
-    inner = [r[2] for r in iterated if not math.isnan(r[2])]
-    part = lambda values, unit, digits: round(sum(values) / unit, digits) if iterated else None
+    """One solver's laps over the pairs, from its fastest (ns,) per pair."""
+    ns = [t for (t,) in rows]
     return {
-        "solve_us_p50": round(statistics.median(r[3] for r in rows) / 1e3, 1),
-        "solve_ms_sum": round(sum(r[3] for r in rows) / 1e6, 3),
-        "prologue_us_sum": part([r[0] for r in iterated], 1e3, 1),
-        "per_iteration_us_p50": round(statistics.median(inner) / 1e3, 2) if inner else None,
-        "epilogue_us_sum": part([r[1] for r in iterated], 1e3, 1),
+        "solve_us_p50": round(statistics.median(ns) / 1e3, 1),
+        "solve_ms_sum": round(sum(ns) / 1e6, 3),
     }
 
 
-def solver_laps(trees: dict, pairs: list, rounds: int = SOLVER_ROUNDS,
-                restarts: int = RESTARTS) -> dict:
+def solver_laps(trees: dict, pairs: list, rounds: int = SOLVER_ROUNDS) -> dict:
     groups = (*SOLVERS, AUDIT_ITEM)
-    run = functools.partial(run_solver, restarts=restarts)
-    best, iterations = fastest(trees, groups, pairs, rounds, run)
-    laps = compared({
-        s: {n: {"iterations": sum(iterations[n][s]), **_laps_of(best[n][s])} for n in trees}
-        for s in groups
-    })
-    return {"pairs": len(pairs), "restarts": restarts, "rounds": rounds, "laps": laps}
+    best, _ = fastest(trees, groups, pairs, rounds, run_solver)
+    laps = compared({s: {n: _laps_of(best[n][s]) for n in trees} for s in groups})
+    return {"pairs": len(pairs), "rounds": rounds, "laps": laps}
 
 
 def fallback_inputs(tt) -> dict:
@@ -455,20 +437,17 @@ def fallback_inputs(tt) -> dict:
 
 
 def fallback(trees: dict, rounds: int = FALLBACK_ROUNDS) -> dict:
-    """The C and Z solves of ``fallback_inputs`` at each lap restart count:
-    by value, and per tree each solve's fastest whole time."""
-    out = {"rounds": rounds}
-    for restarts in LAP_RESTARTS:
-        for solver, tensors in fallback_inputs(trees["parent"]).items():
-            run = functools.partial(run_solver, restarts=restarts)
-            best, _ = fastest(trees, [solver], tensors, rounds, run)
-            part = by_value(trees, [(solver, a, restarts, 0) for a in tensors])
-            for n in trees:
-                ms = [round(times[3] / 1e6, 3) for times in best[n][solver]]
-                part[n] = {"solve_ms": ms, "solve_ms_sum": round(sum(ms), 3)}
-            out[f"{solver}@{restarts}"] = part
-    out["equal"] = all(part["equal"] for key, part in out.items() if "@" in key)
-    return out
+    """The C and Z solves of ``fallback_inputs``: by value, and per tree
+    each solve's fastest whole time."""
+    parts = {}
+    for solver, tensors in fallback_inputs(trees["parent"]).items():
+        best, _ = fastest(trees, [solver], tensors, rounds, run_solver)
+        part = parts[solver] = by_value(outcomes(trees, [(solver, a) for a in tensors]))
+        for n in trees:
+            ms = [round(t / 1e6, 3) for (t,) in best[n][solver]]
+            part[n] = {"solve_ms": ms, "solve_ms_sum": round(sum(ms), 3)}
+    return {"rounds": rounds, **parts, "equal": all(p["equal"] for p in parts.values()),
+            "sha256_equal": all(p["sha256_equal"] for p in parts.values())}
 
 
 def bounded_inputs(tt) -> list[np.ndarray]:
@@ -482,54 +461,42 @@ def bounded_inputs(tt) -> list[np.ndarray]:
     ]
 
 
-def _whole_solve(tt, restarts: int, a) -> tuple[tuple[int], float]:
-    """((ns,), value) of one ``max_singular_value`` solve."""
-    t0 = _now()
-    value = solve(tt, SOLVERS[0], a, restarts=restarts).value
-    return (_now() - t0,), value
-
-
 def bounded(trees: dict, rounds: int = FALLBACK_ROUNDS) -> dict:
-    """The singular solves of ``bounded_inputs``: the change's bracket and
-    evaluations, its value against the parent's at each lap restart count,
-    and per tree the fastest whole solve."""
+    """The singular solves of ``bounded_inputs``: by value, the change's
+    bracket and evaluations, its value relative to the parent's, and per
+    tree the fastest whole solve."""
     tensors = bounded_inputs(trees["parent"])
     change = trees["change"]
-    triples = [change.max_singular_value(a) for a in tensors]
+    solves = outcomes(trees, [(SOLVERS[0], a) for a in tensors])
+    triples = solves["change"]
     levi = np.asarray(change.levi_civita())
     out = {
         "tensors": len(tensors),
         "levi_civita": [i for i, a in enumerate(tensors) if np.array_equal(a, levi)],
-        "method": sorted({t.method for t in triples}),
         "value": [t.value for t in triples],
         "gap": [(t.upper_bound - t.value) / t.value for t in triples],
         "evaluations": [change.varspec._bounded(change.core._scaled(a, "Hyper3")[0])[2]
                         for a in tensors],
+        "relative_to_parent": [
+            (after.value - before.value) / before.value
+            for after, before in zip(triples, solves["parent"])
+        ],
     }
-    ms = {}
-    for restarts in LAP_RESTARTS:
-        run = lambda tt, _, a: _whole_solve(tt, restarts, a)
-        best, values = fastest(trees, [restarts], tensors, rounds, run)
-        ms[f"parent@{restarts}"] = [t / 1e6 for (t,) in best["parent"][restarts]]
-        ms.setdefault("change", [t / 1e6 for (t,) in best["change"][restarts]])
-        out[f"relative_to_parent@{restarts}"] = [
-            (after - before) / before
-            for after, before in zip(values["change"][restarts], values["parent"][restarts])
-        ]
-    out["solve_ms"] = {n: [round(t, 3) for t in times] for n, times in ms.items()}
+    best, _ = fastest(trees, [SOLVERS[0]], tensors, rounds, run_solver)
+    out["solve_ms"] = {n: [round(t / 1e6, 3) for (t,) in best[n][SOLVERS[0]]] for n in trees}
     gaussian = [i for i in range(len(tensors)) if i not in out["levi_civita"]]
-    rel = [out[f"relative_to_parent@{LAP_RESTARTS[-1]}"][i] for i in gaussian]
+    rel = [out["relative_to_parent"][i] for i in gaussian]
     out["summary"] = {
         "gaussian_gap_max": max(out["gap"][i] for i in gaussian),
         "levi_civita_gap": [out["gap"][i] for i in out["levi_civita"]],
         "gaussian_evaluations_p50": statistics.median(out["evaluations"][i] for i in gaussian),
         "gaussian_evaluations_max": max(out["evaluations"][i] for i in gaussian),
         "levi_civita_evaluations": [out["evaluations"][i] for i in out["levi_civita"]],
-        f"gaussian_relative_to_parent@{LAP_RESTARTS[-1]}_min": min(rel),
-        f"gaussian_relative_to_parent@{LAP_RESTARTS[-1]}_max": max(rel),
-        "solve_ms_p50": {n: round(statistics.median(times), 3) for n, times in ms.items()},
+        "gaussian_relative_to_parent_min": min(rel),
+        "gaussian_relative_to_parent_max": max(rel),
+        "solve_ms_p50": {n: round(statistics.median(ms), 3) for n, ms in out["solve_ms"].items()},
     }
-    out["equal"] = all(abs(r) <= VALUE_TOL for r in rel)
+    out.update(by_value(solves))
     return out
 
 
@@ -565,7 +532,7 @@ def main(argv=None) -> int:
     pairs = audit_pairs(trees["parent"])
     for tt in trees.values():  # warm-up: imports, caches, lazy set-up
         run_solver(tt, "max_z_eigenvalue", pairs[0])
-    report["solvers"] = [solver_laps(trees, pairs, restarts=r) for r in LAP_RESTARTS]
+    report["solvers"] = solver_laps(trees, pairs)
     closed = {n: closed_form_golden(tt, clis[n]) for n, tt in trees.items()}
     golden = {
         "closed_form_golden": {**closed, "equal": closed["parent"] == closed["change"]},

@@ -85,17 +85,18 @@ _FLAG_ROWS = np.concatenate((
 ))
 
 
-def _swap_verdicts(a: core.Hyper3, tol: float, *names: str) -> list[bool]:
-    """classify(a, tol)'s verdicts that ``a`` is symmetric under each named swap."""
-    a, _ = core._scaled(a, "Hyper3")
+def _swap_deviations(a: np.ndarray, *names: str) -> np.ndarray:
+    """max |a - a.transpose(swap)| per named swap, for the scaled tensor ``a``:
+    classify(a, tol) finds ``a`` symmetric under a swap when its deviation
+    is within tol * ||a||."""
     flat = a.reshape(27)
-    dev = np.abs(flat - flat.take(_gather(names))).max(axis=1)
-    return (dev <= tol * core._frobenius(a)).tolist()
+    return np.abs(flat - flat.take(_gather(names))).max(axis=1)
 
 
 def _swap_symmetric(a: core.Hyper3, tol: float, *names: str) -> bool:
     """classify(a, tol)'s verdict that ``a`` is symmetric under every named swap."""
-    return all(_swap_verdicts(a, tol, *names))
+    a, _ = core._scaled(a, "Hyper3")
+    return bool((_swap_deviations(a, *names) <= tol * core._frobenius(a)).all())
 
 
 def classify(a: core.Hyper3, tol: float = 1e-10) -> SymmetryReport:

@@ -20,6 +20,7 @@ right-side symmetric, x A is then symmetric, and the largest y (x A) z
 is the largest |y (x A) y|.  Its best C-eigenpair (x, y), put back as
 (x, y, y) in the original slots, is eta_1's triple.  A lift gets the
 sign rule of its kind and must pass the kind's residual test.
+``_maximum`` is the one route of all three solvers to these sources.
 
 Elsewhere, or where no enumeration certifies, eta_1 is bracketed by a
 branch and bound over the sphere of x.  phi(x) = ||x A||_2 is a norm of a
@@ -46,14 +47,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import core
 from .errors import NoConvergence, NotRightSymmetric, NotSymmetric, Uncertified
 from .spectral import _lead_signs
-from .symmetry import _PAIR_LAST, _PAIR_SWAPS, _swap_symmetric, _swap_verdicts
+from .symmetry import _PAIR_LAST, _PAIR_SWAPS, _swap_deviations
 
 __all__ = [
     "CriticalTriple", "CSpectrum", "ZSpectrum", "max_singular_value", "max_c_eigenvalue",
@@ -103,8 +104,9 @@ class CriticalTriple:
         return out
 
 
-# The state of r restarts is an (r, k, 3) array of k unit vectors; a kind's
-# ``slots`` says which of them stands in x, y and z of the potential x A y z.
+# The states of r points are an (r, k, 3) array of k unit vectors, the state
+# blocks; a kind's ``slots`` says which of them stands in x, y and z of the
+# potential x A y z.
 
 
 def _norms(g: np.ndarray) -> np.ndarray:
@@ -230,11 +232,11 @@ _KINDS = {
 }
 
 
-def _merging(values: np.ndarray, vecs: np.ndarray, rows) -> np.ndarray:
-    """Mask [i, j]: pair j merges with pair ``rows[i]``, its value within
+def _merging(values: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Mask [i, j]: pair j merges with pair i, its value within
     _MERGE_VALUE * max(1, |value|) and its vector entries within _MERGE_VECTOR."""
-    v = values[rows][:, None]
-    close = np.abs(vecs - vecs[rows][:, None]).max(axis=2) <= _MERGE_VECTOR
+    v = values[:, None]
+    close = np.abs(vecs - vecs[:, None]).max(axis=2) <= _MERGE_VECTOR
     return close & (np.abs(values - v) <= _MERGE_VALUE * np.maximum(1.0, np.abs(v)))
 
 
@@ -574,20 +576,9 @@ def _chart_pairs(kind: str, a: np.ndarray, chart: int):
     # the blocks order and merge as the slot vectors do, which repeat them
     vecs = state.reshape(len(f), -1)
     order = np.lexsort((*vecs.T[::-1], -f))
-    if _merging(f[order], vecs[order], np.arange(len(f))).sum() > len(f):  # two roots, one pair
+    if _merging(f[order], vecs[order]).sum() > len(f):  # two roots, one pair
         return None
     return f[order], state[order], resid[order]
-
-
-def _enumerated(kind: str, a: np.ndarray, exp: int):
-    """The real ``kind`` eigenpairs of ldexp(a, exp) from the first chart
-    that certifies, as (values, (n, k, 3) state blocks, residuals relative
-    to max(1, ||A||)), or None."""
-    pairs = _pairs_of_bytes(kind, a.tobytes())
-    if pairs is None:
-        return None
-    values, blocks, resid = pairs
-    return np.ldexp(values, exp), blocks, resid * _unscaled_residual(core._frobenius(a), exp)
 
 
 @functools.lru_cache(maxsize=2)
@@ -608,33 +599,37 @@ def _pairs_of_bytes(kind: str, key: bytes):
     return None
 
 
-def _lift(kind: str, source: str, a: np.ndarray, exp: int, perm=(0, 1, 2)):
+def _certified(kind: str, source: str, a: np.ndarray, exp: int, perm=(0, 1, 2)):
     """The ``kind`` maximum of ldexp(a, exp) from the best pair of the
     certified ``source`` enumeration of a.transpose(perm), or None if no
-    chart certifies or the lift's ``kind`` residual exceeds _POLISHED
-    ||a||: the pair's slot vectors, put back in the slots of ``a``, fill
-    the kind's state blocks, and the kind's sign rule makes them
-    canonical.  The maxima are equal on the tensors each route serves
-    (Banach, Studia Math. 7, 1938)."""
+    chart certifies.  The kind's own enumeration gives its best pair as
+    it is.  Another's is lifted, or None if the lift's ``kind`` residual
+    exceeds _POLISHED ||a||: the pair's slot vectors, put back in the
+    slots of ``a``, fill the kind's state blocks, and the kind's sign rule
+    makes them canonical.  The maxima are equal on the tensors each route
+    serves (Banach, Studia Math. 7, 1938)."""
     pairs = _pairs_of_bytes(source, a.transpose(perm).tobytes())
     if pairs is None:
         return None
-    slots, k, signs, _ = _KINDS[kind]
-    m = a.reshape(3, 9)
-    # held[j]: the source block in slot j of ``a`` (slot i of the source's
-    # tensor is slot perm[i] of ``a``); the kind reads block b from its first slot
-    held = np.array(_KINDS[source][0])[np.argsort(perm)]
-    state = pairs[1][:1, held[[slots.index(b) for b in range(k)]]]
-    state = state * signs(m, state)[:, :, None]
-    # a Z-eigenvalue is the potential at (v, v, v) on ``a`` itself up to
-    # rounding, and taking it makes eta_1, mu_1 and nu_1 equal to the bit;
-    # a C pair's tensor permutes the slots, so the potential is taken on ``a``
-    f = pairs[0][:1] if source == "z_eigen" else _potential(m, state, slots)
+    f, state, resid = (arr[:1] for arr in pairs)
     norm = core._frobenius(a)
-    resid = float(_residual(_jacobian_map(a, slots, k), state, f)[0]) / norm
-    if not resid <= _POLISHED:
-        return None
-    resid *= _unscaled_residual(norm, exp)
+    if source != kind:
+        slots, k, signs, _ = _KINDS[kind]
+        m = a.reshape(3, 9)
+        # held[j]: the source block in slot j of ``a`` (slot i of the source's
+        # tensor is slot perm[i] of ``a``); the kind reads block b from its first slot
+        held = np.array(_KINDS[source][0])[np.argsort(perm)]
+        state = state[:, held[[slots.index(b) for b in range(k)]]]
+        state = state * signs(m, state)[:, :, None]
+        # a Z-eigenvalue is the potential at (v, v, v) on ``a`` itself up to
+        # rounding, and taking it makes eta_1, mu_1 and nu_1 equal to the bit;
+        # a C pair's tensor permutes the slots, so the potential is taken on ``a``
+        if source != "z_eigen":
+            f = _potential(m, state, slots)
+        resid = _residual(_jacobian_map(a, slots, k), state, f) / norm
+        if not resid[0] <= _POLISHED:
+            return None
+    resid = resid[0] * _unscaled_residual(norm, exp)
     return _triple(kind, np.ldexp(f[0], exp), state[0], resid, "enumerated")
 
 
@@ -673,73 +668,83 @@ class CSpectrum:
     residuals: np.ndarray  # (n,)
 
 
-# per kind: the swaps its tensor must be symmetric under, and the error if not
+# per kind: the rows of its swaps in the deviations under _PAIR_SWAPS, and
+# the error if the tensor is not symmetric under them
 _GATES = {
-    "c_eigen": (("right",), NotRightSymmetric,
+    "c_eigen": ([_PAIR_SWAPS.index("right")], NotRightSymmetric,
                 "C-eigenvalues require a right-side symmetric tensor"),
-    "z_eigen": (_PAIR_SWAPS, NotSymmetric, "Z-eigenvalues require a symmetric tensor"),
+    "z_eigen": (slice(None), NotSymmetric, "Z-eigenvalues require a symmetric tensor"),
 }
 
 
-def _require(kind: str, a: np.ndarray) -> None:
-    swaps, error, message = _GATES[kind]
-    if not _swap_symmetric(a, 1e-8, *swaps):
+def _require(kind: str, a: np.ndarray, dev: np.ndarray) -> None:
+    """Raise the ``kind`` gate's error unless the scaled tensor ``a``, with
+    ``dev`` its deviations under _PAIR_SWAPS, is symmetric within
+    1e-8 ||a|| under the gate's swaps."""
+    rows, error, message = _GATES[kind]
+    if not (dev[rows] <= 1e-8 * core._frobenius(a)).all():
         raise error(message)
 
 
-def _singular(a, exp) -> CriticalTriple:
-    """The bounded singular maximum of ldexp(a, exp), for ``a, exp = core._scaled(...)``."""
+def _bounded_maximum(kind: str, a: np.ndarray, exp: int) -> CriticalTriple:
+    """The ``kind`` maximum of ldexp(a, exp) from the bounded eta_1, with
+    its upper bound.  For mu_1 and nu_1, x A is symmetrized (it is
+    symmetric to the gate's bound) for the x of eta_1, and the unit
+    eigenvector of its largest |eigenvalue|, a y of the maximum since the
+    maxima are equal, is polished as an enumerated point is."""
     if not np.any(a):
         e1 = core._read_only([1.0, 0.0, 0.0])
-        return CriticalTriple("singular", 0.0, 0.0, e1, e1, e1, 0.0, 1, "bounded")
+        return CriticalTriple(kind, 0.0, 0.0, e1, e1, e1, 0.0, 1, "bounded")
     (f, state, resid), upper, _ = _bounded(a)
+    if kind != "singular":
+        w = (state[0, 0] @ a.reshape(3, 9)).reshape(3, 3)
+        lam, vecs = np.linalg.eigh(w + w.T)
+        y = vecs[:, np.abs(lam).argmax()][None]
+        # where the pair is not isolated (x A of e_1 (x) I is the identity) a
+        # Newton step can fail or wander, and the exact lift stands unpolished
+        pairs = _polished(kind, a, y) or _polished(kind, a, y, steps=0)
+        if pairs is None:
+            raise NoConvergence(f"the {kind} pair of eta_1 did not polish to a residual of "
+                                f"{_POLISHED:g} ||A||")
+        f, state, resid = pairs
     resid = resid[0] * _unscaled_residual(core._frobenius(a), exp)
-    return _triple("singular", np.ldexp(f[0], exp), state[0], resid, "bounded",
-                   np.ldexp(upper, exp))
+    return _triple(kind, np.ldexp(f[0], exp), state[0], resid, "bounded", np.ldexp(upper, exp))
 
 
-def _fallback(kind, a, exp) -> CriticalTriple:
-    """The ``kind`` maximum of ldexp(a, exp) from the singular one: x A is
-    symmetrized (it is symmetric to the gate's bound) for the x of eta_1,
-    and the unit eigenvector of its largest |eigenvalue|, a y of the
-    maximum since the maxima are equal, is polished as an enumerated
-    point is."""
-    eta = _singular(a, exp)
-    if not np.any(a):
-        return replace(eta, kind=kind)
-    w = (eta.x @ a.reshape(3, 9)).reshape(3, 3)
-    lam, vecs = np.linalg.eigh(w + w.T)
-    y = vecs[:, np.abs(lam).argmax()][None]
-    # where the pair is not isolated (x A of e_1 (x) I is the identity) a
-    # Newton step can fail or wander, and the exact lift stands unpolished
-    pairs = _polished(kind, a, y) or _polished(kind, a, y, steps=0)
-    if pairs is None:
-        raise NoConvergence(f"the {kind} pair of eta_1 did not polish to a residual of "
-                            f"{_POLISHED:g} ||A||")
-    f, state, resid = pairs
-    resid = resid[0] * _unscaled_residual(core._frobenius(a), exp)
-    return _triple(kind, np.ldexp(f[0], exp), state[0], resid, "bounded", eta.upper_bound)
-
-
-def _maximum(kind, a, exp) -> CriticalTriple:
-    """The best pair of the certified enumeration of a gated tensor, else
-    the fallback's."""
-    pairs = _enumerated(kind, a, exp)
-    if pairs is None:
-        return _fallback(kind, a, exp)
-    values, blocks, resid = pairs
-    return _triple(kind, values[0], blocks[0], resid[0], "enumerated")
+def _maximum(kind: str, a) -> CriticalTriple:
+    """The ``kind`` maximum of ``a`` by the route of the solvers' docstrings:
+    the swap verdicts within _POLISHED ||a|| pick the certified sources,
+    tried in turn before the branch and bound, and the gate is read only
+    where they fail (symmetric within _POLISHED passes its 1e-8)."""
+    a, exp = core._scaled(a, "Hyper3")
+    dev = _swap_deviations(a, *_PAIR_SWAPS)
+    verdicts = (dev <= _POLISHED * core._frobenius(a)).tolist()
+    if kind in _GATES and not all(verdicts):
+        _require(kind, a, dev)
+    sources = [("z_eigen", (0, 1, 2))] if all(verdicts) or kind == "z_eigen" else []
+    if kind == "c_eigen":
+        sources.append(("c_eigen", (0, 1, 2)))
+    elif kind == "singular" and any(verdicts):
+        sources.append(("c_eigen", _PAIR_LAST[_PAIR_SWAPS[verdicts.index(True)]]))
+    for source, perm in sources:
+        triple = _certified(kind, source, a, exp, perm)
+        if triple is not None:
+            return triple
+    return _bounded_maximum(kind, a, exp)
 
 
 def _spectrum(kind: str, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gated ``kind`` eigenpairs of ``a`` as (values, (n, k, 3) state
+    blocks, residuals relative to max(1, ||A||))."""
     a, exp = core._scaled(a, "Hyper3")
-    _require(kind, a)
-    pairs = _enumerated(kind, a, exp)
+    _require(kind, a, _swap_deviations(a, *_PAIR_SWAPS))
+    pairs = _pairs_of_bytes(kind, a.tobytes())
     if pairs is None:
         raise Uncertified(
             f"the {kind[0].upper()}-eigenpair enumeration certified in none of its charts"
         )
-    return pairs
+    values, blocks, resid = pairs
+    return np.ldexp(values, exp), blocks, resid * _unscaled_residual(core._frobenius(a), exp)
 
 
 # The solvers take no setting that changes their answer.  ``restarts`` and
@@ -771,13 +776,7 @@ def max_singular_value(a: core.Hyper3, *, restarts=None, history_out=None) -> Cr
     Either way the triple satisfies A y z = eta x, x A z = eta y,
     x y A = eta z to its ``residual``, and eta = contract_full(a, x, y, z).
     """
-    a, exp = core._scaled(a, "Hyper3")
-    verdicts = _swap_verdicts(a, _POLISHED, *_PAIR_SWAPS)
-    lifted = _lift("singular", "z_eigen", a, exp) if all(verdicts) else None
-    swap = next(itertools.compress(_PAIR_SWAPS, verdicts), None)
-    if lifted is None and swap is not None:
-        lifted = _lift("singular", "c_eigen", a, exp, _PAIR_LAST[swap])
-    return lifted or _singular(a, exp)
+    return _maximum("singular", a)
 
 
 def max_c_eigenvalue(a: core.Hyper3, *, restarts=None, history_out=None) -> CriticalTriple:
@@ -801,12 +800,7 @@ def max_c_eigenvalue(a: core.Hyper3, *, restarts=None, history_out=None) -> Crit
     residual of the fallback's pair exceeds 1e-12 ||A||, which happens
     near a continuum of maxima, where the bracket of eta_1 stays wide.
     """
-    a, exp = core._scaled(a, "Hyper3")
-    verdicts = _swap_verdicts(a, _POLISHED, *_PAIR_SWAPS)
-    if not verdicts[0]:  # symmetric within _POLISHED passes the gate's 1e-8
-        _require("c_eigen", a)
-    lifted = _lift("c_eigen", "z_eigen", a, exp) if all(verdicts) else None
-    return lifted or _maximum("c_eigen", a, exp)
+    return _maximum("c_eigen", a)
 
 
 def max_z_eigenvalue(a: core.Hyper3, *, restarts=None, history_out=None) -> CriticalTriple:
@@ -821,9 +815,7 @@ def max_z_eigenvalue(a: core.Hyper3, *, restarts=None, history_out=None) -> Crit
     x satisfies A x x = nu x with nu = x A x x >= 0 (x is flipped when
     the cubic form is negative, which the odd degree permits).
     """
-    a, exp = core._scaled(a, "Hyper3")
-    _require("z_eigen", a)
-    return _maximum("z_eigen", a, exp)
+    return _maximum("z_eigen", a)
 
 
 def z_spectrum(a: core.Hyper3) -> ZSpectrum:

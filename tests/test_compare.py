@@ -2,9 +2,9 @@
 
 It runs the script's per-case helpers on a few inputs, so a library
 change that breaks a hook the script uses (the SVD and enumeration
-memos' ``cache_clear``, ``history_out``, ``perfbench.spans.LapClock``,
-``varspec._bounded``, the CLI's ``run``) fails here rather than at the
-next measurement.
+memos' ``cache_clear``, ``varspec._bounded``, ``core._scaled``, the
+library errors, the CLI's ``run``) fails here rather than at the next
+measurement.
 """
 
 import importlib
@@ -33,7 +33,7 @@ def compare(monkeypatch):
     spec.loader.exec_module(module)
     yield module
     for name in set(sys.modules) - before:
-        if name.split(".")[0] in ("perfbench", *TWINS.values()):
+        if name.split(".")[0] in TWINS.values():
             del sys.modules[name]
 
 
@@ -51,9 +51,7 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monke
     solvers = compare.solver_laps(trees, pairs, rounds=1)
     assert set(solvers["laps"]) == {*compare.SOLVERS, compare.AUDIT_ITEM}
     for solver, laps in solvers["laps"].items():
-        # every solve of a symmetric pair is enumerated: no iterations, only its whole time
-        assert laps["parent"]["iterations"] == laps["change"]["iterations"] == 0
-        assert laps["change"]["per_iteration_us_p50"] is None
+        assert set(laps["change"]) == {"solve_us_p50", "solve_ms_sum"}
         assert laps["change"]["solve_ms_sum"] > 0.0
     # each timed solve starts from a cleared memo, so none hits it
     enumerations = trees["change"].varspec._pairs_of_bytes
@@ -64,28 +62,44 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monke
     # mu_1 and nu_1 of a symmetric pair take eta_1's Z enumeration
     assert enumerations.cache_info().hits == 2
 
-    solves = [(s, pairs[0], compare.RESTARTS, 0) for s in compare.SOLVERS]
-    values = compare.by_value(trees, solves)
+    solves = [(s, pairs[0]) for s in compare.SOLVERS]
+    values = compare.by_value(compare.outcomes(trees, solves))
     assert (values["methods"], values["rose"], values["fell"], values["equal"]) == (
         {"enumerated": 3}, [], [], True
     )
+    assert values["sha256_equal"]
+    # a library error is an outcome: hashed by its repr, and equal when both trees raise it
+    zero = [("max_c_eigenvalue", pairs[0]), ("c_spectrum", 0.0 * pairs[0])]
+    out = compare.outcomes(trees, zero)
+    assert isinstance(out["change"][1], trees["change"].Uncertified)
+    values = compare.by_value(out)
+    assert (values["methods"]["Uncertified"], values["fell"], values["sha256_equal"]) == (
+        1, [], True
+    )
+    out["change"][1] = out["change"][0]
+    values = compare.by_value(out)
+    assert values["rose"] == [{"solve": 1, "method": "enumerated",
+                               "parent": repr(out["parent"][1]),
+                               "change": out["change"][0].value}]
+    assert not values["sha256_equal"]
     # the first Gaussian tensor and Levi-Civita, which no enumeration serves
     tensors = compare.bounded_inputs(trees["parent"])
     assert len(tensors) == 221
     monkeypatch.setattr(compare, "bounded_inputs", lambda tt: tensors[19:22])
     part = compare.bounded(trees, rounds=1)
-    assert (part["tensors"], part["method"], part["equal"]) == (3, ["bounded"], True)
-    assert part["relative_to_parent@64"] == [0.0] * 3
+    assert (part["tensors"], part["methods"], part["equal"]) == (3, {"bounded": 3}, True)
+    assert part["relative_to_parent"] == [0.0] * 3
+    assert part["sha256_equal"]
     assert part["gap"][0] <= 1e-8 and part["gap"][1] <= 1e-3
     assert max(part["evaluations"]) <= trees["change"].varspec._BUDGET
-    assert set(part["solve_ms"]) == {"change", "parent@12", "parent@64"}
+    assert set(part["solve_ms"]) == {"parent", "change"}
     # one fallback row: 3 v (x) v (x) v plus 1e-12 noise, which no enumeration certifies
     row = compare.fallback_inputs(trees["parent"])["max_z_eigenvalue"][2:3]
     monkeypatch.setattr(compare, "fallback_inputs", lambda tt: {"max_z_eigenvalue": row})
-    monkeypatch.setattr(compare, "LAP_RESTARTS", (compare.RESTARTS,))
     fallback = compare.fallback(trees, rounds=1)
-    part = fallback[f"max_z_eigenvalue@{compare.RESTARTS}"]
+    part = fallback["max_z_eigenvalue"]
     assert (part["methods"], part["fell"], fallback["equal"]) == ({"bounded": 1}, [], True)
+    assert part["sha256_equal"] and fallback["sha256_equal"]
     assert part["change"]["solve_ms_sum"] > 0.0
 
     clis = {key: importlib.import_module(f"{name}.cli") for key, name in TWINS.items()}

@@ -46,7 +46,7 @@ def in_bracket(value, a):
 def fallback(kind, a):
     """The fallback of ``max_c_eigenvalue`` or ``max_z_eigenvalue`` (through
     the bounded eta_1), run whether or not the enumeration would certify."""
-    return varspec._fallback(kind, *core._scaled(a, "Hyper3"))
+    return varspec._bounded_maximum(kind, *core._scaled(a, "Hyper3"))
 
 
 # ---------------------------------------------------------------------------
@@ -514,24 +514,33 @@ def test_eta_1_nearer_a_circle_of_maxima():
             solve(a)
 
 
-@pytest.mark.parametrize("t, method", [(0.5, "enumerated"), (2.0, "bounded")])
+@pytest.mark.parametrize("t, method", [(0.5, "enumerated"), (2.0, "bounded"), (1e3, "bounded")])
 def test_eta_1_gate_is_the_polish_bound(t, method):
     # one entry off by t times 1e-12 ||A|| breaks the right, left and
-    # central swaps at once
+    # central swaps at once; still symmetric within the gates' 1e-8 ||A||,
+    # nu_1 and mu_1 keep their own enumerations where eta_1 is not lifted
     a = np.array(tt.make_fixture("symmetric", 4))
     a[0, 1, 2] += t * 1e-12 * np.linalg.norm(a)
     triple = tt.max_singular_value(a)
     assert triple.method == method
     assert triple.residual <= 1e-12
     assert in_bracket(triple.value, a)
+    nu, mu = tt.max_z_eigenvalue(a), tt.max_c_eigenvalue(a)
+    assert nu.method == mu.method == "enumerated"
+    assert nu.value == tt.z_spectrum(a).values[0]
+    assert (triple.value == nu.value) == (method == "enumerated")
 
 
 def test_eta_1_route_at_the_polish_bound(monkeypatch):
-    # within 1e-12 ||A|| of symmetric: the Z route; only right-side
-    # symmetric there (two entries off by 2e-12 ||A||): the C route
-    enumerate_, kinds = varspec._pairs_of_bytes, []
+    # within 1e-12 ||A|| of symmetric: eta_1 and mu_1 by the Z route; only
+    # right-side symmetric there (two entries off by 2e-12 ||A||): by the C
+    # enumeration of the tensor itself, as where the right and left swaps
+    # hold and the central one fails, which they allow up to about
+    # 3e-12 ||A||: around the hexagon of index orders each right or left
+    # swap moves 0.9e-12 ||A||, so the central swap sees 2.7e-12 ||A||
+    enumerate_, calls = varspec._pairs_of_bytes, []
     monkeypatch.setattr(varspec, "_pairs_of_bytes",
-                        lambda kind, key: kinds.append(kind) or enumerate_(kind, key))
+                        lambda kind, key: calls.append((kind, key)) or enumerate_(kind, key))
     a = np.array(tt.make_fixture("symmetric", 4))
     bound = 1e-12 * np.linalg.norm(a)
     near = a.copy()
@@ -539,12 +548,23 @@ def test_eta_1_route_at_the_polish_bound(monkeypatch):
     right = a.copy()
     right[0, 1, 2] += 2.0 * bound
     right[0, 2, 1] += 2.0 * bound
-    for b, kind in ((near, "z_eigen"), (right, "c_eigen")):
-        kinds.clear()
-        triple = tt.max_singular_value(b)
-        assert (kinds, triple.method) == ([kind], "enumerated")
-        assert triple.residual <= 1e-12
+    hexagon = a.copy()
+    for idx, t in zip(((0, 2, 1), (2, 0, 1), (2, 1, 0), (1, 0, 2), (1, 2, 0)),
+                      (0.9, 1.8, 2.7, 0.9, 1.8)):
+        hexagon[idx] += t * bound
+    report = tt.classify(hexagon, 1e-12)
+    assert (report.right_symmetric, report.left_symmetric, report.centrally_symmetric) == (
+        True, True, False
+    )
+    for b, kind in ((near, "z_eigen"), (right, "c_eigen"), (hexagon, "c_eigen")):
+        key = core._scaled(b, "Hyper3")[0].tobytes()
+        for solve in (tt.max_singular_value, tt.max_c_eigenvalue):
+            calls.clear()
+            triple = solve(b)
+            assert (calls, triple.method) == ([(kind, key)], "enumerated")
+            assert triple.residual <= 1e-12
     assert tt.max_singular_value(near).value == tt.max_z_eigenvalue(near).value
+    assert tt.max_c_eigenvalue(hexagon).value == tt.c_spectrum(hexagon).values[0]
 
 
 @pytest.mark.parametrize("klass, pair", [

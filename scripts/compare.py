@@ -30,7 +30,9 @@ and reports six parts:
   before each timed solve, and ``audit_item`` times eta_1, mu_1 and nu_1
   in turn from a cleared memo, as one audit item solves them: on these
   symmetric pairs mu_1 and nu_1 read the Z enumeration that eta_1
-  filled;
+  filled.  ``lifts`` times mu_1 and nu_1 alone, each right after an
+  untimed eta_1 has filled the memo: the lift of eta_1's Z pair to a C
+  pair, and the Z pair itself;
 - ``fallback``: the C and Z solves of tensors whose enumeration cannot
   certify (the zero tensor, and ``3 v (x) v (x) v`` and, for C,
   ``2 x (x) y (x) y``, each plus 0, 1e-12, 1e-9 and 1e-6 of a unit-norm
@@ -54,7 +56,7 @@ value fell, fallback and bounded solves included; the solve hashes are
 reported, not gated.  Run from the repository root, with BLAS on one
 thread::
 
-    python scripts/compare.py --parent HEAD~1 --out BENCH_19.json
+    python scripts/compare.py --parent HEAD~1 --out BENCH_20.json
 """
 
 from __future__ import annotations
@@ -88,6 +90,8 @@ sys.dont_write_bytecode = True  # nothing written into either source tree
 SOLVERS = ("max_singular_value", "max_c_eigenvalue", "max_z_eigenvalue")
 # the solver lap of eta_1, mu_1 and nu_1 in turn, as one audit item runs them
 AUDIT_ITEM = "audit_item"
+# the solvers timed right after eta_1 has filled the memo
+LIFTS = SOLVERS[1:]
 # a C or Z value counts as equal within this, relative to max(1, |value|)
 VALUE_TOL = 1e-12
 LAYER_ROUNDS = 41
@@ -354,6 +358,16 @@ def run_solver(tt, solver: str, a) -> tuple[tuple[int], bytes]:
     return (_now() - t0,), record_of(out)
 
 
+def run_lift(tt, solver: str, a) -> tuple[tuple[int], bytes]:
+    """((ns,), record of the triple) of one ``solver`` solve right after
+    an untimed eta_1 has filled the cleared memo."""
+    clear_memos(tt)
+    solved(tt, SOLVERS[0], a)
+    t0 = _now()
+    out = solved(tt, solver, a)
+    return (_now() - t0,), record_of(out)
+
+
 def fastest(trees: dict, groups, cases: list, rounds: int, run) -> tuple[dict, dict]:
     """Per tree, group and case: the fastest of ``rounds`` timings of
     ``run(tt, group, case) -> (times, output)``, entry by entry, and the
@@ -421,7 +435,9 @@ def solver_laps(trees: dict, pairs: list, rounds: int = SOLVER_ROUNDS) -> dict:
     groups = (*SOLVERS, AUDIT_ITEM)
     best, _ = fastest(trees, groups, pairs, rounds, run_solver)
     laps = compared({s: {n: _laps_of(best[n][s]) for n in trees} for s in groups})
-    return {"pairs": len(pairs), "rounds": rounds, "laps": laps}
+    best, _ = fastest(trees, LIFTS, pairs, rounds, run_lift)
+    lifts = compared({s: {n: _laps_of(best[n][s]) for n in trees} for s in LIFTS})
+    return {"pairs": len(pairs), "rounds": rounds, "laps": laps, "lifts": lifts}
 
 
 def fallback_inputs(tt) -> dict:

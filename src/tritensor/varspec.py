@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 _STALL = 1e-30
+_EPS = np.finfo(float).eps
 # merge tolerances for duplicate critical points
 _MERGE_VALUE = 1e-8
 _MERGE_VECTOR = 1e-6
@@ -117,9 +118,9 @@ def _unit(g: np.ndarray, old: np.ndarray) -> np.ndarray:
     """``g`` normalized along its last axis; vectors too short to
     normalize keep ``old``."""
     n = _norms(g)[..., None]
-    ok = n > _STALL
-    if ok.all():
+    if n.min() > _STALL:  # False for a NaN, as (n > _STALL).all() is
         return g / n
+    ok = n > _STALL
     return np.where(ok, g / np.where(ok, n, 1.0), old)
 
 
@@ -199,12 +200,17 @@ def _newton(jmap, s, f):
 
 
 def _singular_signs(m, s):
-    sx, sy = _lead_signs(s[:, 0]), _lead_signs(s[:, 1])
-    return np.stack((sx, sy, sx * sy), axis=1)
+    # x and y get their lead signs, z their product, which keeps the potential
+    signs = np.empty((len(s), 3))
+    signs[:, :2] = _lead_signs(s[:, :2].reshape(-1, 3)).reshape(-1, 2)
+    np.multiply(signs[:, 0], signs[:, 1], out=signs[:, 2])
+    return signs
 
 
 def _c_signs(m, s):
-    return np.stack((np.ones(len(s)), _lead_signs(s[:, 1])), axis=1)
+    signs = np.ones((len(s), 2))
+    signs[:, 1] = _lead_signs(s[:, 1])
+    return signs
 
 
 def _z_signs(m, s):
@@ -232,12 +238,17 @@ _KINDS = {
 }
 
 
-def _merging(values: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Mask [i, j]: pair j merges with pair i, its value within
-    _MERGE_VALUE * max(1, |value|) and its vector entries within _MERGE_VECTOR."""
+def _merged(values: np.ndarray, vecs: np.ndarray) -> bool:
+    """Whether more pairs (i, j) merge than there are pairs, pair j merging
+    with pair i where its value is within _MERGE_VALUE * max(1, |value i|)
+    and its vector entries within _MERGE_VECTOR; the vectors are compared
+    only where the values leave that possible."""
     v = values[:, None]
+    near = np.abs(values - v) <= _MERGE_VALUE * np.maximum(1.0, np.abs(v))
+    if near.sum() <= len(values):
+        return False
     close = np.abs(vecs - vecs[:, None]).max(axis=2) <= _MERGE_VECTOR
-    return close & (np.abs(values - v) <= _MERGE_VALUE * np.maximum(1.0, np.abs(v)))
+    return (close & near).sum() > len(values)
 
 
 def _unscaled_residual(norm: float, exp: int) -> float:
@@ -249,7 +260,7 @@ def _unscaled_residual(norm: float, exp: int) -> float:
 def _triple(kind, value, blocks, residual, method, upper=None) -> CriticalTriple:
     """The ``kind`` triple of one state's blocks, at the kind's slots; the
     upper bound is the value unless given."""
-    vecs = [core._read_only(v) for v in blocks]
+    vecs = core._read_only(blocks)  # its rows are read-only views
     x, y, z = (vecs[slot] for slot in _KINDS[kind][0])
     upper = value if upper is None else upper
     return CriticalTriple(kind, float(value), float(upper), x, y, z, float(residual), 1, method)
@@ -265,7 +276,7 @@ def _triple(kind, value, blocks, residual, method, upper=None) -> CriticalTriple
 
 _GAP = 1e-8
 _BUDGET = 20_000
-_ROUNDING = 16 * np.finfo(float).eps
+_ROUNDING = 16 * _EPS
 # the octahedron vertices with x_3 >= 0, and its four faces there
 _OCTAHEDRON = np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1]])
 _FACES = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
@@ -482,7 +493,10 @@ def _chart_points(pq: np.ndarray, chart: int, t: np.ndarray) -> np.ndarray:
     companion[:, :d] = (-p[d - 1::-1] / p[d]).T
     companion[:, d::d + 1] = 1.0
     s = np.linalg.eigvals(companion.reshape(-1, d, d)).T
-    at = np.abs(np.polyval(q[::-1], s))
+    at = np.zeros_like(s)  # |q(s)| by Horner's rule, as np.polyval runs it
+    for coef in q[::-1]:
+        at = at * s + coef
+    at = np.abs(at)
     at[~np.isfinite(at)] = np.inf
     s = s[at.argmin(axis=0), np.arange(len(t))].real
     v = np.concatenate((np.ones_like(t), t, s)).reshape(3, -1).T @ _CHARTS[chart]  # R^T v'
@@ -504,6 +518,23 @@ def _c_field(b: np.ndarray, r: np.ndarray) -> np.ndarray:
 _ELIMINATIONS = {"z_eigen": (2, _z_field), "c_eigen": (3, _c_field)}
 
 
+def _roots(p: np.ndarray) -> np.ndarray:
+    """``np.roots(p)`` bit for bit, for a real ``p`` (highest power first),
+    in fewer numpy calls: the eigenvalues of the same companion matrix, of
+    ``p`` without its leading and trailing zeros, and a zero root for each
+    trailing zero."""
+    nonzero = np.flatnonzero(p)
+    if not len(nonzero):
+        return np.array([])
+    lo, hi = nonzero[0], nonzero[-1] + 1
+    companion = np.eye(hi - lo - 1, k=-1)
+    companion[:1] = -p[lo + 1:hi] / p[lo]
+    roots = np.linalg.eigvals(companion) if len(companion) else np.array([])
+    if hi == len(p):
+        return roots
+    return np.concatenate((roots, np.zeros(len(p) - hi, roots.dtype)))
+
+
 def _certified_roots(c: np.ndarray, degree: int) -> np.ndarray | None:
     """The real roots of the polynomial of degree ``degree`` whose
     coefficients (t^0 first) the rounded ``c`` holds, or None unless the
@@ -513,13 +544,13 @@ def _certified_roots(c: np.ndarray, degree: int) -> np.ndarray | None:
     tail = np.abs(c[degree + 1:]).max()
     if not (tail <= _NOISE * size and abs(c[degree]) > _LEAD * size):
         return None
-    t = np.roots(c[degree::-1].real)
+    t = _roots(c[degree::-1].real)
     powers = t[:, None] ** np.arange(degree + 1)
     slope = powers[:, :degree] @ (np.arange(1.0, degree + 1) * c[1:degree + 1].real)
-    noise = max(tail, np.finfo(float).eps * size)
+    noise = max(tail, _EPS * size)
     bound = noise * np.abs(powers).sum(axis=1) / np.abs(slope)
     gaps = np.abs(t[:, None] - t)
-    np.fill_diagonal(gaps, np.inf)
+    gaps.flat[::len(t) + 1] = np.inf
     if not (bound <= _CONDITION * gaps.min(axis=1)).all():
         return None
     # a root within its bound of the real axis is real: a complex one
@@ -576,7 +607,7 @@ def _chart_pairs(kind: str, a: np.ndarray, chart: int):
     # the blocks order and merge as the slot vectors do, which repeat them
     vecs = state.reshape(len(f), -1)
     order = np.lexsort((*vecs.T[::-1], -f))
-    if _merging(f[order], vecs[order]).sum() > len(f):  # two roots, one pair
+    if _merged(f[order], vecs[order]):  # two roots, one pair
         return None
     return f[order], state[order], resid[order]
 
@@ -599,6 +630,20 @@ def _pairs_of_bytes(kind: str, key: bytes):
     return None
 
 
+@functools.cache
+def _lifted_blocks(kind: str, source: str, perm: tuple) -> np.ndarray:
+    """The ``source`` state block in each ``kind`` state block, for a pair
+    of the ``source`` enumeration of a.transpose(perm) read in the slots
+    of ``a``."""
+    # held[j]: the source block in slot j of ``a`` (slot i of the source's
+    # tensor is slot perm[i] of ``a``); the kind reads block b from its first slot
+    held = np.array(_KINDS[source][0])[np.argsort(perm)]
+    slots, k = _KINDS[kind][:2]
+    blocks = held[[slots.index(b) for b in range(k)]]
+    blocks.setflags(write=False)  # shared by every call
+    return blocks
+
+
 def _certified(kind: str, source: str, a: np.ndarray, exp: int, perm=(0, 1, 2)):
     """The ``kind`` maximum of ldexp(a, exp) from the best pair of the
     certified ``source`` enumeration of a.transpose(perm), or None if no
@@ -616,10 +661,7 @@ def _certified(kind: str, source: str, a: np.ndarray, exp: int, perm=(0, 1, 2)):
     if source != kind:
         slots, k, signs, _ = _KINDS[kind]
         m = a.reshape(3, 9)
-        # held[j]: the source block in slot j of ``a`` (slot i of the source's
-        # tensor is slot perm[i] of ``a``); the kind reads block b from its first slot
-        held = np.array(_KINDS[source][0])[np.argsort(perm)]
-        state = state[:, held[[slots.index(b) for b in range(k)]]]
+        state = state[:, _lifted_blocks(kind, source, perm)]
         state = state * signs(m, state)[:, :, None]
         # a Z-eigenvalue is the potential at (v, v, v) on ``a`` itself up to
         # rounding, and taking it makes eta_1, mu_1 and nu_1 equal to the bit;
@@ -827,10 +869,11 @@ def z_spectrum(a: core.Hyper3) -> ZSpectrum:
     determinant of the quadratic p = g'_2 - t g'_1 and the cubic
     q = g'_3 - s g'_1 in s at the 16th roots of unity, one batched
     ``np.linalg.det``, gives the degree-7 polynomial in t through a
-    constant inverse DFT matrix; ``np.roots`` solves it, the root of p
-    at which |q| is smaller gives s for every real t, and 3 batched
-    Newton steps on the bordered 4x4 system polish all real candidates
-    together.
+    constant inverse DFT matrix; one ``np.linalg.eigvals`` of its
+    companion matrix (the one ``np.roots`` builds, with the same bits)
+    gives its roots, the root of p at which |q| is smaller gives s for
+    every real t, and 3 batched Newton steps on the bordered 4x4 system
+    polish all real candidates together.
 
     The result is certified: coefficients 8..15 of the determinant at
     most 1e-11 ||c|| (zero in exact arithmetic, so they measure its
@@ -858,7 +901,8 @@ def c_spectrum(a: core.Hyper3) -> CSpectrum:
     form's gradient: in the chart y = R^T (1, t, s), the 7x7 Sylvester
     determinant of the cubic p = g'_2 - t g'_1 and the quartic
     q = g'_3 - s g'_1 in s at the 32nd roots of unity gives the
-    degree-13 polynomial in t, the root of p at which |q| is smallest
+    degree-13 polynomial in t, whose companion matrix gives its roots as
+    for ``z_spectrum``, the root of p at which |q| is smallest
     gives s for every real t, x = A y y / ||A y y||, and 3 batched Newton
     steps on the bordered 8x8 system in (x, y) polish all real candidates
     together.

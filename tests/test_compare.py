@@ -50,7 +50,8 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monke
     pairs = compare.audit_pairs(trees["parent"])[:1]
     solvers = compare.solver_laps(trees, pairs, rounds=1)
     assert set(solvers["laps"]) == {*compare.SOLVERS, compare.AUDIT_ITEM}
-    for solver, laps in solvers["laps"].items():
+    assert set(solvers["lifts"]) == set(compare.LIFTS)
+    for solver, laps in [*solvers["laps"].items(), *solvers["lifts"].items()]:
         assert set(laps["change"]) == {"solve_us_p50", "solve_ms_sum"}
         assert laps["change"]["solve_ms_sum"] > 0.0
     # each timed solve starts from a cleared memo, so none hits it
@@ -61,6 +62,11 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monke
     compare.run_solver(trees["change"], compare.AUDIT_ITEM, pairs[0])
     # mu_1 and nu_1 of a symmetric pair take eta_1's Z enumeration
     assert enumerations.cache_info().hits == 2
+    # a lift lap times a memo hit alone, with the triple of a whole solve
+    for solver in compare.LIFTS:
+        _, record = compare.run_lift(trees["change"], solver, pairs[0])
+        assert enumerations.cache_info()[:2] == (1, 1)  # (hits, misses) since the clear
+        assert record == compare.run_solver(trees["change"], solver, pairs[0])[1]
 
     solves = [(s, pairs[0]) for s in compare.SOLVERS]
     values = compare.by_value(compare.outcomes(trees, solves))

@@ -476,6 +476,10 @@ def _symmetrized(g):
     return sum(g.transpose(p) for p in itertools.permutations(range(3))) / 6.0
 
 
+def _right_symmetrized(g):
+    return 0.5 * (g + g.transpose(0, 2, 1))
+
+
 def _near_circle(noise):
     """3 sym(e_1 (x) (e_2 (x) e_2 + e_3 (x) e_3)), whose maxima form a
     circle, plus ``noise`` times the third symmetrized Gaussian draw of
@@ -753,6 +757,135 @@ def test_charts_agree_where_they_certify(kind, klass):
         for values in certified[1:]:
             assert len(values) == len(certified[0])
             assert np.abs(values - certified[0]).max() <= 1e-12 * max(1.0, core._frobenius(a))
+
+
+def _coefficients(kind, a, chart=0):
+    """The coefficients of the determinant in t of the ``kind`` elimination
+    of ``a`` in ``chart``, t^0 first, as ``_chart_pairs`` computes them."""
+    mats = varspec._sylvester(varspec._pq(kind, core._scaled(a, "Hyper3")[0], chart))
+    return varspec._roots_of_unity(len(mats))[1] @ np.linalg.det(mats)
+
+
+def test_companion_roots_are_np_roots_bit_for_bit():
+    rng = np.random.default_rng(20)
+    polys = []
+    for kind, project in (("z_eigen", _symmetrized), ("c_eigen", _right_symmetrized)):
+        d = varspec._ELIMINATIONS[kind][0]
+        for _ in range(100):
+            c = _coefficients(kind, project(rng.standard_normal((3, 3, 3))), rng.integers(3))
+            polys.append(c[d * d + d::-1].real)
+    # a zero constant coefficient is a root at 0, and leading zeros lower
+    # the degree, as np.roots has it
+    seven = rng.standard_normal(8)
+    for p in (seven, [*seven[:7], 0.0], [*seven[:6], 0.0, 0.0], [0.0, *seven[1:]],
+              [0.0, 0.0, *seven[2:6], 0.0, 0.0], [2.0, 0.0], [0.0, 3.0], [5.0], [0.0] * 8):
+        polys.append(np.array(p))
+    for p in polys:
+        want = np.roots(p)
+        got = varspec._roots(p)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert varspec._roots(polys[-4])[-1] == 0.0  # the zero constant coefficient
+
+
+def _old_lead_signs(rows):
+    lead = rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)]
+    return np.where(lead < 0.0, -1.0, 1.0)
+
+
+def test_sign_rules_equal_the_per_block_formulas():
+    # ties go to the first largest magnitude, and a -0.0 lead gives +1
+    rows = np.array([
+        [1.0, -1.0, 0.5], [-1.0, 1.0, 0.5], [0.5, -2.0, 2.0], [-0.0, 0.0, 0.0],
+        [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [0.25, -0.25, -0.25], [-3.0, 3.0, -3.0],
+    ])
+    rng = np.random.default_rng(21)
+    rows = np.concatenate((rows, rng.standard_normal((40, 3)), rng.integers(-1, 2, (40, 3))))
+    rows = rows * np.where(rng.random(rows.shape) < 0.1, -0.0, 1.0)  # some signed zeros
+    for k in (2, 3):
+        s = rows[rng.permutation(len(rows))[:k * 27]].reshape(27, k, 3)
+        for kind in ("singular", "c_eigen"):
+            if varspec._KINDS[kind][1] != k:
+                continue
+            sx, sy = _old_lead_signs(s[:, 0]), _old_lead_signs(s[:, 1])
+            want = (np.stack((sx, sy, sx * sy), axis=1) if kind == "singular"
+                    else np.stack((np.ones(len(s)), sy), axis=1))
+            got = varspec._KINDS[kind][2](None, s)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+
+def _old_merging(values, vecs):
+    v = values[:, None]
+    close = np.abs(vecs - vecs[:, None]).max(axis=2) <= varspec._MERGE_VECTOR
+    return close & (np.abs(values - v) <= varspec._MERGE_VALUE * np.maximum(1.0, np.abs(v)))
+
+
+def test_merge_test_equals_the_full_mask():
+    rng = np.random.default_rng(22)
+    for n in range(1, 8):
+        for _ in range(50):
+            values = np.round(rng.standard_normal(n), rng.integers(1, 4))  # ties
+            vecs = np.round(rng.standard_normal((n, 3)), rng.integers(0, 3))
+            if n > 1 and rng.random() < 0.5:  # one pair, or two, within the tolerances
+                i, j = rng.choice(n, 2, replace=False)
+                values[j], vecs[j] = values[i] + 1e-9 * rng.random(), vecs[i] + 1e-7
+            if rng.random() < 0.2:
+                values[rng.integers(n)] = np.nan
+            want = _old_merging(values, vecs).sum() > n
+            assert varspec._merged(values, vecs) == want
+
+
+def _old_triple(kind, value, blocks, residual, method, upper=None):
+    vecs = [core._read_only(v) for v in blocks]
+    x, y, z = (vecs[slot] for slot in varspec._KINDS[kind][0])
+    upper = value if upper is None else upper
+    return varspec.CriticalTriple(kind, float(value), float(upper), x, y, z, float(residual), 1,
+                                  method)
+
+
+def test_enumerated_route_equals_the_old_helpers_bit_for_bit(monkeypatch):
+    # np.roots, the per-block sign rules, the full merge mask and the
+    # per-block copies patched back in give the same triples and spectra
+    rng = np.random.default_rng(23)
+    inputs = [*_banach_inputs()[:32], *(tt.make_fixture("right_symmetric", s) for s in range(8)),
+              *(_right_symmetrized(rng.standard_normal((3, 3, 3))) for _ in range(8))]
+    solves = (tt.max_singular_value, tt.max_c_eigenvalue, tt.max_z_eigenvalue, tt.c_spectrum,
+              tt.z_spectrum)
+
+    def records():
+        out = []
+        for a in inputs:
+            varspec._pairs_of_bytes.cache_clear()
+            for solve in solves:
+                try:
+                    result = solve(a)
+                except (NotSymmetric, NotRightSymmetric) as exc:
+                    result = exc
+                out.append(repr(result) if isinstance(result, Exception)
+                           else [np.asarray(v).tobytes() if isinstance(v, np.ndarray) else v
+                                 for v in vars(result).values()])
+        return out
+
+    new = records()
+    kinds = dict(varspec._KINDS)
+    kinds["singular"] = (*kinds["singular"][:2], lambda m, s: np.stack(
+        (_old_lead_signs(s[:, 0]), _old_lead_signs(s[:, 1]),
+         _old_lead_signs(s[:, 0]) * _old_lead_signs(s[:, 1])), axis=1), kinds["singular"][3])
+    kinds["c_eigen"] = (*kinds["c_eigen"][:2], lambda m, s: np.stack(
+        (np.ones(len(s)), _old_lead_signs(s[:, 1])), axis=1), kinds["c_eigen"][3])
+    monkeypatch.setattr(varspec, "_KINDS", kinds)
+    monkeypatch.setattr(varspec, "_roots", np.roots)
+    monkeypatch.setattr(varspec, "_merged", lambda f, v: _old_merging(f, v).sum() > len(f))
+    monkeypatch.setattr(varspec, "_triple", _old_triple)
+    monkeypatch.setattr(varspec, "_lifted_blocks", lambda kind, source, perm: (
+        np.array(kinds[source][0])[np.argsort(perm)][[kinds[kind][0].index(b)
+                                                      for b in range(kinds[kind][1])]]))
+    old = records()
+    varspec._pairs_of_bytes.cache_clear()
+    assert new == old
+    # and on the 32 audit pairs eta_1, mu_1 and nu_1 are one value, to the bit
+    for a in inputs[:32]:
+        values = [solve(a).value for solve in solves[:3]]
+        assert values[0] == values[1] == values[2]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Loads ``src/tritensor`` of a git revision (``--parent``) and of the
 working tree into one process, as the modules ``parent`` and ``change``,
-and reports six parts:
+and reports seven parts:
 
 - ``closed_form_golden``: one sha256 per tree over the fixtures of every
   class, the rotations, the ``classify`` verdicts and the
@@ -44,19 +44,29 @@ and reports six parts:
   hashed as above: per tensor the change's value, its gap
   (upper_bound - value) / value and the evaluations of its branch and
   bound, the value relative to the parent's, and the fastest of 3 whole
-  solves per tree.
+  solves per tree;
+- ``cli``: cold ``python -X importtime -m tritensor <sub> <file> --json``
+  processes of each tree on one symmetric tensor file, for the six
+  subcommands of the ``cli`` benchmark workload, 20 per subcommand and
+  tree with the tree that goes first alternating.  The children run
+  with ``PYTHONDONTWRITEBYTECODE=1``, so each compiles the package from
+  source, as the benchmark's children do, and nothing is written into
+  either tree.  Per subcommand and tree: the ``tritensor`` modules the
+  process imports with each one's fastest self time, their sum, and the
+  fastest whole-process wall time; and whether the exit code, standard
+  output and ``l-inverse --out`` file are byte-identical between trees.
 
 The parent tree builds the lap inputs.  The trees take turns call by
 call and the one that goes first alternates, so a slow phase of the host
 falls on both; a case whose output (for a solve, its triples) varies
 between rounds stops the run.  Equal hashes mean both trees return the
 same bits.  The report is printed and written to ``--out``, and then the
-exit code is 1 if the closed-form golden or a layer hash differs or any
-value fell, fallback and bounded solves included; the solve hashes are
-reported, not gated.  Run from the repository root, with BLAS on one
-thread::
+exit code is 1 if the closed-form golden or a layer hash differs, any
+value fell, fallback and bounded solves included, or a CLI output
+differs; the solve hashes are reported, not gated.  Run from the
+repository root, with BLAS on one thread::
 
-    python scripts/compare.py --parent HEAD~1 --out BENCH_20.json
+    python scripts/compare.py --parent HEAD~1 --out BENCH_21.json
 """
 
 from __future__ import annotations
@@ -108,6 +118,16 @@ REPORTS = (
     *(["decompose", "-", "--side", side] for side in SIDES),
     *(["decompose", "-", "--side", side, "--json"] for side in SIDES),
 )
+# the subcommands of the cli benchmark workload; "--out" takes a file path
+CLI_SUBCOMMANDS = (
+    ("classify", "--json"),
+    ("l-eigen", "--json"),
+    ("invariants", "--json"),
+    ("singular", "--json"),
+    ("z-eigen", "--json"),
+    ("l-inverse", "--json", "--out"),
+)
+CLI_PROCESSES = 20
 _now = time.perf_counter_ns
 
 
@@ -516,6 +536,91 @@ def bounded(trees: dict, rounds: int = FALLBACK_ROUNDS) -> dict:
     return out
 
 
+def cli_tensor_file(tt, into: Path) -> Path:
+    """A symmetric tensor of unit norm in a seeded orientation, written as
+    the tensor file ``t.json`` in the new directory ``into``."""
+    a = np.asarray(tt.rotate(tt.make_fixture("symmetric", 4), tt.random_rotation(4)))
+    into.mkdir()
+    path = into / "t.json"
+    entries = (a / np.linalg.norm(a)).tolist()
+    path.write_text(json.dumps({"dim": 3, "order": 3, "entries": entries, "name": "t"}))
+    return path
+
+
+def import_self_us(stderr: str) -> dict[str, int]:
+    """Self time in us of each ``tritensor`` module in ``-X importtime`` output."""
+    times = {}
+    for line in stderr.splitlines():
+        if line.startswith("import time:") and "self [us]" not in line:
+            self_us, _, module = line[len("import time:"):].split("|")
+            if module.strip().partition(".")[0] == "tritensor":
+                times[module.strip()] = int(self_us)
+    return times
+
+
+def run_cli(src: Path, argv: list[str], work: Path) -> tuple[int, dict, tuple]:
+    """(wall ns, ``import_self_us``, output) of one cold ``python -X
+    importtime -m tritensor`` process on the package under ``src``, in the
+    directory ``work``; the output is the exit code, the standard output
+    and the bytes of the ``--out`` file."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    out = work / "out.json"
+    if argv[-1] == "--out":
+        argv = [*argv, str(out)]
+    t0 = _now()
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "tritensor", *argv],
+                          cwd=work, env=env, capture_output=True)
+    ns = _now() - t0
+    written = out.read_bytes() if out.exists() else b""
+    out.unlink(missing_ok=True)
+    return ns, import_self_us(proc.stderr.decode()), (proc.returncode, proc.stdout, written)
+
+
+def cli_processes(sources: dict, tensor: Path, processes: int = CLI_PROCESSES) -> dict:
+    """Per subcommand of ``CLI_SUBCOMMANDS`` and tree (its package under
+    ``sources[tree]``): the fastest self time of each ``tritensor`` module
+    and the fastest wall time over ``processes`` cold processes, and
+    whether both trees print and write the same bytes."""
+    names = list(sources)
+    subs = [sub[0] for sub in CLI_SUBCOMMANDS]
+    wall = {n: {} for n in names}
+    modules = {n: {sub: {} for sub in subs} for n in names}
+    outputs = {n: {} for n in names}
+    for rnd in range(processes):
+        for i, sub in enumerate(CLI_SUBCOMMANDS):
+            argv = [sub[0], str(tensor), *sub[1:]]
+            for name in names if (rnd + i) % 2 == 0 else names[::-1]:
+                ns, imports, out = run_cli(sources[name], argv, tensor.parent)
+                if outputs[name].setdefault(sub[0], out) != out:
+                    raise RuntimeError(f"{name} {sub[0]}: output varies between processes")
+                wall[name][sub[0]] = min(wall[name].get(sub[0], ns), ns)
+                best = modules[name][sub[0]]
+                for module, us in imports.items():
+                    best[module] = min(best.get(module, us), us)
+    stats = compared({
+        sub: {
+            n: {
+                "tritensor_import_us": sum(modules[n][sub].values()),
+                "process_ms": round(wall[n][sub] / 1e6, 2),
+            }
+            for n in names
+        }
+        for sub in subs
+    })
+    for sub in subs:
+        stats[sub]["modules_us"] = {n: modules[n][sub] for n in names}
+        stats[sub]["identical"] = outputs["parent"][sub] == outputs["change"][sub]
+    # each module's fastest self time over every process of the tree
+    fastest_us = {n: {} for n in names}
+    for n in names:
+        for best in modules[n].values():
+            for module, us in best.items():
+                fastest_us[n][module] = min(fastest_us[n].get(module, us), us)
+    return {"processes": processes, "subcommands": stats, "modules_us": fastest_us,
+            "equal": all(stats[sub]["identical"] for sub in subs)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent tree")
@@ -523,11 +628,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
+        parent_pkg = extract_revision(args.parent, Path(tmp))
         trees = {
-            "parent": load_tree(extract_revision(args.parent, Path(tmp)), "parent"),
+            "parent": load_tree(parent_pkg, "parent"),
             "change": load_tree(ROOT / "src" / "tritensor", "change"),
         }
         clis = {name: importlib.import_module(f"{name}.cli") for name in trees}
+        tensor = cli_tensor_file(trees["parent"], Path(tmp) / "cli")
+        cli = cli_processes({"parent": parent_pkg.parent, "change": ROOT / "src"}, tensor)
     parent_rev = subprocess.run(
         ["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
         capture_output=True, text=True,
@@ -557,7 +665,8 @@ def main(argv=None) -> int:
         "bounded": bounded(trees),
     }
     report.update(golden)
-    report["equal"] = all(part["equal"] for part in golden.values()) and all(
+    report["cli"] = cli
+    report["equal"] = all(part["equal"] for part in (*golden.values(), cli)) and all(
         report["layers"]["laps"][layer]["sha256_equal"] for layer in LAYERS
     )
     text = json.dumps(report, indent=2)

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import core, spectral, varspec
+from . import core, spectral
 from .errors import NoConvergence, SingularTensor, TensorError, Uncertified, Unrepresentable
 from .symmetry import FIXTURE_CLASSES, classify, make_fixture
 
@@ -182,11 +182,17 @@ def _recover(args, a, name):
     return {"vector": x.tolist()}, [f"recovered from {name}: x = {_fmt_vec(x)}"]
 
 
-def _variational(solve):
-    """The report function of one variational solver."""
+# The variational reports import varspec when they run, so that the
+# closed-form subcommands never load it.
+
+
+def _variational(solver: str):
+    """The report function of the variational solver ``varspec.<solver>``."""
 
     def report(args, a, name):
-        triple = solve(a)
+        from . import varspec
+
+        triple = getattr(varspec, solver)(a)
         lines = [
             f"{triple.kind} of {name}",
             f"value = {_fmt(triple.value)}",
@@ -207,11 +213,13 @@ def _variational(solve):
 _ROW_KEYS = {"values": "value", "vectors": "vector", "residuals": "residual"}
 
 
-def _spectrum(solve, title: str):
-    """The report function of one eigenpair enumeration."""
+def _spectrum(solver: str, title: str):
+    """The report function of the eigenpair enumeration ``varspec.<solver>``."""
 
     def report(args, a, name):
-        fields = vars(solve(a))
+        from . import varspec
+
+        fields = vars(getattr(varspec, solver)(a))
         lines = [f"{title} of {name}, real pairs: {len(fields['values'])}"]
         for n in range(len(fields["values"])):
             cells = [
@@ -259,6 +267,8 @@ def _nullspace(args, a, name):
 
 
 def _invariant_quantities(a, report) -> dict[str, float]:
+    from . import varspec
+
     inv = spectral.invariants(a).as_dict()
     sys_ = spectral.l_eigen(a)
     for j in range(3):
@@ -338,13 +348,13 @@ _COMMANDS = {
     "l-inverse": ("L-inverse as a tensor file", _l_inverse, (*_IO, _tol(1e-10))),
     "recover": ("recover x from V = x A via the L-inverse", _recover,
                 (*_IO, _tol(1e-10), _arg("--matrix", required=True, help="3x3 matrix file for V"))),
-    "singular": ("largest singular value", _variational(varspec.max_singular_value), _IO),
-    "c-eigen": ("largest C-eigenvalue", _variational(varspec.max_c_eigenvalue), _IO),
-    "z-eigen": ("largest Z-eigenvalue", _variational(varspec.max_z_eigenvalue), _IO),
+    "singular": ("largest singular value", _variational("max_singular_value"), _IO),
+    "c-eigen": ("largest C-eigenvalue", _variational("max_c_eigenvalue"), _IO),
+    "z-eigen": ("largest Z-eigenvalue", _variational("max_z_eigenvalue"), _IO),
     "c-spectrum": ("every real C-eigenpair, certified",
-                   _spectrum(varspec.c_spectrum, "C-eigenpairs"), _IO),
+                   _spectrum("c_spectrum", "C-eigenpairs"), _IO),
     "z-spectrum": ("every real Z-eigenpair, certified",
-                   _spectrum(varspec.z_spectrum, "Z-eigenpairs"), _IO),
+                   _spectrum("z_spectrum", "Z-eigenpairs"), _IO),
     "invariants": ("the seven kernel invariants", _invariants, _IO),
     "decompose": ("eigenvector decomposition", _decompose, (*_IO, _tol(1e-8),
                   _arg("--side", choices=("right", "left", "central"), default="right"))),

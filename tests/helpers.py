@@ -3,12 +3,30 @@
 Contractions are re-derived with naive Python index loops, spectra with
 numpy's LAPACK-backed SVD/eigh, and the variational maxima with a
 derivative-free Fibonacci-sphere grid plus cap zooming.  None of these
-share code with the implementations they check.
+share code with the implementations they check.  ``run_python`` starts
+a fresh interpreter on this checkout's ``src``, for checks of what a
+process imports.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a child that imports tritensor from ``SRC``;
+    raises unless it exits 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True)
 
 
 def random_hyper3(seed: int, scale: float = 1.0) -> np.ndarray:

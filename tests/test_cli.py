@@ -7,7 +7,7 @@ import pytest
 import tritensor as tt
 from tritensor.cli import SUBCOMMANDS, run
 
-from helpers import random_hyper3
+from helpers import random_hyper3, run_python
 from test_varspec import _near_circle
 
 
@@ -45,8 +45,12 @@ WIRED = {
 }
 
 
-@pytest.mark.parametrize("command", SUBCOMMANDS)
-def test_every_subcommand_runs_in_both_modes(command, tmp_path, capsys):
+# the subcommands whose report runs a variational solver
+SOLVING = ("singular", "c-eigen", "z-eigen", "c-spectrum", "z-spectrum", "invariance-check")
+
+
+def wired_argv(command, tmp_path) -> list[str]:
+    """``command`` and its WIRED tail, with the input files written under ``tmp_path``."""
     paths = {
         "{eps}": write_tensor(tmp_path / "eps.json", tt.levi_civita()),
         "{sym}": write_tensor(tmp_path / "sym.json", tt.make_fixture("symmetric", 7)),
@@ -55,7 +59,12 @@ def test_every_subcommand_runs_in_both_modes(command, tmp_path, capsys):
     }
     v = tt.contract_one(tt.levi_civita(), np.array([0.3, -1.2, 0.8]), 1)
     Path(paths["{matrix}"]).write_text(json.dumps(v.tolist()))
-    argv = [command, *(paths.get(arg, arg) for arg in WIRED[command])]
+    return [command, *(paths.get(arg, arg) for arg in WIRED[command])]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_runs_in_both_modes(command, tmp_path, capsys):
+    argv = wired_argv(command, tmp_path)
     assert run(argv) == 0
     assert capsys.readouterr().out
     assert run(argv + ["--json"]) == 0
@@ -345,6 +354,35 @@ def test_byte_identical_reports(eps_file, capsys):
     third = capsys.readouterr().out
     assert run(["l-eigen", eps_file]) == 0
     assert third == capsys.readouterr().out
+
+
+def test_only_the_solving_subcommands_load_varspec(tmp_path):
+    # a process that runs every closed-form subcommand never imports
+    # varspec; the star import then loads it through the package's lazy
+    # __all__ and binds every public name
+    closed = [command for command in SUBCOMMANDS if command not in SOLVING]
+    assert closed == ["classify", "kernel", "l-eigen", "l-inverse", "recover", "invariants",
+                      "decompose", "nullspace", "fixture"]
+    argvs = [wired_argv(command, tmp_path) for command in closed]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from tritensor.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [run(argv) for argv in {argvs!r}]\n"
+        "loaded = 'tritensor.varspec' in sys.modules\n"
+        "from tritensor import *\n"
+        "import tritensor\n"
+        "unbound = [n for n in tritensor.__all__ if globals().get(n) is not getattr(tritensor, n)]\n"
+        "print(json.dumps([codes, loaded, len(tritensor.__all__), unbound]))\n"
+    )
+    assert json.loads(run_python("-c", code).stdout) == [[0] * len(closed), False, 65, []]
+    # a solving subcommand's process logs the import, so that a profile
+    # of it counts varspec as a module of its own
+    sym = wired_argv("z-eigen", tmp_path)[1]
+    proc = run_python("-X", "importtime", "-m", "tritensor", "z-eigen", sym, "--json")
+    assert json.loads(proc.stdout)["method"] == "enumerated"
+    assert any(line.split("|")[-1].strip() == "tritensor.varspec"
+               for line in proc.stderr.splitlines() if line.startswith("import time:"))
 
 
 def test_stdin_input(eps_file, monkeypatch, capsys, tmp_path):

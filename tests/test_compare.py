@@ -3,8 +3,8 @@
 It runs the script's per-case helpers on a few inputs, so a library
 change that breaks a hook the script uses (the SVD and enumeration
 memos' ``cache_clear``, ``varspec._bounded``, ``core._scaled``, the
-library errors, the CLI's ``run``) fails here rather than at the next
-measurement.
+library errors, the CLI's ``run``, the modules a CLI process imports)
+fails here rather than at the next measurement.
 """
 
 import importlib
@@ -116,3 +116,36 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monke
         for key, tt in trees.items()
     ]
     assert hashes[0] == hashes[1]
+
+
+def test_compare_cli_part_times_cold_processes_of_both_trees(compare, monkeypatch, tmp_path):
+    twin = compare.load_tree(ROOT / "src" / "tritensor", TWINS["parent"])
+    tensor = compare.cli_tensor_file(twin, tmp_path / "cli")
+    monkeypatch.setattr(compare, "CLI_SUBCOMMANDS", (("z-eigen", "--json"),
+                                                     ("l-inverse", "--json", "--out")))
+    sources = {"parent": ROOT / "src", "change": ROOT / "src"}
+    part = compare.cli_processes(sources, tensor, processes=1)
+    assert (part["processes"], set(part["subcommands"]), part["equal"]) == (
+        1, {"z-eigen", "l-inverse"}, True
+    )
+    for sub, stats in part["subcommands"].items():
+        assert stats["identical"]
+        modules = stats["modules_us"]["change"]
+        assert ("tritensor.varspec" in modules) == (sub == "z-eigen")
+        assert {"tritensor", "tritensor.cli"} <= set(modules)
+        assert stats["change"]["tritensor_import_us"] == sum(modules.values())
+        assert stats["change"]["process_ms"] > 0.0
+    assert "tritensor.varspec" in part["modules_us"]["parent"]
+    assert not list(tensor.parent.glob("out.json"))  # each --out file is read and deleted
+
+    # a byte that differs between the trees clears "equal"; output that
+    # varies between one tree's processes stops the run
+    sources = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    monkeypatch.setattr(compare, "run_cli", lambda src, argv, work: (1, {}, src.name.encode()))
+    monkeypatch.setattr(compare, "CLI_SUBCOMMANDS", (("l-inverse", "--json", "--out"),))
+    part = compare.cli_processes(sources, tensor, processes=2)
+    assert (part["subcommands"]["l-inverse"]["identical"], part["equal"]) == (False, False)
+    outputs = iter([b"a", b"a", b"b"])
+    monkeypatch.setattr(compare, "run_cli", lambda src, argv, work: (1, {}, next(outputs)))
+    with pytest.raises(RuntimeError, match="varies between processes"):
+        compare.cli_processes(sources, tensor, processes=2)

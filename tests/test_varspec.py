@@ -1,8 +1,6 @@
 import importlib.util
 import itertools
 import math
-import os
-import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -18,7 +16,7 @@ from tritensor.errors import (
 )
 from tritensor.symmetry import FIXTURE_CLASSES, _swap_symmetric
 
-from helpers import oracle_eta1, oracle_mu1, oracle_nu1, random_hyper3, random_vec
+from helpers import oracle_eta1, oracle_mu1, oracle_nu1, random_hyper3, random_vec, run_python
 
 ZERO = np.zeros((3, 3, 3))
 
@@ -334,24 +332,33 @@ def test_z_eigen_rank_two_has_a_multiple_root():
     assert abs(triple.value - oracle_nu1(a)) <= 1e-6
 
 
-def test_z_eigen_imports_neither_numpy_random_nor_numpy_fft():
-    # the CLI process pays for every import: the enumerations use neither
-    # module (numpy 2.4 imports both lazily)
+def test_solvers_load_varspec_on_first_use_without_numpy_random_or_fft():
+    # the CLI process pays for every import: the package loads varspec on
+    # the first lookup of one of its names, so the closed-form layers run
+    # without it, and the enumerations use neither numpy.random nor
+    # numpy.fft (numpy 2.4 imports both lazily)
     entries = np.asarray(tt.make_fixture("symmetric", 7)).tolist()
     right = np.asarray(tt.make_fixture("right_symmetric", 7)).tolist()
     code = (
         "import sys, tritensor\n"
+        "loaded = ['tritensor.varspec' in sys.modules]\n"
+        f"tritensor.classify({entries!r})\n"
+        f"tritensor.l_eigen({entries!r})\n"
+        "loaded.append('tritensor.varspec' in sys.modules)\n"
         f"methods = [tritensor.max_z_eigenvalue({entries!r}).method,\n"
         f"           tritensor.max_c_eigenvalue({right!r}).method]\n"
-        "print(*methods, 'numpy.random' in sys.modules, 'numpy.fft' in sys.modules)\n"
+        "loaded += ['tritensor.varspec' in sys.modules, 'max_z_eigenvalue' in vars(tritensor)]\n"
+        "try:\n"
+        "    tritensor.no_such_name\n"
+        "except AttributeError:\n"
+        "    loaded.append('AttributeError')\n"
+        "print(*loaded, *methods, 'numpy.random' in sys.modules, 'numpy.fft' in sys.modules)\n"
     )
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.split() == ["enumerated", "enumerated", "False", "False"]
+    out = run_python("-c", code).stdout
+    assert out.split() == [
+        "False", "False", "True", "True", "AttributeError", "enumerated", "enumerated",
+        "False", "False",
+    ]
 
 
 # ---------------------------------------------------------------------------

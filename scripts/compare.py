@@ -2,14 +2,16 @@
 
 Loads ``src/tritensor`` of a git revision (``--parent``) and of the
 working tree into one process, as the modules ``parent`` and ``change``,
-and reports seven parts:
+and reports eight parts:
 
 - ``closed_form_golden``: one sha256 per tree over the fixtures of every
   class, the rotations, the ``classify`` verdicts and the
   ``eig_decompose_partial`` results, the numeric closed-form layers (or
   the errors they raise) on the fixtures and on Gaussian tensors at norms
-  from 1e-40 to 1e160, and the CLI's ``fixture``, ``classify`` and
-  ``decompose`` reports, fed through standard input;
+  from 1e-40 to 1e160, the CLI's ``fixture``, ``classify`` and
+  ``decompose`` reports, fed through standard input, and the exit code,
+  standard output and standard error of the ``parser_cases``, which stop
+  in the parser: help, usage and errors;
 - ``solver_golden``: the 2420 singular, 2420 C and 2220 Z solves of
   acceptance criteria 4 and 6 compared by value, since the enumerations
   find eta_1, mu_1 and nu_1 of these tensors without iterating: equal
@@ -54,7 +56,15 @@ and reports seven parts:
   either tree.  Per subcommand and tree: the ``tritensor`` modules the
   process imports with each one's fastest self time, their sum, and the
   fastest whole-process wall time; and whether the exit code, standard
-  output and ``l-inverse --out`` file are byte-identical between trees.
+  output and ``l-inverse --out`` file are byte-identical between trees;
+- ``cli_run``: the same six subcommands on the same file run in this
+  process through each tree's ``cli.run``, the fastest of 41 runs per
+  subcommand and tree, with the tree that goes first alternating; and
+  whether the exit code, standard output, standard error and ``--out``
+  file are byte-identical between trees.  The library's memos are not
+  cleared, so after the first round ``singular`` and ``z-eigen`` read
+  their enumeration from the memo, and the lap times the CLI's own work:
+  parsing, reading, the closed-form layers, formatting and writing.
 
 The parent tree builds the lap inputs.  The trees take turns call by
 call and the one that goes first alternates, so a slow phase of the host
@@ -62,11 +72,11 @@ falls on both; a case whose output (for a solve, its triples) varies
 between rounds stops the run.  Equal hashes mean both trees return the
 same bits.  The report is printed and written to ``--out``, and then the
 exit code is 1 if the closed-form golden or a layer hash differs, any
-value fell, fallback and bounded solves included, or a CLI output
-differs; the solve hashes are reported, not gated.  Run from the
-repository root, with BLAS on one thread::
+value fell, fallback and bounded solves included, or a CLI output, in a
+process or in this one, differs; the solve hashes are reported, not
+gated.  Run from the repository root, with BLAS on one thread::
 
-    python scripts/compare.py --parent HEAD~1 --out BENCH_21.json
+    python scripts/compare.py --parent HEAD~1 --out BENCH_22.json
 """
 
 from __future__ import annotations
@@ -128,6 +138,10 @@ CLI_SUBCOMMANDS = (
     ("l-inverse", "--json", "--out"),
 )
 CLI_PROCESSES = 20
+CLI_RUNS = 41
+# argument lists whose first word names no subcommand; ``parser_cases``
+# adds three per subcommand
+PARSER_CASES = ([], ["-h"], ["--help"], ["bogus"], ["--json", "classify"])
 _now = time.perf_counter_ns
 
 
@@ -214,6 +228,13 @@ def _run(cli, argv: list[str], stdin: str = "") -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def parser_cases(cli) -> list[list[str]]:
+    """``PARSER_CASES``, then per subcommand its help, its missing
+    arguments and an unknown option."""
+    tails = (["-h"], [], ["t.json", "--bogus"])
+    return [*PARSER_CASES, *([sub, *tail] for sub in cli.SUBCOMMANDS for tail in tails)]
+
+
 def _cli_records(tt, cli):
     for klass in ("levi-civita", *(k.replace("_", "-") for k in tt.FIXTURE_CLASSES)):
         for seed in range(3):
@@ -222,6 +243,8 @@ def _cli_records(tt, cli):
             yield json.dumps([argv, result])
             for report in REPORTS:
                 yield json.dumps([report, _run(cli, report, tensor)])
+    for argv in parser_cases(cli):
+        yield json.dumps([argv, _run(cli, argv)])
 
 
 def closed_form_golden(tt, cli) -> str:
@@ -577,6 +600,37 @@ def run_cli(src: Path, argv: list[str], work: Path) -> tuple[int, dict, tuple]:
     return ns, import_self_us(proc.stderr.decode()), (proc.returncode, proc.stdout, written)
 
 
+def run_in_process(cli, sub: tuple, tensor: Path) -> tuple[tuple[int], tuple]:
+    """((ns,), output) of one ``cli.run`` of the ``CLI_SUBCOMMANDS`` entry
+    ``sub`` on ``tensor``; the output is the exit code, the standard output
+    and error and the bytes of the ``--out`` file."""
+    out = tensor.parent / "run-out.json"
+    argv = [sub[0], str(tensor), *sub[1:]]
+    if argv[-1] == "--out":
+        argv.append(str(out))
+    t0 = _now()
+    result = _run(cli, argv)
+    ns = _now() - t0
+    written = out.read_bytes() if out.exists() else b""
+    out.unlink(missing_ok=True)
+    return (ns,), (*result, written)
+
+
+def cli_runs(clis: dict, tensor: Path, rounds: int = CLI_RUNS) -> dict:
+    """Per ``CLI_SUBCOMMANDS`` entry and tree (its ``cli`` module under
+    ``clis[tree]``): the fastest in-process ``run``, and whether both trees
+    print and write the same bytes."""
+    best, outputs = fastest(clis, CLI_SUBCOMMANDS, [tensor], rounds, run_in_process)
+    stats = compared({
+        sub[0]: {n: {"run_us": round(best[n][sub][0][0] / 1e3, 1)} for n in clis}
+        for sub in CLI_SUBCOMMANDS
+    })
+    for sub in CLI_SUBCOMMANDS:
+        stats[sub[0]]["identical"] = outputs["parent"][sub] == outputs["change"][sub]
+    return {"rounds": rounds, "subcommands": stats,
+            "equal": all(stats[sub]["identical"] for sub in stats)}
+
+
 def cli_processes(sources: dict, tensor: Path, processes: int = CLI_PROCESSES) -> dict:
     """Per subcommand of ``CLI_SUBCOMMANDS`` and tree (its package under
     ``sources[tree]``): the fastest self time of each ``tritensor`` module
@@ -635,6 +689,7 @@ def main(argv=None) -> int:
         }
         clis = {name: importlib.import_module(f"{name}.cli") for name in trees}
         tensor = cli_tensor_file(trees["parent"], Path(tmp) / "cli")
+        cli_run = cli_runs(clis, tensor)
         cli = cli_processes({"parent": parent_pkg.parent, "change": ROOT / "src"}, tensor)
     parent_rev = subprocess.run(
         ["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
@@ -666,7 +721,8 @@ def main(argv=None) -> int:
     }
     report.update(golden)
     report["cli"] = cli
-    report["equal"] = all(part["equal"] for part in (*golden.values(), cli)) and all(
+    report["cli_run"] = cli_run
+    report["equal"] = all(part["equal"] for part in (*golden.values(), cli, cli_run)) and all(
         report["layers"]["laps"][layer]["sha256_equal"] for layer in LAYERS
     )
     text = json.dumps(report, indent=2)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -57,8 +58,8 @@ def _require_number(value, where: str) -> float:
     try:
         out = float(value)
     except OverflowError:  # an integer beyond the float64 range
-        out = np.inf
-    if not np.isfinite(out):
+        out = math.inf
+    if not math.isfinite(out):
         raise ValidationError(f"{where}: entries must be finite")
     return out
 
@@ -320,7 +321,7 @@ def _checked(convert, accept, what: str):
 
 _COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
-_TOLERANCE = _checked(float, lambda v: np.isfinite(v) and v > 0.0, "finite and > 0")
+_TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
 
 
 def _arg(*flags, **kwargs):
@@ -338,9 +339,9 @@ _IO = (
 )
 _SEED_ARG = _arg("--seed", type=_SEED, default=0)
 
-# name -> (help, report function, arguments).  run() builds the parser from
-# this table, reads the tensor of every subcommand that takes one, calls
-# the report function and writes its report through _emit.
+# name -> (help, report function, arguments).  run() builds the parser of
+# its subcommand from this table, reads the tensor of every subcommand that
+# takes one, calls the report function and writes its report through _emit.
 _COMMANDS = {
     "classify": ("symmetry classification", _classify, (*_IO, _tol(1e-10))),
     "kernel": ("kernel tensor A A^T", _kernel, _IO),
@@ -372,24 +373,38 @@ _COMMANDS = {
 SUBCOMMANDS = tuple(_COMMANDS)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    Built for one subcommand, the top-level usage still names all of them,
+    so that it prints the same usage and errors as the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="tritensor",
         description="Third-order tensor toolkit: symmetry classes, kernel, "
         "L-eigenvalues, L-inverse, variational eigenvalues and invariants.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, _, arguments) in _COMMANDS.items():
-        sub = subs.add_parser(command, help=help_text)
+    # a metavar would also rename the full parser's "argument command:" errors
+    every = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, _, arguments = _COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
         for flags, kwargs in arguments:
             sub.add_argument(*flags, **kwargs)
     return parser
 
 
 def run(argv=None) -> int:
-    """Parse argv, execute one subcommand and return the exit code."""
+    """Parse argv, execute one subcommand and return the exit code.
+
+    The top-level parser takes no option but -h, so a subcommand can only
+    be argv[0]; where it is one, only its parser is built.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     report = _COMMANDS[args.command][1]

@@ -11,7 +11,7 @@ do not depend on the tensor's scale anywhere in the float64 range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import cache, partial
 from itertools import permutations
 
@@ -49,7 +49,7 @@ class SymmetryReport:
     tol: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 # The index swaps that define the classes, as axis permutations: ``a`` is

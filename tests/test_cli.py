@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import tritensor as tt
-from tritensor.cli import SUBCOMMANDS, run
+from tritensor.cli import SUBCOMMANDS, build_parser, run
 
 from helpers import random_hyper3, run_python
 from test_varspec import _near_circle
@@ -246,6 +247,24 @@ def test_bad_files_exit_2(case, eps_file, tmp_path, capsys):
     assert f"ValidationError: {path}" in err
 
 
+@pytest.mark.parametrize(
+    "literal", ["Infinity", "-Infinity", "NaN", "1e400", "9" * 400],
+    ids=["Infinity", "-Infinity", "NaN", "1e400", "400-digits"],
+)
+def test_non_finite_entries_exit_2(literal, tmp_path, capsys):
+    # Python's json reads Infinity and NaN; 1e400 reads as inf, and a
+    # 400-digit integer overflows float
+    entries = np.zeros((3, 3, 3)).tolist()
+    entries[0][1][2] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 3, "order": 3, "entries": entries}).replace('"@"', literal))
+    assert run(["classify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"ValidationError: {path}: entries[0][1][2]: entries must be finite\n"
+    )
+
+
 def test_unrepresentable_invariants_exit_2(tmp_path, capsys):
     huge = write_tensor(tmp_path / "huge.json", 1e60 * random_hyper3(1))
     assert run(["invariants", huge]) == 2
@@ -428,3 +447,54 @@ def test_solvers_take_no_search_settings(flag, eps_file, capsys):
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
     assert run(["invariance-check", eps_file, "--restarts", "1"]) == 2
     assert "unrecognized arguments: --restarts 1" in capsys.readouterr().err
+
+
+# argument lists that stop in the parser: help, usage and errors
+PARSER_CASES = [
+    [], ["-h"], ["--help"], ["bogus"], ["--json", "classify"],
+    *([command, *tail] for command in SUBCOMMANDS for tail in (["-h"], [], ["t.json", "--bogus"])),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_run_prints_what_the_full_parser_prints(argv, capsys):
+    # run builds the parser of argv[0] alone where that names a subcommand
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        full = exc.code, *capsys.readouterr()
+    assert (run(argv), *capsys.readouterr()) == full
+
+
+@pytest.fixture()
+def subparsers_built(monkeypatch):
+    """A list that grows by one name per subparser built."""
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return built
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_run_builds_only_the_named_subcommand(command, subparsers_built, capsys):
+    assert run([command, "-h"]) == 0
+    assert subparsers_built == [command]
+    subparsers_built.clear()
+    assert run(["-h"]) == 0
+    assert subparsers_built == list(SUBCOMMANDS)
+
+
+def test_run_reads_sys_argv_by_default(eps_file, subparsers_built, monkeypatch, capsys):
+    argv = ["classify", eps_file, "--json"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    subparsers_built.clear()
+    monkeypatch.setattr("sys.argv", ["tritensor", *argv])
+    assert run() == 0
+    assert capsys.readouterr().out == expected
+    assert subparsers_built == ["classify"]

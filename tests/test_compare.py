@@ -10,8 +10,10 @@ fails here rather than at the next measurement.
 import importlib
 import importlib.util
 import itertools
+import json
 import os
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -149,3 +151,45 @@ def test_compare_cli_part_times_cold_processes_of_both_trees(compare, monkeypatc
     monkeypatch.setattr(compare, "run_cli", lambda src, argv, work: (1, {}, next(outputs)))
     with pytest.raises(RuntimeError, match="varies between processes"):
         compare.cli_processes(sources, tensor, processes=2)
+
+
+def test_compare_hashes_parser_output_and_times_in_process_runs(compare, monkeypatch, tmp_path):
+    trees = {key: compare.load_tree(ROOT / "src" / "tritensor", name) for key, name in TWINS.items()}
+    clis = {key: importlib.import_module(f"{name}.cli") for key, name in TWINS.items()}
+    cases = compare.parser_cases(clis["change"])
+    assert len(cases) == len(compare.PARSER_CASES) + 3 * len(clis["change"].SUBCOMMANDS)
+    # with no report and no fixture class, the CLI records are the three
+    # Levi-Civita fixtures and then the parser cases
+    monkeypatch.setattr(compare, "REPORTS", ())
+    bare = types.SimpleNamespace(FIXTURE_CLASSES=())
+    records = {key: list(compare._cli_records(bare, cli)) for key, cli in clis.items()}
+    assert records["parent"] == records["change"]
+    assert [json.loads(r)[0] for r in records["change"][3:]] == cases
+    for record in records["change"][3:]:
+        argv, (code, out, err) = json.loads(record)
+        helped = "-h" in argv or "--help" in argv
+        assert code == (0 if helped else 2)
+        assert (out if helped else err).startswith("usage: tritensor")
+    assert json.loads(records["change"][-1])[1][2].endswith(
+        "tritensor: error: unrecognized arguments: --bogus\n"
+    )
+
+    tensor = compare.cli_tensor_file(trees["parent"], tmp_path / "cli")
+    part = compare.cli_runs(clis, tensor, rounds=1)
+    assert (part["rounds"], part["equal"]) == (1, True)
+    assert list(part["subcommands"]) == [sub[0] for sub in compare.CLI_SUBCOMMANDS]
+    for stats in part["subcommands"].values():
+        assert stats["identical"] and stats["change"]["run_us"] > 0.0
+    # the --out file is part of the output, read and deleted after each run
+    _, out = compare.run_in_process(clis["change"], ("l-inverse", "--json", "--out"), tensor)
+    assert out[:3] == (0, "", "") and json.loads(out[3])["name"] == "t-l-inverse"
+    assert not list(tensor.parent.glob("run-out.json"))
+    # a byte that differs between the trees clears "equal"; output that
+    # varies between one tree's runs stops the run
+    monkeypatch.setattr(compare, "run_in_process", lambda cli, sub, tensor: ((1,), cli.__name__))
+    part = compare.cli_runs(clis, tensor, rounds=2)
+    assert (part["subcommands"]["classify"]["identical"], part["equal"]) == (False, False)
+    outputs = itertools.count()
+    monkeypatch.setattr(compare, "run_in_process", lambda cli, sub, tensor: ((1,), next(outputs)))
+    with pytest.raises(RuntimeError, match="varies between rounds"):
+        compare.cli_runs(clis, tensor, rounds=2)

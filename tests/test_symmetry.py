@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,14 @@ def test_classify_generic_tensor_everything_false():
         if key == "tol":
             continue
         assert value is False, key
+
+
+@pytest.mark.parametrize("a", [np.zeros((3, 3, 3)), random_hyper3(123), tt.levi_civita()])
+def test_report_as_dict_matches_dataclasses_asdict(a):
+    # the same keys in the same order, with the same values, and a new dict each call
+    rep = tt.classify(a, 1e-9)
+    assert list(rep.as_dict().items()) == list(dataclasses.asdict(rep).items())
+    assert rep.as_dict() is not rep.as_dict()
 
 
 @pytest.mark.parametrize("klass", FIXTURE_CLASSES)

@@ -56,12 +56,15 @@ and reports eight parts:
   either tree.  Per subcommand and tree: the ``tritensor`` modules the
   process imports with each one's fastest self time, their sum, and the
   fastest whole-process wall time; and whether the exit code, standard
-  output and ``l-inverse --out`` file are byte-identical between trees;
+  output and ``l-inverse --out`` file are byte-identical between trees,
+  and where they are not, the largest relative difference over the
+  numeric leaves of the JSON that differs, with the path of its leaf;
 - ``cli_run``: the same six subcommands on the same file run in this
   process through each tree's ``cli.run``, the fastest of 41 runs per
   subcommand and tree, with the tree that goes first alternating; and
   whether the exit code, standard output, standard error and ``--out``
-  file are byte-identical between trees.  The library's memos are not
+  file are byte-identical between trees, with the same largest relative
+  difference where they are not.  The library's memos are not
   cleared, so after the first round ``singular`` and ``z-eigen`` read
   their enumeration from the memo, and the lap times the CLI's own work:
   parsing, reading, the closed-form layers, formatting and writing.
@@ -76,7 +79,7 @@ value fell, fallback and bounded solves included, or a CLI output, in a
 process or in this one, differs; the solve hashes are reported, not
 gated.  Run from the repository root, with BLAS on one thread::
 
-    python scripts/compare.py --parent HEAD~1 --out BENCH_22.json
+    python scripts/compare.py --parent HEAD~1 --out BENCH_23.json
 """
 
 from __future__ import annotations
@@ -581,6 +584,53 @@ def import_self_us(stderr: str) -> dict[str, int]:
     return times
 
 
+def _leaf_gap(before, after, path: str = "") -> tuple[float, str] | None:
+    """The largest |a - b| / max(|a|, |b|) over the numeric leaves of two
+    parsed JSON documents and the path of its leaf (the first such), or
+    None unless they have one shape and their other leaves are equal."""
+    numbers = [isinstance(v, (int, float)) and not isinstance(v, bool) for v in (before, after)]
+    if all(numbers):
+        top = max(abs(before), abs(after))
+        return (abs(after - before) / top if top else 0.0), path
+    if any(numbers) or type(before) is not type(after):
+        return None
+    if isinstance(before, dict):
+        if before.keys() != after.keys():
+            return None
+        leaves = [(f"{path}.{key}" if path else key, before[key], after[key]) for key in before]
+    elif isinstance(before, list):
+        if len(before) != len(after):
+            return None
+        leaves = [(f"{path}[{i}]", b, c) for i, (b, c) in enumerate(zip(before, after))]
+    else:
+        return (0.0, path) if before == after else None
+    gaps = [_leaf_gap(b, c, where) for where, b, c in leaves]
+    return None if None in gaps else max(gaps, key=lambda gap: gap[0], default=(0.0, path))
+
+
+def json_gap(before: tuple, after: tuple) -> tuple[float, str] | None:
+    """``_leaf_gap`` over the parts of two CLI outputs (the exit code, then
+    texts or bytes) that differ, or None where such a part is not JSON of
+    one shape with equal other leaves."""
+    gaps = [(0.0, "")]
+    for b, c in zip(before, after):
+        if b != c:
+            try:
+                gaps.append(_leaf_gap(json.loads(b), json.loads(c)))
+            except (TypeError, ValueError):  # an exit code, or text that is not JSON
+                return None
+    return None if None in gaps else max(gaps, key=lambda gap: gap[0])
+
+
+def _differences(stats: dict, before: tuple, after: tuple) -> None:
+    """Record in ``stats`` whether two CLI outputs are identical and, where
+    they are not, their ``json_gap`` and its leaf (None, None if none)."""
+    stats["identical"] = before == after
+    if before != after:
+        gap = json_gap(before, after) or (None, None)
+        stats["max_relative_difference"], stats["max_relative_difference_at"] = gap
+
+
 def run_cli(src: Path, argv: list[str], work: Path) -> tuple[int, dict, tuple]:
     """(wall ns, ``import_self_us``, output) of one cold ``python -X
     importtime -m tritensor`` process on the package under ``src``, in the
@@ -626,7 +676,7 @@ def cli_runs(clis: dict, tensor: Path, rounds: int = CLI_RUNS) -> dict:
         for sub in CLI_SUBCOMMANDS
     })
     for sub in CLI_SUBCOMMANDS:
-        stats[sub[0]]["identical"] = outputs["parent"][sub] == outputs["change"][sub]
+        _differences(stats[sub[0]], outputs["parent"][sub][0], outputs["change"][sub][0])
     return {"rounds": rounds, "subcommands": stats,
             "equal": all(stats[sub]["identical"] for sub in stats)}
 
@@ -664,7 +714,7 @@ def cli_processes(sources: dict, tensor: Path, processes: int = CLI_PROCESSES) -
     })
     for sub in subs:
         stats[sub]["modules_us"] = {n: modules[n][sub] for n in names}
-        stats[sub]["identical"] = outputs["parent"][sub] == outputs["change"][sub]
+        _differences(stats[sub], outputs["parent"][sub], outputs["change"][sub])
     # each module's fastest self time over every process of the tree
     fastest_us = {n: {} for n in names}
     for n in names:

@@ -52,16 +52,21 @@ def _load_json(path: str):
         raise ValidationError(f"{path}: unreadable: {exc}") from None
 
 
-def _require_number(value, where: str) -> float:
+def _require_number(value, shown: str, index: tuple[int, ...]) -> float:
+    """``value`` as a finite float; the error names it as entries[i][j]..
+    at ``index`` of the file ``shown``, a label built only on rejection."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}: expected a number, got {value!r}")
-    try:
-        out = float(value)
-    except OverflowError:  # an integer beyond the float64 range
-        out = math.inf
-    if not math.isfinite(out):
-        raise ValidationError(f"{where}: entries must be finite")
-    return out
+        problem = f"expected a number, got {value!r}"
+    else:
+        try:
+            out = float(value)
+        except OverflowError:  # an integer beyond the float64 range
+            out = math.inf
+        if math.isfinite(out):
+            return out
+        problem = "entries must be finite"
+    path = "".join(f"[{i}]" for i in index)
+    raise ValidationError(f"{shown}: entries{path}: {problem}")
 
 
 # What to say when a nested list at depth d does not hold 3 items; the
@@ -79,8 +84,7 @@ def _read_entries(entries, shown: str, shape_errors: tuple[str, ...]) -> np.ndar
 
     def walk(node, index: tuple[int, ...]):
         if len(index) == len(shape_errors):
-            path = "".join(f"[{i}]" for i in index)
-            return _require_number(node, f"{shown}: entries{path}")
+            return _require_number(node, shown, index)
         if not isinstance(node, list) or len(node) != 3:
             raise ValidationError(f"{shown}: " + shape_errors[len(index)].format(*index))
         return [walk(item, (*index, i)) for i, item in enumerate(node)]

@@ -137,10 +137,6 @@ def _pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, :, None] * v[:, None, :]).reshape(len(u), 9)
 
 
-def _potential(m, s, slots):
-    return _dot(_pair(s[:, slots[1]], s[:, slots[2]]) @ m.T, s[:, slots[0]])
-
-
 @functools.lru_cache(maxsize=None)
 def _jacobian_weights(slots, k):
     """(i, W): G.flat[i] = a.ravel() @ W[:27] + W[27], and G = 0 elsewhere."""
@@ -171,35 +167,24 @@ def _jacobian_map(a, slots, k):
     return g.reshape(-1, 3 * k).T
 
 
-def _lagrange(jmap, s, f):
-    """The bordered Lagrange matrices and the residuals g - f s, flattened."""
+def _lagrange(jmap, s, f=None):
+    """One product with the Jacobian map at the (r, k, 3) states ``s``:
+    the bordered Lagrange matrices, the potentials f = s_0 . g_0 unless
+    given, the residuals g - f s, flattened, for the gradients
+    g = J s / 2, and the largest |g_b - f s_b| over the state blocks,
+    absolute."""
     r, k, _ = s.shape
     n = 3 * k
     sf = s.reshape(r, n)
     system = (sf @ jmap).reshape(r, n + k, n + k)
-    return system, 0.5 * np.matmul(system[:, :n, :n], sf[:, :, None])[:, :, 0] - f[:, None] * sf
+    g = 0.5 * np.matmul(system[:, :n, :n], sf[:, :, None])[:, :, 0]
+    if f is None:
+        f = _dot(sf[:, :3], g[:, :3])
+    res = g - f[:, None] * sf
+    return system, f, res, _norms(res.reshape(s.shape)).max(axis=1)
 
 
-def _residual(jmap, s, f):
-    """Largest |g_b - f s_b| over the state blocks, absolute."""
-    return _norms(_lagrange(jmap, s, f)[1].reshape(s.shape)).max(axis=1)
-
-
-def _newton(jmap, s, f):
-    """One Newton step per row on g_b(s) = lambda_b s_b, |s_b| = 1 over
-    the state blocks b, from the multipliers lambda_b = f; the new blocks
-    come back normalized."""
-    r, k, _ = s.shape
-    n = 3 * k
-    system, res = _lagrange(jmap, s, f)
-    system.reshape(r, -1)[:, : n * (n + k + 1) : n + k + 1] -= f[:, None]  # J - f I
-    rhs = np.zeros((r, n + k, 1))
-    np.negative(res, out=rhs[:, :n, 0])
-    step = np.linalg.solve(system, rhs)[:, :n, 0].reshape(r, k, 3)
-    return _unit(s + step, s)
-
-
-def _singular_signs(m, s):
+def _singular_signs(f, s):
     # x and y get their lead signs, z their product, which keeps the potential
     signs = np.empty((len(s), 3))
     signs[:, :2] = _lead_signs(s[:, :2].reshape(-1, 3)).reshape(-1, 2)
@@ -207,15 +192,15 @@ def _singular_signs(m, s):
     return signs
 
 
-def _c_signs(m, s):
+def _c_signs(f, s):
     signs = np.ones((len(s), 2))
     signs[:, 1] = _lead_signs(s[:, 1])
     return signs
 
 
-def _z_signs(m, s):
+def _z_signs(f, s):
     # the odd degree lets x flip to make the cubic form nonnegative
-    return np.where(_potential(m, s, (0, 0, 0)) < 0.0, -1.0, 1.0)[:, None]
+    return np.where(f < 0.0, -1.0, 1.0)[:, None]
 
 
 def _singular_lift(m, x):
@@ -229,8 +214,8 @@ def _c_lift(m, y):
 
 
 # per kind: the state block in x, y and z, the number of blocks, the sign
-# rule that makes a state canonical and the lift of unit rows v (x for
-# singular, y for C) to state blocks, m = a.reshape(3, 9)
+# rule that makes states s with potentials f canonical and the lift of unit
+# rows v (x for singular, y for C) to state blocks, m = a.reshape(3, 9)
 _KINDS = {
     "singular": ((0, 1, 2), 3, _singular_signs, _singular_lift),
     "c_eigen": ((0, 1, 1), 2, _c_signs, _c_lift),
@@ -373,8 +358,11 @@ def _bounded(a: np.ndarray):
 # bound its degree by (d + 1)^2 + d^2 (13 for Z, 25 for C), so its values at
 # the 16th (32nd) roots of unity, the first power of two above that, give
 # its coefficients through an inverse DFT.  Each real root t gives s through
-# the root of p at which |q| is smallest.  A kind states only g' and how a
-# unit v becomes its state blocks; everything else is shared.
+# the first subresultant R1 s + R0 of p and q in s, whose coefficients are
+# two (2d - 1)-square minors of the Sylvester matrix: where p and q share
+# one simple root, it is a multiple of s minus that root, so s = -R0 / R1.
+# A kind states only g' and how a unit v becomes its state blocks;
+# everything else is shared.
 
 # the chart rotations, fixed and generic; each serves where the ones
 # before it put an eigenvector at v'_1 = 0 or two at (nearly) one t
@@ -403,19 +391,22 @@ _CHARTS = (
 # each one's first-order error bound, under coefficient errors as large
 # as the largest of those above n (at least the rounding of ||c||), at most
 # _CONDITION times its distance to the nearest other root; every real
-# pair, after _POLISH_STEPS Newton steps, within _POLISHED ||A|| of the
-# defining equations, and no two of them merging.  On 3000 symmetrized
-# Gaussian tensors (default_rng(2026)) the Z elimination in the first chart
-# measured 3.2e-15, 1.8e-6, 2.6e-6 and 3.8e-16 at the worst; a root of
+# pair, after Newton steps that stop at the rounding floor _FLOOR ||A|| or
+# after _POLISH_STEPS, within _POLISHED ||A|| of the defining equations,
+# and no two of them merging.  On 3000 symmetrized Gaussian tensors
+# (default_rng(2026)) the Z elimination in the first chart measured
+# 3.2e-15, 1.8e-6, 2.6e-6 and 8.7e-16 at the worst; a root of
 # multiplicity k, which rounding splits by ~1e-15^(1/k), measured 0.7 to 25
 # against _CONDITION.  On 3000 right-symmetrized ones the C elimination
 # certified 2997 in the first chart, at worst 4.3e-15, 2.1e-8, 1.3e-4 and
-# 4.8e-16, and the other 3 in the second.
+# 2.0e-14 (one tensor, whose subresultant s started 8.7e-2 off; the next
+# worst 8.9e-16), and the other 3 in the second.
 _NOISE = 1e-11
 _LEAD = 1e-8
 _CONDITION = 1e-3
 _POLISHED = 1e-12
 _POLISH_STEPS = 3
+_FLOOR = 4 * _EPS
 
 
 @functools.cache
@@ -458,11 +449,14 @@ def _pq(kind: str, a: np.ndarray, chart: int) -> np.ndarray:
 
 
 @functools.cache
-def _sylvester_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The powers t^0 .. t^(d+1) at the roots of unity, and the rows of
-    the ``_pq_map`` grid that sit in the (2d + 1)-square Sylvester matrix
-    of p and q in s: rows s^d p .. p, then s^(d-1) q .. q; columns
-    s^(2d) .. s^0; the zero row elsewhere."""
+def _sylvester_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The powers t^0 .. t^(d+1) at the roots of unity, the rows of the
+    ``_pq_map`` grid that sit in the (2d + 1)-square Sylvester matrix of
+    p and q in s (rows s^d p .. p, then s^(d-1) q .. q; columns
+    s^(2d) .. s^0; the zero row elsewhere), and those of the two
+    (2d - 1)-square minors whose determinants are the coefficients R1 and
+    R0 of the first subresultant R1 s + R0 of p and q: without the rows
+    s^d p and s^(d-1) q, the columns s^(2d-1) .. s^2 and then s^1 or s^0."""
     n = 2 * d + 1
     # the first power of two above the degree bound (d + 1)^2 + d^2
     unity = _roots_of_unity(1 << ((d + 1) ** 2 + d * d).bit_length())[0]
@@ -471,7 +465,9 @@ def _sylvester_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
         cells[row, row:row + d + 1] = np.arange(d, -1, -1)
     for row in range(d):
         cells[d + 1 + row, row:row + d + 2] = np.arange(2 * d + 2, d, -1)
-    layout = (unity ** np.arange(d + 2)[:, None], cells)
+    kept = cells[np.r_[1:d + 1, d + 2:n], 1:]  # zero in column s^(2d)
+    layout = (unity ** np.arange(d + 2)[:, None], cells,
+              np.stack((kept[:, :-1], np.delete(kept, -2, axis=1))))
     for arr in layout:
         arr.setflags(write=False)
     return layout
@@ -479,26 +475,21 @@ def _sylvester_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _sylvester(pq: np.ndarray) -> np.ndarray:
     """The Sylvester matrices of p and q in s at the roots of unity."""
-    powers, cells = _sylvester_layout(len(pq[0]) - 2)
+    powers, cells, _ = _sylvester_layout(len(pq[0]) - 2)
     return (pq @ powers).T[:, cells]
 
 
-def _chart_points(pq: np.ndarray, chart: int, t: np.ndarray) -> np.ndarray:
+def _chart_points(pq: np.ndarray, chart: int, t: np.ndarray) -> np.ndarray | None:
     """Per real root t, the unit v on the chart line through (1, t, s), s
-    the root of p at which |q| is smallest."""
+    = -R0 / R1 the root of the first subresultant of p and q in s, which
+    at a common root of p and q is a multiple of s minus that root; or
+    None unless every s is finite."""
     d = len(pq[0]) - 2
     at_t = pq @ t ** np.arange(d + 2)[:, None]  # s^0 first
-    p, q = at_t[:d + 1], at_t[d + 1:-1]
-    companion = np.zeros((len(t), d * d))  # flattened, rows first
-    companion[:, :d] = (-p[d - 1::-1] / p[d]).T
-    companion[:, d::d + 1] = 1.0
-    s = np.linalg.eigvals(companion.reshape(-1, d, d)).T
-    at = np.zeros_like(s)  # |q(s)| by Horner's rule, as np.polyval runs it
-    for coef in q[::-1]:
-        at = at * s + coef
-    at = np.abs(at)
-    at[~np.isfinite(at)] = np.inf
-    s = s[at.argmin(axis=0), np.arange(len(t))].real
+    r1, r0 = np.linalg.det(at_t.T[:, _sylvester_layout(d)[2]]).T
+    s = -r0 / r1
+    if not np.isfinite(s).all():
+        return None
     v = np.concatenate((np.ones_like(t), t, s)).reshape(3, -1).T @ _CHARTS[chart]  # R^T v'
     return v / _norms(v)[:, None]
 
@@ -561,24 +552,35 @@ def _certified_roots(c: np.ndarray, degree: int) -> np.ndarray | None:
 def _polished(kind: str, a: np.ndarray, v: np.ndarray, steps: int = _POLISH_STEPS,
               bound: float | None = _POLISHED):
     """The ``kind`` pairs of the scaled tensor ``a`` at the unit rows
-    ``v``: the kind's lift of ``v`` to state blocks after ``steps``
-    Newton steps, with canonical signs, as (values, (n, k, 3) state
-    blocks, residuals relative to ||a||), or None unless every residual
-    is within ``bound`` (None: any, NaN included) or where a Newton system
-    is exactly singular."""
+    ``v``: the kind's lift of ``v`` to state blocks after at most
+    ``steps`` Newton steps, with canonical signs, as (values, (n, k, 3)
+    state blocks, residuals relative to ||a||), or None unless every
+    residual is within ``bound`` (None: any, NaN included) or where a
+    Newton system is exactly singular.  The steps stop once every
+    residual is at the rounding floor _FLOOR ||a||."""
     slots, k, signs, lift = _KINDS[kind]
-    m = a.reshape(3, 9)
+    n = 3 * k
     jmap = _jacobian_map(a, slots, k)
+    norm = core._frobenius(a)
     with np.errstate(all="ignore"):
         try:
-            state = lift(m, v)
-            for _ in range(steps):
-                state = _newton(jmap, state, _potential(m, state, slots))
+            state = lift(a.reshape(3, 9), v)
+            for i in range(steps + 1):
+                system, f, res, resid = _lagrange(jmap, state)
+                if i == steps or (resid <= _FLOOR * norm).all():
+                    break
+                # a Newton step on g_b = lambda_b s_b, |s_b| = 1 over the
+                # state blocks b, from the multipliers lambda_b = f: J - f I
+                system.reshape(len(f), -1)[:, : n * (n + k + 1) : n + k + 1] -= f[:, None]
+                rhs = np.zeros((len(f), n + k, 1))
+                np.negative(res, out=rhs[:, :n, 0])
+                step = np.linalg.solve(system, rhs)[:, :n, 0].reshape(state.shape)
+                state = _unit(state + step, state)
         except np.linalg.LinAlgError:  # an exactly singular system
             return None
-        state = state * signs(m, state)[:, :, None]
-        f = _potential(m, state, slots)
-        resid = _residual(jmap, state, f) / core._frobenius(a)
+        state = state * signs(f, state)[:, :, None]
+        _, f, _, resid = _lagrange(jmap, state)
+        resid = resid / norm
     if bound is not None and not (resid <= bound).all():
         return None
     return f, state, resid
@@ -594,13 +596,8 @@ def _chart_pairs(kind: str, a: np.ndarray, chart: int):
         pq = _pq(kind, a, chart)
         mats = _sylvester(pq)
         t = _certified_roots(_roots_of_unity(len(mats))[1] @ np.linalg.det(mats), d * d + d + 1)
-        if t is None or not len(t):
-            return None
-        try:
-            v = _chart_points(pq, chart, t)
-        except np.linalg.LinAlgError:  # a NaN
-            return None
-    pairs = _polished(kind, a, v)
+        v = None if t is None or not len(t) else _chart_points(pq, chart, t)
+    pairs = None if v is None else _polished(kind, a, v)
     if pairs is None:
         return None
     f, state, resid = pairs
@@ -660,15 +657,14 @@ def _certified(kind: str, source: str, a: np.ndarray, exp: int, perm=(0, 1, 2)):
     norm = core._frobenius(a)
     if source != kind:
         slots, k, signs, _ = _KINDS[kind]
-        m = a.reshape(3, 9)
         state = state[:, _lifted_blocks(kind, source, perm)]
-        state = state * signs(m, state)[:, :, None]
+        state = state * signs(f, state)[:, :, None]
         # a Z-eigenvalue is the potential at (v, v, v) on ``a`` itself up to
         # rounding, and taking it makes eta_1, mu_1 and nu_1 equal to the bit;
         # a C pair's tensor permutes the slots, so the potential is taken on ``a``
-        if source != "z_eigen":
-            f = _potential(m, state, slots)
-        resid = _residual(_jacobian_map(a, slots, k), state, f) / norm
+        jmap = _jacobian_map(a, slots, k)
+        _, f, _, resid = _lagrange(jmap, state, f if source == "z_eigen" else None)
+        resid = resid / norm
         if not resid[0] <= _POLISHED:
             return None
     resid = resid[0] * _unscaled_residual(norm, exp)
@@ -871,9 +867,11 @@ def z_spectrum(a: core.Hyper3) -> ZSpectrum:
     ``np.linalg.det``, gives the degree-7 polynomial in t through a
     constant inverse DFT matrix; one ``np.linalg.eigvals`` of its
     companion matrix (the one ``np.roots`` builds, with the same bits)
-    gives its roots, the root of p at which |q| is smaller gives s for
-    every real t, and 3 batched Newton steps on the bordered 4x4 system
-    polish all real candidates together.
+    gives its roots; at every real t, s = -R0 / R1 from the first
+    subresultant R1 s + R0 of p and q, two 3x3 minors of their Sylvester
+    matrix in one batched ``np.linalg.det``; and batched Newton steps on
+    the bordered 4x4 system polish all real candidates together until
+    every residual is at the rounding floor 4 eps ||A||, 3 at most.
 
     The result is certified: coefficients 8..15 of the determinant at
     most 1e-11 ||c|| (zero in exact arithmetic, so they measure its
@@ -902,10 +900,10 @@ def c_spectrum(a: core.Hyper3) -> CSpectrum:
     determinant of the cubic p = g'_2 - t g'_1 and the quartic
     q = g'_3 - s g'_1 in s at the 32nd roots of unity gives the
     degree-13 polynomial in t, whose companion matrix gives its roots as
-    for ``z_spectrum``, the root of p at which |q| is smallest
-    gives s for every real t, x = A y y / ||A y y||, and 3 batched Newton
+    for ``z_spectrum``; the first subresultant of p and q, two 5x5 minors,
+    gives s for every real t, x = A y y / ||A y y||, and batched Newton
     steps on the bordered 8x8 system in (x, y) polish all real candidates
-    together.
+    together, as for ``z_spectrum``.
 
     Certified as ``z_spectrum`` is, with coefficients 14..31 as the
     rounding and 13 simple roots.  Raises Uncertified when no chart

@@ -265,6 +265,35 @@ def test_non_finite_entries_exit_2(literal, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("kind", ["tensor", "matrix"])
+def test_entry_errors_name_the_entry_as_before(kind, tmp_path, capsys):
+    # the entries[i][j][k] label is built only when an entry is rejected;
+    # the messages are those of the label built for every entry
+    shape = (3, 3, 3) if kind == "tensor" else (3, 3)
+    bad = {None: "expected a number, got None", "1": "expected a number, got '1'",
+           True: "expected a number, got True", (1.0,): "expected a number, got [1.0]",
+           10**400: "entries must be finite", "@": "entries must be finite"}
+    eps = write_tensor(tmp_path / "eps.json", tt.levi_civita())
+    for n, (value, problem) in enumerate(bad.items()):
+        for index in ((0,) * len(shape), (2, 1, 0)[:len(shape)], (2,) * len(shape)):
+            entries = np.zeros(shape).tolist()
+            row = entries
+            for i in index[:-1]:
+                row = row[i]
+            row[index[-1]] = list(value) if isinstance(value, tuple) else value
+            path = tmp_path / f"bad{n}.json"
+            text = json.dumps({"dim": 3, "order": 3, "entries": entries} if kind == "tensor"
+                              else entries)
+            path.write_text(text.replace('"@"', "NaN"))
+            argv = (["classify", str(path)] if kind == "tensor"
+                    else ["recover", eps, "--matrix", str(path)])
+            assert run(argv) == 2
+            label = "".join(f"[{i}]" for i in index)
+            assert capsys.readouterr() == (
+                "", f"ValidationError: {path}: entries{label}: {problem}\n"
+            )
+
+
 def test_unrepresentable_invariants_exit_2(tmp_path, capsys):
     huge = write_tensor(tmp_path / "huge.json", 1e60 * random_hyper3(1))
     assert run(["invariants", huge]) == 2

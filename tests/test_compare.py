@@ -131,7 +131,7 @@ def test_compare_cli_part_times_cold_processes_of_both_trees(compare, monkeypatc
         1, {"z-eigen", "l-inverse"}, True
     )
     for sub, stats in part["subcommands"].items():
-        assert stats["identical"]
+        assert stats["identical"] and "max_relative_difference" not in stats
         modules = stats["modules_us"]["change"]
         assert ("tritensor.varspec" in modules) == (sub == "z-eigen")
         assert {"tritensor", "tritensor.cli"} <= set(modules)
@@ -147,10 +147,41 @@ def test_compare_cli_part_times_cold_processes_of_both_trees(compare, monkeypatc
     monkeypatch.setattr(compare, "CLI_SUBCOMMANDS", (("l-inverse", "--json", "--out"),))
     part = compare.cli_processes(sources, tensor, processes=2)
     assert (part["subcommands"]["l-inverse"]["identical"], part["equal"]) == (False, False)
+    stats = part["subcommands"]["l-inverse"]
+    assert stats["max_relative_difference"] is stats["max_relative_difference_at"] is None
+    # JSON that differs in a last-ulp number reports that difference
+    doc = {"value": 1.0, "x": [0.25, -0.5], "method": "enumerated"}
+    texts = {"parent": json.dumps(doc),
+             "change": json.dumps({**doc, "x": [0.25, -0.5000000000000001]})}
+    monkeypatch.setattr(compare, "run_cli",
+                        lambda src, argv, work: (1, {}, (0, texts[src.name].encode(), b"")))
+    part = compare.cli_processes(sources, tensor, processes=2)
+    stats = part["subcommands"]["l-inverse"]
+    assert (stats["identical"], part["equal"]) == (False, False)
+    assert stats["max_relative_difference"] == 2.0**-53 / 0.5000000000000001
+    assert stats["max_relative_difference_at"] == "x[1]"
     outputs = iter([b"a", b"a", b"b"])
     monkeypatch.setattr(compare, "run_cli", lambda src, argv, work: (1, {}, next(outputs)))
     with pytest.raises(RuntimeError, match="varies between processes"):
         compare.cli_processes(sources, tensor, processes=2)
+
+
+def test_json_gap_reads_numeric_leaves_only(compare):
+    doc = json.dumps({"a": [1, 2.0, {"b": -4.0}], "name": "t", "ok": True})
+    same = (0, doc, "", b"")
+    assert compare.json_gap(same, same) == (0.0, "")
+    # integers and floats compare by value, the largest relative difference wins
+    moved = doc.replace("-4.0", "-4.000000000000001").replace("2.0", "2")
+    gap = (4.000000000000001 - 4.0) / 4.000000000000001
+    assert compare.json_gap(same, (0, moved, "", b"")) == (gap, "a[2].b")
+    assert compare.json_gap((0, "[0, 0.0]"), (0, "[0.0, 1e-300]")) == (1.0, "[1]")
+    # the --out bytes are read as JSON too
+    assert compare.json_gap((0, "", b"[3.0]"), (0, "", b"[3.0000000000000004]"))[0] > 0.0
+    # another exit code, text that is not JSON, another string, key, length or type
+    for code, text in ((2, doc), (0, "usage"), (0, doc.replace('"t"', '"u"')),
+                       (0, doc.replace('"b"', '"c"')), (0, doc.replace("2.0, ", "")),
+                       (0, doc.replace("true", "1"))):
+        assert compare.json_gap(same, (code, text, "", b"")) is None
 
 
 def test_compare_hashes_parser_output_and_times_in_process_runs(compare, monkeypatch, tmp_path):
@@ -189,6 +220,7 @@ def test_compare_hashes_parser_output_and_times_in_process_runs(compare, monkeyp
     monkeypatch.setattr(compare, "run_in_process", lambda cli, sub, tensor: ((1,), cli.__name__))
     part = compare.cli_runs(clis, tensor, rounds=2)
     assert (part["subcommands"]["classify"]["identical"], part["equal"]) == (False, False)
+    assert part["subcommands"]["classify"]["max_relative_difference"] is None
     outputs = itertools.count()
     monkeypatch.setattr(compare, "run_in_process", lambda cli, sub, tensor: ((1,), next(outputs)))
     with pytest.raises(RuntimeError, match="varies between rounds"):

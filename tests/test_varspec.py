@@ -650,8 +650,8 @@ def _without(monkeypatch, *kinds):
 
 # eta_1 of make_fixture("symmetric", s) by the C route, lifted from the
 # best pair of its c_spectrum with the singular potential recomputed
-_C_ROUTE_ETA = ("0x1.e3f274e873236p+0", "0x1.32d4af8379411p+0",
-                "0x1.3ae10ec010fc5p+1", "0x1.08a6ecb7c2d49p+1")
+_C_ROUTE_ETA = ("0x1.e3f274e873237p+0", "0x1.32d4af8379411p+0",
+                "0x1.3ae10ec010fc5p+1", "0x1.08a6ecb7c2d4bp+1")
 
 
 def test_uncertified_z_falls_back_to_the_c_route_then_the_bound(monkeypatch):
@@ -792,6 +792,137 @@ def test_companion_roots_are_np_roots_bit_for_bit():
         got = varspec._roots(p)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     assert varspec._roots(polys[-4])[-1] == 0.0  # the zero constant coefficient
+
+
+def _chart_roots(kind, a, chart):
+    """The real roots t of the ``kind`` elimination of the scaled ``a`` in
+    ``chart`` with its grid pq, or None unless the root certificate holds."""
+    d = varspec._ELIMINATIONS[kind][0]
+    pq = varspec._pq(kind, a, chart)
+    mats = varspec._sylvester(pq)
+    c = varspec._roots_of_unity(len(mats))[1] @ np.linalg.det(mats)
+    return pq, varspec._certified_roots(c, d * d + d + 1)
+
+
+def _roots_of_p(pq, t):
+    """Per real root t, the roots of p in s, and the index of the one at
+    which |q| is smallest: the rule that the subresultant replaced."""
+    d = len(pq[0]) - 2
+    at_t = pq @ t ** np.arange(d + 2)[:, None]  # s^0 first
+    companion = np.zeros((len(t), d, d))
+    companion[:, 0] = (-at_t[d - 1::-1] / at_t[d]).T
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    s = np.linalg.eigvals(companion)
+    q = sum(at_t[d + 1 + i][:, None] * s**i for i in range(d + 2))
+    return s, np.abs(q).argmin(axis=1)
+
+
+def _chordal(a, b):
+    """The chordal distance of a and b on the projective line, where
+    s -> infinity is the chart's edge x'_1 = 0."""
+    return np.abs(a - b) / np.sqrt((1.0 + np.abs(a) ** 2) * (1.0 + np.abs(b) ** 2))
+
+
+def test_subresultant_s_picks_the_root_of_p_where_q_is_smallest():
+    # at the rounded t, p and q have no exact common root, and -R0 / R1
+    # strays up to ~2e-3 of the chordal way to p's nearest other root
+    # (~1e-5 for Z); Newton takes both starts to the same pairs
+    rng = np.random.default_rng(24)
+    roots = 0
+    for kind, project in (("z_eigen", _symmetrized), ("c_eigen", _right_symmetrized)):
+        for _ in range(200):
+            a = core._scaled(project(rng.standard_normal((3, 3, 3))), "Hyper3")[0]
+            for chart in range(3):
+                pq, t = _chart_roots(kind, a, chart)
+                if t is None or not len(t):
+                    continue
+                roots += len(t)
+                v = varspec._chart_points(pq, chart, t)
+                w = v @ varspec._CHARTS[chart].T
+                got = w[:, 2] / w[:, 0]
+                s, pick = _roots_of_p(pq, t)
+                rows = np.arange(len(t))
+                assert (np.abs(s - got[:, None]).argmin(axis=1) == pick).all()
+                old = s[rows, pick]
+                apart = _chordal(s, old[:, None])
+                gap = np.where(np.arange(s.shape[1]) == pick[:, None], np.inf, apart).min(axis=1)
+                assert (_chordal(got, old) <= 1e-2 * gap).all()
+                if chart == 0:
+                    u = np.stack((np.ones_like(t), t, old.real), axis=1) @ varspec._CHARTS[0]
+                    want = varspec._polished(kind, a, u / np.linalg.norm(u, axis=1)[:, None])
+                    pairs = varspec._polished(kind, a, v)
+                    scale = max(1.0, np.abs(want[0]).max())
+                    assert np.abs(pairs[0] - want[0]).max() <= 1e-14 * scale
+                    assert np.abs(pairs[1] - want[1]).max() <= 1e-12
+    assert roots > 7000
+
+
+def test_a_zero_leading_minor_fails_its_chart_without_raising(monkeypatch):
+    # p = s^2 and q = s^3 + c at every t: R1 = 0, so s = -R0 / R1 is
+    # infinite (c = 1) or NaN (c = 0, p divides q); the chart gives None
+    # before any polish, under the warnings-as-errors setting of the suite
+    a = core._scaled(tt.make_fixture("symmetric", 5), "Hyper3")[0]
+    assert varspec._chart_pairs("z_eigen", a, 0) is not None
+    polished = []
+    monkeypatch.setattr(varspec, "_polished", lambda *args: polished.append(args))
+    for c in (1.0, 0.0):
+        pq = np.zeros((8, 4))
+        pq[2, 0] = pq[6, 0] = 1.0
+        pq[3, 0] = c
+        monkeypatch.setattr(varspec, "_pq", lambda kind, a, chart: pq)
+        monkeypatch.setattr(varspec, "_certified_roots", lambda *args: np.array([0.5, -2.0]))
+        d = varspec._ELIMINATIONS["z_eigen"][0]
+        minors = np.linalg.det((pq @ 0.5 ** np.arange(d + 2))[varspec._sylvester_layout(d)[2]])
+        assert minors[0] == 0.0 and minors[1] == c
+        assert varspec._chart_pairs("z_eigen", a, 0) is None
+    assert polished == []
+
+
+@pytest.mark.parametrize("kind", sorted(varspec._KINDS))
+def test_polish_stops_at_the_rounding_floor(kind, monkeypatch):
+    # a start at the floor takes no Newton step; one 1e-5 off reaches the
+    # floor within the cap of _POLISH_STEPS steps
+    solve, solves = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    rng = np.random.default_rng(25)
+    for seed in range(5):
+        # the rows the kind lifts: the best x of the bound for singular,
+        # every y of the C and every v of the Z enumeration
+        if kind == "singular":
+            a = core._scaled(random_hyper3(seed), "Hyper3")[0]
+            v = varspec._bounded(a)[0][1][:, 0]
+        else:
+            a = core._scaled(tt.make_fixture("symmetric", seed), "Hyper3")[0]
+            v = varspec._pairs_of_bytes(kind, a.tobytes())[1][:, -1]
+        f, state, resid = varspec._polished(kind, a, v)
+        assert (resid <= varspec._FLOOR).all()  # relative to ||a||, as the floor
+        start = state[:, 0 if kind == "singular" else -1]
+        solves.clear()
+        again = varspec._polished(kind, a, start)
+        assert solves == [] and np.array_equal(again[1], state)
+        off = start + 1e-5 * rng.standard_normal(start.shape)
+        solves.clear()
+        got = varspec._polished(kind, a, off / np.linalg.norm(off, axis=1)[:, None])
+        assert 1 <= len(solves) <= varspec._POLISH_STEPS
+        assert (got[2] <= varspec._FLOOR).all()
+        assert np.abs(got[0] - f).max() <= 1e-14 * np.abs(f).max()
+
+
+def test_first_chart_certification_counts_are_unchanged():
+    # of the symmetrized and right-symmetrized Gaussian draws of
+    # default_rng(2026), the first chart certifies every Z elimination and
+    # all C ones but draws 285, 1093 and 1207, which the second certifies
+    # (3000 of each: 3000 and 2997, as before the subresultant s)
+    for kind, project, declined in (("z_eigen", _symmetrized, []),
+                                    ("c_eigen", _right_symmetrized, [285, 1093, 1207])):
+        rng = np.random.default_rng(2026)
+        first = []
+        for n in range(1250):
+            a = core._scaled(project(rng.standard_normal((3, 3, 3))), "Hyper3")[0]
+            if varspec._chart_pairs(kind, a, 0) is None:
+                first.append(n)
+                assert varspec._chart_pairs(kind, a, 1) is not None
+        assert first == declined
 
 
 def _old_lead_signs(rows):

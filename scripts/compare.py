@@ -17,8 +17,9 @@ and reports eight parts:
   find eta_1, mu_1 and nu_1 of these tensors without iterating: equal
   within 1e-12 * max(1, |value|), or listed under ``rose`` (a maximum
   the parent missed) or ``fell`` (a failure), with the count of each
-  ``method``, and one sha256 per tree over every solve's triple (or the
-  repr of the library error raised).  A solve's index runs over
+  ``method``, and one sha256 per tree over every solve's triple, in the
+  fields that both trees' triples have, or the repr of the library error
+  raised.  A solve's index runs over
   criterion 4's 20 fixtures x 101 orientations (unrotated first), then
   criterion 6's 200 symmetric fixtures, then (singular and C only) its
   200 right-side symmetric ones;
@@ -79,7 +80,7 @@ value fell, fallback and bounded solves included, or a CLI output, in a
 process or in this one, differs; the solve hashes are reported, not
 gated.  Run from the repository root, with BLAS on one thread::
 
-    python scripts/compare.py --parent HEAD~1 --out BENCH_23.json
+    python scripts/compare.py --parent HEAD~1 --out BENCH_24.json
 """
 
 from __future__ import annotations
@@ -176,9 +177,10 @@ def sha256_of(records) -> str:
     return digest.hexdigest()
 
 
-def record_of(out) -> bytes:
+def record_of(out, other=None) -> bytes:
     """The bits of one library result: the bytes of every array in it, or
-    the repr of the error raised."""
+    the repr of the error raised; where ``other``, the other tree's result,
+    is a dataclass too, a dataclass is read in the fields both have only."""
     if isinstance(out, Exception):
         return repr(out).encode()
     if isinstance(out, np.ndarray):
@@ -186,7 +188,8 @@ def record_of(out) -> bytes:
     if isinstance(out, (tuple, list)):
         return b"|".join(record_of(part) for part in out)
     if hasattr(out, "__dataclass_fields__"):
-        return record_of([getattr(out, name) for name in out.__dataclass_fields__])
+        names = getattr(other, "__dataclass_fields__", out.__dataclass_fields__)
+        return record_of([getattr(out, n) for n in out.__dataclass_fields__ if n in names])
     return repr(out).encode()
 
 
@@ -288,7 +291,8 @@ def outcomes(trees: dict, solves: list) -> dict:
 
 def by_value(out: dict) -> dict:
     """The ``outcomes`` of both trees compared by value, and one sha256 per
-    tree over their records."""
+    tree over their records, each of a triple over the fields that both
+    trees' triples of that solve have."""
     rose, fell, methods = [], [], {}
     for n, (before, after) in enumerate(zip(out["parent"], out["change"])):
         method = getattr(after, "method", type(after).__name__)
@@ -304,7 +308,9 @@ def by_value(out: dict) -> dict:
         else:
             up = isinstance(c, float)  # the change solves where the parent raised
         (rose if up else fell).append({"solve": n, "method": method, "parent": b, "change": c})
-    hashes = {n: sha256_of(map(record_of, outs)) for n, outs in out.items()}
+    parent, change = out["parent"], out["change"]
+    hashes = {"parent": sha256_of(map(record_of, parent, change)),
+              "change": sha256_of(map(record_of, change, parent))}
     return {"solves": len(out["change"]), "methods": methods, "rose": rose, "fell": fell,
             "equal": not fell, "sha256": hashes,
             "sha256_equal": hashes["parent"] == hashes["change"]}
@@ -631,38 +637,42 @@ def _differences(stats: dict, before: tuple, after: tuple) -> None:
         stats["max_relative_difference"], stats["max_relative_difference_at"] = gap
 
 
-def run_cli(src: Path, argv: list[str], work: Path) -> tuple[int, dict, tuple]:
-    """(wall ns, ``import_self_us``, output) of one cold ``python -X
-    importtime -m tritensor`` process on the package under ``src``, in the
-    directory ``work``; the output is the exit code, the standard output
-    and the bytes of the ``--out`` file."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
-    out = work / "out.json"
+def _cli_call(sub: tuple, tensor: Path, out_name: str, call) -> tuple[int, object, bytes]:
+    """(ns, result, bytes of the ``--out`` file) of one ``call(argv)`` of the
+    ``CLI_SUBCOMMANDS`` entry ``sub`` on ``tensor``; the ``--out`` file is
+    ``out_name`` beside ``tensor``, read and deleted afterwards."""
+    out = tensor.parent / out_name
+    argv = [sub[0], str(tensor), *sub[1:]]
     if argv[-1] == "--out":
-        argv = [*argv, str(out)]
+        argv.append(str(out))
     t0 = _now()
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "tritensor", *argv],
-                          cwd=work, env=env, capture_output=True)
+    result = call(argv)
     ns = _now() - t0
     written = out.read_bytes() if out.exists() else b""
     out.unlink(missing_ok=True)
-    return ns, import_self_us(proc.stderr.decode()), (proc.returncode, proc.stdout, written)
+    return ns, result, written
+
+
+def run_cli(src: Path, sub: tuple, tensor: Path) -> tuple[tuple[int, ...], tuple]:
+    """((wall ns, self us of each ``tritensor`` module), output) of one cold
+    ``python -X importtime -m tritensor`` process of the package under
+    ``src`` in the directory of ``tensor``, on the ``CLI_SUBCOMMANDS`` entry
+    ``sub``; the output is the exit code, the standard output, the bytes of
+    the ``--out`` file and the names of the modules, in import order."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    ns, proc, written = _cli_call(sub, tensor, "out.json", lambda argv: subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tritensor", *argv],
+        cwd=tensor.parent, env=env, capture_output=True))
+    imports = import_self_us(proc.stderr.decode())
+    return (ns, *imports.values()), (proc.returncode, proc.stdout, written, tuple(imports))
 
 
 def run_in_process(cli, sub: tuple, tensor: Path) -> tuple[tuple[int], tuple]:
     """((ns,), output) of one ``cli.run`` of the ``CLI_SUBCOMMANDS`` entry
     ``sub`` on ``tensor``; the output is the exit code, the standard output
     and error and the bytes of the ``--out`` file."""
-    out = tensor.parent / "run-out.json"
-    argv = [sub[0], str(tensor), *sub[1:]]
-    if argv[-1] == "--out":
-        argv.append(str(out))
-    t0 = _now()
-    result = _run(cli, argv)
-    ns = _now() - t0
-    written = out.read_bytes() if out.exists() else b""
-    out.unlink(missing_ok=True)
+    ns, result, written = _cli_call(sub, tensor, "run-out.json", lambda argv: _run(cli, argv))
     return (ns,), (*result, written)
 
 
@@ -686,43 +696,26 @@ def cli_processes(sources: dict, tensor: Path, processes: int = CLI_PROCESSES) -
     ``sources[tree]``): the fastest self time of each ``tritensor`` module
     and the fastest wall time over ``processes`` cold processes, and
     whether both trees print and write the same bytes."""
-    names = list(sources)
-    subs = [sub[0] for sub in CLI_SUBCOMMANDS]
-    wall = {n: {} for n in names}
-    modules = {n: {sub: {} for sub in subs} for n in names}
-    outputs = {n: {} for n in names}
-    for rnd in range(processes):
-        for i, sub in enumerate(CLI_SUBCOMMANDS):
-            argv = [sub[0], str(tensor), *sub[1:]]
-            for name in names if (rnd + i) % 2 == 0 else names[::-1]:
-                ns, imports, out = run_cli(sources[name], argv, tensor.parent)
-                if outputs[name].setdefault(sub[0], out) != out:
-                    raise RuntimeError(f"{name} {sub[0]}: output varies between processes")
-                wall[name][sub[0]] = min(wall[name].get(sub[0], ns), ns)
-                best = modules[name][sub[0]]
-                for module, us in imports.items():
-                    best[module] = min(best.get(module, us), us)
+    best, outputs = fastest(sources, CLI_SUBCOMMANDS, [tensor], processes, run_cli)
+    subs = {sub[0]: sub for sub in CLI_SUBCOMMANDS}
+    modules = {n: {name: dict(zip(outputs[n][sub][0][3], best[n][sub][0][1:]))
+                   for name, sub in subs.items()} for n in sources}
     stats = compared({
-        sub: {
-            n: {
-                "tritensor_import_us": sum(modules[n][sub].values()),
-                "process_ms": round(wall[n][sub] / 1e6, 2),
-            }
-            for n in names
-        }
-        for sub in subs
+        name: {n: {"tritensor_import_us": sum(modules[n][name].values()),
+                   "process_ms": round(best[n][sub][0][0] / 1e6, 2)} for n in sources}
+        for name, sub in subs.items()
     })
-    for sub in subs:
-        stats[sub]["modules_us"] = {n: modules[n][sub] for n in names}
-        _differences(stats[sub], outputs["parent"][sub], outputs["change"][sub])
+    for name, sub in subs.items():
+        stats[name]["modules_us"] = {n: modules[n][name] for n in sources}
+        _differences(stats[name], outputs["parent"][sub][0][:3], outputs["change"][sub][0][:3])
     # each module's fastest self time over every process of the tree
-    fastest_us = {n: {} for n in names}
-    for n in names:
-        for best in modules[n].values():
-            for module, us in best.items():
+    fastest_us = {n: {} for n in sources}
+    for n in sources:
+        for by_module in modules[n].values():
+            for module, us in by_module.items():
                 fastest_us[n][module] = min(fastest_us[n].get(module, us), us)
     return {"processes": processes, "subcommands": stats, "modules_us": fastest_us,
-            "equal": all(stats[sub]["identical"] for sub in subs)}
+            "equal": all(stats[name]["identical"] for name in stats)}
 
 
 def main(argv=None) -> int:

@@ -129,6 +129,10 @@ def _fmt_vec(v) -> str:
     return "[" + ", ".join(_fmt(c) for c in np.asarray(v)) + "]"
 
 
+# how a report shows a value of an as_dict() in text
+_SHOWN = {float: _fmt, list: _fmt_vec, str: str}
+
+
 def _emit(args, json_doc: dict, text_lines: list[str]) -> None:
     payload = (json.dumps(json_doc, indent=2) if args.json else "\n".join(text_lines)) + "\n"
     if not args.out:
@@ -197,19 +201,9 @@ def _variational(solver: str):
     def report(args, a, name):
         from . import varspec
 
-        triple = getattr(varspec, solver)(a)
-        lines = [
-            f"{triple.kind} of {name}",
-            f"value = {_fmt(triple.value)}",
-            f"upper_bound = {_fmt(triple.upper_bound)}",
-            f"x = {_fmt_vec(triple.x)}",
-            f"y = {_fmt_vec(triple.y)}",
-            f"z = {_fmt_vec(triple.z)}",
-            f"residual = {_fmt(triple.residual)}",
-            f"starts_converged = {triple.starts_converged}",
-            f"method = {triple.method}",
-        ]
-        return triple.as_dict(), lines
+        doc = getattr(varspec, solver)(a).as_dict()
+        rows = [f"{k} = {_SHOWN[type(v)](v)}" for k, v in doc.items() if k != "kind"]
+        return doc, [f"{doc['kind']} of {name}", *rows]
 
     return report
 
@@ -224,15 +218,12 @@ def _spectrum(solver: str, title: str):
     def report(args, a, name):
         from . import varspec
 
-        fields = vars(getattr(varspec, solver)(a))
-        lines = [f"{title} of {name}, real pairs: {len(fields['values'])}"]
-        for n in range(len(fields["values"])):
-            cells = [
-                f"{_ROW_KEYS.get(key, key)} = " + (_fmt_vec(v[n]) if v.ndim == 2 else _fmt(v[n]))
-                for key, v in fields.items()
-            ]
+        doc = getattr(varspec, solver)(a).as_dict()
+        lines = [f"{title} of {name}, real pairs: {len(doc['values'])}"]
+        for n in range(len(doc["values"])):
+            cells = [f"{_ROW_KEYS.get(k, k)} = {_SHOWN[type(v[n])](v[n])}" for k, v in doc.items()]
             lines.append(f"  {n + 1}: " + "  ".join(cells))
-        return {key: v.tolist() for key, v in fields.items()}, lines
+        return doc, lines
 
     return report
 

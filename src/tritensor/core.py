@@ -110,6 +110,16 @@ def _read_only(arr) -> np.ndarray:
     return arr
 
 
+def _as_dict(result) -> dict:
+    """A new dict of the fields of the dataclass ``result``, in field order,
+    each ndarray as nested lists; the ``as_dict`` of the result classes."""
+    out = dict(vars(result))
+    for key, value in out.items():
+        if type(value) is np.ndarray:
+            out[key] = value.tolist()
+    return out
+
+
 def vec3(values) -> Vec3:
     """Build a 3-vector; rejects non-finite entries."""
     return _read_only(_finite(values, "Vec3"))

@@ -63,12 +63,7 @@ class LEigenSystem:
     x: np.ndarray  # (3, 3), rows are eigenvectors
     V: np.ndarray  # (3, 3, 3), V[j] is a Mat3
 
-    def as_dict(self) -> dict:
-        return {
-            "sigma": self.sigma.tolist(),
-            "x": self.x.tolist(),
-            "V": self.V.tolist(),
-        }
+    as_dict = core._as_dict
 
 
 @dataclass(frozen=True)
@@ -92,8 +87,7 @@ class InvariantSet:
     trUhat2: float
     trUhat3: float
 
-    def as_dict(self) -> dict:
-        return dict(vars(self))
+    as_dict = core._as_dict
 
 
 @dataclass(frozen=True)
@@ -118,14 +112,8 @@ class EigDecomposition3:
             return np.einsum("j,jk,jka,jkb,jc->abc", self.sigma, self.lam, self.y, self.y, self.x)
         return np.einsum("j,jk,jka,jb,jkc->abc", self.sigma, self.lam, self.y, self.x, self.y)
 
-    def as_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "sigma": self.sigma.tolist(),
-            "lambda": self.lam.tolist(),
-            "x": self.x.tolist(),
-            "y": self.y.tolist(),
-        }
+    def as_dict(self) -> dict:  # lam is "lambda" in the output
+        return {"lambda" if k == "lam" else k: v for k, v in core._as_dict(self).items()}
 
 
 def _lead_signs(rows: np.ndarray) -> np.ndarray:

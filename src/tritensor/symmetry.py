@@ -48,8 +48,7 @@ class SymmetryReport:
     selectively_left: bool
     tol: float
 
-    def as_dict(self) -> dict:
-        return dict(vars(self))
+    as_dict = core._as_dict
 
 
 # The index swaps that define the classes, as axis permutations: ``a`` is

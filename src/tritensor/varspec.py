@@ -84,8 +84,7 @@ class CriticalTriple:
     or Z-eigenpair derived from it; there ``upper_bound`` is the bound the
     search left on eta_1, which also bounds mu_1 and nu_1, and ``value`` is
     attained at (x, y, z).  ``upper_bound`` scales with the tensor as
-    ``value`` does.  ``starts_converged`` is always 1; it is kept for
-    callers written against the multistart this replaced.
+    ``value`` does.
     """
 
     kind: str
@@ -95,14 +94,12 @@ class CriticalTriple:
     y: np.ndarray
     z: np.ndarray
     residual: float
-    starts_converged: int
     method: str
 
-    def as_dict(self) -> dict:
-        out = dict(vars(self))
-        for key in "xyz":
-            out[key] = out[key].tolist()
-        return out
+    as_dict = core._as_dict
+    # no field, so in no output: only the benchmark's Tracer.solve reads it,
+    # and it goes with the benchmark's next change
+    starts_converged = 1
 
 
 # The states of r points are an (r, k, 3) array of k unit vectors, the state
@@ -248,7 +245,7 @@ def _triple(kind, value, blocks, residual, method, upper=None) -> CriticalTriple
     vecs = core._read_only(blocks)  # its rows are read-only views
     x, y, z = (vecs[slot] for slot in _KINDS[kind][0])
     upper = value if upper is None else upper
-    return CriticalTriple(kind, float(value), float(upper), x, y, z, float(residual), 1, method)
+    return CriticalTriple(kind, float(value), float(upper), x, y, z, float(residual), method)
 
 
 # ---------------------------------------------------------------------------
@@ -510,20 +507,12 @@ _ELIMINATIONS = {"z_eigen": (2, _z_field), "c_eigen": (3, _c_field)}
 
 
 def _roots(p: np.ndarray) -> np.ndarray:
-    """``np.roots(p)`` bit for bit, for a real ``p`` (highest power first),
-    in fewer numpy calls: the eigenvalues of the same companion matrix, of
-    ``p`` without its leading and trailing zeros, and a zero root for each
-    trailing zero."""
-    nonzero = np.flatnonzero(p)
-    if not len(nonzero):
-        return np.array([])
-    lo, hi = nonzero[0], nonzero[-1] + 1
-    companion = np.eye(hi - lo - 1, k=-1)
-    companion[:1] = -p[lo + 1:hi] / p[lo]
-    roots = np.linalg.eigvals(companion) if len(companion) else np.array([])
-    if hi == len(p):
-        return roots
-    return np.concatenate((roots, np.zeros(len(p) - hi, roots.dtype)))
+    """The roots of a real ``p`` (highest power first, ``p[0]`` nonzero):
+    the eigenvalues of its companion matrix, ``np.roots(p)`` bit for bit
+    where ``p[-1]`` is nonzero too (a zero there is a root at 0)."""
+    companion = np.eye(len(p) - 1, k=-1)
+    companion[0] = -p[1:] / p[0]
+    return np.linalg.eigvals(companion)
 
 
 def _certified_roots(c: np.ndarray, degree: int) -> np.ndarray | None:
@@ -686,6 +675,8 @@ class ZSpectrum:
     vectors: np.ndarray  # (n, 3)
     residuals: np.ndarray  # (n,)
 
+    as_dict = core._as_dict
+
 
 @dataclass(frozen=True)
 class CSpectrum:
@@ -704,6 +695,8 @@ class CSpectrum:
     x: np.ndarray  # (n, 3)
     y: np.ndarray  # (n, 3)
     residuals: np.ndarray  # (n,)
+
+    as_dict = core._as_dict
 
 
 # per kind: the rows of its swaps in the deviations under _PAIR_SWAPS, and
@@ -732,7 +725,7 @@ def _bounded_maximum(kind: str, a: np.ndarray, exp: int) -> CriticalTriple:
     maxima are equal, is polished as an enumerated point is."""
     if not np.any(a):
         e1 = core._read_only([1.0, 0.0, 0.0])
-        return CriticalTriple(kind, 0.0, 0.0, e1, e1, e1, 0.0, 1, "bounded")
+        return CriticalTriple(kind, 0.0, 0.0, e1, e1, e1, 0.0, "bounded")
     (f, state, resid), upper, _ = _bounded(a)
     if kind != "singular":
         w = (state[0, 0] @ a.reshape(3, 9)).reshape(3, 3)
@@ -787,8 +780,8 @@ def _spectrum(kind: str, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # The solvers take no setting that changes their answer.  ``restarts`` and
 # ``history_out`` are accepted and ignored, for callers written against the
-# multistart the branch and bound replaced; they go with the next change to
-# the benchmark that passes them.
+# multistart the branch and bound replaced, as the benchmark passes them;
+# they and the triple's class constant go with its next change.
 
 
 def max_singular_value(a: core.Hyper3, *, restarts=None, history_out=None) -> CriticalTriple:

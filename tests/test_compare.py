@@ -7,6 +7,7 @@ library errors, the CLI's ``run``, the modules a CLI process imports)
 fails here rather than at the next measurement.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import itertools
@@ -16,6 +17,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -143,7 +145,8 @@ def test_compare_cli_part_times_cold_processes_of_both_trees(compare, monkeypatc
     # a byte that differs between the trees clears "equal"; output that
     # varies between one tree's processes stops the run
     sources = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
-    monkeypatch.setattr(compare, "run_cli", lambda src, argv, work: (1, {}, src.name.encode()))
+    monkeypatch.setattr(compare, "run_cli",
+                        lambda src, sub, tensor: ((1,), (0, src.name.encode(), b"", ())))
     monkeypatch.setattr(compare, "CLI_SUBCOMMANDS", (("l-inverse", "--json", "--out"),))
     part = compare.cli_processes(sources, tensor, processes=2)
     assert (part["subcommands"]["l-inverse"]["identical"], part["equal"]) == (False, False)
@@ -154,16 +157,42 @@ def test_compare_cli_part_times_cold_processes_of_both_trees(compare, monkeypatc
     texts = {"parent": json.dumps(doc),
              "change": json.dumps({**doc, "x": [0.25, -0.5000000000000001]})}
     monkeypatch.setattr(compare, "run_cli",
-                        lambda src, argv, work: (1, {}, (0, texts[src.name].encode(), b"")))
+                        lambda src, sub, tensor: ((1,), (0, texts[src.name].encode(), b"", ())))
     part = compare.cli_processes(sources, tensor, processes=2)
     stats = part["subcommands"]["l-inverse"]
     assert (stats["identical"], part["equal"]) == (False, False)
     assert stats["max_relative_difference"] == 2.0**-53 / 0.5000000000000001
     assert stats["max_relative_difference_at"] == "x[1]"
     outputs = iter([b"a", b"a", b"b"])
-    monkeypatch.setattr(compare, "run_cli", lambda src, argv, work: (1, {}, next(outputs)))
-    with pytest.raises(RuntimeError, match="varies between processes"):
+    monkeypatch.setattr(compare, "run_cli",
+                        lambda src, sub, tensor: ((1,), (0, next(outputs), b"", ())))
+    with pytest.raises(RuntimeError, match="varies between rounds"):
         compare.cli_processes(sources, tensor, processes=2)
+
+
+def test_solve_hashes_read_the_fields_both_trees_have(compare):
+    # a field that one tree's triples no longer have leaves the hashes equal
+    @dataclasses.dataclass
+    class Old:
+        value: float
+        x: np.ndarray
+        starts_converged: int
+        method: str
+
+    @dataclasses.dataclass
+    class New:
+        value: float
+        x: np.ndarray
+        method: str
+
+    x = np.array([0.6, 0.8, 0.0])
+    out = {"parent": [Old(1.5, x, 1, "enumerated")], "change": [New(1.5, x, "enumerated")]}
+    values = compare.by_value(out)
+    assert values["sha256_equal"] and values["equal"]
+    assert compare.record_of(out["parent"][0]) != compare.record_of(out["change"][0])
+    # a shared field that differs still shows
+    out["change"] = [New(1.5, -x, "enumerated")]
+    assert not compare.by_value(out)["sha256_equal"]
 
 
 def test_json_gap_reads_numeric_leaves_only(compare):

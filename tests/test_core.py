@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -473,3 +476,22 @@ def test_tol_contract(name, tol):
 def test_valid_tols_pass_unchanged(tol):
     assert core._tolerance(tol) is tol
     assert tt.classify(FIXTURE, tol).tol is tol
+
+
+# ---------------------------------------------------------------------------
+# the results as dicts
+
+
+@pytest.mark.parametrize("solve", [
+    tt.max_singular_value, tt.l_eigen, tt.invariants, tt.classify, tt.z_spectrum, tt.c_spectrum,
+], ids=lambda solve: solve.__name__)
+def test_as_dict_is_the_fields_in_order_with_arrays_as_lists(solve):
+    result = solve(FIXTURE)
+    assert type(result).as_dict is core._as_dict
+    want = [(f.name, getattr(result, f.name)) for f in dataclasses.fields(result)]
+    want = [(k, v.tolist() if isinstance(v, np.ndarray) else v) for k, v in want]
+    doc = result.as_dict()
+    assert list(json.loads(json.dumps(doc)).items()) == want
+    assert doc is not result.as_dict()
+    # a class attribute that is no field (CriticalTriple's starts_converged) is left out
+    assert "starts_converged" not in doc

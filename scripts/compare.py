@@ -17,9 +17,11 @@ and reports eight parts:
   find eta_1, mu_1 and nu_1 of these tensors without iterating: equal
   within 1e-12 * max(1, |value|), or listed under ``rose`` (a maximum
   the parent missed) or ``fell`` (a failure), with the count of each
-  ``method``, and one sha256 per tree over every solve's triple, in the
+  ``method``, one sha256 per tree over every solve's triple, in the
   fields that both trees' triples have, or the repr of the library error
-  raised.  A solve's index runs over
+  raised, and per such field that differs the number of solves where
+  it does (and for a float the largest difference).  A solve's index
+  runs over
   criterion 4's 20 fixtures x 101 orientations (unrotated first), then
   criterion 6's 200 symmetric fixtures, then (singular and C only) its
   200 right-side symmetric ones;
@@ -29,13 +31,15 @@ and reports eight parts:
   benchmark workload calls;
 - ``solvers``: per solver and tree, on the 32 (fixture, rotation) pairs
   that the ``audit`` benchmark workload times, the fastest of 21 rounds
-  of each whole solve.  The memo of C and Z enumerations is cleared
+  of each whole solve.  The memos of C and Z enumerations and (where
+  a tree has one) of the route of the last tensor solved are cleared
   before each timed solve, and ``audit_item`` times eta_1, mu_1 and nu_1
-  in turn from a cleared memo, as one audit item solves them: on these
-  symmetric pairs mu_1 and nu_1 read the Z enumeration that eta_1
-  filled.  ``lifts`` times mu_1 and nu_1 alone, each right after an
-  untimed eta_1 has filled the memo: the lift of eta_1's Z pair to a C
-  pair, and the Z pair itself;
+  in turn from cleared memos, as one audit item solves them: on these
+  symmetric pairs mu_1 and nu_1 read the route that eta_1 filled, which
+  holds all three maxima of its Z enumeration (a tree without a route
+  reads the Z enumeration and lifts its best pair again).  ``lifts``
+  times mu_1 and nu_1 alone, each right after an untimed eta_1 has
+  filled the memos;
 - ``fallback``: the C and Z solves of tensors whose enumeration cannot
   certify (the zero tensor, and ``3 v (x) v (x) v`` and, for C,
   ``2 x (x) y (x) y``, each plus 0, 1e-12, 1e-9 and 1e-6 of a unit-norm
@@ -67,7 +71,7 @@ and reports eight parts:
   file are byte-identical between trees, with the same largest relative
   difference where they are not.  The library's memos are not
   cleared, so after the first round ``singular`` and ``z-eigen`` read
-  their enumeration from the memo, and the lap times the CLI's own work:
+  their maxima from the memo, and the lap times the CLI's own work:
   parsing, reading, the closed-form layers, formatting and writing.
 
 The parent tree builds the lap inputs.  The trees take turns call by
@@ -80,7 +84,7 @@ value fell, fallback and bounded solves included, or a CLI output, in a
 process or in this one, differs; the solve hashes are reported, not
 gated.  Run from the repository root, with BLAS on one thread::
 
-    python scripts/compare.py --parent HEAD~1 --out BENCH_24.json
+    python scripts/compare.py --parent HEAD~1 --out BENCH_26.json
 """
 
 from __future__ import annotations
@@ -289,10 +293,30 @@ def outcomes(trees: dict, solves: list) -> dict:
     return {n: [solved(tt, s, a) for s, a in solves] for n, tt in trees.items()}
 
 
+def differing_fields(parent: list, change: list) -> dict:
+    """Per field that both trees' triples of a solve have and whose bits
+    differ in some solve: the number of such solves and, for a float
+    field, the largest |change - parent|."""
+    out = {}
+    for before, after in zip(parent, change):
+        shared = getattr(after, "__dataclass_fields__", {})
+        for name in getattr(before, "__dataclass_fields__", {}):
+            if name not in shared:
+                continue
+            b, c = getattr(before, name), getattr(after, name)
+            if record_of(b) == record_of(c):
+                continue
+            part = out.setdefault(name, {"solves": 0})
+            part["solves"] += 1
+            if isinstance(b, float):
+                part["max_abs_difference"] = max(part.get("max_abs_difference", 0.0), abs(c - b))
+    return out
+
+
 def by_value(out: dict) -> dict:
-    """The ``outcomes`` of both trees compared by value, and one sha256 per
+    """The ``outcomes`` of both trees compared by value, one sha256 per
     tree over their records, each of a triple over the fields that both
-    trees' triples of that solve have."""
+    trees' triples of that solve have, and the ``differing_fields``."""
     rose, fell, methods = [], [], {}
     for n, (before, after) in enumerate(zip(out["parent"], out["change"])):
         method = getattr(after, "method", type(after).__name__)
@@ -313,7 +337,8 @@ def by_value(out: dict) -> dict:
               "change": sha256_of(map(record_of, change, parent))}
     return {"solves": len(out["change"]), "methods": methods, "rose": rose, "fell": fell,
             "equal": not fell, "sha256": hashes,
-            "sha256_equal": hashes["parent"] == hashes["change"]}
+            "sha256_equal": hashes["parent"] == hashes["change"],
+            "differing_fields": differing_fields(parent, change)}
 
 
 def solver_golden(trees: dict) -> dict:
@@ -396,8 +421,12 @@ def run_layer(tt, layer: str, case) -> tuple[tuple[int], bytes]:
 
 
 def clear_memos(tt) -> None:
-    """Empty the memo of C and Z enumerations."""
+    """Empty the memo of C and Z enumerations, and the route memo of the
+    last tensor solved where the tree has one."""
     tt.varspec._pairs_of_bytes.cache_clear()
+    route = getattr(tt.varspec, "_route", None)
+    if route is not None:
+        route.cache_clear()
 
 
 def run_solver(tt, solver: str, a) -> tuple[tuple[int], bytes]:
@@ -412,7 +441,7 @@ def run_solver(tt, solver: str, a) -> tuple[tuple[int], bytes]:
 
 def run_lift(tt, solver: str, a) -> tuple[tuple[int], bytes]:
     """((ns,), record of the triple) of one ``solver`` solve right after
-    an untimed eta_1 has filled the cleared memo."""
+    an untimed eta_1 has filled the cleared memos."""
     clear_memos(tt)
     solved(tt, SOLVERS[0], a)
     t0 = _now()

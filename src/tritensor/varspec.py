@@ -6,9 +6,14 @@ Z-eigenpairs are enumerated, all of them by one certified elimination
 that each kind feeds its own gradient field (see ``c_spectrum`` and
 ``z_spectrum``), on the tensor scaled by a power of two (exact, so
 results scale with the tensor).  A two-entry memo keeps the last two
-enumerations, so eta_1, mu_1 and then nu_1 of one symmetric tensor pay
-for one, or for one of each kind where the Z enumeration cannot
-certify.
+enumerations, so eta_1 and then mu_1 of a right-side symmetric tensor
+pay for one, and a symmetric tensor whose Z enumeration cannot certify
+for one of each kind.  A one-entry memo keeps the route of the last
+tensor solved, keyed on its float64 bytes: the scaled tensor, its swap
+verdicts and, for a symmetric one whose Z enumeration certifies, the
+three maxima of ``_route``.  eta_1, mu_1 and then nu_1 of one symmetric
+tensor pay for one scaling, one Z enumeration and one product that
+checks both lifts, and repeated calls return the same read-only triple.
 
 On a symmetric tensor eta_1 = mu_1 = nu_1, all three attained at
 (v, v, v) for the best Z-eigenvector v (Banach, Studia Math. 7, 1938),
@@ -553,7 +558,9 @@ def _polished(kind: str, a: np.ndarray, v: np.ndarray, steps: int = _POLISH_STEP
     norm = core._frobenius(a)
     with np.errstate(all="ignore"):
         try:
-            state = lift(a.reshape(3, 9), v)
+            # contiguous, as after a Newton step: the layout sets how the
+            # products with the Jacobian map round
+            state = np.ascontiguousarray(lift(a.reshape(3, 9), v))
             for i in range(steps + 1):
                 system, f, res, resid = _lagrange(jmap, state)
                 if i == steps or (resid <= _FLOOR * norm).all():
@@ -567,8 +574,12 @@ def _polished(kind: str, a: np.ndarray, v: np.ndarray, steps: int = _POLISH_STEP
                 state = _unit(state + step, state)
         except np.linalg.LinAlgError:  # an exactly singular system
             return None
-        state = state * signs(f, state)[:, :, None]
-        _, f, _, resid = _lagrange(jmap, state)
+        # every gradient is linear in each slot it contracts, so a sign flip
+        # of a block passes exactly through the products: the potential takes
+        # the product of the signs in its slots, the residual norms are kept
+        sign = signs(f, state)
+        state = state * sign[:, :, None]
+        f = f * sign[:, slots].prod(axis=1)
         resid = resid / norm
     if bound is not None and not (resid <= bound).all():
         return None
@@ -634,11 +645,11 @@ def _certified(kind: str, source: str, a: np.ndarray, exp: int, perm=(0, 1, 2)):
     """The ``kind`` maximum of ldexp(a, exp) from the best pair of the
     certified ``source`` enumeration of a.transpose(perm), or None if no
     chart certifies.  The kind's own enumeration gives its best pair as
-    it is.  Another's is lifted, or None if the lift's ``kind`` residual
-    exceeds _POLISHED ||a||: the pair's slot vectors, put back in the
-    slots of ``a``, fill the kind's state blocks, and the kind's sign rule
-    makes them canonical.  The maxima are equal on the tensors each route
-    serves (Banach, Studia Math. 7, 1938)."""
+    it is.  A C pair for the singular kind is lifted, or None if the
+    lift's singular residual exceeds _POLISHED ||a||: the pair's slot
+    vectors, put back in the slots of ``a``, fill the singular state
+    blocks, and the singular sign rule makes them canonical.  The maxima
+    are equal on the tensors this serves (Banach, Studia Math. 7, 1938)."""
     pairs = _pairs_of_bytes(source, a.transpose(perm).tobytes())
     if pairs is None:
         return None
@@ -648,16 +659,53 @@ def _certified(kind: str, source: str, a: np.ndarray, exp: int, perm=(0, 1, 2)):
         slots, k, signs, _ = _KINDS[kind]
         state = state[:, _lifted_blocks(kind, source, perm)]
         state = state * signs(f, state)[:, :, None]
-        # a Z-eigenvalue is the potential at (v, v, v) on ``a`` itself up to
-        # rounding, and taking it makes eta_1, mu_1 and nu_1 equal to the bit;
-        # a C pair's tensor permutes the slots, so the potential is taken on ``a``
-        jmap = _jacobian_map(a, slots, k)
-        _, f, _, resid = _lagrange(jmap, state, f if source == "z_eigen" else None)
+        # the pair's tensor permutes the slots, so the potential is taken on ``a``
+        _, f, _, resid = _lagrange(_jacobian_map(a, slots, k), state)
         resid = resid / norm
         if not resid[0] <= _POLISHED:
             return None
     resid = resid[0] * _unscaled_residual(norm, exp)
     return _triple(kind, np.ldexp(f[0], exp), state[0], resid, "enumerated")
+
+
+@functools.lru_cache(maxsize=1)
+def _route(key: bytes):
+    """The route to the maxima of the tensor whose float64 bytes are
+    ``key``, read in C order whatever the input's memory layout: the
+    scaled tensor a (read-only) and its exponent, its deviations under
+    _PAIR_SWAPS and their verdicts within _POLISHED ||a||, and by kind
+    the maxima taken from its Z enumeration.  One entry, as eta_1, mu_1
+    and nu_1 of one tensor are solved in turn.
+    Where every swap holds within _POLISHED ||a|| and the Z enumeration
+    certifies, its best pair (f, v) gives all three maxima: nu_1 as it
+    is, and (v, v, v) and (v, v) with f as their potential, which makes
+    the three equal to the bit.  One singular product at the unsigned
+    (v, v, v) checks both lifts: the largest residual of its three slots
+    is the singular one and that of the first two the C one, and a lift
+    is kept where it is within _POLISHED ||a||.  The sign rules of the
+    kinds flip blocks exactly, which leaves those norms as they are."""
+    a, exp = core._scaled(np.frombuffer(key).reshape(3, 3, 3), "Hyper3")
+    a.setflags(write=False)
+    norm = core._frobenius(a)
+    dev = _swap_deviations(a, *_PAIR_SWAPS)
+    verdicts = (dev <= _POLISHED * norm).tolist()
+    maxima = {}
+    pairs = _pairs_of_bytes("z_eigen", a.tobytes()) if all(verdicts) else None
+    if pairs is not None:
+        f, state, resid = (arr[:1] for arr in pairs)
+        value, unscaled = np.ldexp(f[0], exp), _unscaled_residual(norm, exp)
+        maxima["z_eigen"] = _triple("z_eigen", value, state[0], resid[0] * unscaled, "enumerated")
+        slots, k = _KINDS["singular"][:2]
+        blocks = state[:, [0] * k]
+        res = _lagrange(_jacobian_map(a, slots, k), blocks, f)[2]
+        slot_resid = _norms(res.reshape(blocks.shape))[0]
+        for kind, r in (("singular", slot_resid.max()), ("c_eigen", slot_resid[:2].max())):
+            r = r / norm
+            if r <= _POLISHED:
+                _, n, signs, _ = _KINDS[kind]
+                lifted = blocks[:, :n] * signs(f, blocks[:, :n])[:, :, None]
+                maxima[kind] = _triple(kind, value, lifted[0], r * unscaled, "enumerated")
+    return a, exp, dev, verdicts, maxima
 
 
 @dataclass(frozen=True)
@@ -744,24 +792,23 @@ def _bounded_maximum(kind: str, a: np.ndarray, exp: int) -> CriticalTriple:
 
 def _maximum(kind: str, a) -> CriticalTriple:
     """The ``kind`` maximum of ``a`` by the route of the solvers' docstrings:
-    the swap verdicts within _POLISHED ||a|| pick the certified sources,
-    tried in turn before the branch and bound, and the gate is read only
-    where they fail (symmetric within _POLISHED passes its 1e-8)."""
-    a, exp = core._scaled(a, "Hyper3")
-    dev = _swap_deviations(a, *_PAIR_SWAPS)
-    verdicts = (dev <= _POLISHED * core._frobenius(a)).tolist()
+    the ``_route``'s maximum where it holds one; otherwise the swap
+    verdicts within _POLISHED ||a|| pick the certified source, tried
+    before the branch and bound, and the gate is read only where they
+    fail (symmetric within _POLISHED passes its 1e-8).  Where every
+    verdict holds, the route has tried the Z enumeration already."""
+    a, exp, dev, verdicts, maxima = _route(core._shaped(a, "Hyper3").tobytes())
+    if kind in maxima:
+        return maxima[kind]
     if kind in _GATES and not all(verdicts):
         _require(kind, a, dev)
-    sources = [("z_eigen", (0, 1, 2))] if all(verdicts) or kind == "z_eigen" else []
-    if kind == "c_eigen":
-        sources.append(("c_eigen", (0, 1, 2)))
+    source = perm = None
+    if kind == "c_eigen" or (kind == "z_eigen" and not all(verdicts)):
+        source, perm = kind, (0, 1, 2)
     elif kind == "singular" and any(verdicts):
-        sources.append(("c_eigen", _PAIR_LAST[_PAIR_SWAPS[verdicts.index(True)]]))
-    for source, perm in sources:
-        triple = _certified(kind, source, a, exp, perm)
-        if triple is not None:
-            return triple
-    return _bounded_maximum(kind, a, exp)
+        source, perm = "c_eigen", _PAIR_LAST[_PAIR_SWAPS[verdicts.index(True)]]
+    triple = None if source is None else _certified(kind, source, a, exp, perm)
+    return _bounded_maximum(kind, a, exp) if triple is None else triple
 
 
 def _spectrum(kind: str, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -816,13 +863,14 @@ def max_c_eigenvalue(a: core.Hyper3, *, restarts=None, history_out=None) -> Crit
     On a tensor symmetric within 1e-12 ||A|| under the right, left and
     central swaps, mu_1 = nu_1 (Banach 1938): the best pair v of the
     certified ``z_spectrum`` as (v, +-v), with the C sign rule and nu_1
-    as its value, so it equals ``max_z_eigenvalue`` to the bit, once it
-    passes the C residual test of 1e-12 ||A||.  Otherwise, or if that
-    fails, the best pair of ``c_spectrum`` whenever its enumeration
-    certifies.  Both are ``method`` "enumerated".  Otherwise (``method``
-    "bounded", as for rank-one tensors ``x (x) y (x) y``, the zero tensor
-    and tensors near them) the pair comes from the bounded eta_1 of
-    ``max_singular_value``: x A is symmetric, so mu_1 = eta_1, and y is
+    as its value, so it equals ``max_z_eigenvalue`` to the bit, once the
+    residuals of the x and y slots at (v, v, v) pass 1e-12 ||A||.
+    Otherwise, or if that fails, the best pair of ``c_spectrum`` whenever
+    its enumeration certifies.  Both are ``method`` "enumerated".
+    Otherwise (``method`` "bounded", as for rank-one tensors
+    ``x (x) y (x) y``, the zero tensor and tensors near them) the pair
+    comes from the bounded eta_1 of ``max_singular_value``: x A is
+    symmetric, so mu_1 = eta_1, and y is
     the eigenvector of the largest |eigenvalue| of x A for the x of
     eta_1, lifted to x = A y y / ||A y y|| and polished as an enumerated
     pair is (or left unpolished where a Newton step fails), and

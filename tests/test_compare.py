@@ -63,13 +63,16 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monke
     compare.run_solver(trees["change"], "max_c_eigenvalue", pairs[0])
     compare.run_solver(trees["change"], "max_c_eigenvalue", pairs[0])
     assert enumerations.cache_info().hits == 0
+    routes = trees["change"].varspec._route
     compare.run_solver(trees["change"], compare.AUDIT_ITEM, pairs[0])
-    # mu_1 and nu_1 of a symmetric pair take eta_1's Z enumeration
-    assert enumerations.cache_info().hits == 2
-    # a lift lap times a memo hit alone, with the triple of a whole solve
+    # one Z enumeration for the symmetric pair, whose route mu_1 and nu_1 read
+    assert enumerations.cache_info()[:2] == (0, 1)  # (hits, misses) since the clear
+    assert routes.cache_info()[:2] == (2, 1)
+    # a lift lap times a route hit alone, with the triple of a whole solve
     for solver in compare.LIFTS:
         _, record = compare.run_lift(trees["change"], solver, pairs[0])
-        assert enumerations.cache_info()[:2] == (1, 1)  # (hits, misses) since the clear
+        assert enumerations.cache_info()[:2] == (0, 1)
+        assert routes.cache_info()[:2] == (1, 1)
         assert record == compare.run_solver(trees["change"], solver, pairs[0])[1]
 
     solves = [(s, pairs[0]) for s in compare.SOLVERS]
@@ -77,7 +80,7 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monke
     assert (values["methods"], values["rose"], values["fell"], values["equal"]) == (
         {"enumerated": 3}, [], [], True
     )
-    assert values["sha256_equal"]
+    assert values["sha256_equal"] and values["differing_fields"] == {}
     # a library error is an outcome: hashed by its repr, and equal when both trees raise it
     zero = [("max_c_eigenvalue", pairs[0]), ("c_spectrum", 0.0 * pairs[0])]
     out = compare.outcomes(trees, zero)
@@ -188,11 +191,16 @@ def test_solve_hashes_read_the_fields_both_trees_have(compare):
     x = np.array([0.6, 0.8, 0.0])
     out = {"parent": [Old(1.5, x, 1, "enumerated")], "change": [New(1.5, x, "enumerated")]}
     values = compare.by_value(out)
-    assert values["sha256_equal"] and values["equal"]
+    assert values["sha256_equal"] and values["equal"] and values["differing_fields"] == {}
     assert compare.record_of(out["parent"][0]) != compare.record_of(out["change"][0])
-    # a shared field that differs still shows
+    # a shared field that differs still shows, and is named
     out["change"] = [New(1.5, -x, "enumerated")]
-    assert not compare.by_value(out)["sha256_equal"]
+    values = compare.by_value(out)
+    assert not values["sha256_equal"]
+    assert values["differing_fields"] == {"x": {"solves": 1}}
+    out["change"] = [New(1.5 + 2.0**-52, x, "enumerated")]
+    assert compare.by_value(out)["differing_fields"] == {
+        "value": {"solves": 1, "max_abs_difference": 2.0**-52}}
 
 
 def test_json_gap_reads_numeric_leaves_only(compare):

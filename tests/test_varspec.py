@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import math
@@ -570,6 +571,8 @@ def test_eta_1_route_at_the_polish_bound(monkeypatch):
     for b, kind in ((near, "z_eigen"), (right, "c_eigen"), (hexagon, "c_eigen")):
         key = core._scaled(b, "Hyper3")[0].tobytes()
         for solve in (tt.max_singular_value, tt.max_c_eigenvalue):
+            # from a cleared route, which would otherwise answer mu_1
+            varspec._route.cache_clear()
             calls.clear()
             triple = solve(b)
             assert (calls, triple.method) == ([(kind, key)], "enumerated")
@@ -599,22 +602,24 @@ def test_lifted_eta_1_solves_the_singular_equations(klass, pair):
 
 
 def test_eta_1_and_mu_1_share_one_read_only_enumeration():
-    # a symmetric tensor: eta_1, mu_1 and nu_1 from its Z enumeration; a
-    # right-side symmetric one: eta_1 and mu_1 from its C enumeration
+    # a symmetric tensor: eta_1, mu_1 and nu_1 from its Z enumeration, which
+    # its route reads once; a right-side symmetric one: eta_1 and mu_1 from
+    # its C enumeration
     for klass, kind, solves in (
         ("symmetric", "z_eigen", (tt.max_singular_value, tt.max_c_eigenvalue, tt.max_z_eigenvalue)),
         ("right_symmetric", "c_eigen", (tt.max_singular_value, tt.max_c_eigenvalue)),
     ):
         a = np.asarray(tt.make_fixture(klass, 9))
         varspec._pairs_of_bytes.cache_clear()
+        varspec._route.cache_clear()
         history = []
         triples = [solve(a, history_out=history) for solve in solves]
-        info = varspec._pairs_of_bytes.cache_info()
-        assert (info.misses, info.hits, history) == (1, len(solves) - 1, [])
+        assert (varspec._pairs_of_bytes.cache_info().misses, history) == (1, [])
         assert all(t.method == "enumerated" for t in triples)
         assert max(abs(t.value - triples[0].value) for t in triples) <= 1e-12 * triples[0].value
         pairs = varspec._pairs_of_bytes(kind, core._scaled(a, "Hyper3")[0].tobytes())
-        arrays = [*pairs, *(getattr(t, v) for t in triples for v in "xyz")]
+        scaled = varspec._route(np.asarray(a).tobytes())[0]
+        arrays = [*pairs, scaled, *(getattr(t, v) for t in triples for v in "xyz")]
         assert not any(arr.flags.writeable for arr in arrays)
 
 
@@ -641,8 +646,87 @@ def test_symmetric_eta_1_mu_1_and_nu_1_are_one_z_pair():
             assert u.tobytes() in (v.tobytes(), (-v).tobytes())
 
 
+def _counted(monkeypatch, *names):
+    """The list that each call of the named ``varspec`` functions appends
+    its name to."""
+    calls = []
+    for name in names:
+        fn = getattr(varspec, name)
+        monkeypatch.setattr(varspec, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    return calls
+
+
+def test_mu_1_and_nu_1_after_eta_1_read_its_route(monkeypatch):
+    # after eta_1 of a symmetric tensor, mu_1 and nu_1 are the triples of
+    # its route: no enumeration, no product, and the same objects each time
+    calls = _counted(monkeypatch, "_pairs_of_bytes", "_jacobian_map")
+    for a in _banach_inputs()[:32]:
+        eta = tt.max_singular_value(a)
+        calls.clear()
+        mu, nu = tt.max_c_eigenvalue(a), tt.max_z_eigenvalue(a)
+        assert calls == []
+        assert (mu.method, nu.method) == ("enumerated", "enumerated")
+        assert tt.max_singular_value(a) is eta
+        assert tt.max_c_eigenvalue(a) is mu and tt.max_z_eigenvalue(a) is nu
+        assert calls == []
+
+
+def test_the_route_is_keyed_on_the_contents():
+    a = np.array(tt.make_fixture("symmetric", 9))
+    b = np.asarray(tt.make_fixture("symmetric", 10))
+    before = tt.max_c_eigenvalue(a).as_dict()
+    want = tt.max_c_eigenvalue(b).as_dict()
+    # mutated in place between eta_1 and mu_1: mu_1 of the new contents
+    tt.max_singular_value(a)
+    a[...] = b
+    assert tt.max_c_eigenvalue(a).as_dict() == want != before
+    # a copy with equal bytes reads the same route
+    nu = tt.max_z_eigenvalue(a)
+    hits = varspec._route.cache_info().hits
+    assert tt.max_z_eigenvalue(a.copy()) is nu
+    assert tt.max_z_eigenvalue(np.asfortranarray(a)) is nu  # read in C order
+    assert varspec._route.cache_info().hits == hits + 2
+    scaled = varspec._route(a.tobytes())[0]
+    assert not scaled.flags.writeable
+    assert scaled.tobytes() == core._scaled(a, "Hyper3")[0].tobytes()
+    # the gate's errors, raised before the memo is read, and float32 read
+    # as its float64 cast
+    for solve in (tt.max_singular_value, tt.max_c_eigenvalue, tt.max_z_eigenvalue):
+        with pytest.raises(ValueError, match=r"shape \(3, 3, 3\), got \(27,\)"):
+            solve(a.reshape(27))
+        bad = a.copy()
+        bad[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            solve(bad)
+        single = a.astype(np.float32)
+        got = solve(single).as_dict()
+        varspec._route.cache_clear()
+        assert got == solve(single.astype(float)).as_dict()
+    assert varspec._route.cache_info().currsize == 1
+
+
+def test_mu_1_residual_from_the_shared_product_is_the_c_residual():
+    # the largest residual of the first two slots of the singular product at
+    # (v, v, v) against that of the C product at (v, +-v), as the lift had it
+    for a in _banach_inputs()[:32]:
+        mu = tt.max_c_eigenvalue(a)
+        scaled, exp = core._scaled(a, "Hyper3")
+        slots, k = varspec._KINDS["c_eigen"][:2]
+        state = np.stack((mu.x, mu.y))[None]
+        f = np.array([np.ldexp(mu.value, -exp)])
+        resid = varspec._lagrange(varspec._jacobian_map(scaled, slots, k), state, f)[3][0]
+        norm = core._frobenius(scaled)
+        resid = resid / norm * varspec._unscaled_residual(norm, exp)
+        assert abs(mu.residual - resid) <= 4 * np.finfo(float).eps
+
+
 def _without(monkeypatch, *kinds):
-    """``varspec._pairs_of_bytes`` with the enumerations of ``kinds`` uncertified."""
+    """``varspec._pairs_of_bytes`` with the enumerations of ``kinds``
+    uncertified, and an empty route memo in place of the one that may hold
+    a triple of an earlier solve, restored afterwards."""
+    fresh = functools.lru_cache(maxsize=1)(varspec._route.__wrapped__)
+    monkeypatch.setattr(varspec, "_route", fresh)
     enumerate_ = varspec._pairs_of_bytes
     monkeypatch.setattr(varspec, "_pairs_of_bytes",
                         lambda kind, key: None if kind in kinds else enumerate_(kind, key))
@@ -877,6 +961,42 @@ def test_a_zero_leading_minor_fails_its_chart_without_raising(monkeypatch):
         assert minors[0] == 0.0 and minors[1] == c
         assert varspec._chart_pairs("z_eigen", a, 0) is None
     assert polished == []
+
+
+def test_polish_returns_the_product_after_its_sign_rule(monkeypatch):
+    # the potentials and residuals that ``_polished`` carries through its
+    # sign rule are those of a fresh product at the signed states, bit for
+    # bit: singular polishes inside the branch and bound, C and Z ones in
+    # the fallback through it (from a column of ``eigh``'s output) and from
+    # unit rows 1e-3 off the chart points and random unit rows
+    polishes, polish = [], varspec._polished
+    monkeypatch.setattr(varspec, "_polished", lambda kind, a, v, *args, **kw: polishes.append(
+        (kind, a, polish(kind, a, v, *args, **kw))) or polishes[-1][2])
+    rng = np.random.default_rng(27)
+    for make, fallback_kind in ((_symmetrized, "z_eigen"), (_right_symmetrized, "c_eigen"),
+                                (lambda g: g, "singular")):
+        for _ in range(50):
+            a = core._scaled(make(rng.standard_normal((3, 3, 3))), "Hyper3")[0]
+            varspec._bounded_maximum(fallback_kind, a, 0)
+            for kind in ("c_eigen", "z_eigen"):
+                pairs = varspec._chart_pairs(kind, a, 0)
+                rows = rng.standard_normal((4, 3))
+                if pairs is not None:
+                    rows = np.concatenate((rows, pairs[1][:, -1] + 1e-3 * rng.standard_normal(
+                        (len(pairs[0]), 3))))
+                varspec._polished(kind, a, rows / np.linalg.norm(rows, axis=1)[:, None],
+                                  bound=None)
+    seen = {kind: 0 for kind in varspec._KINDS}
+    for kind, a, out in polishes:
+        if out is None:
+            continue
+        f, state, resid = out
+        slots, k = varspec._KINDS[kind][:2]
+        _, fresh, _, fresh_resid = varspec._lagrange(varspec._jacobian_map(a, slots, k), state)
+        assert f.tobytes() == fresh.tobytes()
+        assert resid.tobytes() == (fresh_resid / core._frobenius(a)).tobytes()
+        seen[kind] += len(f)
+    assert min(seen.values()) >= 150
 
 
 @pytest.mark.parametrize("kind", sorted(varspec._KINDS))

@@ -12,8 +12,9 @@ for one of each kind.  A one-entry memo keeps the route of the last
 tensor solved, keyed on its float64 bytes: the scaled tensor, its swap
 verdicts and, for a symmetric one whose Z enumeration certifies, the
 three maxima of ``_route``.  eta_1, mu_1 and then nu_1 of one symmetric
-tensor pay for one scaling, one Z enumeration and one product that
-checks both lifts, and repeated calls return the same read-only triple.
+tensor pay for one scaling, one Z enumeration and the three slot
+gradients at its best vector that check both lifts, and repeated calls
+return the same read-only triple.
 
 On a symmetric tensor eta_1 = mu_1 = nu_1, all three attained at
 (v, v, v) for the best Z-eigenvector v (Banach, Studia Math. 7, 1938),
@@ -679,11 +680,13 @@ def _route(key: bytes):
     Where every swap holds within _POLISHED ||a|| and the Z enumeration
     certifies, its best pair (f, v) gives all three maxima: nu_1 as it
     is, and (v, v, v) and (v, v) with f as their potential, which makes
-    the three equal to the bit.  One singular product at the unsigned
-    (v, v, v) checks both lifts: the largest residual of its three slots
-    is the singular one and that of the first two the C one, and a lift
-    is kept where it is within _POLISHED ||a||.  The sign rules of the
-    kinds flip blocks exactly, which leaves those norms as they are."""
+    the three equal to the bit.  The slot gradients A(., v, v), A(v, ., v)
+    and A(v, v, .), from the two contractions a v and v a, check both
+    lifts: the largest of their residuals against f v is the singular
+    one and that of the first two the C one, and a lift is kept where it
+    is within _POLISHED ||a||.  With s the lead sign of v, the lifts are
+    (s v, s v, v) and (v, s v), the blocks of the kinds' sign rules;
+    sign flips are exact, so f and those residuals hold for them."""
     a, exp = core._scaled(np.frombuffer(key).reshape(3, 3, 3), "Hyper3")
     a.setflags(write=False)
     norm = core._frobenius(a)
@@ -695,16 +698,15 @@ def _route(key: bytes):
         f, state, resid = (arr[:1] for arr in pairs)
         value, unscaled = np.ldexp(f[0], exp), _unscaled_residual(norm, exp)
         maxima["z_eigen"] = _triple("z_eigen", value, state[0], resid[0] * unscaled, "enumerated")
-        slots, k = _KINDS["singular"][:2]
-        blocks = state[:, [0] * k]
-        res = _lagrange(_jacobian_map(a, slots, k), blocks, f)[2]
-        slot_resid = _norms(res.reshape(blocks.shape))[0]
-        for kind, r in (("singular", slot_resid.max()), ("c_eigen", slot_resid[:2].max())):
-            r = r / norm
+        v = state[0, 0]
+        w, u = a @ v, (v @ a.reshape(3, 9)).reshape(3, 3)
+        # the residuals of A(., v, v), A(v, ., v) and A(v, v, .) against f v
+        slot = (_norms(np.array((w @ v, u @ v, v @ u)) - f[0] * v) / norm).tolist()
+        sv = _lead_signs(v[None])[0] * v
+        for kind, r, blocks in (("singular", max(slot), (sv, sv, v)),
+                                ("c_eigen", max(slot[:2]), (v, sv))):
             if r <= _POLISHED:
-                _, n, signs, _ = _KINDS[kind]
-                lifted = blocks[:, :n] * signs(f, blocks[:, :n])[:, :, None]
-                maxima[kind] = _triple(kind, value, lifted[0], r * unscaled, "enumerated")
+                maxima[kind] = _triple(kind, value, blocks, r * unscaled, "enumerated")
     return a, exp, dev, verdicts, maxima
 
 

@@ -15,7 +15,7 @@ from tritensor.errors import (
     NoConvergence, NotPartiallySymmetric, NotRightSymmetric, NotSymmetric, Uncertified,
     Unrepresentable,
 )
-from tritensor.symmetry import FIXTURE_CLASSES, _swap_symmetric
+from tritensor.symmetry import FIXTURE_CLASSES, _PAIR_SWAPS, _swap_deviations, _swap_symmetric
 
 from helpers import oracle_eta1, oracle_mu1, oracle_nu1, random_hyper3, random_vec, run_python
 
@@ -706,9 +706,9 @@ def test_the_route_is_keyed_on_the_contents():
     assert varspec._route.cache_info().currsize == 1
 
 
-def test_mu_1_residual_from_the_shared_product_is_the_c_residual():
-    # the largest residual of the first two slots of the singular product at
-    # (v, v, v) against that of the C product at (v, +-v), as the lift had it
+def test_mu_1_residual_from_the_slot_contractions_is_the_c_residual():
+    # the larger residual of the first two slot contractions at (v, v, v)
+    # against that of the C product at (v, +-v), as the lift had it
     for a in _banach_inputs()[:32]:
         mu = tt.max_c_eigenvalue(a)
         scaled, exp = core._scaled(a, "Hyper3")
@@ -719,6 +719,131 @@ def test_mu_1_residual_from_the_shared_product_is_the_c_residual():
         norm = core._frobenius(scaled)
         resid = resid / norm * varspec._unscaled_residual(norm, exp)
         assert abs(mu.residual - resid) <= 4 * np.finfo(float).eps
+
+
+def _product_lifts(a):
+    """eta_1 and mu_1 of a symmetric tensor by kind, as the route took them
+    from one singular Jacobian product at (v, v, v), its three slot
+    residuals, and the singular and C sign rules on the blocks."""
+    scaled, exp = core._scaled(a, "Hyper3")
+    pairs = varspec._pairs_of_bytes("z_eigen", scaled.tobytes())
+    if pairs is None:
+        return {}
+    f, state, _ = (arr[:1] for arr in pairs)
+    norm = core._frobenius(scaled)
+    value, unscaled = np.ldexp(f[0], exp), varspec._unscaled_residual(norm, exp)
+    blocks = state[:, [0, 0, 0]]
+    res = varspec._lagrange(varspec._jacobian_map(scaled, (0, 1, 2), 3), blocks, f)[2]
+    slot = varspec._norms(res.reshape(blocks.shape))[0]
+    lifts = {}
+    for kind, r, k, signs in (("singular", slot.max(), 3, varspec._singular_signs),
+                              ("c_eigen", slot[:2].max(), 2, varspec._c_signs)):
+        r = r / norm
+        if r <= 1e-12:
+            lifted = blocks[:, :k] * signs(f, blocks[:, :k])[:, :, None]
+            lifts[kind] = varspec._triple(kind, value, lifted[0], r * unscaled, "enumerated")
+    return lifts
+
+
+def test_route_lifts_equal_the_product_lifts_bit_for_bit():
+    # the three slot contractions and one lead sign against the singular
+    # product and the two sign rules they replace: the same verdicts, values,
+    # bounds, methods and vectors, and residuals within rounding
+    rng = np.random.default_rng(27)
+    inputs = [*_banach_inputs(), *(_symmetrized(rng.standard_normal((3, 3, 3)))
+                                   for _ in range(200))]
+    lifted = 0
+    for a in inputs:
+        varspec._route.cache_clear()
+        maxima = varspec._route(core._shaped(a, "Hyper3").tobytes())[4]
+        want = _product_lifts(a)
+        assert sorted(maxima.keys() - {"z_eigen"}) == sorted(want)
+        for kind, old in want.items():
+            new = maxima[kind]
+            for field in ("kind", "value", "upper_bound", "method"):
+                assert getattr(new, field) == getattr(old, field)
+            for slot in "xyz":
+                assert getattr(new, slot).tobytes() == getattr(old, slot).tobytes()
+            assert abs(new.residual - old.residual) <= 4 * np.finfo(float).eps
+            lifted += 1
+    assert lifted == 2 * len(inputs)
+
+
+def test_route_lead_sign_is_the_sign_rules():
+    # the route's one lead sign s of v, as the sign rules take it: ties go
+    # to the first largest magnitude and a -0.0 lead gives +1, and
+    # (s v, s v, v) and (v, s v) are the blocks the sign rules make of v
+    rows = np.array([
+        [0.5, -0.5, 0.1], [-0.5, 0.5, 0.1], [0.1, 0.6, -0.6], [0.2, -0.6, 0.6],
+        [-0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, 1e-300, -1e-300],
+        [0.1, -0.9, 0.3], [-0.8, 0.6, 0.0], [0.0, 0.0, -1.0], [-0.0, -0.6, 0.8],
+    ])
+    rng = np.random.default_rng(27)
+    rows = np.concatenate((rows, rng.standard_normal((200, 3)), rng.integers(-1, 2, (60, 3))))
+    rows = rows * np.where(rng.random(rows.shape) < 0.1, -0.0, 1.0)  # some signed zeros
+    f = np.ones(1)
+    for v in rows:
+        s = varspec._lead_signs(v[None])[0]
+        blocks = v[None, None][:, [0, 0, 0]]
+        singular = varspec._singular_signs(f, blocks)[0]
+        c = varspec._c_signs(f, blocks[:, :2])[0]
+        assert (singular.tolist(), c.tolist()) == ([s, s, 1.0], [1.0, s])
+        assert np.array((s * v, s * v, v)).tobytes() == (blocks[0] * singular[:, None]).tobytes()
+        assert np.array((v, s * v)).tobytes() == (blocks[0, :2] * c[:, None]).tobytes()
+
+
+@pytest.mark.parametrize("order, held", [("pvv", ["z_eigen"]), ("vvp", ["c_eigen", "z_eigen"])])
+def test_route_refuses_a_lift_whose_slot_residual_exceeds_the_polish_bound(
+    monkeypatch, order, held
+):
+    # every swap holds within 1e-12 ||A|| and the Z enumeration certifies,
+    # but an asymmetry spread over every entry, p (x) v (x) v or
+    # v (x) v (x) p with p orthogonal to the best Z vector v, moves the
+    # slot gradients A(v, ., v) and A(v, v, .), or A(v, v, .) alone, off
+    # f v by about twice the largest swap deviation: the route refuses both
+    # lifts, or the singular one alone
+    a = np.asarray(tt.make_fixture("symmetric", 0))
+    v = tt.max_z_eigenvalue(a).x
+    p = unit(np.cross(v, [0.0, 1.0, 0.0]))
+    e = np.einsum("i,j,k->ijk", *({"p": p, "v": v}[c] for c in order))
+    b = a + 0.9e-12 * np.linalg.norm(a) / _swap_deviations(e, *_PAIR_SWAPS).max() * e
+    varspec._route.cache_clear()
+    scaled, exp, dev, verdicts, maxima = varspec._route(b.tobytes())
+    norm = core._frobenius(scaled)
+    assert verdicts == [True, True, True] and dev.max() > 0.8e-12 * norm
+    assert sorted(maxima) == held
+    nu = maxima["z_eigen"]
+    u = (nu.x @ scaled.reshape(3, 9)).reshape(3, 3)
+    assert np.linalg.norm(nu.x @ u - np.ldexp(nu.value, -exp) * nu.x) > 1e-12 * norm
+    enumerate_, kinds = varspec._pairs_of_bytes, []
+    monkeypatch.setattr(varspec, "_pairs_of_bytes",
+                        lambda kind, key: kinds.append(kind) or enumerate_(kind, key))
+    eta, mu = tt.max_singular_value(b), tt.max_c_eigenvalue(b)
+    assert tt.max_z_eigenvalue(b) is nu
+    assert max(eta.residual, mu.residual) <= 1e-12
+    if order == "pvv":
+        # the right swap is exact: eta_1 and mu_1 by the C enumeration
+        assert kinds == ["c_eigen", "c_eigen"]
+        assert (eta.method, mu.method) == ("enumerated", "enumerated")
+        c = tt.c_spectrum(b)
+        assert mu.value == c.values[0] and eta.y.tobytes() == c.y[0].tobytes()
+    else:
+        # mu_1 is the route's; the C lift of eta_1 fails on the right swap
+        assert kinds == ["c_eigen"]
+        assert mu is maxima["c_eigen"] and mu.value == nu.value
+        assert eta.method == "bounded"
+    assert abs(eta.value - nu.value) <= 1e-12 * nu.value
+
+
+def test_cold_eta_1_of_a_symmetric_tensor_builds_one_jacobian_map(monkeypatch):
+    # the Z polish's, and none for the lifts of the route
+    calls = _counted(monkeypatch, "_jacobian_map")
+    for a in _banach_inputs()[:32]:
+        varspec._pairs_of_bytes.cache_clear()
+        varspec._route.cache_clear()
+        calls.clear()
+        assert tt.max_singular_value(a).method == "enumerated"
+        assert calls == ["_jacobian_map"]
 
 
 def _without(monkeypatch, *kinds):

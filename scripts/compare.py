@@ -31,13 +31,11 @@ and reports eight parts:
   benchmark workload calls;
 - ``solvers``: per solver and tree, on the 32 (fixture, rotation) pairs
   that the ``audit`` benchmark workload times, the fastest of 21 rounds
-  of each whole solve.  The memos of C and Z enumerations and (where
-  a tree has one) of the route of the last tensor solved are cleared
-  before each timed solve, and ``audit_item`` times eta_1, mu_1 and nu_1
-  in turn from cleared memos, as one audit item solves them: on these
-  symmetric pairs mu_1 and nu_1 read the route that eta_1 filled, which
-  holds all three maxima of its Z enumeration (a tree without a route
-  reads the Z enumeration and lifts its best pair again).  ``lifts``
+  of each whole solve.  The solvers' memos (``clear_memos``) are
+  cleared before each timed solve, and ``audit_item`` times eta_1, mu_1
+  and nu_1 in turn from cleared memos, as one audit item solves them: on
+  these symmetric pairs mu_1 and nu_1 read the route that eta_1 filled,
+  which holds all three maxima of its Z enumeration.  ``lifts``
   times mu_1 and nu_1 alone, each right after an untimed eta_1 has
   filled the memos;
 - ``fallback``: the C and Z solves of tensors whose enumeration cannot
@@ -421,12 +419,13 @@ def run_layer(tt, layer: str, case) -> tuple[tuple[int], bytes]:
 
 
 def clear_memos(tt) -> None:
-    """Empty the memo of C and Z enumerations, and the route memo of the
-    last tensor solved where the tree has one."""
-    tt.varspec._pairs_of_bytes.cache_clear()
-    route = getattr(tt.varspec, "_route", None)
-    if route is not None:
-        route.cache_clear()
+    """Empty whichever of the solvers' memos the tree has: the route of
+    the last tensor solved, which holds its enumerations and maxima, and
+    a memo of C and Z enumerations beside it in older trees."""
+    for name in ("_pairs_of_bytes", "_route"):
+        memo = getattr(tt.varspec, name, None)
+        if memo is not None:
+            memo.cache_clear()
 
 
 def run_solver(tt, solver: str, a) -> tuple[tuple[int], bytes]:

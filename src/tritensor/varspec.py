@@ -5,16 +5,14 @@ the potential x A y z over one, two or three unit spheres.  C- and
 Z-eigenpairs are enumerated, all of them by one certified elimination
 that each kind feeds its own gradient field (see ``c_spectrum`` and
 ``z_spectrum``), on the tensor scaled by a power of two (exact, so
-results scale with the tensor).  A two-entry memo keeps the last two
-enumerations, so eta_1 and then mu_1 of a right-side symmetric tensor
-pay for one, and a symmetric tensor whose Z enumeration cannot certify
-for one of each kind.  A one-entry memo keeps the route of the last
+results scale with the tensor).  One memo, ``_route``, keeps the last
 tensor solved, keyed on its float64 bytes: the scaled tensor, its swap
-verdicts and, for a symmetric one whose Z enumeration certifies, the
-three maxima of ``_route``.  eta_1, mu_1 and then nu_1 of one symmetric
-tensor pay for one scaling, one Z enumeration and the three slot
-gradients at its best vector that check both lifts, and repeated calls
-return the same read-only triple.
+verdicts, the enumerations run on it and the maxima found, each kept
+once.  eta_1, mu_1 and then nu_1 of one symmetric tensor pay for one
+scaling, one Z enumeration and the three slot gradients at its best
+vector that check both lifts; eta_1 and then mu_1 of a right-side
+symmetric one for one C enumeration; and repeated calls return the same
+read-only triple.
 
 On a symmetric tensor eta_1 = mu_1 = nu_1, all three attained at
 (v, v, v) for the best Z-eigenvector v (Banach, Studia Math. 7, 1938),
@@ -24,9 +22,10 @@ largest singular value eta_1 of a tensor symmetric in only one pair of
 slots is mu_1 of the tensor with that pair moved last: that tensor is
 right-side symmetric, x A is then symmetric, and the largest y (x A) z
 is the largest |y (x A) y|.  Its best C-eigenpair (x, y), put back as
-(x, y, y) in the original slots, is eta_1's triple.  A lift gets the
-sign rule of its kind and must pass the kind's residual test.
-``_maximum`` is the one route of all three solvers to these sources.
+(x, y, y) in the original slots, is eta_1's triple, with mu_1 as its
+value.  A lift gets the sign rule of its kind and must pass the kind's
+residual test (see ``_lift``).  ``_maximum`` is the one route of all
+three solvers to these sources.
 
 Elsewhere, or where no enumeration certifies, eta_1 is bracketed by a
 branch and bound over the sphere of x.  phi(x) = ||x A||_2 is a norm of a
@@ -170,19 +169,17 @@ def _jacobian_map(a, slots, k):
     return g.reshape(-1, 3 * k).T
 
 
-def _lagrange(jmap, s, f=None):
+def _lagrange(jmap, s):
     """One product with the Jacobian map at the (r, k, 3) states ``s``:
-    the bordered Lagrange matrices, the potentials f = s_0 . g_0 unless
-    given, the residuals g - f s, flattened, for the gradients
-    g = J s / 2, and the largest |g_b - f s_b| over the state blocks,
-    absolute."""
+    the bordered Lagrange matrices, the potentials f = s_0 . g_0, the
+    residuals g - f s, flattened, for the gradients g = J s / 2, and the
+    largest |g_b - f s_b| over the state blocks, absolute."""
     r, k, _ = s.shape
     n = 3 * k
     sf = s.reshape(r, n)
     system = (sf @ jmap).reshape(r, n + k, n + k)
     g = 0.5 * np.matmul(system[:, :n, :n], sf[:, :, None])[:, :, 0]
-    if f is None:
-        f = _dot(sf[:, :3], g[:, :3])
+    f = _dot(sf[:, :3], g[:, :3])
     res = g - f[:, None] * sf
     return system, f, res, _norms(res.reshape(s.shape)).max(axis=1)
 
@@ -610,104 +607,81 @@ def _chart_pairs(kind: str, a: np.ndarray, chart: int):
     return f[order], state[order], resid[order]
 
 
-@functools.lru_cache(maxsize=2)
-def _pairs_of_bytes(kind: str, key: bytes):
-    """The ``_chart_pairs`` of the first chart that certifies, for the
-    scaled tensor stored in ``key``, read-only, or None.  eta_1, mu_1
-    and then nu_1 of one symmetric tensor share the Z enumeration, and
-    eta_1 and then mu_1 of a right-side symmetric one the C enumeration;
-    the second entry keeps a symmetric tensor whose Z enumeration cannot
-    certify from enumerating again in each solver."""
-    a = np.frombuffer(key).reshape(3, 3, 3)
-    for chart in range(len(_CHARTS)):
-        pairs = _chart_pairs(kind, a, chart)
-        if pairs is not None:
-            for arr in pairs:
-                arr.setflags(write=False)
-            return pairs
-    return None
-
-
-@functools.cache
-def _lifted_blocks(kind: str, source: str, perm: tuple) -> np.ndarray:
-    """The ``source`` state block in each ``kind`` state block, for a pair
-    of the ``source`` enumeration of a.transpose(perm) read in the slots
-    of ``a``."""
-    # held[j]: the source block in slot j of ``a`` (slot i of the source's
-    # tensor is slot perm[i] of ``a``); the kind reads block b from its first slot
-    held = np.array(_KINDS[source][0])[np.argsort(perm)]
-    slots, k = _KINDS[kind][:2]
-    blocks = held[[slots.index(b) for b in range(k)]]
-    blocks.setflags(write=False)  # shared by every call
-    return blocks
-
-
-def _certified(kind: str, source: str, a: np.ndarray, exp: int, perm=(0, 1, 2)):
-    """The ``kind`` maximum of ldexp(a, exp) from the best pair of the
-    certified ``source`` enumeration of a.transpose(perm), or None if no
-    chart certifies.  The kind's own enumeration gives its best pair as
-    it is.  A C pair for the singular kind is lifted, or None if the
-    lift's singular residual exceeds _POLISHED ||a||: the pair's slot
-    vectors, put back in the slots of ``a``, fill the singular state
-    blocks, and the singular sign rule makes them canonical.  The maxima
-    are equal on the tensors this serves (Banach, Studia Math. 7, 1938)."""
-    pairs = _pairs_of_bytes(source, a.transpose(perm).tobytes())
-    if pairs is None:
-        return None
-    f, state, resid = (arr[:1] for arr in pairs)
-    norm = core._frobenius(a)
-    if source != kind:
-        slots, k, signs, _ = _KINDS[kind]
-        state = state[:, _lifted_blocks(kind, source, perm)]
-        state = state * signs(f, state)[:, :, None]
-        # the pair's tensor permutes the slots, so the potential is taken on ``a``
-        _, f, _, resid = _lagrange(_jacobian_map(a, slots, k), state)
-        resid = resid / norm
-        if not resid[0] <= _POLISHED:
-            return None
-    resid = resid[0] * _unscaled_residual(norm, exp)
-    return _triple(kind, np.ldexp(f[0], exp), state[0], resid, "enumerated")
-
-
 @functools.lru_cache(maxsize=1)
 def _route(key: bytes):
     """The route to the maxima of the tensor whose float64 bytes are
     ``key``, read in C order whatever the input's memory layout: the
-    scaled tensor a (read-only) and its exponent, its deviations under
-    _PAIR_SWAPS and their verdicts within _POLISHED ||a||, and by kind
-    the maxima taken from its Z enumeration.  One entry, as eta_1, mu_1
-    and nu_1 of one tensor are solved in turn.
-    Where every swap holds within _POLISHED ||a|| and the Z enumeration
-    certifies, its best pair (f, v) gives all three maxima: nu_1 as it
-    is, and (v, v, v) and (v, v) with f as their potential, which makes
-    the three equal to the bit.  The slot gradients A(., v, v), A(v, ., v)
-    and A(v, v, .), from the two contractions a v and v a, check both
-    lifts: the largest of their residuals against f v is the singular
-    one and that of the first two the C one, and a lift is kept where it
-    is within _POLISHED ||a||.  With s the lead sign of v, the lifts are
-    (s v, s v, v) and (v, s v), the blocks of the kinds' sign rules;
-    sign flips are exact, so f and those residuals hold for them."""
+    scaled tensor a (read-only), its exponent, its deviations under
+    _PAIR_SWAPS and their verdicts within _POLISHED ||a||, and the
+    enumerations run by (kind, axis permutation) and maxima found by kind
+    so far.  One entry, as eta_1, mu_1 and nu_1 of one tensor are solved
+    in turn."""
     a, exp = core._scaled(np.frombuffer(key).reshape(3, 3, 3), "Hyper3")
     a.setflags(write=False)
-    norm = core._frobenius(a)
     dev = _swap_deviations(a, *_PAIR_SWAPS)
-    verdicts = (dev <= _POLISHED * norm).tolist()
-    maxima = {}
-    pairs = _pairs_of_bytes("z_eigen", a.tobytes()) if all(verdicts) else None
-    if pairs is not None:
-        f, state, resid = (arr[:1] for arr in pairs)
-        value, unscaled = np.ldexp(f[0], exp), _unscaled_residual(norm, exp)
-        maxima["z_eigen"] = _triple("z_eigen", value, state[0], resid[0] * unscaled, "enumerated")
-        v = state[0, 0]
-        w, u = a @ v, (v @ a.reshape(3, 9)).reshape(3, 3)
-        # the residuals of A(., v, v), A(v, ., v) and A(v, v, .) against f v
-        slot = (_norms(np.array((w @ v, u @ v, v @ u)) - f[0] * v) / norm).tolist()
-        sv = _lead_signs(v[None])[0] * v
-        for kind, r, blocks in (("singular", max(slot), (sv, sv, v)),
-                                ("c_eigen", max(slot[:2]), (v, sv))):
-            if r <= _POLISHED:
-                maxima[kind] = _triple(kind, value, blocks, r * unscaled, "enumerated")
-    return a, exp, dev, verdicts, maxima
+    return a, exp, dev, (dev <= _POLISHED * core._frobenius(a)).tolist(), {}, {}
+
+
+def _enumerated(route, kind: str, perm: tuple = (0, 1, 2)):
+    """The ``_chart_pairs`` of the first chart that certifies, for the
+    route's scaled tensor a.transpose(perm), read-only, or None; run once
+    per route."""
+    spectra = route[4]
+    if (kind, perm) not in spectra:
+        a = np.ascontiguousarray(route[0].transpose(perm))
+        for chart in range(len(_CHARTS)):
+            pairs = _chart_pairs(kind, a, chart)
+            if pairs is not None:
+                break
+        for arr in pairs or ():
+            arr.setflags(write=False)
+        spectra.setdefault((kind, perm), pairs)
+    return spectra[kind, perm]
+
+
+def _lead_sign(row: list) -> float:
+    """``_lead_signs`` of one finite row, given as a list."""
+    return -1.0 if max(row, key=abs) < 0.0 else 1.0
+
+
+def _lift(route, source: str, perm: tuple, kinds: tuple) -> None:
+    """Fill the route's empty maxima of ``kinds`` from the best pair
+    (f, blocks) of the certified ``source`` enumeration of
+    a.transpose(perm): the source's own kind as it is, the others lifted,
+    as the maxima are equal on the tensors served (Banach, Studia Math. 7,
+    1938).  The pair's vectors, put back in the slots of a as (p, q, r),
+    give the slot gradients A(., q, r), A(p, ., r) and A(p, q, .) from
+    w = a r and u = p a; their largest residual against f (p, q, r) is the
+    singular one, the larger of the first two the C one (served where
+    q = r), and a lift within _POLISHED ||a|| is kept.  With s and t the
+    lead signs of p and q, the lifts are (s p, t q, s t r) and (p, t q) by
+    the kinds' sign rules; sign flips are exact, so f, their value, and
+    the residuals hold for them."""
+    a, exp, _, _, _, maxima = route
+    pairs = _enumerated(route, source, perm)
+    if pairs is None:
+        return
+    f, blocks, resid = pairs[0][0], pairs[1][0], pairs[2][0]
+    norm = core._frobenius(a)
+    value, unscaled = np.ldexp(f, exp), _unscaled_residual(norm, exp)
+    if source in kinds and source not in maxima:
+        maxima.setdefault(source, _triple(source, value, blocks, resid * unscaled, "enumerated"))
+    if maxima.keys() >= set(kinds):
+        return
+    # the source block in each slot of a: slot n of a.transpose(perm) is
+    # slot perm[n] of a
+    i, j, k = (_KINDS[source][0][perm.index(n)] for n in range(3))
+    p, q, r = blocks[i], blocks[j], blocks[k]
+    w, u = a @ r, (p @ a.reshape(3, 9)).reshape(3, 3)
+    pqr = blocks if len(blocks) == 1 else np.array((p, q, r))  # a Z pair holds one block
+    slot = (_norms(np.array((w @ q, u @ r, q @ u)) - f * pqr) / norm).tolist()
+    signs = [_lead_sign(b) for b in blocks.tolist()]
+    s, t = signs[i], signs[j]
+    tq = t * q  # which is s p where p is q; s t r is r or -r
+    singular = (tq if i == j else s * p, tq, r if s == t else -r)
+    for kind, res, vecs in (("singular", max(slot), singular), ("c_eigen", max(slot[:2]), (p, tq))):
+        if kind in kinds and kind not in maxima and res <= _POLISHED:
+            maxima.setdefault(kind, _triple(kind, value, vecs, res * unscaled, "enumerated"))
 
 
 @dataclass(frozen=True)
@@ -792,33 +766,49 @@ def _bounded_maximum(kind: str, a: np.ndarray, exp: int) -> CriticalTriple:
     return _triple(kind, np.ldexp(f[0], exp), state[0], resid, "bounded", np.ldexp(upper, exp))
 
 
+def _sources(verdicts: list) -> dict:
+    """Per source (kind, axis permutation), in the order tried, the kinds
+    it serves on a tensor with these swap verdicts: the Z enumeration
+    serves nu_1, and eta_1 and mu_1 too where every swap holds; the C
+    enumeration serves mu_1; and the C enumeration of the tensor with the
+    first pair that holds moved last serves eta_1."""
+    plan = {("z_eigen", (0, 1, 2)): ["z_eigen"], ("c_eigen", (0, 1, 2)): ["c_eigen"]}
+    if all(verdicts):
+        plan["z_eigen", (0, 1, 2)] += ["singular", "c_eigen"]
+    if any(verdicts):
+        perm = _PAIR_LAST[_PAIR_SWAPS[verdicts.index(True)]]
+        plan.setdefault(("c_eigen", perm), []).append("singular")
+    return plan
+
+
 def _maximum(kind: str, a) -> CriticalTriple:
-    """The ``kind`` maximum of ``a`` by the route of the solvers' docstrings:
-    the ``_route``'s maximum where it holds one; otherwise the swap
-    verdicts within _POLISHED ||a|| pick the certified source, tried
-    before the branch and bound, and the gate is read only where they
-    fail (symmetric within _POLISHED passes its 1e-8).  Where every
-    verdict holds, the route has tried the Z enumeration already."""
-    a, exp, dev, verdicts, maxima = _route(core._shaped(a, "Hyper3").tobytes())
+    """The ``kind`` maximum of ``a`` by the route of the solvers'
+    docstrings, kept in ``_route``: the ``_sources`` of the kind in turn,
+    then the branch and bound.  A source fills every empty kind it
+    serves, so each kind gets its first source's maximum whichever solver
+    ran it.  The gate is read only where a swap verdict fails (symmetric
+    within _POLISHED passes its 1e-8), and its error stores nothing."""
+    route = _route(core._shaped(a, "Hyper3").tobytes())
+    a, exp, dev, verdicts, _, maxima = route
     if kind in maxima:
         return maxima[kind]
     if kind in _GATES and not all(verdicts):
         _require(kind, a, dev)
-    source = perm = None
-    if kind == "c_eigen" or (kind == "z_eigen" and not all(verdicts)):
-        source, perm = kind, (0, 1, 2)
-    elif kind == "singular" and any(verdicts):
-        source, perm = "c_eigen", _PAIR_LAST[_PAIR_SWAPS[verdicts.index(True)]]
-    triple = None if source is None else _certified(kind, source, a, exp, perm)
-    return _bounded_maximum(kind, a, exp) if triple is None else triple
+    for (source, perm), kinds in _sources(verdicts).items():
+        if kind in kinds:
+            _lift(route, source, perm, kinds)
+            if kind in maxima:
+                return maxima[kind]
+    return maxima.setdefault(kind, _bounded_maximum(kind, a, exp))
 
 
 def _spectrum(kind: str, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The gated ``kind`` eigenpairs of ``a`` as (values, (n, k, 3) state
-    blocks, residuals relative to max(1, ||A||))."""
-    a, exp = core._scaled(a, "Hyper3")
-    _require(kind, a, _swap_deviations(a, *_PAIR_SWAPS))
-    pairs = _pairs_of_bytes(kind, a.tobytes())
+    blocks, residuals relative to max(1, ||A||)), from its route."""
+    route = _route(core._shaped(a, "Hyper3").tobytes())
+    a, exp, dev = route[:3]
+    _require(kind, a, dev)
+    pairs = _enumerated(route, kind)
     if pairs is None:
         raise Uncertified(
             f"the {kind[0].upper()}-eigenpair enumeration certified in none of its charts"
@@ -843,9 +833,10 @@ def max_singular_value(a: core.Hyper3, *, restarts=None, history_out=None) -> Cr
     Otherwise, or if that fails, the first that holds: eta_1 is mu_1 of
     the tensor with that pair moved last, and the triple is the best pair
     of its certified ``c_spectrum``, (x, y, y) put back in the original
-    slots.  Either lift gets the singular sign rule and must pass the
-    same residual test of 1e-12 ||A|| on A as an enumerated pair
-    (``method`` "enumerated", ``upper_bound`` = ``value``).
+    slots, with that mu_1 as its value, to the bit.  Either lift gets the
+    singular sign rule and must pass the same residual test of
+    1e-12 ||A|| on A as an enumerated pair (``method`` "enumerated",
+    ``upper_bound`` = ``value``).
 
     Otherwise (``method`` "bounded") the branch and bound of the module
     docstring brackets eta_1 in [``value``, ``upper_bound``] and returns

@@ -1,8 +1,8 @@
 """Smoke test of ``scripts/compare.py``: the working tree against itself.
 
 It runs the script's per-case helpers on a few inputs, so a library
-change that breaks a hook the script uses (the SVD and enumeration
-memos' ``cache_clear``, ``varspec._bounded``, ``core._scaled``, the
+change that breaks a hook the script uses (the SVD and route memos'
+``cache_clear``, ``varspec._bounded``, ``core._scaled``, the
 library errors, the CLI's ``run``, the modules a CLI process imports)
 fails here rather than at the next measurement.
 """
@@ -59,20 +59,20 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monke
         assert set(laps["change"]) == {"solve_us_p50", "solve_ms_sum"}
         assert laps["change"]["solve_ms_sum"] > 0.0
     # each timed solve starts from a cleared memo, so none hits it
-    enumerations = trees["change"].varspec._pairs_of_bytes
+    varspec = trees["change"].varspec
+    routes, key = varspec._route, pairs[0].tobytes()
     compare.run_solver(trees["change"], "max_c_eigenvalue", pairs[0])
     compare.run_solver(trees["change"], "max_c_eigenvalue", pairs[0])
-    assert enumerations.cache_info().hits == 0
-    routes = trees["change"].varspec._route
+    assert routes.cache_info()[:2] == (0, 1)  # (hits, misses) since the clear
     compare.run_solver(trees["change"], compare.AUDIT_ITEM, pairs[0])
     # one Z enumeration for the symmetric pair, whose route mu_1 and nu_1 read
-    assert enumerations.cache_info()[:2] == (0, 1)  # (hits, misses) since the clear
     assert routes.cache_info()[:2] == (2, 1)
+    assert list(routes(key)[4]) == [("z_eigen", (0, 1, 2))]
     # a lift lap times a route hit alone, with the triple of a whole solve
     for solver in compare.LIFTS:
         _, record = compare.run_lift(trees["change"], solver, pairs[0])
-        assert enumerations.cache_info()[:2] == (0, 1)
         assert routes.cache_info()[:2] == (1, 1)
+        assert list(routes(key)[4]) == [("z_eigen", (0, 1, 2))]
         assert record == compare.run_solver(trees["change"], solver, pairs[0])[1]
 
     solves = [(s, pairs[0]) for s in compare.SOLVERS]

@@ -15,7 +15,9 @@ from tritensor.errors import (
     NoConvergence, NotPartiallySymmetric, NotRightSymmetric, NotSymmetric, Uncertified,
     Unrepresentable,
 )
-from tritensor.symmetry import FIXTURE_CLASSES, _PAIR_SWAPS, _swap_deviations, _swap_symmetric
+from tritensor.symmetry import (
+    FIXTURE_CLASSES, _PAIR_LAST, _PAIR_SWAPS, _swap_deviations, _swap_symmetric,
+)
 
 from helpers import oracle_eta1, oracle_mu1, oracle_nu1, random_hyper3, random_vec, run_python
 
@@ -543,16 +545,20 @@ def test_eta_1_gate_is_the_polish_bound(t, method):
     assert (triple.value == nu.value) == (method == "enumerated")
 
 
-def test_eta_1_route_at_the_polish_bound(monkeypatch):
+def _enumerations(a):
+    """The (kind, axis permutation) of each enumeration that the route of
+    ``a`` holds, in the order run: read right after a solve of ``a``, the
+    enumerations that it and the solves of ``a`` before it ran."""
+    return list(varspec._route(core._shaped(a, "Hyper3").tobytes())[4])
+
+
+def test_eta_1_route_at_the_polish_bound():
     # within 1e-12 ||A|| of symmetric: eta_1 and mu_1 by the Z route; only
     # right-side symmetric there (two entries off by 2e-12 ||A||): by the C
     # enumeration of the tensor itself, as where the right and left swaps
     # hold and the central one fails, which they allow up to about
     # 3e-12 ||A||: around the hexagon of index orders each right or left
     # swap moves 0.9e-12 ||A||, so the central swap sees 2.7e-12 ||A||
-    enumerate_, calls = varspec._pairs_of_bytes, []
-    monkeypatch.setattr(varspec, "_pairs_of_bytes",
-                        lambda kind, key: calls.append((kind, key)) or enumerate_(kind, key))
     a = np.array(tt.make_fixture("symmetric", 4))
     bound = 1e-12 * np.linalg.norm(a)
     near = a.copy()
@@ -569,13 +575,11 @@ def test_eta_1_route_at_the_polish_bound(monkeypatch):
         True, True, False
     )
     for b, kind in ((near, "z_eigen"), (right, "c_eigen"), (hexagon, "c_eigen")):
-        key = core._scaled(b, "Hyper3")[0].tobytes()
         for solve in (tt.max_singular_value, tt.max_c_eigenvalue):
             # from a cleared route, which would otherwise answer mu_1
             varspec._route.cache_clear()
-            calls.clear()
             triple = solve(b)
-            assert (calls, triple.method) == ([(kind, key)], "enumerated")
+            assert (_enumerations(b), triple.method) == ([(kind, (0, 1, 2))], "enumerated")
             assert triple.residual <= 1e-12
     assert tt.max_singular_value(near).value == tt.max_z_eigenvalue(near).value
     assert tt.max_c_eigenvalue(hexagon).value == tt.c_spectrum(hexagon).values[0]
@@ -610,15 +614,14 @@ def test_eta_1_and_mu_1_share_one_read_only_enumeration():
         ("right_symmetric", "c_eigen", (tt.max_singular_value, tt.max_c_eigenvalue)),
     ):
         a = np.asarray(tt.make_fixture(klass, 9))
-        varspec._pairs_of_bytes.cache_clear()
         varspec._route.cache_clear()
         history = []
         triples = [solve(a, history_out=history) for solve in solves]
-        assert (varspec._pairs_of_bytes.cache_info().misses, history) == (1, [])
+        assert (_enumerations(a), history) == ([(kind, (0, 1, 2))], [])
         assert all(t.method == "enumerated" for t in triples)
         assert max(abs(t.value - triples[0].value) for t in triples) <= 1e-12 * triples[0].value
-        pairs = varspec._pairs_of_bytes(kind, core._scaled(a, "Hyper3")[0].tobytes())
-        scaled = varspec._route(np.asarray(a).tobytes())[0]
+        route = varspec._route(a.tobytes())
+        scaled, pairs = route[0], route[4][kind, (0, 1, 2)]
         arrays = [*pairs, scaled, *(getattr(t, v) for t in triples for v in "xyz")]
         assert not any(arr.flags.writeable for arr in arrays)
 
@@ -660,7 +663,7 @@ def _counted(monkeypatch, *names):
 def test_mu_1_and_nu_1_after_eta_1_read_its_route(monkeypatch):
     # after eta_1 of a symmetric tensor, mu_1 and nu_1 are the triples of
     # its route: no enumeration, no product, and the same objects each time
-    calls = _counted(monkeypatch, "_pairs_of_bytes", "_jacobian_map")
+    calls = _counted(monkeypatch, "_chart_pairs", "_jacobian_map")
     for a in _banach_inputs()[:32]:
         eta = tt.max_singular_value(a)
         calls.clear()
@@ -706,6 +709,19 @@ def test_the_route_is_keyed_on_the_contents():
     assert varspec._route.cache_info().currsize == 1
 
 
+def _product_residuals(a, slots, k, state, f):
+    """Per state and block, |g_b - f s_b| for the gradients g = J s / 2 of
+    one product with the Jacobian map of the scaled ``a`` at the (r, k, 3)
+    ``state``, against the given potentials ``f``: the reference that the
+    slot-contraction lifts are checked against, with ``f`` the enumerated
+    value."""
+    n = 3 * k
+    system = varspec._lagrange(varspec._jacobian_map(a, slots, k), state)[0]
+    sf = state.reshape(len(state), n)
+    g = 0.5 * np.matmul(system[:, :n, :n], sf[:, :, None])[:, :, 0]
+    return varspec._norms((g - f[:, None] * sf).reshape(state.shape))
+
+
 def test_mu_1_residual_from_the_slot_contractions_is_the_c_residual():
     # the larger residual of the first two slot contractions at (v, v, v)
     # against that of the C product at (v, +-v), as the lift had it
@@ -715,7 +731,7 @@ def test_mu_1_residual_from_the_slot_contractions_is_the_c_residual():
         slots, k = varspec._KINDS["c_eigen"][:2]
         state = np.stack((mu.x, mu.y))[None]
         f = np.array([np.ldexp(mu.value, -exp)])
-        resid = varspec._lagrange(varspec._jacobian_map(scaled, slots, k), state, f)[3][0]
+        resid = _product_residuals(scaled, slots, k, state, f).max()
         norm = core._frobenius(scaled)
         resid = resid / norm * varspec._unscaled_residual(norm, exp)
         assert abs(mu.residual - resid) <= 4 * np.finfo(float).eps
@@ -726,15 +742,14 @@ def _product_lifts(a):
     from one singular Jacobian product at (v, v, v), its three slot
     residuals, and the singular and C sign rules on the blocks."""
     scaled, exp = core._scaled(a, "Hyper3")
-    pairs = varspec._pairs_of_bytes("z_eigen", scaled.tobytes())
+    pairs = varspec._chart_pairs("z_eigen", scaled, 0)
     if pairs is None:
         return {}
     f, state, _ = (arr[:1] for arr in pairs)
     norm = core._frobenius(scaled)
     value, unscaled = np.ldexp(f[0], exp), varspec._unscaled_residual(norm, exp)
     blocks = state[:, [0, 0, 0]]
-    res = varspec._lagrange(varspec._jacobian_map(scaled, (0, 1, 2), 3), blocks, f)[2]
-    slot = varspec._norms(res.reshape(blocks.shape))[0]
+    slot = _product_residuals(scaled, (0, 1, 2), 3, blocks, f)[0]
     lifts = {}
     for kind, r, k, signs in (("singular", slot.max(), 3, varspec._singular_signs),
                               ("c_eigen", slot[:2].max(), 2, varspec._c_signs)):
@@ -754,8 +769,10 @@ def test_route_lifts_equal_the_product_lifts_bit_for_bit():
                                    for _ in range(200))]
     lifted = 0
     for a in inputs:
+        # nu_1 runs the Z source, which serves all three kinds here
         varspec._route.cache_clear()
-        maxima = varspec._route(core._shaped(a, "Hyper3").tobytes())[4]
+        tt.max_z_eigenvalue(a)
+        maxima = varspec._route(core._shaped(a, "Hyper3").tobytes())[5]
         want = _product_lifts(a)
         assert sorted(maxima.keys() - {"z_eigen"}) == sorted(want)
         for kind, old in want.items():
@@ -770,8 +787,8 @@ def test_route_lifts_equal_the_product_lifts_bit_for_bit():
 
 
 def test_route_lead_sign_is_the_sign_rules():
-    # the route's one lead sign s of v, as the sign rules take it: ties go
-    # to the first largest magnitude and a -0.0 lead gives +1, and
+    # the lift's lead sign s of v, from its list, as the sign rules take it:
+    # ties go to the first largest magnitude and a -0.0 lead gives +1, and
     # (s v, s v, v) and (v, s v) are the blocks the sign rules make of v
     rows = np.array([
         [0.5, -0.5, 0.1], [-0.5, 0.5, 0.1], [0.1, 0.6, -0.6], [0.2, -0.6, 0.6],
@@ -783,7 +800,8 @@ def test_route_lead_sign_is_the_sign_rules():
     rows = rows * np.where(rng.random(rows.shape) < 0.1, -0.0, 1.0)  # some signed zeros
     f = np.ones(1)
     for v in rows:
-        s = varspec._lead_signs(v[None])[0]
+        s = varspec._lead_sign(v.tolist())
+        assert s == varspec._lead_signs(v[None])[0]
         blocks = v[None, None][:, [0, 0, 0]]
         singular = varspec._singular_signs(f, blocks)[0]
         c = varspec._c_signs(f, blocks[:, :2])[0]
@@ -793,9 +811,7 @@ def test_route_lead_sign_is_the_sign_rules():
 
 
 @pytest.mark.parametrize("order, held", [("pvv", ["z_eigen"]), ("vvp", ["c_eigen", "z_eigen"])])
-def test_route_refuses_a_lift_whose_slot_residual_exceeds_the_polish_bound(
-    monkeypatch, order, held
-):
+def test_route_refuses_a_lift_whose_slot_residual_exceeds_the_polish_bound(order, held):
     # every swap holds within 1e-12 ||A|| and the Z enumeration certifies,
     # but an asymmetry spread over every entry, p (x) v (x) v or
     # v (x) v (x) p with p orthogonal to the best Z vector v, moves the
@@ -808,28 +824,26 @@ def test_route_refuses_a_lift_whose_slot_residual_exceeds_the_polish_bound(
     e = np.einsum("i,j,k->ijk", *({"p": p, "v": v}[c] for c in order))
     b = a + 0.9e-12 * np.linalg.norm(a) / _swap_deviations(e, *_PAIR_SWAPS).max() * e
     varspec._route.cache_clear()
-    scaled, exp, dev, verdicts, maxima = varspec._route(b.tobytes())
+    nu = tt.max_z_eigenvalue(b)  # the Z source, which serves all three kinds here
+    scaled, exp, dev, verdicts, _, maxima = varspec._route(b.tobytes())
     norm = core._frobenius(scaled)
     assert verdicts == [True, True, True] and dev.max() > 0.8e-12 * norm
     assert sorted(maxima) == held
-    nu = maxima["z_eigen"]
+    assert maxima["z_eigen"] is nu
     u = (nu.x @ scaled.reshape(3, 9)).reshape(3, 3)
     assert np.linalg.norm(nu.x @ u - np.ldexp(nu.value, -exp) * nu.x) > 1e-12 * norm
-    enumerate_, kinds = varspec._pairs_of_bytes, []
-    monkeypatch.setattr(varspec, "_pairs_of_bytes",
-                        lambda kind, key: kinds.append(kind) or enumerate_(kind, key))
     eta, mu = tt.max_singular_value(b), tt.max_c_eigenvalue(b)
     assert tt.max_z_eigenvalue(b) is nu
     assert max(eta.residual, mu.residual) <= 1e-12
+    # one C enumeration after the Z one, whichever of eta_1 and mu_1 it serves
+    assert _enumerations(b) == [("z_eigen", (0, 1, 2)), ("c_eigen", (0, 1, 2))]
     if order == "pvv":
         # the right swap is exact: eta_1 and mu_1 by the C enumeration
-        assert kinds == ["c_eigen", "c_eigen"]
         assert (eta.method, mu.method) == ("enumerated", "enumerated")
         c = tt.c_spectrum(b)
         assert mu.value == c.values[0] and eta.y.tobytes() == c.y[0].tobytes()
     else:
-        # mu_1 is the route's; the C lift of eta_1 fails on the right swap
-        assert kinds == ["c_eigen"]
+        # mu_1 is the Z source's; the C lift of eta_1 fails on the right swap
         assert mu is maxima["c_eigen"] and mu.value == nu.value
         assert eta.method == "bounded"
     assert abs(eta.value - nu.value) <= 1e-12 * nu.value
@@ -839,7 +853,6 @@ def test_cold_eta_1_of_a_symmetric_tensor_builds_one_jacobian_map(monkeypatch):
     # the Z polish's, and none for the lifts of the route
     calls = _counted(monkeypatch, "_jacobian_map")
     for a in _banach_inputs()[:32]:
-        varspec._pairs_of_bytes.cache_clear()
         varspec._route.cache_clear()
         calls.clear()
         assert tt.max_singular_value(a).method == "enumerated"
@@ -847,29 +860,24 @@ def test_cold_eta_1_of_a_symmetric_tensor_builds_one_jacobian_map(monkeypatch):
 
 
 def _without(monkeypatch, *kinds):
-    """``varspec._pairs_of_bytes`` with the enumerations of ``kinds``
-    uncertified, and an empty route memo in place of the one that may hold
-    a triple of an earlier solve, restored afterwards."""
+    """``varspec._chart_pairs`` with the enumerations of ``kinds``
+    uncertified in every chart, and an empty route memo in place of the
+    one that may hold a triple of an earlier solve, restored afterwards."""
     fresh = functools.lru_cache(maxsize=1)(varspec._route.__wrapped__)
     monkeypatch.setattr(varspec, "_route", fresh)
-    enumerate_ = varspec._pairs_of_bytes
-    monkeypatch.setattr(varspec, "_pairs_of_bytes",
-                        lambda kind, key: None if kind in kinds else enumerate_(kind, key))
-
-
-# eta_1 of make_fixture("symmetric", s) by the C route, lifted from the
-# best pair of its c_spectrum with the singular potential recomputed
-_C_ROUTE_ETA = ("0x1.e3f274e873237p+0", "0x1.32d4af8379411p+0",
-                "0x1.3ae10ec010fc5p+1", "0x1.08a6ecb7c2d4bp+1")
+    enumerate_ = varspec._chart_pairs
+    monkeypatch.setattr(varspec, "_chart_pairs",
+                        lambda kind, a, chart: None if kind in kinds else enumerate_(kind, a, chart))
 
 
 def test_uncertified_z_falls_back_to_the_c_route_then_the_bound(monkeypatch):
     _without(monkeypatch, "z_eigen")
-    for seed, want in enumerate(_C_ROUTE_ETA):
+    for seed in range(4):
+        # eta_1 is lifted from the best pair of c_spectrum, with its value
         a = np.asarray(tt.make_fixture("symmetric", seed))
         c = tt.c_spectrum(a)
         eta = tt.max_singular_value(a)
-        assert (eta.method, eta.value) == ("enumerated", float.fromhex(want))
+        assert (eta.method, eta.value) == ("enumerated", c.values[0])
         assert eta.y.tobytes() == c.y[0].tobytes()
         assert eta.x.tobytes() in (c.x[0].tobytes(), (-c.x[0]).tobytes())
         assert eta.z.tobytes() in (c.y[0].tobytes(), (-c.y[0]).tobytes())
@@ -884,6 +892,58 @@ def test_uncertified_z_falls_back_to_the_c_route_then_the_bound(monkeypatch):
     assert eta.upper_bound - eta.value <= 1e-8 * eta.value
     assert tt.max_c_eigenvalue(a).as_dict() == fallback("c_eigen", a).as_dict()
     assert tt.max_z_eigenvalue(a).as_dict() == fallback("z_eigen", a).as_dict()
+
+
+@pytest.mark.parametrize("side, klass", [
+    ("right", "right_symmetric"), ("left", "left_symmetric"), ("central", "centrally_symmetric"),
+])
+def test_partially_symmetric_eta_1_is_mu_1_of_the_moved_tensor_to_the_bit(side, klass):
+    # the best C pair (x, y) of the tensor with the symmetric pair moved
+    # last, put back as (x, y, y) in the original slots with its value
+    perm = _PAIR_LAST[side]
+    for seed in range(6):
+        a = np.asarray(tt.make_fixture(klass, seed))
+        eta = tt.max_singular_value(a)
+        c = tt.c_spectrum(a.transpose(perm))
+        assert (eta.method, eta.value, eta.upper_bound) == ("enumerated", c.values[0], c.values[0])
+        # slot perm[n] of a holds slot n of the moved tensor, up to its sign,
+        # and the singular sign rule makes the lead entries of x and y positive
+        triple = (eta.x, eta.y, eta.z)
+        for n, v in enumerate((c.x[0], c.y[0], c.y[0])):
+            assert triple[perm[n]].tobytes() in (v.tobytes(), (-v).tobytes())
+        assert varspec._lead_signs(np.array(triple[:2])).tolist() == [1.0, 1.0]
+
+
+def test_every_route_memoizes_every_kind(monkeypatch):
+    calls = _counted(monkeypatch, "_chart_pairs", "_bounded")
+    # a right-side symmetric tensor: eta_1 and then mu_1 run one C enumeration
+    a = np.asarray(tt.make_fixture("right_symmetric", 2))
+    varspec._route.cache_clear()
+    eta, mu = tt.max_singular_value(a), tt.max_c_eigenvalue(a)
+    assert (eta.method, mu.method, eta.value) == ("enumerated", "enumerated", mu.value)
+    assert _enumerations(a) == [("c_eigen", (0, 1, 2))] and "_bounded" not in calls
+    assert tt.max_singular_value(a) is eta and tt.max_c_eigenvalue(a) is mu
+    # a Gaussian tensor: one branch and bound, whose triple a second eta_1 returns
+    g = random_hyper3(3)
+    calls.clear()
+    eta = tt.max_singular_value(g)
+    assert eta.method == "bounded" and tt.max_singular_value(g) is eta
+    assert calls == ["_bounded"]
+    # a gate error, raised on every call, stores nothing
+    varspec._route.cache_clear()
+    calls.clear()
+    for _ in range(3):
+        with pytest.raises(NotRightSymmetric):
+            tt.max_c_eigenvalue(g)
+    assert varspec._route(g.tobytes())[4:] == ({}, {}) and calls == []
+    # z_spectrum and then the three maxima of a symmetric tensor: one Z enumeration
+    s = np.asarray(tt.make_fixture("symmetric", 5))
+    varspec._route.cache_clear()
+    calls.clear()
+    values = tt.z_spectrum(s).values
+    nu = tt.max_z_eigenvalue(s)
+    assert tt.max_singular_value(s).value == tt.max_c_eigenvalue(s).value == nu.value == values[0]
+    assert _enumerations(s) == [("z_eigen", (0, 1, 2))] and calls == ["_chart_pairs"]
 
 
 def test_eta_1_follows_an_input_mutated_in_place():
@@ -1139,7 +1199,7 @@ def test_polish_stops_at_the_rounding_floor(kind, monkeypatch):
             v = varspec._bounded(a)[0][1][:, 0]
         else:
             a = core._scaled(tt.make_fixture("symmetric", seed), "Hyper3")[0]
-            v = varspec._pairs_of_bytes(kind, a.tobytes())[1][:, -1]
+            v = varspec._enumerated(varspec._route(a.tobytes()), kind)[1][:, -1]
         f, state, resid = varspec._polished(kind, a, v)
         assert (resid <= varspec._FLOOR).all()  # relative to ||a||, as the floor
         start = state[:, 0 if kind == "singular" else -1]
@@ -1238,7 +1298,7 @@ def test_enumerated_route_equals_the_old_helpers_bit_for_bit(monkeypatch):
     def records():
         out = []
         for a in inputs:
-            varspec._pairs_of_bytes.cache_clear()
+            varspec._route.cache_clear()
             for solve in solves:
                 try:
                     result = solve(a)
@@ -1260,11 +1320,8 @@ def test_enumerated_route_equals_the_old_helpers_bit_for_bit(monkeypatch):
     monkeypatch.setattr(varspec, "_roots", np.roots)
     monkeypatch.setattr(varspec, "_merged", lambda f, v: _old_merging(f, v).sum() > len(f))
     monkeypatch.setattr(varspec, "_triple", _old_triple)
-    monkeypatch.setattr(varspec, "_lifted_blocks", lambda kind, source, perm: (
-        np.array(kinds[source][0])[np.argsort(perm)][[kinds[kind][0].index(b)
-                                                      for b in range(kinds[kind][1])]]))
     old = records()
-    varspec._pairs_of_bytes.cache_clear()
+    varspec._route.cache_clear()
     assert new == old
     # and on the 32 audit pairs eta_1, mu_1 and nu_1 are one value, to the bit
     for a in inputs[:32]:

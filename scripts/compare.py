@@ -42,7 +42,9 @@ and reports eight parts:
   certify (the zero tensor, and ``3 v (x) v (x) v`` and, for C,
   ``2 x (x) y (x) y``, each plus 0, 1e-12, 1e-9 and 1e-6 of a unit-norm
   fixture), compared by value and hashed as above, with the fastest of 3
-  whole solves per tree;
+  whole solves per tree, and of 3 ``audit_item`` laps on each tensor
+  (eta_1, mu_1 and nu_1 in turn from cleared memos, where a branch and
+  bound may serve all three), whose records are hashed too;
 - ``bounded``: the singular solves of tensors with no symmetric pair
   (criterion 8's 20 Gaussian tensors, the Levi-Civita tensor and 200
   Gaussian tensors from ``default_rng(11)``), compared by value and
@@ -534,16 +536,21 @@ def fallback_inputs(tt) -> dict:
 
 def fallback(trees: dict, rounds: int = FALLBACK_ROUNDS) -> dict:
     """The C and Z solves of ``fallback_inputs``: by value, and per tree
-    each solve's fastest whole time."""
+    the fastest whole time of each solve and of an audit item on the same
+    tensor, whose triples (or errors) must have equal bits in both trees."""
     parts = {}
     for solver, tensors in fallback_inputs(trees["parent"]).items():
-        best, _ = fastest(trees, [solver], tensors, rounds, run_solver)
+        best, out = fastest(trees, [solver, AUDIT_ITEM], tensors, rounds, run_solver)
         part = parts[solver] = by_value(outcomes(trees, [(solver, a) for a in tensors]))
+        part["audit_item_sha256_equal"] = out["parent"][AUDIT_ITEM] == out["change"][AUDIT_ITEM]
         for n in trees:
-            ms = [round(t / 1e6, 3) for (t,) in best[n][solver]]
-            part[n] = {"solve_ms": ms, "solve_ms_sum": round(sum(ms), 3)}
+            part[n] = {}
+            for group, name in ((solver, "solve"), (AUDIT_ITEM, AUDIT_ITEM)):
+                ms = [round(t / 1e6, 3) for (t,) in best[n][group]]
+                part[n].update({f"{name}_ms": ms, f"{name}_ms_sum": round(sum(ms), 3)})
     return {"rounds": rounds, **parts, "equal": all(p["equal"] for p in parts.values()),
-            "sha256_equal": all(p["sha256_equal"] for p in parts.values())}
+            "sha256_equal": all(p["sha256_equal"] and p["audit_item_sha256_equal"]
+                                for p in parts.values())}
 
 
 def bounded_inputs(tt) -> list[np.ndarray]:

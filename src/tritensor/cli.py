@@ -6,9 +6,11 @@ identical inputs, flags and seeds: all randomness is seeded and numbers
 are printed with shortest round-trip formatting.
 
 Exit codes: 0 success, 2 validation error (including unreadable input and
-unwritable output files) or an eigenpair enumeration that cannot certify
-its result, 3 singular tensor, 4 no convergence (a C- or Z-eigenpair taken
-from the bounded eta_1 that does not polish, near a continuum of maxima).
+unwritable output files), a report that would hold a number outside the
+float64 range (nothing is written) or an eigenpair enumeration that
+cannot certify its result, 3 singular tensor, 4 no convergence (a C- or
+Z-eigenpair taken from the bounded eta_1 that does not polish, near a
+continuum of maxima).
 """
 
 from __future__ import annotations
@@ -134,7 +136,11 @@ _SHOWN = {float: _fmt, list: _fmt_vec, str: str}
 
 
 def _emit(args, json_doc: dict, text_lines: list[str]) -> None:
-    payload = (json.dumps(json_doc, indent=2) if args.json else "\n".join(text_lines)) + "\n"
+    try:  # JSON has no inf or NaN, and the text report shows the same numbers
+        doc = json.dumps(json_doc, indent=2 if args.json else None, allow_nan=False)
+    except ValueError:
+        raise Unrepresentable(f"the {args.command} report is outside the float64 range") from None
+    payload = (doc if args.json else "\n".join(text_lines)) + "\n"
     if not args.out:
         sys.stdout.write(payload)
         return
@@ -162,8 +168,6 @@ def _classify(args, a, name):
 
 def _kernel(args, a, name):
     u = spectral.kernel(a)
-    if not np.isfinite(u).all():  # JSON has no inf or NaN
-        raise Unrepresentable(f"the kernel of {name} is outside the float64 range")
     lines = [f"kernel tensor of {name}"] + [f"  {_fmt_vec(row)}" for row in u]
     lines.append(f"trace = {_fmt(np.trace(u))}")
     return {"kernel": u.tolist(), "trace": float(np.trace(u))}, lines
@@ -238,10 +242,9 @@ def _decompose(args, a, name):
     # ||R - A|| / max(1, ||A||) for the reconstruction R, on R and A scaled
     # by one power of two: exact, and the squares of their entries stay finite
     scaled, exp = core._scaled(a, "Hyper3")
-    with np.errstate(over="ignore"):  # 1 / 2^exp overflows only where ||A|| < 2^-1023
-        one = np.ldexp(1.0, -exp)
     diff = np.linalg.norm(np.ldexp(dec.reconstruct(), -exp) - scaled)
-    residual = float(diff / max(one, np.linalg.norm(scaled)))
+    # 1 / 2^exp overflows to inf, without a warning in run, where ||A|| < 2^-1023
+    residual = float(diff / max(np.ldexp(1.0, -exp), np.linalg.norm(scaled)))
     doc = dec.as_dict()
     doc["residual"] = residual
     lines = [f"{args.side}-side eigenvector decomposition of {name}"]
@@ -405,7 +408,8 @@ def run(argv=None) -> int:
     report = _COMMANDS[args.command][1]
     try:
         a, name = read_tensor(args.tensor) if hasattr(args, "tensor") else (None, None)
-        _emit(args, *report(args, a, name))
+        with np.errstate(all="ignore"):  # _emit refuses a report that overflowed
+            _emit(args, *report(args, a, name))
     except (TensorError, NoConvergence, Uncertified) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         if isinstance(exc, SingularTensor):

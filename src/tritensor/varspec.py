@@ -6,13 +6,15 @@ Z-eigenpairs are enumerated, all of them by one certified elimination
 that each kind feeds its own gradient field (see ``c_spectrum`` and
 ``z_spectrum``), on the tensor scaled by a power of two (exact, so
 results scale with the tensor).  One memo, ``_route``, keeps the last
-tensor solved, keyed on its float64 bytes: the scaled tensor, its swap
-verdicts, the enumerations run on it and the maxima found, each kept
-once.  eta_1, mu_1 and then nu_1 of one symmetric tensor pay for one
-scaling, one Z enumeration and the three slot gradients at its best
-vector that check both lifts; eta_1 and then mu_1 of a right-side
-symmetric one for one C enumeration; and repeated calls return the same
-read-only triple.
+tensor solved, keyed on its float64 bytes: the scaled tensor, its norm,
+its swap verdicts, the runs of its sources (the C and Z enumerations and
+the branch and bound, each run at most once) and the maxima found.
+eta_1, mu_1 and then nu_1 of one symmetric tensor pay for one scaling,
+one Z enumeration and the three slot gradients at its best vector that
+check both lifts; eta_1 and then mu_1 of a right-side symmetric one for
+one C enumeration; the three of a tensor that no enumeration certifies
+for one branch and bound, in any order; and repeated calls return the
+same read-only triple.
 
 On a symmetric tensor eta_1 = mu_1 = nu_1, all three attained at
 (v, v, v) for the best Z-eigenvector v (Banach, Studia Math. 7, 1938),
@@ -40,7 +42,8 @@ value, polished by Newton steps.  It stops when no triangle is live or
 before 20 000 evaluations of phi, which bounds its time and memory, and
 the bound left is ``upper_bound``.  Where the enumeration cannot
 certify, ``max_c_eigenvalue`` and ``max_z_eigenvalue`` take their pair
-from that eta_1, which the maxima equal on the tensors they accept:
+from that eta_1, the route's one run, which the maxima equal on the
+tensors they accept:
 mu_1 = eta_1 for a right-side symmetric tensor and nu_1 = eta_1 for a
 symmetric one.  The eigenvector of the largest |eigenvalue| of x A, for
 the x of eta_1, is the y of the pair, polished as an enumerated point
@@ -234,12 +237,6 @@ def _merged(values: np.ndarray, vecs: np.ndarray) -> bool:
         return False
     close = np.abs(vecs - vecs[:, None]).max(axis=2) <= _MERGE_VECTOR
     return (close & near).sum() > len(values)
-
-
-def _unscaled_residual(norm: float, exp: int) -> float:
-    """The factor that takes a residual relative to ``norm`` = ||a|| to one
-    relative to max(1, ||A||), for A = ldexp(a, exp)."""
-    return 1.0 if exp > 0 else min(1.0, math.ldexp(norm, exp))
 
 
 def _triple(kind, value, blocks, residual, method, upper=None) -> CriticalTriple:
@@ -612,14 +609,18 @@ def _route(key: bytes):
     """The route to the maxima of the tensor whose float64 bytes are
     ``key``, read in C order whatever the input's memory layout: the
     scaled tensor a (read-only), its exponent, its deviations under
-    _PAIR_SWAPS and their verdicts within _POLISHED ||a||, and the
-    enumerations run by (kind, axis permutation) and maxima found by kind
-    so far.  One entry, as eta_1, mu_1 and nu_1 of one tensor are solved
-    in turn."""
+    _PAIR_SWAPS and their verdicts within _POLISHED ||a||, the runs of its
+    sources so far (the enumerations by (kind, axis permutation), the
+    branch and bound by "bounded"), the maxima found by kind, ||a||, and
+    the factor that takes a residual relative to ||a|| to one relative to
+    max(1, ||A||), for A = ldexp(a, exp).  One entry, as eta_1, mu_1 and
+    nu_1 of one tensor are solved in turn; every source runs once in it."""
     a, exp = core._scaled(np.frombuffer(key).reshape(3, 3, 3), "Hyper3")
     a.setflags(write=False)
     dev = _swap_deviations(a, *_PAIR_SWAPS)
-    return a, exp, dev, (dev <= _POLISHED * core._frobenius(a)).tolist(), {}, {}
+    norm = core._frobenius(a)
+    unscaled = 1.0 if exp > 0 else min(1.0, math.ldexp(norm, exp))
+    return a, exp, dev, (dev <= _POLISHED * norm).tolist(), {}, {}, norm, unscaled
 
 
 def _enumerated(route, kind: str, perm: tuple = (0, 1, 2)):
@@ -657,13 +658,12 @@ def _lift(route, source: str, perm: tuple, kinds: tuple) -> None:
     lead signs of p and q, the lifts are (s p, t q, s t r) and (p, t q) by
     the kinds' sign rules; sign flips are exact, so f, their value, and
     the residuals hold for them."""
-    a, exp, _, _, _, maxima = route
+    a, exp, _, _, _, maxima, norm, unscaled = route
     pairs = _enumerated(route, source, perm)
     if pairs is None:
         return
     f, blocks, resid = pairs[0][0], pairs[1][0], pairs[2][0]
-    norm = core._frobenius(a)
-    value, unscaled = np.ldexp(f, exp), _unscaled_residual(norm, exp)
+    value = np.ldexp(f, exp)
     if source in kinds and source not in maxima:
         maxima.setdefault(source, _triple(source, value, blocks, resid * unscaled, "enumerated"))
     if maxima.keys() >= set(kinds):
@@ -732,25 +732,29 @@ _GATES = {
 }
 
 
-def _require(kind: str, a: np.ndarray, dev: np.ndarray) -> None:
-    """Raise the ``kind`` gate's error unless the scaled tensor ``a``, with
-    ``dev`` its deviations under _PAIR_SWAPS, is symmetric within
-    1e-8 ||a|| under the gate's swaps."""
+def _require(kind: str, route) -> None:
+    """Raise the ``kind`` gate's error unless the route's scaled tensor a,
+    by its deviations under _PAIR_SWAPS, is symmetric within 1e-8 ||a||
+    under the gate's swaps."""
     rows, error, message = _GATES[kind]
-    if not (dev[rows] <= 1e-8 * core._frobenius(a)).all():
+    if not (route[2][rows] <= 1e-8 * route[6]).all():
         raise error(message)
 
 
-def _bounded_maximum(kind: str, a: np.ndarray, exp: int) -> CriticalTriple:
-    """The ``kind`` maximum of ldexp(a, exp) from the bounded eta_1, with
-    its upper bound.  For mu_1 and nu_1, x A is symmetrized (it is
-    symmetric to the gate's bound) for the x of eta_1, and the unit
-    eigenvector of its largest |eigenvalue|, a y of the maximum since the
-    maxima are equal, is polished as an enumerated point is."""
-    if not np.any(a):
-        e1 = core._read_only([1.0, 0.0, 0.0])
-        return CriticalTriple(kind, 0.0, 0.0, e1, e1, e1, 0.0, "bounded")
-    (f, state, resid), upper, _ = _bounded(a)
+def _bounded_maximum(kind: str, route) -> CriticalTriple:
+    """The ``kind`` maximum of the route's tensor from its bounded eta_1,
+    with its upper bound: one branch and bound per route, whichever kind
+    runs it, kept beside the enumerations.  For mu_1 and nu_1, x A is
+    symmetrized (it is symmetric to the gate's bound) for the x of eta_1,
+    and the unit eigenvector of its largest |eigenvalue|, a y of the
+    maximum since the maxima are equal, is polished as an enumerated point
+    is; a failed polish stores nothing but the branch and bound."""
+    a, exp, _, _, runs, _, norm, unscaled = route
+    if norm == 0.0:  # every unit vector attains 0: e_1 in every slot
+        return _triple(kind, 0.0, np.eye(3)[[0, 0, 0]], 0.0, "bounded")
+    if "bounded" not in runs:
+        runs.setdefault("bounded", _bounded(a))
+    (f, state, resid), upper, _ = runs["bounded"]
     if kind != "singular":
         w = (state[0, 0] @ a.reshape(3, 9)).reshape(3, 3)
         lam, vecs = np.linalg.eigh(w + w.T)
@@ -762,8 +766,8 @@ def _bounded_maximum(kind: str, a: np.ndarray, exp: int) -> CriticalTriple:
             raise NoConvergence(f"the {kind} pair of eta_1 did not polish to a residual of "
                                 f"{_POLISHED:g} ||A||")
         f, state, resid = pairs
-    resid = resid[0] * _unscaled_residual(core._frobenius(a), exp)
-    return _triple(kind, np.ldexp(f[0], exp), state[0], resid, "bounded", np.ldexp(upper, exp))
+    return _triple(kind, np.ldexp(f[0], exp), state[0], resid[0] * unscaled, "bounded",
+                   np.ldexp(upper, exp))
 
 
 def _sources(verdicts: list) -> dict:
@@ -789,32 +793,30 @@ def _maximum(kind: str, a) -> CriticalTriple:
     ran it.  The gate is read only where a swap verdict fails (symmetric
     within _POLISHED passes its 1e-8), and its error stores nothing."""
     route = _route(core._shaped(a, "Hyper3").tobytes())
-    a, exp, dev, verdicts, _, maxima = route
+    verdicts, maxima = route[3], route[5]
     if kind in maxima:
         return maxima[kind]
     if kind in _GATES and not all(verdicts):
-        _require(kind, a, dev)
+        _require(kind, route)
     for (source, perm), kinds in _sources(verdicts).items():
         if kind in kinds:
             _lift(route, source, perm, kinds)
             if kind in maxima:
                 return maxima[kind]
-    return maxima.setdefault(kind, _bounded_maximum(kind, a, exp))
+    return maxima.setdefault(kind, _bounded_maximum(kind, route))
 
 
 def _spectrum(kind: str, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The gated ``kind`` eigenpairs of ``a`` as (values, (n, k, 3) state
     blocks, residuals relative to max(1, ||A||)), from its route."""
     route = _route(core._shaped(a, "Hyper3").tobytes())
-    a, exp, dev = route[:3]
-    _require(kind, a, dev)
+    _require(kind, route)
     pairs = _enumerated(route, kind)
     if pairs is None:
         raise Uncertified(
             f"the {kind[0].upper()}-eigenpair enumeration certified in none of its charts"
         )
-    values, blocks, resid = pairs
-    return np.ldexp(values, exp), blocks, resid * _unscaled_residual(core._frobenius(a), exp)
+    return np.ldexp(pairs[0], route[1]), pairs[1], pairs[2] * route[7]
 
 
 # The solvers take no setting that changes their answer.  ``restarts`` and

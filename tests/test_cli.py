@@ -316,6 +316,20 @@ def test_reports_near_the_float64_limit_print_no_nan_or_infinity(tmp_path, capsy
         assert run(["kernel", str(tmp_path / "a996.json"), *mode]) == 2
         captured = capsys.readouterr()
         assert "Unrepresentable" in captured.err and not captured.out
+    # a finite tensor whose largest entry is 1.4e308: sigma_1, eta_1 and the
+    # top Z-eigenvalues overflow; a subnormal one: 1 / sigma of its L-inverse
+    # overflows.  Each report is refused whole, in text and JSON, with no
+    # warning (an error here) and no --out file
+    big = write_tensor(tmp_path / "big.json", np.ldexp(tt.make_fixture("symmetric", 1), 1024))
+    tiny = write_tensor(tmp_path / "tiny.json", np.ldexp(a, -1070))
+    out = tmp_path / "report.txt"
+    for sub, path in (("l-eigen", big), ("singular", big), ("z-spectrum", big),
+                      ("l-inverse", tiny)):
+        for mode in ([], ["--json"], ["--out", str(out)]):
+            assert run([sub, path, *mode]) == 2
+            captured = capsys.readouterr()
+            assert "Unrepresentable" in captured.err and not captured.out
+            assert not out.exists()
 
 
 def test_no_convergence_exit_code(tmp_path, capsys):

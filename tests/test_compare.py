@@ -113,7 +113,8 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monke
     part = fallback["max_z_eigenvalue"]
     assert (part["methods"], part["fell"], fallback["equal"]) == ({"bounded": 1}, [], True)
     assert part["sha256_equal"] and fallback["sha256_equal"]
-    assert part["change"]["solve_ms_sum"] > 0.0
+    assert part["audit_item_sha256_equal"]
+    assert part["change"]["solve_ms_sum"] > 0.0 and part["change"]["audit_item_ms_sum"] > 0.0
 
     clis = {key: importlib.import_module(f"{name}.cli") for key, name in TWINS.items()}
     # the first printed fixture and every report on it

@@ -44,10 +44,21 @@ def in_bracket(value, a):
     return lower - slack <= value <= upper + slack
 
 
+def _route_of(a):
+    """The route memo's entry for ``a``."""
+    return varspec._route(core._shaped(a, "Hyper3").tobytes())
+
+
 def fallback(kind, a):
     """The fallback of ``max_c_eigenvalue`` or ``max_z_eigenvalue`` (through
     the bounded eta_1), run whether or not the enumeration would certify."""
-    return varspec._bounded_maximum(kind, *core._scaled(a, "Hyper3"))
+    return varspec._bounded_maximum(kind, _route_of(a))
+
+
+def _unscaled_residual(norm, exp):
+    """The factor that takes a residual relative to ``norm`` = ||a|| to one
+    relative to max(1, ||A||), for A = ldexp(a, exp), as the route holds it."""
+    return 1.0 if exp > 0 else min(1.0, math.ldexp(norm, exp))
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +559,9 @@ def test_eta_1_gate_is_the_polish_bound(t, method):
 def _enumerations(a):
     """The (kind, axis permutation) of each enumeration that the route of
     ``a`` holds, in the order run: read right after a solve of ``a``, the
-    enumerations that it and the solves of ``a`` before it ran."""
-    return list(varspec._route(core._shaped(a, "Hyper3").tobytes())[4])
+    enumerations that it and the solves of ``a`` before it ran.  The
+    route's branch and bound, kept beside them, is not one."""
+    return [source for source in _route_of(a)[4] if source != "bounded"]
 
 
 def test_eta_1_route_at_the_polish_bound():
@@ -733,7 +745,7 @@ def test_mu_1_residual_from_the_slot_contractions_is_the_c_residual():
         f = np.array([np.ldexp(mu.value, -exp)])
         resid = _product_residuals(scaled, slots, k, state, f).max()
         norm = core._frobenius(scaled)
-        resid = resid / norm * varspec._unscaled_residual(norm, exp)
+        resid = resid / norm * _unscaled_residual(norm, exp)
         assert abs(mu.residual - resid) <= 4 * np.finfo(float).eps
 
 
@@ -747,7 +759,7 @@ def _product_lifts(a):
         return {}
     f, state, _ = (arr[:1] for arr in pairs)
     norm = core._frobenius(scaled)
-    value, unscaled = np.ldexp(f[0], exp), varspec._unscaled_residual(norm, exp)
+    value, unscaled = np.ldexp(f[0], exp), _unscaled_residual(norm, exp)
     blocks = state[:, [0, 0, 0]]
     slot = _product_residuals(scaled, (0, 1, 2), 3, blocks, f)[0]
     lifts = {}
@@ -825,8 +837,8 @@ def test_route_refuses_a_lift_whose_slot_residual_exceeds_the_polish_bound(order
     b = a + 0.9e-12 * np.linalg.norm(a) / _swap_deviations(e, *_PAIR_SWAPS).max() * e
     varspec._route.cache_clear()
     nu = tt.max_z_eigenvalue(b)  # the Z source, which serves all three kinds here
-    scaled, exp, dev, verdicts, _, maxima = varspec._route(b.tobytes())
-    norm = core._frobenius(scaled)
+    scaled, exp, dev, verdicts, _, maxima, norm, _ = varspec._route(b.tobytes())
+    assert norm == core._frobenius(scaled)
     assert verdicts == [True, True, True] and dev.max() > 0.8e-12 * norm
     assert sorted(maxima) == held
     assert maxima["z_eigen"] is nu
@@ -935,7 +947,7 @@ def test_every_route_memoizes_every_kind(monkeypatch):
     for _ in range(3):
         with pytest.raises(NotRightSymmetric):
             tt.max_c_eigenvalue(g)
-    assert varspec._route(g.tobytes())[4:] == ({}, {}) and calls == []
+    assert varspec._route(g.tobytes())[4:6] == ({}, {}) and calls == []
     # z_spectrum and then the three maxima of a symmetric tensor: one Z enumeration
     s = np.asarray(tt.make_fixture("symmetric", 5))
     varspec._route.cache_clear()
@@ -944,6 +956,28 @@ def test_every_route_memoizes_every_kind(monkeypatch):
     nu = tt.max_z_eigenvalue(s)
     assert tt.max_singular_value(s).value == tt.max_c_eigenvalue(s).value == nu.value == values[0]
     assert _enumerations(s) == [("z_eigen", (0, 1, 2))] and calls == ["_chart_pairs"]
+    # tensors that no enumeration certifies: one branch and bound serves
+    # every kind, in any order, and after it nothing runs again
+    x, y, v = (unit(random_vec(seed)) for seed in (4, 5, 6))
+    for b, solves in ((3.0 * tt.outer(v, v, v), (tt.max_c_eigenvalue, tt.max_z_eigenvalue,
+                                                  tt.max_singular_value)),
+                      (2.0 * tt.outer(x, y, y), (tt.max_c_eigenvalue, tt.max_singular_value))):
+        varspec._route.cache_clear()
+        calls.clear()
+        first = solves[0](b)
+        assert first.method == "bounded" and calls.count("_bounded") == 1
+        calls.clear()
+        triples = [first, *(solve(b) for solve in solves[1:])]
+        assert calls == [] and {t.method for t in triples} == {"bounded"}
+        assert {t.upper_bound for t in triples} == {eta_1_bracket(b)[1]}
+    # a fallback that does not polish stores the branch and bound alone
+    c = _near_circle(1e-9)
+    varspec._route.cache_clear()
+    calls.clear()
+    for _ in range(3):
+        with pytest.raises(NoConvergence):
+            tt.max_z_eigenvalue(c)
+    assert calls.count("_bounded") == 1 and "z_eigen" not in _route_of(c)[5]
 
 
 def test_eta_1_follows_an_input_mutated_in_place():
@@ -1162,7 +1196,7 @@ def test_polish_returns_the_product_after_its_sign_rule(monkeypatch):
                                 (lambda g: g, "singular")):
         for _ in range(50):
             a = core._scaled(make(rng.standard_normal((3, 3, 3))), "Hyper3")[0]
-            varspec._bounded_maximum(fallback_kind, a, 0)
+            varspec._bounded_maximum(fallback_kind, _route_of(a))
             for kind in ("c_eigen", "z_eigen"):
                 pairs = varspec._chart_pairs(kind, a, 0)
                 rows = rng.standard_normal((4, 3))

@@ -31,20 +31,20 @@ and reports eight parts:
   benchmark workload calls;
 - ``solvers``: per solver and tree, on the 32 (fixture, rotation) pairs
   that the ``audit`` benchmark workload times, the fastest of 21 rounds
-  of each whole solve.  The solvers' memos (``clear_memos``) are
-  cleared before each timed solve, and ``audit_item`` times eta_1, mu_1
-  and nu_1 in turn from cleared memos, as one audit item solves them: on
-  these symmetric pairs mu_1 and nu_1 read the route that eta_1 filled,
-  which holds all three maxima of its Z enumeration.  ``lifts``
-  times mu_1 and nu_1 alone, each right after an untimed eta_1 has
-  filled the memos;
+  of each whole solve.  The solvers' one memo, the route
+  (``clear_memos``), is cleared before each timed solve, and
+  ``audit_item`` times eta_1, mu_1 and nu_1 in turn from a cleared
+  route, as one audit item solves them: on these symmetric pairs mu_1
+  and nu_1 read the route that eta_1 filled, which holds all three
+  maxima of its Z enumeration.  ``lifts`` times mu_1 and nu_1 alone,
+  each right after an untimed eta_1 has filled the cleared route;
 - ``fallback``: the C and Z solves of tensors whose enumeration cannot
   certify (the zero tensor, and ``3 v (x) v (x) v`` and, for C,
   ``2 x (x) y (x) y``, each plus 0, 1e-12, 1e-9 and 1e-6 of a unit-norm
   fixture), compared by value and hashed as above, with the fastest of 3
   whole solves per tree, and of 3 ``audit_item`` laps on each tensor
-  (eta_1, mu_1 and nu_1 in turn from cleared memos, where a branch and
-  bound may serve all three), whose records are hashed too;
+  (eta_1, mu_1 and nu_1 in turn from a cleared route, where a branch
+  and bound may serve all three), whose records are hashed too;
 - ``bounded``: the singular solves of tensors with no symmetric pair
   (criterion 8's 20 Gaussian tensors, the Levi-Civita tensor and 200
   Gaussian tensors from ``default_rng(11)``), compared by value and
@@ -421,18 +421,15 @@ def run_layer(tt, layer: str, case) -> tuple[tuple[int], bytes]:
 
 
 def clear_memos(tt) -> None:
-    """Empty whichever of the solvers' memos the tree has: the route of
-    the last tensor solved, which holds its enumerations and maxima, and
-    a memo of C and Z enumerations beside it in older trees."""
-    for name in ("_pairs_of_bytes", "_route"):
-        memo = getattr(tt.varspec, name, None)
-        if memo is not None:
-            memo.cache_clear()
+    """Empty the solvers' one memo, ``varspec._route``: the route of the
+    last tensor solved, which holds its enumerations, its branch and
+    bound and its maxima."""
+    tt.varspec._route.cache_clear()
 
 
 def run_solver(tt, solver: str, a) -> tuple[tuple[int], bytes]:
     """((ns,), record of the triples) of one whole solve from a cleared
-    memo; ``AUDIT_ITEM`` runs the three solvers in turn."""
+    route; ``AUDIT_ITEM`` runs the three solvers in turn."""
     clear_memos(tt)
     names = SOLVERS if solver == AUDIT_ITEM else (solver,)
     t0 = _now()
@@ -442,7 +439,7 @@ def run_solver(tt, solver: str, a) -> tuple[tuple[int], bytes]:
 
 def run_lift(tt, solver: str, a) -> tuple[tuple[int], bytes]:
     """((ns,), record of the triple) of one ``solver`` solve right after
-    an untimed eta_1 has filled the cleared memos."""
+    an untimed eta_1 has filled the cleared route."""
     clear_memos(tt)
     solved(tt, SOLVERS[0], a)
     t0 = _now()

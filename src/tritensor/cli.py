@@ -280,16 +280,28 @@ def _invariant_quantities(a, report) -> dict[str, float]:
     return inv
 
 
+# the degree in A of each trace; sigma_j, eta_1, mu_1 and nu_1 have degree 1
+_DEGREES = {"trU": 2, "trU2": 4, "trU3": 6, "trUbar2": 4, "trUbar3": 6, "trUhat2": 4,
+            "trUhat3": 6}
+
+
 def _invariance_check(args, a, name):
     report = classify(a, 1e-8)
     base = _invariant_quantities(a, report)
+    # each drift is relative to max(|reference|, ||A||^d) for a quantity of
+    # degree d, so it does not change when A is scaled; at ||A|| = 1 that is
+    # max(1, |reference|).  The norm is an np.float64, whose power overflows
+    # to inf rather than raising
+    norm = np.linalg.norm(a)
+    scale = {key: max(abs(value), norm ** _DEGREES.get(key, 1)) for key, value in base.items()}
     drift = {key: 0.0 for key in base}
     for r in range(args.rotations):
         rotated = core.rotate(a, core.random_rotation(args.seed + r))
         values = _invariant_quantities(rotated, report)
         for key, reference in base.items():
-            rel = abs(values[key] - reference) / max(1.0, abs(reference))
-            drift[key] = max(drift[key], rel)
+            moved = abs(values[key] - reference)
+            if moved:  # never for the zero tensor, whose scale is 0
+                drift[key] = max(drift[key], float(moved / scale[key]))
     max_drift = max(drift.values())
     cfg = {"rotations": args.rotations, "seed": args.seed}
     doc = {"config": cfg, "reference": base, "drift": drift, "max_drift": max_drift}

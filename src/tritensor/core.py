@@ -15,7 +15,7 @@ import numbers
 
 import numpy as np
 
-from .errors import NotOrthogonal
+from .errors import NotOrthogonal, Unrepresentable
 
 __all__ = [
     "Vec3",
@@ -90,6 +90,22 @@ def _scaled(values, what: str) -> tuple[np.ndarray, int]:
         raise ValueError(f"{what} entries must be finite (no NaN/Inf)")
     exp = math.frexp(peak)[1]
     return np.ldexp(arr, -exp), exp
+
+
+_TINY = 2.0**-1022  # the smallest normal float64
+
+
+def _rescaled(value: float, exp: int, what: str) -> float:
+    """ldexp(value, exp), the way back from ``_scaled``, as a float;
+    Unrepresentable, naming the ``what``, where a nonzero result leaves the
+    normal float64 range."""
+    try:
+        out = math.ldexp(value, exp)
+    except OverflowError:
+        out = math.inf
+    if value != 0.0 and not _TINY <= abs(out) < math.inf:
+        raise Unrepresentable(f"{what} {value:.3g} x 2^{exp} is outside the float64 range")
+    return out
 
 
 def _tolerance(tol, name: str = "tol"):

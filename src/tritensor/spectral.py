@@ -12,13 +12,12 @@ representable norm.  The kernel itself keeps the Gram route's limits.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core
-from .errors import NotPartiallySymmetric, NotSymmetric, SingularTensor, Unrepresentable
+from .errors import NotPartiallySymmetric, NotSymmetric, SingularTensor
 from .symmetry import _PAIR_LAST, _gather, _swap_symmetric
 
 __all__ = [
@@ -172,21 +171,6 @@ def kernel_triple(a: core.Hyper3) -> KernelTriple:
     return KernelTriple(*kernels)
 
 
-_TINY = 2.0**-1022  # the smallest normal float64
-
-
-def _rescaled(trace: float, exp: int) -> float:
-    """ldexp(trace, exp), raising where a nonzero result leaves the normal
-    float64 range."""
-    try:
-        out = math.ldexp(trace, exp)
-    except OverflowError:
-        out = math.inf
-    if trace != 0.0 and not _TINY <= abs(out) < math.inf:
-        raise Unrepresentable(f"invariant {trace:.3g} x 2^{exp} is outside the float64 range")
-    return out
-
-
 def invariants(a: core.Hyper3) -> InvariantSet:
     """The seven rotation invariants from the kernel triple.
 
@@ -207,7 +191,8 @@ def invariants(a: core.Hyper3) -> InvariantSet:
     tr2 = [d2[i] + d2[i + 4] + d2[i + 8] for i in (0, 9, 18)]
     traces = (d1[0] + d1[4] + d1[8], tr2[0], tr3[0], tr2[1], tr3[1], tr2[2], tr3[2])
     degrees = (2, 4, 6, 4, 6, 4, 6)
-    return InvariantSet(*(_rescaled(t, d * exp) for t, d in zip(traces, degrees)))
+    return InvariantSet(*(core._rescaled(t, d * exp, "invariant")
+                          for t, d in zip(traces, degrees)))
 
 
 def unfold(a: core.Hyper3) -> np.ndarray:

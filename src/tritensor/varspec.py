@@ -6,9 +6,14 @@ Z-eigenpairs are enumerated, all of them by one certified elimination
 that each kind feeds its own gradient field (see ``c_spectrum`` and
 ``z_spectrum``), on the tensor scaled by a power of two (exact, so
 results scale with the tensor).  One memo, ``_route``, keeps the last
-tensor solved, keyed on its float64 bytes: the scaled tensor, its norm,
-its swap verdicts, the runs of its sources (the C and Z enumerations and
-the branch and bound, each run at most once) and the maxima found.
+tensor solved, keyed on its float64 bytes, as a record of named fields:
+the scaled tensor and its exponent, its norm, its swap verdicts, the
+runs of its sources (the C and Z enumerations and the branch and bound,
+each run at most once) and the maxima found.  Every maximum leaves it
+through one exit, ``_triples``, and every spectrum through another,
+``_spectrum``: each takes the result back to the tensor's scale and
+raises Unrepresentable where a nonzero maximum, its upper bound or the
+largest eigenvalue of a spectrum is not a normal float64.
 eta_1, mu_1 and then nu_1 of one symmetric tensor pay for one scaling,
 one Z enumeration and the three slot gradients at its best vector that
 check both lifts; eta_1 and then mu_1 of a right-side symmetric one for
@@ -52,6 +57,7 @@ is, and eta_1's upper bound is theirs too.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -133,10 +139,6 @@ def _blocks(*rows: np.ndarray) -> np.ndarray:  # np.stack(rows, 1) at half the c
     return np.concatenate(rows, axis=1).reshape(len(rows[0]), len(rows), 3)
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("ri,ri->r", u, v)
-
-
 def _pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rows u (x) v flattened to 9 columns, to multiply the unfolding."""
     return (u[:, :, None] * v[:, None, :]).reshape(len(u), 9)
@@ -182,7 +184,7 @@ def _lagrange(jmap, s):
     sf = s.reshape(r, n)
     system = (sf @ jmap).reshape(r, n + k, n + k)
     g = 0.5 * np.matmul(system[:, :n, :n], sf[:, :, None])[:, :, 0]
-    f = _dot(sf[:, :3], g[:, :3])
+    f = np.einsum("ri,ri->r", sf[:, :3], g[:, :3])
     res = g - f[:, None] * sf
     return system, f, res, _norms(res.reshape(s.shape)).max(axis=1)
 
@@ -239,13 +241,23 @@ def _merged(values: np.ndarray, vecs: np.ndarray) -> bool:
     return (close & near).sum() > len(values)
 
 
-def _triple(kind, value, blocks, residual, method, upper=None) -> CriticalTriple:
-    """The ``kind`` triple of one state's blocks, at the kind's slots; the
-    upper bound is the value unless given."""
-    vecs = core._read_only(blocks)  # its rows are read-only views
-    x, y, z = (vecs[slot] for slot in _KINDS[kind][0])
-    upper = value if upper is None else upper
-    return CriticalTriple(kind, float(value), float(upper), x, y, z, float(residual), method)
+def _triples(route, f, upper, method: str, served: dict) -> dict:
+    """The one exit of every maximum: per kind of ``served``, which maps it
+    to state blocks and their residual relative to ||a||, the kind's triple
+    of the blocks at its slots.  The value f and the upper bound ``upper``
+    (f where None) of the route's scaled tensor a go back to the scale of
+    A = ldexp(a, exp), once for all the kinds, as one source pair serves up
+    to three, and the residual to one relative to max(1, ||A||).  Raises
+    Unrepresentable where the value or the bound is nonzero and not a
+    normal float64."""
+    value = core._rescaled(f, route.exp, "maximum")
+    upper = value if upper is None else core._rescaled(upper, route.exp, "upper bound")
+    out = {}
+    for kind, (blocks, residual) in served.items():
+        vecs = core._read_only(blocks)  # its rows are read-only views
+        out[kind] = CriticalTriple(kind, value, upper, *(vecs[slot] for slot in _KINDS[kind][0]),
+                                   float(residual * route.unscaled), method)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -604,40 +616,44 @@ def _chart_pairs(kind: str, a: np.ndarray, chart: int):
     return f[order], state[order], resid[order]
 
 
+_Route = collections.namedtuple("_Route", "a exp dev verdicts runs maxima norm unscaled")
+
+
 @functools.lru_cache(maxsize=1)
-def _route(key: bytes):
-    """The route to the maxima of the tensor whose float64 bytes are
-    ``key``, read in C order whatever the input's memory layout: the
-    scaled tensor a (read-only), its exponent, its deviations under
-    _PAIR_SWAPS and their verdicts within _POLISHED ||a||, the runs of its
+def _route(key: bytes) -> _Route:
+    """The route to the maxima of the tensor A whose float64 bytes are
+    ``key``, read in C order whatever the input's memory layout: ``a``, A
+    scaled by a power of two (read-only), and ``exp``, with
+    A = ldexp(a, exp); ``dev``, its deviations under _PAIR_SWAPS, and
+    ``verdicts``, theirs within _POLISHED ||a||; ``runs``, the runs of its
     sources so far (the enumerations by (kind, axis permutation), the
-    branch and bound by "bounded"), the maxima found by kind, ||a||, and
-    the factor that takes a residual relative to ||a|| to one relative to
-    max(1, ||A||), for A = ldexp(a, exp).  One entry, as eta_1, mu_1 and
-    nu_1 of one tensor are solved in turn; every source runs once in it."""
+    branch and bound by "bounded"); ``maxima``, the triples found by kind;
+    ``norm``, ||a||; and ``unscaled``, the factor that takes a residual
+    relative to ||a|| to one relative to max(1, ||A||).  One entry, as
+    eta_1, mu_1 and nu_1 of one tensor are solved in turn; every source
+    runs once in it, and every maximum leaves it through ``_triples``."""
     a, exp = core._scaled(np.frombuffer(key).reshape(3, 3, 3), "Hyper3")
     a.setflags(write=False)
     dev = _swap_deviations(a, *_PAIR_SWAPS)
     norm = core._frobenius(a)
     unscaled = 1.0 if exp > 0 else min(1.0, math.ldexp(norm, exp))
-    return a, exp, dev, (dev <= _POLISHED * norm).tolist(), {}, {}, norm, unscaled
+    return _Route(a, exp, dev, (dev <= _POLISHED * norm).tolist(), {}, {}, norm, unscaled)
 
 
-def _enumerated(route, kind: str, perm: tuple = (0, 1, 2)):
+def _enumerated(route: _Route, kind: str, perm: tuple = (0, 1, 2)):
     """The ``_chart_pairs`` of the first chart that certifies, for the
     route's scaled tensor a.transpose(perm), read-only, or None; run once
     per route."""
-    spectra = route[4]
-    if (kind, perm) not in spectra:
-        a = np.ascontiguousarray(route[0].transpose(perm))
+    if (kind, perm) not in route.runs:
+        a = np.ascontiguousarray(route.a.transpose(perm))
         for chart in range(len(_CHARTS)):
             pairs = _chart_pairs(kind, a, chart)
             if pairs is not None:
                 break
         for arr in pairs or ():
             arr.setflags(write=False)
-        spectra.setdefault((kind, perm), pairs)
-    return spectra[kind, perm]
+        route.runs.setdefault((kind, perm), pairs)
+    return route.runs[kind, perm]
 
 
 def _lead_sign(row: list) -> float:
@@ -645,7 +661,7 @@ def _lead_sign(row: list) -> float:
     return -1.0 if max(row, key=abs) < 0.0 else 1.0
 
 
-def _lift(route, source: str, perm: tuple, kinds: tuple) -> None:
+def _lift(route: _Route, source: str, perm: tuple, kinds: tuple) -> None:
     """Fill the route's empty maxima of ``kinds`` from the best pair
     (f, blocks) of the certified ``source`` enumeration of
     a.transpose(perm): the source's own kind as it is, the others lifted,
@@ -657,31 +673,29 @@ def _lift(route, source: str, perm: tuple, kinds: tuple) -> None:
     q = r), and a lift within _POLISHED ||a|| is kept.  With s and t the
     lead signs of p and q, the lifts are (s p, t q, s t r) and (p, t q) by
     the kinds' sign rules; sign flips are exact, so f, their value, and
-    the residuals hold for them."""
-    a, exp, _, _, _, maxima, norm, unscaled = route
+    the residuals hold for them.  The triples leave through ``_triples``."""
     pairs = _enumerated(route, source, perm)
     if pairs is None:
         return
     f, blocks, resid = pairs[0][0], pairs[1][0], pairs[2][0]
-    value = np.ldexp(f, exp)
-    if source in kinds and source not in maxima:
-        maxima.setdefault(source, _triple(source, value, blocks, resid * unscaled, "enumerated"))
-    if maxima.keys() >= set(kinds):
-        return
-    # the source block in each slot of a: slot n of a.transpose(perm) is
-    # slot perm[n] of a
-    i, j, k = (_KINDS[source][0][perm.index(n)] for n in range(3))
-    p, q, r = blocks[i], blocks[j], blocks[k]
-    w, u = a @ r, (p @ a.reshape(3, 9)).reshape(3, 3)
-    pqr = blocks if len(blocks) == 1 else np.array((p, q, r))  # a Z pair holds one block
-    slot = (_norms(np.array((w @ q, u @ r, q @ u)) - f * pqr) / norm).tolist()
-    signs = [_lead_sign(b) for b in blocks.tolist()]
-    s, t = signs[i], signs[j]
-    tq = t * q  # which is s p where p is q; s t r is r or -r
-    singular = (tq if i == j else s * p, tq, r if s == t else -r)
-    for kind, res, vecs in (("singular", max(slot), singular), ("c_eigen", max(slot[:2]), (p, tq))):
-        if kind in kinds and kind not in maxima and res <= _POLISHED:
-            maxima.setdefault(kind, _triple(kind, value, vecs, res * unscaled, "enumerated"))
+    empty = {kind for kind in kinds if kind not in route.maxima}
+    served = {}
+    if empty - {source}:
+        # the source block in each slot of a: slot n of a.transpose(perm)
+        # is slot perm[n] of a
+        i, j, k = (_KINDS[source][0][perm.index(n)] for n in range(3))
+        p, q, r = blocks[i], blocks[j], blocks[k]
+        w, u = route.a @ r, (p @ route.a.reshape(3, 9)).reshape(3, 3)
+        pqr = blocks if len(blocks) == 1 else np.array((p, q, r))  # a Z pair holds one block
+        slot = (_norms(np.array((w @ q, u @ r, q @ u)) - f * pqr) / route.norm).tolist()
+        signs = [_lead_sign(b) for b in blocks.tolist()]
+        s, t = signs[i], signs[j]
+        tq = t * q  # which is s p where p is q; s t r is r or -r
+        singular = (tq if i == j else s * p, tq, r if s == t else -r)
+        served = {"singular": (singular, max(slot)), "c_eigen": ((p, tq), max(slot[:2]))}
+    served[source] = blocks, resid  # the source's own kind as it is
+    route.maxima.update(_triples(route, f, None, "enumerated", {
+        kind: lift for kind, lift in served.items() if kind in empty and lift[1] <= _POLISHED}))
 
 
 @dataclass(frozen=True)
@@ -732,16 +746,16 @@ _GATES = {
 }
 
 
-def _require(kind: str, route) -> None:
+def _require(kind: str, route: _Route) -> None:
     """Raise the ``kind`` gate's error unless the route's scaled tensor a,
     by its deviations under _PAIR_SWAPS, is symmetric within 1e-8 ||a||
     under the gate's swaps."""
     rows, error, message = _GATES[kind]
-    if not (route[2][rows] <= 1e-8 * route[6]).all():
+    if not (route.dev[rows] <= 1e-8 * route.norm).all():
         raise error(message)
 
 
-def _bounded_maximum(kind: str, route) -> CriticalTriple:
+def _bounded_maximum(kind: str, route: _Route) -> CriticalTriple:
     """The ``kind`` maximum of the route's tensor from its bounded eta_1,
     with its upper bound: one branch and bound per route, whichever kind
     runs it, kept beside the enumerations.  For mu_1 and nu_1, x A is
@@ -749,25 +763,23 @@ def _bounded_maximum(kind: str, route) -> CriticalTriple:
     and the unit eigenvector of its largest |eigenvalue|, a y of the
     maximum since the maxima are equal, is polished as an enumerated point
     is; a failed polish stores nothing but the branch and bound."""
-    a, exp, _, _, runs, _, norm, unscaled = route
-    if norm == 0.0:  # every unit vector attains 0: e_1 in every slot
-        return _triple(kind, 0.0, np.eye(3)[[0, 0, 0]], 0.0, "bounded")
-    if "bounded" not in runs:
-        runs.setdefault("bounded", _bounded(a))
-    (f, state, resid), upper, _ = runs["bounded"]
+    if route.norm == 0.0:  # every unit vector attains 0: e_1 in every slot
+        return _triples(route, 0.0, None, "bounded", {kind: (np.eye(3)[[0, 0, 0]], 0.0)})[kind]
+    if "bounded" not in route.runs:
+        route.runs.setdefault("bounded", _bounded(route.a))
+    (f, state, resid), upper, _ = route.runs["bounded"]
     if kind != "singular":
-        w = (state[0, 0] @ a.reshape(3, 9)).reshape(3, 3)
+        w = (state[0, 0] @ route.a.reshape(3, 9)).reshape(3, 3)
         lam, vecs = np.linalg.eigh(w + w.T)
         y = vecs[:, np.abs(lam).argmax()][None]
         # where the pair is not isolated (x A of e_1 (x) I is the identity) a
         # Newton step can fail or wander, and the exact lift stands unpolished
-        pairs = _polished(kind, a, y) or _polished(kind, a, y, steps=0)
+        pairs = _polished(kind, route.a, y) or _polished(kind, route.a, y, steps=0)
         if pairs is None:
             raise NoConvergence(f"the {kind} pair of eta_1 did not polish to a residual of "
                                 f"{_POLISHED:g} ||A||")
         f, state, resid = pairs
-    return _triple(kind, np.ldexp(f[0], exp), state[0], resid[0] * unscaled, "bounded",
-                   np.ldexp(upper, exp))
+    return _triples(route, f[0], upper, "bounded", {kind: (state[0], resid[0])})[kind]
 
 
 def _sources(verdicts: list) -> dict:
@@ -793,22 +805,24 @@ def _maximum(kind: str, a) -> CriticalTriple:
     ran it.  The gate is read only where a swap verdict fails (symmetric
     within _POLISHED passes its 1e-8), and its error stores nothing."""
     route = _route(core._shaped(a, "Hyper3").tobytes())
-    verdicts, maxima = route[3], route[5]
-    if kind in maxima:
-        return maxima[kind]
-    if kind in _GATES and not all(verdicts):
+    if kind in route.maxima:
+        return route.maxima[kind]
+    if kind in _GATES and not all(route.verdicts):
         _require(kind, route)
-    for (source, perm), kinds in _sources(verdicts).items():
+    for (source, perm), kinds in _sources(route.verdicts).items():
         if kind in kinds:
             _lift(route, source, perm, kinds)
-            if kind in maxima:
-                return maxima[kind]
-    return maxima.setdefault(kind, _bounded_maximum(kind, route))
+            if kind in route.maxima:
+                return route.maxima[kind]
+    return route.maxima.setdefault(kind, _bounded_maximum(kind, route))
 
 
 def _spectrum(kind: str, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The gated ``kind`` eigenpairs of ``a`` as (values, (n, k, 3) state
-    blocks, residuals relative to max(1, ||A||)), from its route."""
+    blocks, residuals relative to max(1, ||A||)), from its route: the one
+    exit of every spectrum, which takes the values back to the scale of A
+    and raises Unrepresentable where the largest is nonzero and not a
+    normal float64 (smaller ones may round)."""
     route = _route(core._shaped(a, "Hyper3").tobytes())
     _require(kind, route)
     pairs = _enumerated(route, kind)
@@ -816,7 +830,8 @@ def _spectrum(kind: str, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise Uncertified(
             f"the {kind[0].upper()}-eigenpair enumeration certified in none of its charts"
         )
-    return np.ldexp(pairs[0], route[1]), pairs[1], pairs[2] * route[7]
+    core._rescaled(pairs[0][0], route.exp, f"largest {kind[0].upper()}-eigenvalue")
+    return np.ldexp(pairs[0], route.exp), pairs[1], pairs[2] * route.unscaled
 
 
 # The solvers take no setting that changes their answer.  ``restarts`` and
@@ -848,6 +863,8 @@ def max_singular_value(a: core.Hyper3, *, restarts=None, history_out=None) -> Cr
     tensors near them) the budget leaves it wider, about 4e-4 and 2e-5.
     Either way the triple satisfies A y z = eta x, x A z = eta y,
     x y A = eta z to its ``residual``, and eta = contract_full(a, x, y, z).
+    Raises Unrepresentable where ``value`` or ``upper_bound`` is nonzero
+    and not a normal float64, as near the ends of the float64 range.
     """
     return _maximum("singular", a)
 
@@ -873,6 +890,7 @@ def max_c_eigenvalue(a: core.Hyper3, *, restarts=None, history_out=None) -> Crit
     A y y = mu x and x A y = mu y; NoConvergence is raised if the
     residual of the fallback's pair exceeds 1e-12 ||A||, which happens
     near a continuum of maxima, where the bracket of eta_1 stays wide.
+    Unrepresentable is raised as for ``max_singular_value``.
     """
     return _maximum("c_eigen", a)
 
@@ -888,6 +906,7 @@ def max_z_eigenvalue(a: core.Hyper3, *, restarts=None, history_out=None) -> Crit
     with eta_1's ``upper_bound`` and the same NoConvergence.  Either way
     x satisfies A x x = nu x with nu = x A x x >= 0 (x is flipped when
     the cubic form is negative, which the odd degree permits).
+    Unrepresentable is raised as for ``max_singular_value``.
     """
     return _maximum("z_eigen", a)
 
@@ -919,8 +938,9 @@ def z_spectrum(a: core.Hyper3) -> ZSpectrum:
     charts are tried in turn.  Raises Uncertified when none certifies: the
     zero tensor, tensors with infinitely many eigenvectors such as
     ``c * outer(v, v, v)``, and tensors near those.  Raises NotSymmetric
-    unless ``a`` is symmetric within 1e-8 * ||A|| and ValueError unless
-    it is a finite 3x3x3 array.
+    unless ``a`` is symmetric within 1e-8 * ||A||, ValueError unless it
+    is a finite 3x3x3 array, and Unrepresentable where the largest value
+    is nonzero and not a normal float64 (smaller values may round).
     """
     values, blocks, resid = _spectrum("z_eigen", a)
     return ZSpectrum(*map(core._read_only, (values, blocks[:, 0], resid)))
@@ -946,7 +966,8 @@ def c_spectrum(a: core.Hyper3) -> CSpectrum:
     certifies: the zero tensor, rank-one tensors ``x (x) y (x) y`` (a
     circle of critical points where A y y = 0) and tensors near those.  Raises
     NotRightSymmetric unless ``a`` is right-side symmetric within
-    1e-8 * ||A|| and ValueError unless it is a finite 3x3x3 array.
+    1e-8 * ||A||, ValueError unless it is a finite 3x3x3 array, and
+    Unrepresentable as ``z_spectrum`` does.
     """
     values, blocks, resid = _spectrum("c_eigen", a)
     return CSpectrum(*map(core._read_only, (values, blocks[:, 0], blocks[:, 1], resid)))

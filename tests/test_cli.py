@@ -193,6 +193,15 @@ def test_invariance_check(tmp_path, capsys):
     assert doc["config"] == {"rotations": 5, "seed": 7}
     assert set(doc["drift"]) >= {"trU", "trU2", "sigma_1", "eta_1", "mu_1", "nu_1"}
     assert doc["max_drift"] <= 1e-8
+    # each drift is relative to the quantity's own scale, so the same tensor
+    # scaled by 2^-40 drifts as much: no absolute drift hides under the norm
+    small = write_tensor(tmp_path / "small.json", np.ldexp(a, -40))
+    assert run(["invariance-check", str(small), "--rotations", "5", "--seed", "7", "--json"]) == 0
+    scaled = json.loads(capsys.readouterr().out)
+    assert scaled["drift"].keys() == doc["drift"].keys()
+    for key, drift in doc["drift"].items():
+        assert abs(scaled["drift"][key] - drift) <= 1e-12 * drift
+    assert doc["max_drift"] > 0.0
 
 
 def test_exit_codes(tmp_path, capsys):

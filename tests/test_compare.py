@@ -1,10 +1,11 @@
 """Smoke test of ``scripts/compare.py``: the working tree against itself.
 
 It runs the script's per-case helpers on a few inputs, so a library
-change that breaks a hook the script uses (the SVD and route memos'
-``cache_clear``, ``varspec._bounded``, ``core._scaled``, the
-library errors, the CLI's ``run``, the modules a CLI process imports)
-fails here rather than at the next measurement.
+change that breaks a hook the script uses (``cache_clear`` of the SVD
+memo ``spectral._svd_of_bytes`` and of the route memo
+``varspec._route``, the route's ``runs`` field, ``varspec._bounded``,
+``core._scaled``, the library errors, the CLI's ``run``, the modules a
+CLI process imports) fails here rather than at the next measurement.
 """
 
 import dataclasses
@@ -67,12 +68,12 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monke
     compare.run_solver(trees["change"], compare.AUDIT_ITEM, pairs[0])
     # one Z enumeration for the symmetric pair, whose route mu_1 and nu_1 read
     assert routes.cache_info()[:2] == (2, 1)
-    assert list(routes(key)[4]) == [("z_eigen", (0, 1, 2))]
+    assert list(routes(key).runs) == [("z_eigen", (0, 1, 2))]
     # a lift lap times a route hit alone, with the triple of a whole solve
     for solver in compare.LIFTS:
         _, record = compare.run_lift(trees["change"], solver, pairs[0])
         assert routes.cache_info()[:2] == (1, 1)
-        assert list(routes(key)[4]) == [("z_eigen", (0, 1, 2))]
+        assert list(routes(key).runs) == [("z_eigen", (0, 1, 2))]
         assert record == compare.run_solver(trees["change"], solver, pairs[0])[1]
 
     solves = [(s, pairs[0]) for s in compare.SOLVERS]

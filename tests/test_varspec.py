@@ -561,7 +561,7 @@ def _enumerations(a):
     ``a`` holds, in the order run: read right after a solve of ``a``, the
     enumerations that it and the solves of ``a`` before it ran.  The
     route's branch and bound, kept beside them, is not one."""
-    return [source for source in _route_of(a)[4] if source != "bounded"]
+    return [source for source in _route_of(a).runs if source != "bounded"]
 
 
 def test_eta_1_route_at_the_polish_bound():
@@ -633,8 +633,8 @@ def test_eta_1_and_mu_1_share_one_read_only_enumeration():
         assert all(t.method == "enumerated" for t in triples)
         assert max(abs(t.value - triples[0].value) for t in triples) <= 1e-12 * triples[0].value
         route = varspec._route(a.tobytes())
-        scaled, pairs = route[0], route[4][kind, (0, 1, 2)]
-        arrays = [*pairs, scaled, *(getattr(t, v) for t in triples for v in "xyz")]
+        pairs = route.runs[kind, (0, 1, 2)]
+        arrays = [*pairs, route.a, *(getattr(t, v) for t in triples for v in "xyz")]
         assert not any(arr.flags.writeable for arr in arrays)
 
 
@@ -702,7 +702,7 @@ def test_the_route_is_keyed_on_the_contents():
     assert tt.max_z_eigenvalue(a.copy()) is nu
     assert tt.max_z_eigenvalue(np.asfortranarray(a)) is nu  # read in C order
     assert varspec._route.cache_info().hits == hits + 2
-    scaled = varspec._route(a.tobytes())[0]
+    scaled = varspec._route(a.tobytes()).a
     assert not scaled.flags.writeable
     assert scaled.tobytes() == core._scaled(a, "Hyper3")[0].tobytes()
     # the gate's errors, raised before the memo is read, and float32 read
@@ -767,8 +767,10 @@ def _product_lifts(a):
                               ("c_eigen", slot[:2].max(), 2, varspec._c_signs)):
         r = r / norm
         if r <= 1e-12:
-            lifted = blocks[:, :k] * signs(f, blocks[:, :k])[:, :, None]
-            lifts[kind] = varspec._triple(kind, value, lifted[0], r * unscaled, "enumerated")
+            lifted = blocks[0, :k] * signs(f, blocks[:, :k])[0, :, None]
+            x, y, z = lifted[list(varspec._KINDS[kind][0])]
+            lifts[kind] = varspec.CriticalTriple(kind, float(value), float(value), x, y, z,
+                                                 float(r * unscaled), "enumerated")
     return lifts
 
 
@@ -784,7 +786,7 @@ def test_route_lifts_equal_the_product_lifts_bit_for_bit():
         # nu_1 runs the Z source, which serves all three kinds here
         varspec._route.cache_clear()
         tt.max_z_eigenvalue(a)
-        maxima = varspec._route(core._shaped(a, "Hyper3").tobytes())[5]
+        maxima = _route_of(a).maxima
         want = _product_lifts(a)
         assert sorted(maxima.keys() - {"z_eigen"}) == sorted(want)
         for kind, old in want.items():
@@ -837,13 +839,14 @@ def test_route_refuses_a_lift_whose_slot_residual_exceeds_the_polish_bound(order
     b = a + 0.9e-12 * np.linalg.norm(a) / _swap_deviations(e, *_PAIR_SWAPS).max() * e
     varspec._route.cache_clear()
     nu = tt.max_z_eigenvalue(b)  # the Z source, which serves all three kinds here
-    scaled, exp, dev, verdicts, _, maxima, norm, _ = varspec._route(b.tobytes())
-    assert norm == core._frobenius(scaled)
-    assert verdicts == [True, True, True] and dev.max() > 0.8e-12 * norm
+    route = varspec._route(b.tobytes())
+    maxima, norm = route.maxima, route.norm
+    assert norm == core._frobenius(route.a)
+    assert route.verdicts == [True, True, True] and route.dev.max() > 0.8e-12 * norm
     assert sorted(maxima) == held
     assert maxima["z_eigen"] is nu
-    u = (nu.x @ scaled.reshape(3, 9)).reshape(3, 3)
-    assert np.linalg.norm(nu.x @ u - np.ldexp(nu.value, -exp) * nu.x) > 1e-12 * norm
+    u = (nu.x @ route.a.reshape(3, 9)).reshape(3, 3)
+    assert np.linalg.norm(nu.x @ u - np.ldexp(nu.value, -route.exp) * nu.x) > 1e-12 * norm
     eta, mu = tt.max_singular_value(b), tt.max_c_eigenvalue(b)
     assert tt.max_z_eigenvalue(b) is nu
     assert max(eta.residual, mu.residual) <= 1e-12
@@ -947,7 +950,8 @@ def test_every_route_memoizes_every_kind(monkeypatch):
     for _ in range(3):
         with pytest.raises(NotRightSymmetric):
             tt.max_c_eigenvalue(g)
-    assert varspec._route(g.tobytes())[4:6] == ({}, {}) and calls == []
+    route = varspec._route(g.tobytes())
+    assert (route.runs, route.maxima) == ({}, {}) and calls == []
     # z_spectrum and then the three maxima of a symmetric tensor: one Z enumeration
     s = np.asarray(tt.make_fixture("symmetric", 5))
     varspec._route.cache_clear()
@@ -977,7 +981,7 @@ def test_every_route_memoizes_every_kind(monkeypatch):
     for _ in range(3):
         with pytest.raises(NoConvergence):
             tt.max_z_eigenvalue(c)
-    assert calls.count("_bounded") == 1 and "z_eigen" not in _route_of(c)[5]
+    assert calls.count("_bounded") == 1 and "z_eigen" not in _route_of(c).maxima
 
 
 def test_eta_1_follows_an_input_mutated_in_place():
@@ -992,13 +996,42 @@ def test_eta_1_follows_an_input_mutated_in_place():
 
 @pytest.mark.parametrize("k", [-60, -1, 3, 500])
 def test_enumerated_eta_1_scales_exactly_by_powers_of_two(k):
-    a = np.asarray(tt.make_fixture("centrally_symmetric", 2))
-    t = tt.max_singular_value(a)
-    s = tt.max_singular_value(np.ldexp(a, k))
-    assert s.method == t.method == "enumerated"
-    assert s.value == np.ldexp(t.value, k)
-    for v in "xyz":
-        assert getattr(s, v).tobytes() == getattr(t, v).tobytes()
+    # and the bounded eta_1 of a Gaussian tensor: both run on the tensor
+    # scaled by a power of two and leave through the one exit of the maxima
+    for a, method in ((np.asarray(tt.make_fixture("centrally_symmetric", 2)), "enumerated"),
+                      (random_hyper3(1), "bounded")):
+        t = tt.max_singular_value(a)
+        s = tt.max_singular_value(np.ldexp(a, k))
+        assert s.method == t.method == method
+        assert (s.value, s.upper_bound) == (np.ldexp(t.value, k), np.ldexp(t.upper_bound, k))
+        for v in "xyz":
+            assert getattr(s, v).tobytes() == getattr(t, v).tobytes()
+
+
+@pytest.mark.parametrize("e", [1024, -1070])
+@pytest.mark.parametrize("solve", [
+    tt.max_singular_value, tt.max_c_eigenvalue, tt.max_z_eigenvalue, tt.z_spectrum, tt.c_spectrum,
+], ids=lambda solve: solve.__name__)
+def test_a_maximum_or_spectrum_outside_the_float64_range_raises(solve, e):
+    # the maxima and the largest eigenvalues of these tensors are about
+    # 1.2 x 2^1024, which overflows, and 1.15 x 2^-1070, a subnormal with
+    # one significant digit: neither is a normal float64.  The raise comes
+    # with no RuntimeWarning (an error here), and a second call raises too,
+    # as the route stores no triple
+    a = np.ldexp(tt.make_fixture("symmetric", 1), e)
+    for _ in range(2):
+        with pytest.raises(Unrepresentable, match="outside the float64 range"):
+            solve(a)
+
+
+def test_bounded_eta_1_below_the_normal_range_raises():
+    a = random_hyper3(1)
+    assert tt.max_singular_value(a).method == "bounded"
+    with pytest.raises(Unrepresentable, match="outside the float64 range"):
+        tt.max_singular_value(np.ldexp(a, -1070))
+    # the zero tensor's maxima are 0, which is representable at any scale
+    assert {solve(ZERO).value for solve in (tt.max_singular_value, tt.max_c_eigenvalue,
+                                            tt.max_z_eigenvalue)} == {0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -1312,17 +1345,22 @@ def test_merge_test_equals_the_full_mask():
             assert varspec._merged(values, vecs) == want
 
 
-def _old_triple(kind, value, blocks, residual, method, upper=None):
-    vecs = [core._read_only(v) for v in blocks]
-    x, y, z = (vecs[slot] for slot in varspec._KINDS[kind][0])
-    upper = value if upper is None else upper
-    return varspec.CriticalTriple(kind, float(value), float(upper), x, y, z, float(residual),
-                                  method)
+def _old_triples(route, f, upper, method, served):
+    value = np.ldexp(f, route.exp)
+    upper = value if upper is None else np.ldexp(upper, route.exp)
+    out = {}
+    for kind, (blocks, residual) in served.items():
+        vecs = [core._read_only(v) for v in blocks]
+        x, y, z = (vecs[slot] for slot in varspec._KINDS[kind][0])
+        out[kind] = varspec.CriticalTriple(kind, float(value), float(upper), x, y, z,
+                                           float(residual * route.unscaled), method)
+    return out
 
 
 def test_enumerated_route_equals_the_old_helpers_bit_for_bit(monkeypatch):
     # np.roots, the per-block sign rules, the full merge mask and the
-    # per-block copies patched back in give the same triples and spectra
+    # per-block copies and numpy unscaling of a maximum patched back in
+    # give the same triples and spectra
     rng = np.random.default_rng(23)
     inputs = [*_banach_inputs()[:32], *(tt.make_fixture("right_symmetric", s) for s in range(8)),
               *(_right_symmetrized(rng.standard_normal((3, 3, 3))) for _ in range(8))]
@@ -1353,7 +1391,7 @@ def test_enumerated_route_equals_the_old_helpers_bit_for_bit(monkeypatch):
     monkeypatch.setattr(varspec, "_KINDS", kinds)
     monkeypatch.setattr(varspec, "_roots", np.roots)
     monkeypatch.setattr(varspec, "_merged", lambda f, v: _old_merging(f, v).sum() > len(f))
-    monkeypatch.setattr(varspec, "_triple", _old_triple)
+    monkeypatch.setattr(varspec, "_triples", _old_triples)
     old = records()
     varspec._route.cache_clear()
     assert new == old

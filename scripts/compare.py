@@ -36,8 +36,7 @@ and reports eight parts:
   ``audit_item`` times eta_1, mu_1 and nu_1 in turn from a cleared
   route, as one audit item solves them: on these symmetric pairs mu_1
   and nu_1 read the route that eta_1 filled, which holds all three
-  maxima of its Z enumeration.  ``lifts`` times mu_1 and nu_1 alone,
-  each right after an untimed eta_1 has filled the cleared route;
+  maxima of its Z enumeration;
 - ``fallback``: the C and Z solves of tensors whose enumeration cannot
   certify (the zero tensor, and ``3 v (x) v (x) v`` and, for C,
   ``2 x (x) y (x) y``, each plus 0, 1e-12, 1e-9 and 1e-6 of a unit-norm
@@ -55,7 +54,8 @@ and reports eight parts:
 - ``cli``: cold ``python -X importtime -m tritensor <sub> <file> --json``
   processes of each tree on one symmetric tensor file, for the six
   subcommands of the ``cli`` benchmark workload, 20 per subcommand and
-  tree with the tree that goes first alternating.  The children run
+  tree with the tree that goes first alternating.  Each tree's package
+  runs from a copy that holds no ``__pycache__``, and the children run
   with ``PYTHONDONTWRITEBYTECODE=1``, so each compiles the package from
   source, as the benchmark's children do, and nothing is written into
   either tree.  Per subcommand and tree: the ``tritensor`` modules the
@@ -102,6 +102,7 @@ import io
 import itertools
 import json
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -118,8 +119,6 @@ sys.dont_write_bytecode = True  # nothing written into either source tree
 SOLVERS = ("max_singular_value", "max_c_eigenvalue", "max_z_eigenvalue")
 # the solver lap of eta_1, mu_1 and nu_1 in turn, as one audit item runs them
 AUDIT_ITEM = "audit_item"
-# the solvers timed right after eta_1 has filled the memo
-LIFTS = SOLVERS[1:]
 # a C or Z value counts as equal within this, relative to max(1, |value|)
 VALUE_TOL = 1e-12
 LAYER_ROUNDS = 41
@@ -181,19 +180,27 @@ def sha256_of(records) -> str:
     return digest.hexdigest()
 
 
+def field_names(out) -> tuple[str, ...]:
+    """The field names of a result record, in order: a named tuple's
+    ``_fields``, or the ``__dataclass_fields__`` of a tree whose records
+    are dataclasses; () for anything else."""
+    return getattr(out, "_fields", None) or tuple(getattr(out, "__dataclass_fields__", ()))
+
+
 def record_of(out, other=None) -> bytes:
     """The bits of one library result: the bytes of every array in it, or
     the repr of the error raised; where ``other``, the other tree's result,
-    is a dataclass too, a dataclass is read in the fields both have only."""
+    is a record too, a record is read in the fields both have only."""
     if isinstance(out, Exception):
         return repr(out).encode()
     if isinstance(out, np.ndarray):
         return np.ascontiguousarray(out).tobytes()
+    names = field_names(out)
+    if names:
+        shared = field_names(other) or names
+        return record_of([getattr(out, n) for n in names if n in shared])
     if isinstance(out, (tuple, list)):
         return b"|".join(record_of(part) for part in out)
-    if hasattr(out, "__dataclass_fields__"):
-        names = getattr(other, "__dataclass_fields__", out.__dataclass_fields__)
-        return record_of([getattr(out, n) for n in out.__dataclass_fields__ if n in names])
     return repr(out).encode()
 
 
@@ -299,8 +306,8 @@ def differing_fields(parent: list, change: list) -> dict:
     field, the largest |change - parent|."""
     out = {}
     for before, after in zip(parent, change):
-        shared = getattr(after, "__dataclass_fields__", {})
-        for name in getattr(before, "__dataclass_fields__", {}):
+        shared = field_names(after)
+        for name in field_names(before):
             if name not in shared:
                 continue
             b, c = getattr(before, name), getattr(after, name)
@@ -437,16 +444,6 @@ def run_solver(tt, solver: str, a) -> tuple[tuple[int], bytes]:
     return (_now() - t0,), record_of(out)
 
 
-def run_lift(tt, solver: str, a) -> tuple[tuple[int], bytes]:
-    """((ns,), record of the triple) of one ``solver`` solve right after
-    an untimed eta_1 has filled the cleared route."""
-    clear_memos(tt)
-    solved(tt, SOLVERS[0], a)
-    t0 = _now()
-    out = solved(tt, solver, a)
-    return (_now() - t0,), record_of(out)
-
-
 def fastest(trees: dict, groups, cases: list, rounds: int, run) -> tuple[dict, dict]:
     """Per tree, group and case: the fastest of ``rounds`` timings of
     ``run(tt, group, case) -> (times, output)``, entry by entry, and the
@@ -514,9 +511,7 @@ def solver_laps(trees: dict, pairs: list, rounds: int = SOLVER_ROUNDS) -> dict:
     groups = (*SOLVERS, AUDIT_ITEM)
     best, _ = fastest(trees, groups, pairs, rounds, run_solver)
     laps = compared({s: {n: _laps_of(best[n][s]) for n in trees} for s in groups})
-    best, _ = fastest(trees, LIFTS, pairs, rounds, run_lift)
-    lifts = compared({s: {n: _laps_of(best[n][s]) for n in trees} for s in LIFTS})
-    return {"pairs": len(pairs), "rounds": rounds, "laps": laps, "lifts": lifts}
+    return {"pairs": len(pairs), "rounds": rounds, "laps": laps}
 
 
 def fallback_inputs(tt) -> dict:
@@ -765,7 +760,12 @@ def main(argv=None) -> int:
         clis = {name: importlib.import_module(f"{name}.cli") for name in trees}
         tensor = cli_tensor_file(trees["parent"], Path(tmp) / "cli")
         cli_run = cli_runs(clis, tensor)
-        cli = cli_processes({"parent": parent_pkg.parent, "change": ROOT / "src"}, tensor)
+        # the working tree's __pycache__, if any, would spare its children
+        # the compilation that the parent's pay
+        change_src = Path(tmp) / "change"
+        shutil.copytree(ROOT / "src" / "tritensor", change_src / "tritensor",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        cli = cli_processes({"parent": parent_pkg.parent, "change": change_src}, tensor)
     parent_rev = subprocess.run(
         ["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
         capture_output=True, text=True,

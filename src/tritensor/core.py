@@ -127,9 +127,10 @@ def _read_only(arr) -> np.ndarray:
 
 
 def _as_dict(result) -> dict:
-    """A new dict of the fields of the dataclass ``result``, in field order,
-    each ndarray as nested lists; the ``as_dict`` of the result classes."""
-    out = dict(vars(result))
+    """A new dict of the fields of the named tuple ``result``, in field
+    order, each ndarray as nested lists; the ``as_dict`` of the result
+    classes."""
+    out = result._asdict()
     for key, value in out.items():
         if type(value) is np.ndarray:
             out[key] = value.tolist()

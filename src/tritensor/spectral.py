@@ -12,7 +12,8 @@ representable norm.  The kernel itself keeps the Gram route's limits.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,7 @@ __all__ = [
 _SIGMA_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class LEigenSystem:
+class LEigenSystem(NamedTuple):
     """Three L-eigenvalues with paired L-eigenvectors and L-eigentensors.
 
     ``sigma`` is descending and nonnegative, ``x[j]`` is the j-th unit
@@ -65,8 +65,7 @@ class LEigenSystem:
     as_dict = core._as_dict
 
 
-@dataclass(frozen=True)
-class KernelTriple:
+class KernelTriple(NamedTuple):
     """Kernel tensors of A, A^T and (A^T)^T (the three mode Grams)."""
 
     u: np.ndarray
@@ -74,8 +73,7 @@ class KernelTriple:
     u_hat: np.ndarray
 
 
-@dataclass(frozen=True)
-class InvariantSet:
+class InvariantSet(NamedTuple):
     """Traces of powers of the three kernel tensors; all rotation invariant."""
 
     trU: float
@@ -89,8 +87,7 @@ class InvariantSet:
     as_dict = core._as_dict
 
 
-@dataclass(frozen=True)
-class EigDecomposition3:
+class EigDecomposition3(NamedTuple):
     """Eigenvector decomposition of a partially symmetric tensor.
 
     For side "right" the reconstruction is
@@ -207,9 +204,12 @@ def fold(m: np.ndarray) -> core.Hyper3:
     return core._finite(m, "Unfolding").reshape(3, 3, 3).copy()
 
 
-def _unfolding_svd(a: core.Hyper3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sigma, sign-canonical x (rows) and the 9x9 right factor of the
-    unfolding's SVD, whose rows 0..2 are flipped with x so row j is V_j.
+def _unfolding_svd(a: core.Hyper3) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """sigma of the unfolding scaled by 2^-exp, sign-canonical x (rows),
+    the 9x9 right factor of the unfolding's SVD, whose rows 0..2 are
+    flipped with x so row j is V_j, and exp.  The tensor's own sigma is
+    ldexp(sigma, exp), which can leave the float64 range, so each public
+    exit takes it back to scale itself.
 
     Consecutive calls on the same tensor contents share one SVD: the
     result is memoized on the unfolding's bytes, one entry deep.  Its
@@ -219,7 +219,7 @@ def _unfolding_svd(a: core.Hyper3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=1)
-def _svd_of_bytes(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _svd_of_bytes(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """:func:`_unfolding_svd` of the unfolding stored in ``key``.
 
     The unfolding is scaled by a power of two (exact) to a largest entry
@@ -234,10 +234,19 @@ def _svd_of_bytes(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     vt[:3] *= signs[:, None]
     y = x @ m
     # the row norms as np.linalg.norm(y, axis=1) takes them, bit for bit
-    sigma = np.ldexp(np.minimum.accumulate(np.sqrt((y * y).sum(axis=1))), exp)
+    sigma = np.minimum.accumulate(np.sqrt((y * y).sum(axis=1)))
     for arr in (sigma, x, vt):
         arr.setflags(write=False)
-    return sigma, x, vt
+    return sigma, x, vt, exp
+
+
+def _l_system(sigma, x, vt, exp) -> LEigenSystem:
+    """The L-eigensystem of an :func:`_unfolding_svd`, in new read-only
+    arrays, with sigma at the tensor's scale (rounded where it leaves
+    the normal float64 range)."""
+    sigma = np.ldexp(sigma, exp)
+    sigma.setflags(write=False)
+    return LEigenSystem(sigma, core._read_only(x), core._read_only(vt[:3].reshape(3, 3, 3)))
 
 
 def l_eigen(a: core.Hyper3) -> LEigenSystem:
@@ -245,11 +254,12 @@ def l_eigen(a: core.Hyper3) -> LEigenSystem:
 
     The triples are the singular triples of the 3x9 unfolding, so they
     satisfy A V_j = sigma_j x_j and A^T x_j = sigma_j V_j directly; the
-    kernel A A^T is never formed.
+    kernel A A^T is never formed.  Raises Unrepresentable where a nonzero
+    sigma_1 is not a normal float64; a smaller sigma_j may round.
     """
-    sigma, x, vt = _unfolding_svd(a)
-    V = vt[:3].reshape(3, 3, 3)
-    return LEigenSystem(sigma=core._read_only(sigma), x=core._read_only(x), V=core._read_only(V))
+    sigma, x, vt, exp = _unfolding_svd(a)
+    core._rescaled(float(sigma[0]), exp, "largest L-eigenvalue")
+    return _l_system(sigma, x, vt, exp)
 
 
 def rank_and_nullspace(a: core.Hyper3, tol: float = 1e-10):
@@ -257,12 +267,13 @@ def rank_and_nullspace(a: core.Hyper3, tol: float = 1e-10):
 
     The null space is the set of matrices V with A V = 0; its dimension is
     9 - rank, never below 6.  The rank counts the sigma_j above
-    tol * sigma_1, and the basis is the remaining right singular vectors
-    of the unfolding, each sign-canonical.  Each basis element N
-    satisfies ||contract_mat(a, N, "right")|| <= tol * ||a||.
+    tol * sigma_1, taken on the tensor scaled by a power of two so that
+    it does not depend on the scale, and the basis is the remaining
+    right singular vectors of the unfolding, each sign-canonical.  Each
+    basis element N satisfies ||contract_mat(a, N, "right")|| <= tol * ||a||.
     """
     tol = core._tolerance(tol)
-    sigma, _, vt = _unfolding_svd(a)
+    sigma, _, vt, _ = _unfolding_svd(a)
     rank = int(np.count_nonzero(sigma > tol * sigma[0]))
     null = vt[rank:] * _lead_signs(vt[rank:])[:, None]
     return rank, list(null.reshape(-1, 3, 3))
@@ -282,16 +293,25 @@ def l_inverse(a: core.Hyper3, tol: float = 1e-10) -> core.Hyper3:
     therefore not the identity.  The original tensor is recovered from
     B = l_inverse(a) by the transpose-conjugated mirror
     transpose(transpose(l_inverse(transpose(transpose(B))))).
+    Raises Unrepresentable where the largest |B_ijk| is not a normal
+    float64; smaller entries may round.
     """
     tol = core._tolerance(tol)
-    sigma, x, vt = _unfolding_svd(a)
+    sigma, x, vt, exp = _unfolding_svd(a)
     s1, s3 = float(sigma[0]), float(sigma[2])
     if s1 <= 0.0 or s3 <= tol * s1:
         ratio = s3 / s1 if s1 > 0.0 else 0.0
         raise SingularTensor(
             f"tensor is singular: sigma3/sigma1 = {ratio:.3e} <= {tol:.1e}"
         )
-    return np.einsum("n,nij,nk->ijk", 1.0 / sigma, vt[:3].reshape(3, 3, 3), x)
+    b = np.einsum("n,nij,nk->ijk", 1.0 / sigma, vt[:3].reshape(3, 3, 3), x)
+    # b unfolds to the pseudo-inverse of the scaled unfolding, so its largest
+    # entry lies in [1 / (sqrt(27) sigma_3), 1 / sigma_3], within [2^(e-4), 2^e)
+    # for 1 / sigma_3 in [2^(e-1), 2^e): read it only where that bracket,
+    # scaled by 2^-exp, reaches out of the normal range
+    if not -1018 <= math.frexp(1.0 / s3)[1] - exp <= 1023:
+        core._rescaled(float(np.abs(b).max()), -exp, "largest L-inverse entry")
+    return np.ldexp(b, -exp)
 
 
 def recover(v: core.Mat3, a_inv: core.Hyper3) -> core.Vec3:
@@ -328,7 +348,7 @@ def eig_decompose_partial(
     klass = _SIDES[side]
     if not _swap_symmetric(a, core._tolerance(tol), side):
         raise NotPartiallySymmetric(f"tensor is not {klass} within {tol:.1e}")
-    sys = l_eigen(np.transpose(a, _PAIR_LAST[side]))
+    sys = _l_system(*_unfolding_svd(np.transpose(a, _PAIR_LAST[side])))
     floor = _SIGMA_FLOOR * sys.sigma[0]
     lam = np.zeros((3, 3))
     yvecs = np.zeros((3, 3, 3))

@@ -11,9 +11,9 @@ do not depend on the tensor's scale anywhere in the float64 range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     """Boolean classification of one tensor against every symmetry class."""
 
     right_symmetric: bool

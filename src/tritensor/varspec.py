@@ -61,7 +61,7 @@ import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +82,7 @@ _MERGE_VALUE = 1e-8
 _MERGE_VECTOR = 1e-6
 
 
-@dataclass(frozen=True)
-class CriticalTriple:
+class CriticalTriple(NamedTuple):
     """One stationary point of a spherical potential, with a bound on the maximum.
 
     ``kind`` is "singular", "c_eigen" or "z_eigen"; for C-eigenpairs the
@@ -698,8 +697,7 @@ def _lift(route: _Route, source: str, perm: tuple, kinds: tuple) -> None:
         kind: lift for kind, lift in served.items() if kind in empty and lift[1] <= _POLISHED}))
 
 
-@dataclass(frozen=True)
-class ZSpectrum:
+class ZSpectrum(NamedTuple):
     """Every real Z-eigenpair A x x = lambda x, |x| = 1, of a symmetric tensor.
 
     One pair per real eigenvector line, signed so that lambda = x A x x
@@ -716,8 +714,7 @@ class ZSpectrum:
     as_dict = core._as_dict
 
 
-@dataclass(frozen=True)
-class CSpectrum:
+class CSpectrum(NamedTuple):
     """Every real C-eigenpair A y y = mu x, x A y = mu y, |x| = |y| = 1, of
     a right-side symmetric tensor.
 

@@ -384,7 +384,7 @@ def test_spectrum_reports_every_pair(command, count, tmp_path, capsys):
     assert run([command, path, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     spectrum = (tt.c_spectrum if command == "c-spectrum" else tt.z_spectrum)(cube)
-    assert doc == {key: v.tolist() for key, v in vars(spectrum).items()}
+    assert doc == {key: v.tolist() for key, v in spectrum._asdict().items()}
     assert len(doc["values"]) == count
     assert run([command, path]) == 0
     lines = capsys.readouterr().out.splitlines()

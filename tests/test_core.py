@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -488,7 +487,7 @@ def test_valid_tols_pass_unchanged(tol):
 def test_as_dict_is_the_fields_in_order_with_arrays_as_lists(solve):
     result = solve(FIXTURE)
     assert type(result).as_dict is core._as_dict
-    want = [(f.name, getattr(result, f.name)) for f in dataclasses.fields(result)]
+    want = [(name, getattr(result, name)) for name in result._fields]
     want = [(k, v.tolist() if isinstance(v, np.ndarray) else v) for k, v in want]
     doc = result.as_dict()
     assert list(json.loads(json.dumps(doc)).items()) == want

@@ -6,7 +6,7 @@ import pytest
 
 import tritensor as tt
 from tritensor import spectral
-from tritensor.errors import NotPartiallySymmetric, NotSymmetric, SingularTensor
+from tritensor.errors import NotPartiallySymmetric, NotSymmetric, SingularTensor, Unrepresentable
 from tritensor.symmetry import _swap_symmetric
 
 from helpers import mp_residuals, random_hyper3, random_vec, svd_sigma
@@ -281,6 +281,25 @@ def test_l_eigen_and_rank_homogeneous_at_extreme_norms(c):
     assert tt.rank_and_nullspace(c * a)[0] == 2
 
 
+@pytest.mark.parametrize("klass, e", [("symmetric", 1024), ("right_symmetric", -1070)])
+def test_l_eigen_and_l_inverse_outside_the_float64_range_raise(klass, e):
+    # sigma_1 of these tensors is 1.46 x 2^1024, which overflows, and
+    # 1.35 x 2^-1069, a subnormal; their largest L-inverse entries are
+    # 1.27 x 2^-1024 and 1.05 x 2^1069.  The raise comes with no
+    # RuntimeWarning (an error here), and the rank is still read
+    a = np.asarray(tt.make_fixture(klass, 1))
+    for solve in (tt.l_eigen, tt.l_inverse):
+        with pytest.raises(Unrepresentable, match="outside the float64 range"):
+            solve(np.ldexp(a, e))
+    assert tt.rank_and_nullspace(np.ldexp(a, e))[0] == tt.rank_and_nullspace(a)[0] == 3
+    # inside the range both are the same bits at every power of two; at
+    # 2^1022 the largest L-inverse entry, 2.8e-308, is near enough to the
+    # edge that l_inverse reads it exactly
+    k = 1022 if e > 0 else -1000
+    assert tt.l_eigen(np.ldexp(a, k)).sigma.tobytes() == np.ldexp(tt.l_eigen(a).sigma, k).tobytes()
+    assert tt.l_inverse(np.ldexp(a, k)).tobytes() == np.ldexp(tt.l_inverse(a), -k).tobytes()
+
+
 def test_l_eigen_sigma_non_increasing_near_degenerate():
     # rounding can order equal singular values either way
     eps = np.asarray(tt.levi_civita())
@@ -539,7 +558,7 @@ def test_results_never_alias_the_cached_entry():
     results = [sys_.sigma, sys_.x, sys_.V, tt.l_inverse(a), *tt.rank_and_nullspace(a)[1]]
     cached = spectral._unfolding_svd(a)
     assert spectral._svd_of_bytes.cache_info().currsize == 1
-    for arr in cached:
+    for arr in cached[:3]:  # sigma, x and the right factor; then the exponent
         assert not arr.flags.writeable
     for res in results:
         assert not any(np.shares_memory(res, arr) for arr in cached)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -73,7 +71,7 @@ def test_classify_generic_tensor_everything_false():
 def test_report_as_dict_matches_dataclasses_asdict(a):
     # the same keys in the same order, with the same values, and a new dict each call
     rep = tt.classify(a, 1e-9)
-    assert list(rep.as_dict().items()) == list(dataclasses.asdict(rep).items())
+    assert list(rep.as_dict().items()) == list(rep._asdict().items())
     assert rep.as_dict() is not rep.as_dict()
 
 

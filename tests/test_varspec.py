@@ -350,7 +350,8 @@ def test_solvers_load_varspec_on_first_use_without_numpy_random_or_fft():
     # the CLI process pays for every import: the package loads varspec on
     # the first lookup of one of its names, so the closed-form layers run
     # without it, and the enumerations use neither numpy.random nor
-    # numpy.fft (numpy 2.4 imports both lazily)
+    # numpy.fft (numpy 2.4 imports both lazily); the result records are
+    # named tuples, so neither part loads dataclasses
     entries = np.asarray(tt.make_fixture("symmetric", 7)).tolist()
     right = np.asarray(tt.make_fixture("right_symmetric", 7)).tolist()
     code = (
@@ -358,10 +359,11 @@ def test_solvers_load_varspec_on_first_use_without_numpy_random_or_fft():
         "loaded = ['tritensor.varspec' in sys.modules]\n"
         f"tritensor.classify({entries!r})\n"
         f"tritensor.l_eigen({entries!r})\n"
-        "loaded.append('tritensor.varspec' in sys.modules)\n"
+        "loaded += ['tritensor.varspec' in sys.modules, 'dataclasses' in sys.modules]\n"
         f"methods = [tritensor.max_z_eigenvalue({entries!r}).method,\n"
         f"           tritensor.max_c_eigenvalue({right!r}).method]\n"
-        "loaded += ['tritensor.varspec' in sys.modules, 'max_z_eigenvalue' in vars(tritensor)]\n"
+        "loaded += ['tritensor.varspec' in sys.modules, 'max_z_eigenvalue' in vars(tritensor),\n"
+        "           'dataclasses' in sys.modules]\n"
         "try:\n"
         "    tritensor.no_such_name\n"
         "except AttributeError:\n"
@@ -370,8 +372,8 @@ def test_solvers_load_varspec_on_first_use_without_numpy_random_or_fft():
     )
     out = run_python("-c", code).stdout
     assert out.split() == [
-        "False", "False", "True", "True", "AttributeError", "enumerated", "enumerated",
-        "False", "False",
+        "False", "False", "False", "True", "True", "False", "AttributeError",
+        "enumerated", "enumerated", "False", "False",
     ]
 
 
@@ -1378,7 +1380,7 @@ def test_enumerated_route_equals_the_old_helpers_bit_for_bit(monkeypatch):
                     result = exc
                 out.append(repr(result) if isinstance(result, Exception)
                            else [np.asarray(v).tobytes() if isinstance(v, np.ndarray) else v
-                                 for v in vars(result).values()])
+                                 for v in result._asdict().values()])
         return out
 
     new = records()

@@ -53,18 +53,20 @@ and reports eight parts:
   solves per tree;
 - ``cli``: cold ``python -X importtime -m tritensor <sub> <file> --json``
   processes of each tree on one symmetric tensor file, for the six
-  subcommands of the ``cli`` benchmark workload, 20 per subcommand and
-  tree with the tree that goes first alternating.  Each tree's package
+  subcommands of the ``cli`` benchmark workload, and of ``l-inverse`` on
+  a rank-one tensor file, which exits 3, 20 per case and tree with the
+  tree that goes first alternating.  Each tree's package
   runs from a copy that holds no ``__pycache__``, and the children run
   with ``PYTHONDONTWRITEBYTECODE=1``, so each compiles the package from
   source, as the benchmark's children do, and nothing is written into
   either tree.  Per subcommand and tree: the ``tritensor`` modules the
   process imports with each one's fastest self time, their sum, and the
   fastest whole-process wall time; and whether the exit code, standard
-  output and ``l-inverse --out`` file are byte-identical between trees,
+  output, standard error (without the ``-X importtime`` lines) and
+  ``l-inverse --out`` file are byte-identical between trees,
   and where they are not, the largest relative difference over the
   numeric leaves of the JSON that differs, with the path of its leaf;
-- ``cli_run``: the same six subcommands on the same file run in this
+- ``cli_run``: the same seven cases on the same files run in this
   process through each tree's ``cli.run``, the fastest of 41 runs per
   subcommand and tree, with the tree that goes first alternating; and
   whether the exit code, standard output, standard error and ``--out``
@@ -135,15 +137,18 @@ REPORTS = (
     *(["decompose", "-", "--side", side] for side in SIDES),
     *(["decompose", "-", "--side", side, "--json"] for side in SIDES),
 )
-# the subcommands of the cli benchmark workload; "--out" takes a file path
-CLI_SUBCOMMANDS = (
-    ("classify", "--json"),
-    ("l-eigen", "--json"),
-    ("invariants", "--json"),
-    ("singular", "--json"),
-    ("z-eigen", "--json"),
-    ("l-inverse", "--json", "--out"),
-)
+# name -> (subcommand, tensor file, flags...) of the cli parts: the
+# subcommands of the cli benchmark workload on its symmetric tensor file,
+# then l-inverse of a rank-one tensor, which exits 3; "--out" takes a path
+CLI_SUBCOMMANDS = {
+    "classify": ("classify", "t.json", "--json"),
+    "l-eigen": ("l-eigen", "t.json", "--json"),
+    "invariants": ("invariants", "t.json", "--json"),
+    "singular": ("singular", "t.json", "--json"),
+    "z-eigen": ("z-eigen", "t.json", "--json"),
+    "l-inverse": ("l-inverse", "t.json", "--json", "--out"),
+    "l-inverse rank-one": ("l-inverse", "rank-one.json", "--json"),
+}
 CLI_PROCESSES = 20
 CLI_RUNS = 41
 # argument lists whose first word names no subcommand; ``parser_cases``
@@ -181,10 +186,9 @@ def sha256_of(records) -> str:
 
 
 def field_names(out) -> tuple[str, ...]:
-    """The field names of a result record, in order: a named tuple's
-    ``_fields``, or the ``__dataclass_fields__`` of a tree whose records
-    are dataclasses; () for anything else."""
-    return getattr(out, "_fields", None) or tuple(getattr(out, "__dataclass_fields__", ()))
+    """The field names of a result record (a named tuple), in order; ()
+    for anything else."""
+    return getattr(out, "_fields", ())
 
 
 def record_of(out, other=None) -> bytes:
@@ -597,13 +601,15 @@ def bounded(trees: dict, rounds: int = FALLBACK_ROUNDS) -> dict:
 
 def cli_tensor_file(tt, into: Path) -> Path:
     """A symmetric tensor of unit norm in a seeded orientation, written as
-    the tensor file ``t.json`` in the new directory ``into``."""
+    the tensor file ``t.json`` in the new directory ``into``, beside the
+    rank-one ``rank-one.json``; the path of ``t.json``."""
     a = np.asarray(tt.rotate(tt.make_fixture("symmetric", 4), tt.random_rotation(4)))
+    v = np.array([0.6, 0.0, -0.8])
     into.mkdir()
-    path = into / "t.json"
-    entries = (a / np.linalg.norm(a)).tolist()
-    path.write_text(json.dumps({"dim": 3, "order": 3, "entries": entries, "name": "t"}))
-    return path
+    for name, b in (("t", a / np.linalg.norm(a)), ("rank-one", 2.0 * tt.outer(v, v, v))):
+        doc = {"dim": 3, "order": 3, "entries": np.asarray(b).tolist(), "name": name}
+        (into / f"{name}.json").write_text(json.dumps(doc))
+    return into / "t.json"
 
 
 def import_self_us(stderr: str) -> dict[str, int]:
@@ -664,12 +670,14 @@ def _differences(stats: dict, before: tuple, after: tuple) -> None:
         stats["max_relative_difference"], stats["max_relative_difference_at"] = gap
 
 
-def _cli_call(sub: tuple, tensor: Path, out_name: str, call) -> tuple[int, object, bytes]:
+def _cli_call(case: str, tensor: Path, out_name: str, call) -> tuple[int, object, bytes]:
     """(ns, result, bytes of the ``--out`` file) of one ``call(argv)`` of the
-    ``CLI_SUBCOMMANDS`` entry ``sub`` on ``tensor``; the ``--out`` file is
-    ``out_name`` beside ``tensor``, read and deleted afterwards."""
+    ``CLI_SUBCOMMANDS`` entry ``case``, whose tensor file lies beside
+    ``tensor``, as does its ``--out`` file ``out_name``, read and deleted
+    afterwards."""
     out = tensor.parent / out_name
-    argv = [sub[0], str(tensor), *sub[1:]]
+    sub, file, *flags = CLI_SUBCOMMANDS[case]
+    argv = [sub, str(tensor.parent / file), *flags]
     if argv[-1] == "--out":
         argv.append(str(out))
     t0 = _now()
@@ -680,26 +688,32 @@ def _cli_call(sub: tuple, tensor: Path, out_name: str, call) -> tuple[int, objec
     return ns, result, written
 
 
-def run_cli(src: Path, sub: tuple, tensor: Path) -> tuple[tuple[int, ...], tuple]:
+def run_cli(src: Path, case: str, tensor: Path) -> tuple[tuple[int, ...], tuple]:
     """((wall ns, self us of each ``tritensor`` module), output) of one cold
     ``python -X importtime -m tritensor`` process of the package under
     ``src`` in the directory of ``tensor``, on the ``CLI_SUBCOMMANDS`` entry
-    ``sub``; the output is the exit code, the standard output, the bytes of
-    the ``--out`` file and the names of the modules, in import order."""
+    ``case``; the output is the exit code, the standard output, the
+    standard error without the ``-X importtime`` lines, the bytes of the
+    ``--out`` file and, last, the names of the modules, in import order."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
-    ns, proc, written = _cli_call(sub, tensor, "out.json", lambda argv: subprocess.run(
+    ns, proc, written = _cli_call(case, tensor, "out.json", lambda argv: subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "tritensor", *argv],
         cwd=tensor.parent, env=env, capture_output=True))
-    imports = import_self_us(proc.stderr.decode())
-    return (ns, *imports.values()), (proc.returncode, proc.stdout, written, tuple(imports))
+    stderr = proc.stderr.decode()
+    imports = import_self_us(stderr)
+    said = "".join(line for line in stderr.splitlines(keepends=True)
+                   if not line.startswith("import time:"))
+    return (ns, *imports.values()), (
+        proc.returncode, proc.stdout, said.encode(), written, tuple(imports)
+    )
 
 
-def run_in_process(cli, sub: tuple, tensor: Path) -> tuple[tuple[int], tuple]:
+def run_in_process(cli, case: str, tensor: Path) -> tuple[tuple[int], tuple]:
     """((ns,), output) of one ``cli.run`` of the ``CLI_SUBCOMMANDS`` entry
-    ``sub`` on ``tensor``; the output is the exit code, the standard output
-    and error and the bytes of the ``--out`` file."""
-    ns, result, written = _cli_call(sub, tensor, "run-out.json", lambda argv: _run(cli, argv))
+    ``case`` beside ``tensor``; the output is the exit code, the standard
+    output and error and the bytes of the ``--out`` file."""
+    ns, result, written = _cli_call(case, tensor, "run-out.json", lambda argv: _run(cli, argv))
     return (ns,), (*result, written)
 
 
@@ -709,32 +723,32 @@ def cli_runs(clis: dict, tensor: Path, rounds: int = CLI_RUNS) -> dict:
     print and write the same bytes."""
     best, outputs = fastest(clis, CLI_SUBCOMMANDS, [tensor], rounds, run_in_process)
     stats = compared({
-        sub[0]: {n: {"run_us": round(best[n][sub][0][0] / 1e3, 1)} for n in clis}
-        for sub in CLI_SUBCOMMANDS
+        case: {n: {"run_us": round(best[n][case][0][0] / 1e3, 1)} for n in clis}
+        for case in CLI_SUBCOMMANDS
     })
-    for sub in CLI_SUBCOMMANDS:
-        _differences(stats[sub[0]], outputs["parent"][sub][0], outputs["change"][sub][0])
+    for case in CLI_SUBCOMMANDS:
+        _differences(stats[case], outputs["parent"][case][0], outputs["change"][case][0])
     return {"rounds": rounds, "subcommands": stats,
             "equal": all(stats[sub]["identical"] for sub in stats)}
 
 
 def cli_processes(sources: dict, tensor: Path, processes: int = CLI_PROCESSES) -> dict:
-    """Per subcommand of ``CLI_SUBCOMMANDS`` and tree (its package under
+    """Per case of ``CLI_SUBCOMMANDS`` and tree (its package under
     ``sources[tree]``): the fastest self time of each ``tritensor`` module
     and the fastest wall time over ``processes`` cold processes, and
     whether both trees print and write the same bytes."""
     best, outputs = fastest(sources, CLI_SUBCOMMANDS, [tensor], processes, run_cli)
-    subs = {sub[0]: sub for sub in CLI_SUBCOMMANDS}
-    modules = {n: {name: dict(zip(outputs[n][sub][0][3], best[n][sub][0][1:]))
-                   for name, sub in subs.items()} for n in sources}
+    modules = {n: {case: dict(zip(outputs[n][case][0][-1], best[n][case][0][1:]))
+                   for case in CLI_SUBCOMMANDS} for n in sources}
     stats = compared({
-        name: {n: {"tritensor_import_us": sum(modules[n][name].values()),
-                   "process_ms": round(best[n][sub][0][0] / 1e6, 2)} for n in sources}
-        for name, sub in subs.items()
+        case: {n: {"tritensor_import_us": sum(modules[n][case].values()),
+                   "process_ms": round(best[n][case][0][0] / 1e6, 2)} for n in sources}
+        for case in CLI_SUBCOMMANDS
     })
-    for name, sub in subs.items():
-        stats[name]["modules_us"] = {n: modules[n][name] for n in sources}
-        _differences(stats[name], outputs["parent"][sub][0][:3], outputs["change"][sub][0][:3])
+    for case in CLI_SUBCOMMANDS:
+        stats[case]["modules_us"] = {n: modules[n][case] for n in sources}
+        # the outputs but the module names
+        _differences(stats[case], outputs["parent"][case][0][:-1], outputs["change"][case][0][:-1])
     # each module's fastest self time over every process of the tree
     fastest_us = {n: {} for n in sources}
     for n in sources:

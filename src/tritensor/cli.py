@@ -6,9 +6,9 @@ identical inputs, flags and seeds: all randomness is seeded and numbers
 are printed with shortest round-trip formatting.
 
 Exit codes: 0 success, 2 validation error (including unreadable input and
-unwritable output files), a report that would hold a number outside the
-float64 range (nothing is written) or an eigenpair enumeration that
-cannot certify its result, 3 singular tensor, 4 no convergence (a C- or
+an unwritable output file or standard output), a report that would hold a
+number outside the float64 range (nothing is written) or an eigenpair
+enumeration that cannot certify its result, 3 singular tensor, 4 no convergence (a C- or
 Z-eigenpair taken from the bounded eta_1 that does not polish, near a
 continuum of maxima).
 """
@@ -16,9 +16,13 @@ continuum of maxima).
 from __future__ import annotations
 
 import argparse
+import atexit
+import contextlib
 import json
 import math
+import os
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -135,6 +139,28 @@ def _fmt_vec(v) -> str:
 _SHOWN = {float: _fmt, list: _fmt_vec, str: str}
 
 
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout and flush it.  A failed write or flush (a
+    closed pipe, a full disk) raises ValidationError, as an unwritable
+    ``--out`` path does, after pointing stdout's descriptor at os.devnull,
+    so that no later flush fails again; so does text for a process
+    started without a stdout (sys.stdout None)."""
+    if sys.stdout is None:
+        if text:
+            raise ValidationError("<stdout>: cannot write: no standard output")
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError):  # a stream without a descriptor
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise ValidationError(f"<stdout>: cannot write: {exc.strerror}") from None
+
+
 def _emit(args, json_doc: dict, text_lines: list[str]) -> None:
     try:  # JSON has no inf or NaN, and the text report shows the same numbers
         doc = json.dumps(json_doc, indent=2 if args.json else None, allow_nan=False)
@@ -142,7 +168,7 @@ def _emit(args, json_doc: dict, text_lines: list[str]) -> None:
         raise Unrepresentable(f"the {args.command} report is outside the float64 range") from None
     payload = (doc if args.json else "\n".join(text_lines)) + "\n"
     if not args.out:
-        sys.stdout.write(payload)
+        _write_stdout(payload)
         return
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -423,15 +449,38 @@ def run(argv=None) -> int:
         with np.errstate(all="ignore"):  # _emit refuses a report that overflowed
             _emit(args, *report(args, a, name))
     except (TensorError, NoConvergence, Uncertified) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        if isinstance(exc, SingularTensor):
-            return EXIT_SINGULAR
-        return EXIT_NO_CONVERGENCE if isinstance(exc, NoConvergence) else EXIT_VALIDATION
+        return _failed(exc)
     return EXIT_OK
 
 
-def main() -> None:
-    sys.exit(run())
+def _failed(exc: Exception) -> int:
+    """Print ``exc`` as one line on stderr and return its exit code."""
+    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    if isinstance(exc, SingularTensor):
+        return EXIT_SINGULAR
+    return EXIT_NO_CONVERGENCE if isinstance(exc, NoConvergence) else EXIT_VALIDATION
+
+
+def main() -> NoReturn:
+    """The process entry of ``python -m tritensor`` and the ``tritensor``
+    script: ``run`` on sys.argv, then the end of the process.
+
+    Once ``run`` has returned, its report is out, so the process ends
+    without the interpreter's teardown (clearing every module and the
+    final garbage collections, ~15 ms of a ~120 ms process): the atexit
+    callbacks run, once, stdout and stderr are flushed and ``os._exit``
+    ends it with run's exit code, or with 2 where stdout cannot be
+    flushed.  An exception out of ``run`` takes Python's usual way out.
+    """
+    code = run()
+    atexit._run_exitfuncs()  # and unregisters them
+    try:
+        _write_stdout("")  # what argparse or an atexit callback printed
+    except ValidationError as exc:
+        code = _failed(exc)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

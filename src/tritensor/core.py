@@ -95,15 +95,15 @@ def _scaled(values, what: str) -> tuple[np.ndarray, int]:
 _TINY = 2.0**-1022  # the smallest normal float64
 
 
-def _rescaled(value: float, exp: int, what: str) -> float:
+def _rescaled(value: float, exp: int, what: str, floor: float = _TINY) -> float:
     """ldexp(value, exp), the way back from ``_scaled``, as a float;
-    Unrepresentable, naming the ``what``, where a nonzero result leaves the
-    normal float64 range."""
+    Unrepresentable, naming the ``what``, where a nonzero result overflows
+    or falls below ``floor`` (by default, leaves the normal float64 range)."""
     try:
         out = math.ldexp(value, exp)
     except OverflowError:
         out = math.inf
-    if value != 0.0 and not _TINY <= abs(out) < math.inf:
+    if value != 0.0 and not floor <= abs(out) < math.inf:
         raise Unrepresentable(f"{what} {value:.3g} x 2^{exp} is outside the float64 range")
     return out
 

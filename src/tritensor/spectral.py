@@ -304,13 +304,18 @@ def l_inverse(a: core.Hyper3, tol: float = 1e-10) -> core.Hyper3:
         raise SingularTensor(
             f"tensor is singular: sigma3/sigma1 = {ratio:.3e} <= {tol:.1e}"
         )
-    b = np.einsum("n,nij,nk->ijk", 1.0 / sigma, vt[:3].reshape(3, 3, 3), x)
+    v = vt[:3].reshape(3, 3, 3)
     # b unfolds to the pseudo-inverse of the scaled unfolding, so its largest
     # entry lies in [1 / (sqrt(27) sigma_3), 1 / sigma_3], within [2^(e-4), 2^e)
-    # for 1 / sigma_3 in [2^(e-1), 2^e): read it only where that bracket,
-    # scaled by 2^-exp, reaches out of the normal range
-    if not -1018 <= math.frexp(1.0 / s3)[1] - exp <= 1023:
-        core._rescaled(float(np.abs(b).max()), -exp, "largest L-inverse entry")
+    # for 1 / sigma_3 in [2^(e-1), 2^e).  Where that bracket, scaled by
+    # 2^-exp, lies in the normal range, the three reciprocals are scaled
+    # before the sum: the bits of scaling its 27 entries after, unless a
+    # term of the sum falls below the normal range, which may move an entry
+    # by about an ulp of the largest
+    if -1018 <= math.frexp(1.0 / s3)[1] - exp <= 1023:
+        return np.einsum("n,nij,nk->ijk", np.ldexp(1.0 / sigma, -exp), v, x)
+    b = np.einsum("n,nij,nk->ijk", 1.0 / sigma, v, x)
+    core._rescaled(float(np.abs(b).max()), -exp, "largest L-inverse entry")
     return np.ldexp(b, -exp)
 
 
@@ -341,14 +346,18 @@ def eig_decompose_partial(
     weights lambda_jk.  The "left" and "central" sides reuse the right
     procedure on (A^T)^T and A^T respectively and permute the factors.
     Eigentensor asymmetry above 1e-6 raises, since it signals that the
-    claimed symmetry does not actually hold.
+    claimed symmetry does not actually hold.  Raises Unrepresentable where
+    sigma_1 overflows float64; a subnormal sigma is returned rounded, as
+    it is.
     """
     if side not in _SIDES:
         raise ValueError(f"side must be one of {sorted(_SIDES)}, got {side!r}")
     klass = _SIDES[side]
     if not _swap_symmetric(a, core._tolerance(tol), side):
         raise NotPartiallySymmetric(f"tensor is not {klass} within {tol:.1e}")
-    sys = _l_system(*_unfolding_svd(np.transpose(a, _PAIR_LAST[side])))
+    svd = _unfolding_svd(np.transpose(a, _PAIR_LAST[side]))
+    core._rescaled(float(svd[0][0]), svd[3], "largest L-eigenvalue", floor=0.0)
+    sys = _l_system(*svd)
     floor = _SIGMA_FLOOR * sys.sigma[0]
     lam = np.zeros((3, 3))
     yvecs = np.zeros((3, 3, 3))

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 import tritensor as tt
 from tritensor.cli import SUBCOMMANDS, build_parser, run
 
-from helpers import random_hyper3, run_python
+from helpers import SRC, random_hyper3, run_python
 from test_varspec import _near_circle
 
 
@@ -548,3 +551,109 @@ def test_run_reads_sys_argv_by_default(eps_file, subparsers_built, monkeypatch, 
     assert run() == 0
     assert capsys.readouterr().out == expected
     assert subparsers_built == ["classify"]
+
+
+# ---------------------------------------------------------------------------
+# cold processes: main ends each one once its report is out
+
+
+def child(args: list[str], prefix=(sys.executable,), **env) -> subprocess.CompletedProcess:
+    """``python *args`` (started through ``prefix``) on this checkout's
+    ``src``, buffered unless ``env`` says otherwise, with help wrapped at
+    80 columns; any exit code."""
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, base.get("PYTHONPATH"))))
+    return subprocess.run([*prefix, *args], env={**base, "COLUMNS": "80", **env},
+                          capture_output=True, text=True, timeout=120)
+
+
+# argv with {sym}, {rank_one}, {missing} and {out} for paths under tmp_path
+CHILD_CASES = {
+    "report": (["z-eigen", "{sym}", "--json"], 0),
+    "out": (["l-inverse", "{sym}", "--json", "--out", "{out}"], 0),
+    "validation": (["classify", "{missing}"], 2),
+    "singular": (["l-inverse", "{rank_one}"], 3),
+    "help": (["--help"], 0),
+    "unknown": (["bogus", "{sym}"], 2),
+}
+
+
+@pytest.mark.parametrize("case", CHILD_CASES)
+def test_a_process_prints_and_writes_what_run_does(case, tmp_path, monkeypatch, capsys):
+    v = np.array([0.6, 0.0, -0.8])
+    paths = {
+        "{sym}": write_tensor(tmp_path / "sym.json", tt.make_fixture("symmetric", 7)),
+        "{rank_one}": write_tensor(tmp_path / "r1.json", 2.0 * tt.outer(v, v, v)),
+        "{missing}": str(tmp_path / "missing.json"),
+        "{out}": str(tmp_path / "out.json"),
+    }
+    template, code = CHILD_CASES[case]
+    argv = [paths.get(arg, arg) for arg in template]
+    out = Path(paths["{out}"])
+
+    def written() -> bytes | None:
+        data = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return data
+
+    proc = child(["-m", "tritensor", *argv])
+    cold = (proc.returncode, proc.stdout, proc.stderr, written())
+    monkeypatch.setenv("COLUMNS", "80")
+    warm = (run(argv), *capsys.readouterr(), written())
+    assert cold == warm
+    assert cold[0] == code and (cold[3] is not None) == (case == "out")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_exits_2_with_one_line(unbuffered, eps_file):
+    # the read end of the child's stdout pipe is closed before it writes:
+    # unbuffered, its write fails; buffered, its flush does
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tritensor", "l-eigen", eps_file],
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered},
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (
+        2, "ValidationError: <stdout>: cannot write: Broken pipe\n"
+    )
+
+
+def test_a_process_without_stdout_exits_2_unless_it_writes_a_file(eps_file, tmp_path):
+    # descriptor 1 closed before python starts leaves sys.stdout None
+    out = tmp_path / "out.txt"
+    closed = ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable]
+    proc = child(["-m", "tritensor", "l-eigen", eps_file], prefix=closed)
+    assert (proc.returncode, proc.stderr) == (
+        2, "ValidationError: <stdout>: cannot write: no standard output\n"
+    )
+    proc = child(["-m", "tritensor", "l-eigen", eps_file, "--out", str(out)], prefix=closed)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_text().startswith("l-eigen decomposition of levi-civita\n")
+
+
+def test_atexit_callbacks_run_once_after_the_report(eps_file):
+    # a wrapper script's callback runs once, after the report, and what it
+    # prints is flushed; an exception out of run takes Python's usual way
+    # out, traceback and exit code 1, where the interpreter runs it once
+    wrapper = (
+        "import atexit, sys\n"
+        "from tritensor import cli\n"
+        "atexit.register(print, 'callback')\n"
+        "if sys.argv[1] == 'raise':\n"
+        "    cli.run = lambda: 1 / 0\n"
+        "sys.argv = ['tritensor', 'l-eigen', sys.argv[2]]\n"
+        "sys.exit(cli.main())\n"
+    )
+    report = child(["-m", "tritensor", "l-eigen", eps_file]).stdout
+    proc = child(["-c", wrapper, "report", eps_file])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, report + "callback\n", "")
+    proc = child(["-c", wrapper, "raise", eps_file])
+    assert (proc.returncode, proc.stdout) == (1, "callback\n")
+    assert proc.stderr.startswith("Traceback") and proc.stderr.endswith(
+        "ZeroDivisionError: division by zero\n"
+    )

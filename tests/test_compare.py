@@ -8,7 +8,6 @@ memo ``spectral._svd_of_bytes`` and of the route memo
 CLI process imports) fails here rather than at the next measurement.
 """
 
-import dataclasses
 import importlib
 import importlib.util
 import itertools
@@ -125,29 +124,34 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monke
 def test_compare_cli_part_times_cold_processes_of_both_trees(compare, monkeypatch, tmp_path):
     twin = compare.load_tree(ROOT / "src" / "tritensor", TWINS["parent"])
     tensor = compare.cli_tensor_file(twin, tmp_path / "cli")
-    monkeypatch.setattr(compare, "CLI_SUBCOMMANDS", (("z-eigen", "--json"),
-                                                     ("l-inverse", "--json", "--out")))
+    cases = ("z-eigen", "l-inverse", "l-inverse rank-one")
+    monkeypatch.setattr(compare, "CLI_SUBCOMMANDS",
+                        {case: compare.CLI_SUBCOMMANDS[case] for case in cases})
     sources = {"parent": ROOT / "src", "change": ROOT / "src"}
     part = compare.cli_processes(sources, tensor, processes=1)
-    assert (part["processes"], set(part["subcommands"]), part["equal"]) == (
-        1, {"z-eigen", "l-inverse"}, True
-    )
-    for sub, stats in part["subcommands"].items():
+    assert (part["processes"], set(part["subcommands"]), part["equal"]) == (1, set(cases), True)
+    for case, stats in part["subcommands"].items():
         assert stats["identical"] and "max_relative_difference" not in stats
         modules = stats["modules_us"]["change"]
-        assert ("tritensor.varspec" in modules) == (sub == "z-eigen")
+        assert ("tritensor.varspec" in modules) == (case == "z-eigen")
         assert {"tritensor", "tritensor.cli"} <= set(modules)
         assert stats["change"]["tritensor_import_us"] == sum(modules.values())
         assert stats["change"]["process_ms"] > 0.0
     assert "tritensor.varspec" in part["modules_us"]["parent"]
     assert not list(tensor.parent.glob("out.json"))  # each --out file is read and deleted
+    # standard error is compared without the -X importtime lines: the one
+    # line of the rank-one tensor's exit 3
+    _, out = compare.run_cli(ROOT / "src", "l-inverse rank-one", tensor)
+    assert (out[0], out[1], out[3]) == (3, b"", b"")
+    assert out[2].startswith(b"SingularTensor: tensor is singular") and out[2].count(b"\n") == 1
 
     # a byte that differs between the trees clears "equal"; output that
     # varies between one tree's processes stops the run
     sources = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
     monkeypatch.setattr(compare, "run_cli",
                         lambda src, sub, tensor: ((1,), (0, src.name.encode(), b"", ())))
-    monkeypatch.setattr(compare, "CLI_SUBCOMMANDS", (("l-inverse", "--json", "--out"),))
+    monkeypatch.setattr(compare, "CLI_SUBCOMMANDS",
+                        {"l-inverse": compare.CLI_SUBCOMMANDS["l-inverse"]})
     part = compare.cli_processes(sources, tensor, processes=2)
     assert (part["subcommands"]["l-inverse"]["identical"], part["equal"]) == (False, False)
     stats = part["subcommands"]["l-inverse"]
@@ -171,40 +175,31 @@ def test_compare_cli_part_times_cold_processes_of_both_trees(compare, monkeypatc
 
 
 def test_solve_hashes_read_the_fields_both_trees_have(compare):
-    # a field that one tree's triples no longer have leaves the hashes
-    # equal, whether the other tree's records are dataclasses or named tuples
-    @dataclasses.dataclass
-    class Old:
+    # a field that one tree's triples no longer have leaves the hashes equal
+    class Old(typing.NamedTuple):
         value: float
         x: np.ndarray
         starts_converged: int
         method: str
 
-    @dataclasses.dataclass
-    class NewDataclass:
-        value: float
-        x: np.ndarray
-        method: str
-
-    class NewNamedTuple(typing.NamedTuple):
+    class New(typing.NamedTuple):
         value: float
         x: np.ndarray
         method: str
 
     x = np.array([0.6, 0.8, 0.0])
-    for New in (NewDataclass, NewNamedTuple):
-        out = {"parent": [Old(1.5, x, 1, "enumerated")], "change": [New(1.5, x, "enumerated")]}
-        values = compare.by_value(out)
-        assert values["sha256_equal"] and values["equal"] and values["differing_fields"] == {}
-        assert compare.record_of(out["parent"][0]) != compare.record_of(out["change"][0])
-        # a shared field that differs still shows, and is named
-        out["change"] = [New(1.5, -x, "enumerated")]
-        values = compare.by_value(out)
-        assert not values["sha256_equal"]
-        assert values["differing_fields"] == {"x": {"solves": 1}}
-        out["change"] = [New(1.5 + 2.0**-52, x, "enumerated")]
-        assert compare.by_value(out)["differing_fields"] == {
-            "value": {"solves": 1, "max_abs_difference": 2.0**-52}}
+    out = {"parent": [Old(1.5, x, 1, "enumerated")], "change": [New(1.5, x, "enumerated")]}
+    values = compare.by_value(out)
+    assert values["sha256_equal"] and values["equal"] and values["differing_fields"] == {}
+    assert compare.record_of(out["parent"][0]) != compare.record_of(out["change"][0])
+    # a shared field that differs still shows, and is named
+    out["change"] = [New(1.5, -x, "enumerated")]
+    values = compare.by_value(out)
+    assert not values["sha256_equal"]
+    assert values["differing_fields"] == {"x": {"solves": 1}}
+    out["change"] = [New(1.5 + 2.0**-52, x, "enumerated")]
+    assert compare.by_value(out)["differing_fields"] == {
+        "value": {"solves": 1, "max_abs_difference": 2.0**-52}}
 
 
 def test_json_gap_reads_numeric_leaves_only(compare):
@@ -249,12 +244,14 @@ def test_compare_hashes_parser_output_and_times_in_process_runs(compare, monkeyp
     tensor = compare.cli_tensor_file(trees["parent"], tmp_path / "cli")
     part = compare.cli_runs(clis, tensor, rounds=1)
     assert (part["rounds"], part["equal"]) == (1, True)
-    assert list(part["subcommands"]) == [sub[0] for sub in compare.CLI_SUBCOMMANDS]
+    assert list(part["subcommands"]) == list(compare.CLI_SUBCOMMANDS)
     for stats in part["subcommands"].values():
         assert stats["identical"] and stats["change"]["run_us"] > 0.0
     # the --out file is part of the output, read and deleted after each run
-    _, out = compare.run_in_process(clis["change"], ("l-inverse", "--json", "--out"), tensor)
+    _, out = compare.run_in_process(clis["change"], "l-inverse", tensor)
     assert out[:3] == (0, "", "") and json.loads(out[3])["name"] == "t-l-inverse"
+    _, out = compare.run_in_process(clis["change"], "l-inverse rank-one", tensor)
+    assert (out[0], out[1], out[3]) == (3, "", b"") and out[2].startswith("SingularTensor: ")
     assert not list(tensor.parent.glob("run-out.json"))
     # a byte that differs between the trees clears "equal"; output that
     # varies between one tree's runs stops the run

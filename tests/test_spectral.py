@@ -300,6 +300,24 @@ def test_l_eigen_and_l_inverse_outside_the_float64_range_raise(klass, e):
     assert tt.l_inverse(np.ldexp(a, k)).tobytes() == np.ldexp(tt.l_inverse(a), -k).tobytes()
 
 
+def test_eig_decompose_partial_raises_only_where_sigma_1_overflows():
+    # sigma_1 = 1.46 x 2^1024 overflows on every side, refused before any
+    # ldexp, so with no RuntimeWarning (an error here)
+    big = np.ldexp(tt.make_fixture("symmetric", 1), 1024)
+    for side in ("right", "left", "central"):
+        with pytest.raises(Unrepresentable, match="largest L-eigenvalue .* float64 range"):
+            tt.eig_decompose_partial(big, side)
+    # a subnormal sigma is the documented limit: returned rounded, as it is
+    a = np.asarray(tt.make_fixture("right_symmetric", 1))
+    dec = tt.eig_decompose_partial(np.ldexp(a, -1070))
+    assert 0.0 < dec.sigma[2] <= dec.sigma[0] < 2.0**-1022
+    assert dec.sigma.tobytes() == np.ldexp(tt.eig_decompose_partial(a).sigma, -1070).tobytes()
+    # up to the edge of the range the results are the unscaled ones' bits scaled
+    k = 1023 - int(np.frexp(tt.eig_decompose_partial(a).sigma[0])[1])
+    dec = tt.eig_decompose_partial(np.ldexp(a, k))
+    assert dec.sigma.tobytes() == np.ldexp(tt.eig_decompose_partial(a).sigma, k).tobytes()
+
+
 def test_l_eigen_sigma_non_increasing_near_degenerate():
     # rounding can order equal singular values either way
     eps = np.asarray(tt.levi_civita())

@@ -28,10 +28,12 @@ and reports eight parts:
 - ``layers``: per closed-form layer and tree, the median and the sum over
   64 inputs of the fastest of 41 calls, and one sha256 over the outputs;
   ``analyze_item`` sums the layers that one item of the ``analyze``
-  benchmark workload calls;
+  benchmark workload calls, each timed on its own, and ``analyze_chain``
+  times that item's eight calls in its order from a cleared memo, so
+  that work the layers share (the tensor's scaling, its SVD) shows;
 - ``solvers``: per solver and tree, on the 32 (fixture, rotation) pairs
   that the ``audit`` benchmark workload times, the fastest of 21 rounds
-  of each whole solve.  The solvers' one memo, the route
+  of each whole solve.  The library's one memo, which holds the route
   (``clear_memos``), is cleared before each timed solve, and
   ``audit_item`` times eta_1, mu_1 and nu_1 in turn from a cleared
   route, as one audit item solves them: on these symmetric pairs mu_1
@@ -98,6 +100,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -393,9 +396,25 @@ def _tensor(a, p, seed):
     return (a,)
 
 
-# layer -> (library function, its arguments from (a, p, seed), and what
-# runs untimed just before: "cold" clears the SVD memo, "warm" fills it
-# with a's SVD by calling l_eigen)
+def analyze_chain(tt, a, p) -> list:
+    """The eight calls of one item of the ``analyze`` benchmark workload,
+    in its order, on the tensor ``a`` and the rotation ``p``: each output,
+    or the library error raised."""
+    a = tt.hyper3(a)
+    out = [a]
+    for fn, args in ((tt.classify, (a,)), (tt.kernel, (a,)), (tt.l_eigen, (a,)),
+                     (tt.l_inverse, (a,)), (tt.rank_and_nullspace, (a,)),
+                     (tt.invariants, (a,)), (tt.rotate, (a, p))):
+        try:
+            out.append(fn(*args))
+        except tt.TensorError as exc:
+            out.append(exc)
+    return out
+
+
+# layer -> (library function, or ``analyze_chain``, its arguments from (a,
+# p, seed), and what runs untimed just before: "cold" clears the memo
+# (``clear_memos``), "warm" fills it with a's SVD by calling l_eigen)
 LAYERS = {
     "hyper3": ("hyper3", _tensor, None),
     "classify": ("classify", _tensor, None),
@@ -408,6 +427,7 @@ LAYERS = {
     "invariants": ("invariants", _tensor, None),
     "rotate": ("rotate", lambda a, p, seed: (a, p), None),
     "random_rotation": ("random_rotation", lambda a, p, seed: (seed,), None),
+    "analyze_chain": ("analyze_chain", lambda a, p, seed: (a, p), "cold"),
 }
 ANALYZE_ITEM = (
     "hyper3", "classify", "kernel", "l_eigen_cold", "l_inverse",
@@ -419,10 +439,11 @@ def run_layer(tt, layer: str, case) -> tuple[tuple[int], bytes]:
     """((ns,), record of the output or of the library error raised) of one timed call."""
     name, args_of, memo = LAYERS[layer]
     if memo == "cold":
-        tt.spectral._svd_of_bytes.cache_clear()
+        clear_memos(tt)
     elif memo == "warm":
         tt.l_eigen(case[0])
-    fn, args = getattr(tt, name), args_of(*case)
+    fn = functools.partial(analyze_chain, tt) if name == "analyze_chain" else getattr(tt, name)
+    args = args_of(*case)
     t0 = _now()
     try:
         out = fn(*args)
@@ -432,10 +453,19 @@ def run_layer(tt, layer: str, case) -> tuple[tuple[int], bytes]:
 
 
 def clear_memos(tt) -> None:
-    """Empty the solvers' one memo, ``varspec._route``: the route of the
-    last tensor solved, which holds its enumerations, its branch and
-    bound and its maxima."""
-    tt.varspec._route.cache_clear()
+    """Empty the library's one memo, the entry of ``core._tensor``: the
+    last tensor seen, scaled, with its unfolding SVD and its route, which
+    holds its enumerations, its branch and bound and its maxima.  A tree
+    that predates it keeps the SVD and the route in one-entry
+    ``functools.lru_cache`` memos of ``spectral`` and ``varspec``, and
+    each of those is cleared."""
+    if hasattr(tt.core, "_tensor"):
+        tt.core._last = None
+        return
+    for module in (tt.spectral, tt.varspec):
+        for memo in vars(module).values():
+            if getattr(memo, "cache_parameters", dict)().get("maxsize") == 1:
+                memo.cache_clear()
 
 
 def run_solver(tt, solver: str, a) -> tuple[tuple[int], bytes]:

@@ -267,10 +267,10 @@ def _decompose(args, a, name):
     dec = spectral.eig_decompose_partial(a, side=args.side, tol=args.tol)
     # ||R - A|| / max(1, ||A||) for the reconstruction R, on R and A scaled
     # by one power of two: exact, and the squares of their entries stay finite
-    scaled, exp = core._scaled(a, "Hyper3")
-    diff = np.linalg.norm(np.ldexp(dec.reconstruct(), -exp) - scaled)
+    tensor = core._tensor(a)
+    diff = np.linalg.norm(np.ldexp(dec.reconstruct(), -tensor.exp) - tensor.a)
     # 1 / 2^exp overflows to inf, without a warning in run, where ||A|| < 2^-1023
-    residual = float(diff / max(np.ldexp(1.0, -exp), np.linalg.norm(scaled)))
+    residual = float(diff / max(np.ldexp(1.0, -tensor.exp), tensor.norm))
     doc = dec.as_dict()
     doc["residual"] = residual
     lines = [f"{args.side}-side eigenvector decomposition of {name}"]
@@ -409,13 +409,25 @@ _COMMANDS = {
 SUBCOMMANDS = tuple(_COMMANDS)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with its help and usage text for stdout written
+    through ``_write_stdout``, so that an unwritable stdout raises
+    ValidationError there, where argparse would drop the text unseen."""
+
+    def _print_message(self, message, file=None):
+        if message and file is not None and file is sys.stdout:
+            _write_stdout(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of ``command`` alone.
 
     Built for one subcommand, the top-level usage still names all of them,
     so that it prints the same usage and errors as the full parser.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tritensor",
         description="Third-order tensor toolkit: symmetry classes, kernel, "
         "L-eigenvalues, L-inverse, variational eigenvalues and invariants.",
@@ -441,13 +453,11 @@ def run(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
         args = build_parser(command).parse_args(argv)
-    except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
-        return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
-    report = _COMMANDS[args.command][1]
-    try:
         a, name = read_tensor(args.tensor) if hasattr(args, "tensor") else (None, None)
         with np.errstate(all="ignore"):  # _emit refuses a report that overflowed
-            _emit(args, *report(args, a, name))
+            _emit(args, *_COMMANDS[args.command][1](args, a, name))
+    except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
+        return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     except (TensorError, NoConvergence, Uncertified) as exc:
         return _failed(exc)
     return EXIT_OK

@@ -6,10 +6,20 @@ its first- and second-order companions are plain 3-vectors and 3x3
 matrices.  Constructors validate shape and finiteness and hand back
 read-only arrays; every operation is a pure function of its inputs, so
 values can be shared across threads without locking.
+
+The symmetry verdicts, the invariants, the L-eigenvalues and the
+variational maxima are taken on the tensor scaled by a power of two
+(exact), so that they do not depend on its scale.  One memo, ``_tensor``,
+keeps that scaling for the last tensor seen, keyed on its float64
+contents: the scaled tensor, its exponent and norm, and a dict in which
+the other layers keep what they derive from it (the unfolding's SVD, the
+route of the variational maxima).  It has one entry, so a call on
+another tensor evicts all of it at once.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import numbers
 
@@ -90,6 +100,30 @@ def _scaled(values, what: str) -> tuple[np.ndarray, int]:
         raise ValueError(f"{what} entries must be finite (no NaN/Inf)")
     exp = math.frexp(peak)[1]
     return np.ldexp(arr, -exp), exp
+
+
+_Tensor = collections.namedtuple("_Tensor", "a exp norm memo")
+_last = None  # the one entry of _tensor: (key, record)
+
+
+def _tensor(values) -> _Tensor:
+    """The record of the tensor A whose float64 bytes, read in C order
+    whatever the input's memory layout, are those of ``_shaped(values,
+    "Hyper3")``: ``a``, A scaled by a power of two as ``_scaled`` scales it
+    (read-only), and ``exp``, with A = ldexp(a, exp); ``norm``, ||a||; and
+    ``memo``, a dict in which the layers keep what they derive from ``a``
+    (spectral the unfolding's SVD under "svd", varspec the route under
+    "route"), each filled by setdefault.  Memoized one entry deep on those
+    bytes: a call on other contents replaces the record, memo included.
+    Raises ValueError as ``_scaled`` does."""
+    global _last
+    key = _shaped(values, "Hyper3").tobytes()
+    last = _last  # one read: another thread may replace the entry
+    if last is None or last[0] != key:
+        a, exp = _scaled(np.frombuffer(key).reshape(3, 3, 3), "Hyper3")
+        a.setflags(write=False)
+        last = _last = key, _Tensor(a, exp, _frobenius(a), {})
+    return last[1]
 
 
 _TINY = 2.0**-1022  # the smallest normal float64
@@ -336,14 +370,8 @@ def random_rotation(seed: int) -> Mat3:
     return q
 
 
-def _build_levi_civita() -> Hyper3:
-    eps = np.zeros((3, 3, 3))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-    eps[1, 0, 2] = eps[2, 1, 0] = eps[0, 2, 1] = -1.0
-    return _read_only(eps)
-
-
-_LEVI_CIVITA = _build_levi_civita()
+# eps_ijk = (e_i x e_j)_k: +1 on even index triples, -1 on odd, 0 elsewhere
+_LEVI_CIVITA = _read_only(np.cross(_EYE3[:, None], _EYE3))
 
 
 def levi_civita() -> Hyper3:

@@ -6,12 +6,15 @@ triples of the 3x9 unfolding; their sigma^2 are the eigenvalues of the
 kernel ``U = A A^T``.  L-eigenvalues, rank, null space and L-inverse
 come from one SVD of the unfolding, never from the squared kernel, so
 sigma_3 stays accurate far beyond sigma_1/sigma_3 = 1e8 and at any
-representable norm.  The kernel itself keeps the Gram route's limits.
+representable norm.  That SVD, like the invariants and ``kernel_triple``,
+is taken on the tensor scaled by a power of two that the record of
+``core._tensor`` holds, and is kept in that record's memo, so the layers
+called in turn on one tensor share one scaling and one SVD.  The kernel
+itself keeps the Gram route's limits.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -162,10 +165,15 @@ def kernel(a: core.Hyper3) -> core.Mat3:
 def kernel_triple(a: core.Hyper3) -> KernelTriple:
     """Kernels of A, A^T and (A^T)^T; all three share trace A . A.
 
-    Raises ValueError unless ``a`` is a finite 3x3x3 array."""
-    kernels = _kernels(core._finite(a, "Hyper3"))
-    kernels.setflags(write=False)
-    return KernelTriple(*kernels)
+    They are taken on the tensor scaled by a power of two and scaled back
+    exactly by 2^(2 exp).  Raises Unrepresentable where the largest
+    |entry| of the three is nonzero and not a normal float64 (smaller
+    entries may round), and ValueError unless ``a`` is a finite 3x3x3
+    array."""
+    tensor = core._tensor(a)
+    kernels = _kernels(tensor.a)
+    core._rescaled(float(np.abs(kernels).max()), 2 * tensor.exp, "kernel")
+    return KernelTriple(*core._read_only(np.ldexp(kernels, 2 * tensor.exp)))
 
 
 def invariants(a: core.Hyper3) -> InvariantSet:
@@ -179,8 +187,8 @@ def invariants(a: core.Hyper3) -> InvariantSet:
     when a nonzero trace would under- or overflow float64.  Raises
     ValueError unless ``a`` is a finite 3x3x3 array.
     """
-    a, exp = core._scaled(a, "Hyper3")
-    u1 = _kernels(a)
+    tensor = core._tensor(a)
+    u1 = _kernels(tensor.a)
     u2 = u1 @ u1
     tr3 = np.einsum("kij,kji->k", u2, u1).tolist()
     # diagonals summed in order, as np.trace and einsum("kii->k") sum them
@@ -188,7 +196,7 @@ def invariants(a: core.Hyper3) -> InvariantSet:
     tr2 = [d2[i] + d2[i + 4] + d2[i + 8] for i in (0, 9, 18)]
     traces = (d1[0] + d1[4] + d1[8], tr2[0], tr3[0], tr2[1], tr3[1], tr2[2], tr3[2])
     degrees = (2, 4, 6, 4, 6, 4, 6)
-    return InvariantSet(*(core._rescaled(t, d * exp, "invariant")
+    return InvariantSet(*(core._rescaled(t, d * tensor.exp, "invariant")
                           for t, d in zip(traces, degrees)))
 
 
@@ -211,39 +219,37 @@ def _unfolding_svd(a: core.Hyper3) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     ldexp(sigma, exp), which can leave the float64 range, so each public
     exit takes it back to scale itself.
 
-    Consecutive calls on the same tensor contents share one SVD: the
-    result is memoized on the unfolding's bytes, one entry deep.  Its
+    The SVD is taken on the scaled tensor of ``core._tensor``, whose
+    largest entry lies in [0.5, 1), so sigma_j = ||x_j^T M|| neither
+    under- nor overflows; the clamp keeps sigma non-increasing where
+    rounding reorders near-equal values.  It is kept in the tensor's
+    memo, so consecutive calls on the same contents share one SVD.  Its
     arrays are read-only, and no public function returns one of them.
     """
-    return _svd_of_bytes(core._shaped(a, "Hyper3").tobytes())
+    tensor = core._tensor(a)
+    if "svd" not in tensor.memo:
+        m = tensor.a.reshape(3, 9)
+        u, _, vt = np.linalg.svd(m, full_matrices=True)
+        signs = _lead_signs(u.T)
+        x = u.T * signs[:, None]
+        vt[:3] *= signs[:, None]
+        y = x @ m
+        # the row norms as np.linalg.norm(y, axis=1) takes them, bit for bit
+        sigma = np.minimum.accumulate(np.sqrt((y * y).sum(axis=1)))
+        for arr in (sigma, x, vt):
+            arr.setflags(write=False)
+        tensor.memo.setdefault("svd", (sigma, x, vt, tensor.exp))
+    return tensor.memo["svd"]
 
 
-@functools.lru_cache(maxsize=1)
-def _svd_of_bytes(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """:func:`_unfolding_svd` of the unfolding stored in ``key``.
-
-    The unfolding is scaled by a power of two (exact) to a largest entry
-    in [0.5, 1) and sigma_j = ||x_j^T M|| is taken there, which neither
-    under- nor overflows; the clamp keeps sigma non-increasing where
-    rounding reorders near-equal values.
-    """
-    m, exp = core._scaled(np.frombuffer(key).reshape(3, 9), "Unfolding")
-    u, _, vt = np.linalg.svd(m, full_matrices=True)
-    signs = _lead_signs(u.T)
-    x = u.T * signs[:, None]
-    vt[:3] *= signs[:, None]
-    y = x @ m
-    # the row norms as np.linalg.norm(y, axis=1) takes them, bit for bit
-    sigma = np.minimum.accumulate(np.sqrt((y * y).sum(axis=1)))
-    for arr in (sigma, x, vt):
-        arr.setflags(write=False)
-    return sigma, x, vt, exp
-
-
-def _l_system(sigma, x, vt, exp) -> LEigenSystem:
-    """The L-eigensystem of an :func:`_unfolding_svd`, in new read-only
-    arrays, with sigma at the tensor's scale (rounded where it leaves
-    the normal float64 range)."""
+def _l_system(a, floor: float = core._TINY) -> LEigenSystem:
+    """The L-eigensystem of the :func:`_unfolding_svd` of ``a``, in new
+    read-only arrays, with sigma at the tensor's scale (rounded where it
+    leaves the normal float64 range).  Raises Unrepresentable, before any
+    ``np.ldexp``, where a nonzero sigma_1 overflows or falls below
+    ``floor``."""
+    sigma, x, vt, exp = _unfolding_svd(a)
+    core._rescaled(float(sigma[0]), exp, "largest L-eigenvalue", floor)
     sigma = np.ldexp(sigma, exp)
     sigma.setflags(write=False)
     return LEigenSystem(sigma, core._read_only(x), core._read_only(vt[:3].reshape(3, 3, 3)))
@@ -257,9 +263,7 @@ def l_eigen(a: core.Hyper3) -> LEigenSystem:
     kernel A A^T is never formed.  Raises Unrepresentable where a nonzero
     sigma_1 is not a normal float64; a smaller sigma_j may round.
     """
-    sigma, x, vt, exp = _unfolding_svd(a)
-    core._rescaled(float(sigma[0]), exp, "largest L-eigenvalue")
-    return _l_system(sigma, x, vt, exp)
+    return _l_system(a)
 
 
 def rank_and_nullspace(a: core.Hyper3, tol: float = 1e-10):
@@ -355,28 +359,16 @@ def eig_decompose_partial(
     klass = _SIDES[side]
     if not _swap_symmetric(a, core._tolerance(tol), side):
         raise NotPartiallySymmetric(f"tensor is not {klass} within {tol:.1e}")
-    svd = _unfolding_svd(np.transpose(a, _PAIR_LAST[side]))
-    core._rescaled(float(svd[0][0]), svd[3], "largest L-eigenvalue", floor=0.0)
-    sys = _l_system(*svd)
+    sys = _l_system(np.transpose(a, _PAIR_LAST[side]), floor=0.0)
     floor = _SIGMA_FLOOR * sys.sigma[0]
-    lam = np.zeros((3, 3))
-    yvecs = np.zeros((3, 3, 3))
-    for j in range(3):
-        v = sys.V[j]
-        if sys.sigma[j] > floor:
-            asym = float(np.abs(v - v.T).max())
-            if asym > 1e-6:
-                raise NotPartiallySymmetric(
-                    f"eigentensor {j + 1} asymmetry {asym:.3e} exceeds 1e-6; "
-                    f"input is not {klass} enough"
-                )
-        vals, cols = sym_eig3(0.5 * (v + v.T))
-        lam[j] = vals
-        yvecs[j] = cols.T
-    return EigDecomposition3(
-        side=side,
-        sigma=sys.sigma,
-        lam=core._read_only(lam),
-        x=sys.x,
-        y=core._read_only(yvecs),
-    )
+    for j, v in enumerate(sys.V):
+        asym = float(np.abs(v - v.T).max())
+        if sys.sigma[j] > floor and asym > 1e-6:
+            raise NotPartiallySymmetric(
+                f"eigentensor {j + 1} asymmetry {asym:.3e} exceeds 1e-6; "
+                f"input is not {klass} enough"
+            )
+    lam, cols = zip(*(sym_eig3(0.5 * (v + v.T)) for v in sys.V))
+    y = core._read_only([c.T for c in cols])  # y[j, k] is column k of frame j
+    return EigDecomposition3(side=side, sigma=sys.sigma, lam=core._read_only(lam), x=sys.x,
+                             y=y)

@@ -3,8 +3,9 @@
 ``_SWAPS`` states the index swaps that define the classes once; the
 flags, the selective index sets and the pair averages derive from it.
 Each symmetry flag is an entrywise condition checked within tol * ||a||
-(Frobenius norm) on the tensor scaled by a power of two, so the verdicts
-do not depend on the tensor's scale anywhere in the float64 range.
+(Frobenius norm) on the tensor scaled by a power of two (the record of
+``core._tensor``), so the verdicts do not depend on the tensor's scale
+anywhere in the float64 range.
 ``make_fixture`` builds a deterministic nonzero member of any class in
 ``_PROJECTIONS`` or ``_FRAMED`` for testing.
 """
@@ -93,8 +94,8 @@ def _swap_deviations(a: np.ndarray, *names: str) -> np.ndarray:
 
 def _swap_symmetric(a: core.Hyper3, tol: float, *names: str) -> bool:
     """classify(a, tol)'s verdict that ``a`` is symmetric under every named swap."""
-    a, _ = core._scaled(a, "Hyper3")
-    return bool((_swap_deviations(a, *names) <= tol * core._frobenius(a)).all())
+    tensor = core._tensor(a)
+    return bool((_swap_deviations(tensor.a, *names) <= tol * tensor.norm).all())
 
 
 def classify(a: core.Hyper3, tol: float = 1e-10) -> SymmetryReport:
@@ -109,8 +110,8 @@ def classify(a: core.Hyper3, tol: float = 1e-10) -> SymmetryReport:
     Raises ValueError unless ``a`` is a finite 3x3x3 array.
     """
     tol = core._tolerance(tol)
-    a, _ = core._scaled(a, "Hyper3")
-    flat, bound = a.reshape(27), tol * core._frobenius(a)
+    tensor = core._tensor(a)
+    flat, bound = tensor.a.reshape(27), tol * tensor.norm
     dev = np.abs(flat - (_SIGNS * flat).take(_FLAG_ROWS))
     flags = (dev.max(axis=1) <= bound).tolist()
     right, left, central, cyclic, right_anti, left_anti, central_anti, sel_right, sel_left = flags
@@ -149,11 +150,11 @@ def selective_symmetry_via_levi_civita(
     Raises ValueError unless ``a`` is a finite 3x3x3 array.
     """
     tol = core._tolerance(tol)
-    a, _ = core._scaled(a, "Hyper3")
-    bound = tol * core._frobenius(a)
+    tensor = core._tensor(a)
+    bound = tol * tensor.norm
     eps = core.levi_civita()
-    right = float(np.abs(np.diagonal(core.prod2(a, eps))).max()) <= bound
-    left = float(np.abs(np.diagonal(core.prod2(eps, a))).max()) <= bound
+    right = float(np.abs(np.diagonal(core.prod2(tensor.a, eps))).max()) <= bound
+    left = float(np.abs(np.diagonal(core.prod2(eps, tensor.a))).max()) <= bound
     return right, left
 
 

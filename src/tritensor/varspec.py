@@ -5,15 +5,17 @@ the potential x A y z over one, two or three unit spheres.  C- and
 Z-eigenpairs are enumerated, all of them by one certified elimination
 that each kind feeds its own gradient field (see ``c_spectrum`` and
 ``z_spectrum``), on the tensor scaled by a power of two (exact, so
-results scale with the tensor).  One memo, ``_route``, keeps the last
-tensor solved, keyed on its float64 bytes, as a record of named fields:
-the scaled tensor and its exponent, its norm, its swap verdicts, the
-runs of its sources (the C and Z enumerations and the branch and bound,
-each run at most once) and the maxima found.  Every maximum leaves it
-through one exit, ``_triples``, and every spectrum through another,
-``_spectrum``: each takes the result back to the tensor's scale and
-raises Unrepresentable where a nonzero maximum, its upper bound or the
-largest eigenvalue of a spectrum is not a normal float64.
+results scale with the tensor).  The route of a tensor, ``_route``, is
+kept in the memo of its ``core._tensor`` record, the library's one
+per-tensor memo, which holds the last tensor seen.  It is a record of
+named fields: the scaled tensor and its exponent, its norm, its swap
+verdicts, the runs of its sources (the C and Z enumerations and the
+branch and bound, each run at most once) and the maxima found.  Every
+maximum leaves it through one exit, ``_triples``, and every spectrum
+through another, ``_spectrum``: each takes the result back to the
+tensor's scale and raises Unrepresentable where a nonzero maximum, its
+upper bound or the largest eigenvalue of a spectrum is not a normal
+float64.
 eta_1, mu_1 and then nu_1 of one symmetric tensor pay for one scaling,
 one Z enumeration and the three slot gradients at its best vector that
 check both lifts; eta_1 and then mu_1 of a right-side symmetric one for
@@ -615,28 +617,28 @@ def _chart_pairs(kind: str, a: np.ndarray, chart: int):
     return f[order], state[order], resid[order]
 
 
-_Route = collections.namedtuple("_Route", "a exp dev verdicts runs maxima norm unscaled")
+_Route = collections.namedtuple("_Route", "a exp norm dev verdicts runs maxima unscaled")
 
 
-@functools.lru_cache(maxsize=1)
-def _route(key: bytes) -> _Route:
-    """The route to the maxima of the tensor A whose float64 bytes are
-    ``key``, read in C order whatever the input's memory layout: ``a``, A
-    scaled by a power of two (read-only), and ``exp``, with
-    A = ldexp(a, exp); ``dev``, its deviations under _PAIR_SWAPS, and
-    ``verdicts``, theirs within _POLISHED ||a||; ``runs``, the runs of its
-    sources so far (the enumerations by (kind, axis permutation), the
-    branch and bound by "bounded"); ``maxima``, the triples found by kind;
-    ``norm``, ||a||; and ``unscaled``, the factor that takes a residual
-    relative to ||a|| to one relative to max(1, ||A||).  One entry, as
-    eta_1, mu_1 and nu_1 of one tensor are solved in turn; every source
-    runs once in it, and every maximum leaves it through ``_triples``."""
-    a, exp = core._scaled(np.frombuffer(key).reshape(3, 3, 3), "Hyper3")
-    a.setflags(write=False)
-    dev = _swap_deviations(a, *_PAIR_SWAPS)
-    norm = core._frobenius(a)
-    unscaled = 1.0 if exp > 0 else min(1.0, math.ldexp(norm, exp))
-    return _Route(a, exp, dev, (dev <= _POLISHED * norm).tolist(), {}, {}, norm, unscaled)
+def _route(a) -> _Route:
+    """The route to the maxima of the tensor A = ``a``, kept in the memo of
+    its ``core._tensor`` record: ``a``, A scaled by a power of two
+    (read-only), and ``exp``, with A = ldexp(a, exp); ``dev``, its
+    deviations under _PAIR_SWAPS, and ``verdicts``, theirs within
+    _POLISHED ||a||; ``runs``, the runs of its sources so far (the
+    enumerations by (kind, axis permutation), the branch and bound by
+    "bounded"); ``maxima``, the triples found by kind; ``norm``, ||a||;
+    and ``unscaled``, the factor that takes a residual relative to ||a||
+    to one relative to max(1, ||A||).  The memo holds one tensor, as eta_1,
+    mu_1 and nu_1 of one tensor are solved in turn; every source runs once
+    in its route, and every maximum leaves it through ``_triples``."""
+    tensor = core._tensor(a)
+    if "route" not in tensor.memo:
+        dev = _swap_deviations(tensor.a, *_PAIR_SWAPS)
+        verdicts = (dev <= _POLISHED * tensor.norm).tolist()
+        unscaled = 1.0 if tensor.exp > 0 else min(1.0, math.ldexp(tensor.norm, tensor.exp))
+        tensor.memo.setdefault("route", _Route(*tensor[:3], dev, verdicts, {}, {}, unscaled))
+    return tensor.memo["route"]
 
 
 def _enumerated(route: _Route, kind: str, perm: tuple = (0, 1, 2)):
@@ -801,7 +803,7 @@ def _maximum(kind: str, a) -> CriticalTriple:
     serves, so each kind gets its first source's maximum whichever solver
     ran it.  The gate is read only where a swap verdict fails (symmetric
     within _POLISHED passes its 1e-8), and its error stores nothing."""
-    route = _route(core._shaped(a, "Hyper3").tobytes())
+    route = _route(a)
     if kind in route.maxima:
         return route.maxima[kind]
     if kind in _GATES and not all(route.verdicts):
@@ -820,7 +822,7 @@ def _spectrum(kind: str, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     exit of every spectrum, which takes the values back to the scale of A
     and raises Unrepresentable where the largest is nonzero and not a
     normal float64 (smaller ones may round)."""
-    route = _route(core._shaped(a, "Hyper3").tobytes())
+    route = _route(a)
     _require(kind, route)
     pairs = _enumerated(route, kind)
     if pairs is None:

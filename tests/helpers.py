@@ -5,7 +5,8 @@ numpy's LAPACK-backed SVD/eigh, and the variational maxima with a
 derivative-free Fibonacci-sphere grid plus cap zooming.  None of these
 share code with the implementations they check.  ``run_python`` starts
 a fresh interpreter on this checkout's ``src``, for checks of what a
-process imports.
+process imports.  ``clear_memo`` and ``count_scalings`` reach into the
+library's one per-tensor memo, ``core._tensor``, for the tests of it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,29 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           check=True)
+
+
+def clear_memo() -> None:
+    """Empty the entry of ``core._tensor``: the last tensor seen, with its
+    scaling, its unfolding SVD and its route."""
+    from tritensor import core
+
+    core._last = None
+
+
+def count_scalings(monkeypatch) -> list:
+    """The list that each call of ``core._scaled`` appends its label to,
+    for as long as ``monkeypatch`` holds."""
+    from tritensor import core
+
+    calls, scaled = [], core._scaled
+
+    def counted(values, what):
+        calls.append(what)
+        return scaled(values, what)
+
+    monkeypatch.setattr(core, "_scaled", counted)
+    return calls
 
 
 def random_hyper3(seed: int, scale: float = 1.0) -> np.ndarray:

@@ -623,6 +623,26 @@ def test_a_closed_stdout_exits_2_with_one_line(unbuffered, eps_file):
     )
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "-h"]])
+def test_help_to_a_closed_stdout_exits_2_with_one_line(argv, unbuffered):
+    # argparse drops a failed write of its help; unbuffered, the process
+    # used to exit 0 with nothing said
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tritensor", *argv],
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered},
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (
+        2, "ValidationError: <stdout>: cannot write: Broken pipe\n"
+    )
+
+
 def test_a_process_without_stdout_exits_2_unless_it_writes_a_file(eps_file, tmp_path):
     # descriptor 1 closed before python starts leaves sys.stdout None
     out = tmp_path / "out.txt"

@@ -1,13 +1,14 @@
 """Smoke test of ``scripts/compare.py``: the working tree against itself.
 
 It runs the script's per-case helpers on a few inputs, so a library
-change that breaks a hook the script uses (``cache_clear`` of the SVD
-memo ``spectral._svd_of_bytes`` and of the route memo
-``varspec._route``, the route's ``runs`` field, ``varspec._bounded``,
+change that breaks a hook the script uses (``core._tensor`` and the
+entry ``core._last`` of its one memo, which holds the SVD and the route,
+``varspec._route`` and the route's ``runs`` field, ``varspec._bounded``,
 ``core._scaled``, the library errors, the CLI's ``run``, the modules a
 CLI process imports) fails here rather than at the next measurement.
 """
 
+import functools
 import importlib
 import importlib.util
 import itertools
@@ -59,16 +60,28 @@ def test_compare_reports_every_layer_and_solver_with_equal_hashes(compare, monke
     for solver, laps in solvers["laps"].items():
         assert set(laps["change"]) == {"solve_us_p50", "solve_ms_sum"}
         assert laps["change"]["solve_ms_sum"] > 0.0
-    # each timed solve starts from a cleared memo, so none hits it
-    varspec = trees["change"].varspec
-    routes, key = varspec._route, pairs[0].tobytes()
-    compare.run_solver(trees["change"], "max_c_eigenvalue", pairs[0])
-    compare.run_solver(trees["change"], "max_c_eigenvalue", pairs[0])
-    assert routes.cache_info()[:2] == (0, 1)  # (hits, misses) since the clear
-    compare.run_solver(trees["change"], compare.AUDIT_ITEM, pairs[0])
+    # each timed solve starts from a cleared memo, which it fills once: the
+    # audit item's mu_1 and nu_1 read the entry that its eta_1 filled
+    change = trees["change"]
+    scalings, scaled = [], change.core._scaled
+    monkeypatch.setattr(change.core, "_scaled", lambda *args: scalings.append(1) or scaled(*args))
+    for solver in ("max_c_eigenvalue", "max_c_eigenvalue", compare.AUDIT_ITEM):
+        scalings.clear()
+        compare.run_solver(change, solver, pairs[0])
+        assert scalings == [1]
     # one Z enumeration for the symmetric pair, whose route mu_1 and nu_1 read
-    assert routes.cache_info()[:2] == (2, 1)
-    assert list(routes(key).runs) == [("z_eigen", (0, 1, 2))]
+    assert list(change.varspec._route(pairs[0]).runs) == [("z_eigen", (0, 1, 2))]
+    # the analyze chain, from a cleared memo, scales its tensor once
+    scalings.clear()
+    compare.run_layer(change, "analyze_chain", inputs[0])
+    assert scalings == [1]
+    # a tree without core._tensor: its one-entry lru_cache memos are cleared
+    memo, table = (functools.lru_cache(maxsize=n)(lambda key: key) for n in (1, None))
+    memo(b"a"), table(b"a")
+    old = types.SimpleNamespace(core=types.SimpleNamespace(), spectral=types.SimpleNamespace(
+        _svd=memo, np=np), varspec=types.SimpleNamespace(_table=table))
+    compare.clear_memos(old)
+    assert (memo.cache_info().currsize, table.cache_info().currsize) == (0, 1)
 
     solves = [(s, pairs[0]) for s in compare.SOLVERS]
     values = compare.by_value(compare.outcomes(trees, solves))

@@ -36,22 +36,26 @@ E1, E2, E3 = np.eye(3)
         (tt.l_inverse, (3, 3, 3)),
         (tt.rank_and_nullspace, (3, 3, 3)),
         (tt.eig_decompose_partial, (3, 3, 3)),
+        (tt.kernel_triple, (3, 3, 3)),
     ],
 )
 def test_helpers_reject_non_finite_entries(check, shape, bad):
     # the scale-free helpers all pass through one power-of-two scaling,
     # which refuses a non-finite peak instead of returning all-False
-    # flags, a misleading Unrepresentable or an SVD that fails to converge
+    # flags, a misleading Unrepresentable or an SVD that fails to converge;
+    # the tensor layers all scale through core._tensor, so the message
+    # names the Hyper3 contract
     a = np.ones(shape)
     a.flat[1] = bad
-    with pytest.raises(ValueError, match="finite"):
+    what = "Hyper3" if len(shape) == 3 else "Mat3"
+    with pytest.raises(ValueError, match=rf"^{what} entries must be finite \(no NaN/Inf\)$"):
         check(a)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
     "layer",
-    [tt.kernel, tt.kernel_triple, tt.is_orthogonal_tensor, lambda a: tt.rotate(a, np.eye(3))],
+    [tt.kernel, tt.is_orthogonal_tensor, lambda a: tt.rotate(a, np.eye(3))],
 )
 def test_unscaled_layers_reject_non_finite_entries(layer, bad):
     # these take no power-of-two scale, so they check the entries themselves

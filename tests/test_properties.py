@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import tritensor as tt
-from tritensor import spectral
 
+from helpers import clear_memo
 from test_varspec import in_bracket
 
 # entries are normal floats of moderate size or exact zeros, so scaling
@@ -74,7 +74,7 @@ def test_l_inverse_satisfies_moore_penrose(a):
 def test_memoized_l_eigen_equals_a_fresh_one(a):
     tt.l_eigen(a)
     warm = tt.l_eigen(a)
-    spectral._svd_of_bytes.cache_clear()
+    clear_memo()
     fresh = tt.l_eigen(a)
     for name in ("sigma", "x", "V"):
         assert getattr(warm, name).tobytes() == getattr(fresh, name).tobytes()

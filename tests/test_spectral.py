@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 import tritensor as tt
-from tritensor import spectral
-from tritensor.errors import NotPartiallySymmetric, NotSymmetric, SingularTensor, Unrepresentable
+from tritensor import core, spectral
+from tritensor.errors import (
+    NotPartiallySymmetric, NotSymmetric, SingularTensor, TensorError, Unrepresentable,
+)
 from tritensor.symmetry import _swap_symmetric
 
-from helpers import mp_residuals, random_hyper3, random_vec, svd_sigma
+from helpers import clear_memo, count_scalings, mp_residuals, random_hyper3, random_vec, svd_sigma
 
 SQRT2 = np.sqrt(2.0)
 
@@ -133,6 +135,24 @@ def test_kernels_equal_prod2_of_transposed_copies_bitwise():
                 assert got.tobytes() == ref.tobytes()
             assert tt.kernel(view).tobytes() == want[0].tobytes()
             assert not kt.u.flags.writeable
+
+
+def test_kernel_triple_outside_the_float64_range_raises():
+    # the largest |entry| of the kernels, about ||A||^2, overflows at norm
+    # 1e160 and falls below the normal range at 1e-170 (unchecked, the
+    # kernels come out inf and exact zeros); the raise comes before any
+    # ldexp, so with no RuntimeWarning (an error here)
+    rng = np.random.default_rng(34)
+    for _ in range(20):
+        g = rng.standard_normal((3, 3, 3))
+        for c in (1e160, 1e-170):
+            with pytest.raises(Unrepresentable, match="kernel .* outside the float64 range"):
+                tt.kernel_triple(c * g)
+        # inside the range, the bits of the kernels taken on the tensor as it is
+        for c in (1e-140, 1e-20, 1.0, 1e20, 1e140):
+            a = c * g
+            assert np.array(tt.kernel_triple(a)).tobytes() == spectral._kernels(a).tobytes()
+    assert not np.array(tt.kernel_triple(np.zeros((3, 3, 3)))).any()
 
 
 def test_unfold_fold_roundtrip_bitwise():
@@ -538,14 +558,34 @@ def spectral_outputs(a, before=lambda: None):
             tuple(n.tobytes() for n in basis))
 
 
+def memo_outputs(a, before=lambda: None):
+    """``spectral_outputs``, then the bytes of every classify, invariants,
+    solver and z_spectrum output or the repr of the library error raised;
+    ``before`` runs ahead of each call."""
+    out = [spectral_outputs(a, before)]
+    for fn in (tt.classify, tt.invariants, tt.max_singular_value, tt.max_c_eigenvalue,
+               tt.max_z_eigenvalue, tt.z_spectrum):
+        before()
+        try:
+            result = fn(a)
+        except (TensorError, tt.NoConvergence, tt.Uncertified) as exc:
+            out.append(repr(exc))
+            continue
+        out.append([np.asarray(v).tobytes() for v in result])
+    return out
+
+
 def test_memo_results_do_not_depend_on_the_cache():
+    # cold (from an empty memo), warm (from the tensor's own entry) and
+    # after another tensor evicted it: the same bits
     other = random_hyper3(99)
     tensors = [tt.levi_civita(), random_hyper3(0), random_hyper3(1, 1e-12),
-               rank_r_tensor(2, 0), rank_r_tensor(3, 5, gaps=(1.0, 1e-5, 1e-9))]
+               rank_r_tensor(2, 0), rank_r_tensor(3, 5, gaps=(1.0, 1e-5, 1e-9)),
+               tt.make_fixture("symmetric", 3), tt.make_fixture("right_symmetric", 3)]
     for a in tensors:
-        cold = spectral_outputs(a, spectral._svd_of_bytes.cache_clear)
-        warm_same = spectral_outputs(a)
-        warm_other = spectral_outputs(a, lambda: tt.l_eigen(other))
+        cold = memo_outputs(a, clear_memo)
+        warm_same = memo_outputs(a)
+        warm_other = memo_outputs(a, lambda: tt.l_eigen(other))
         assert cold == warm_same == warm_other
 
 
@@ -558,15 +598,38 @@ def test_three_calls_on_one_tensor_run_one_svd(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
+    scalings = count_scalings(monkeypatch)
     for a in (random_hyper3(3), random_hyper3(4)):
-        spectral._svd_of_bytes.cache_clear()
+        clear_memo()
         calls.clear()
+        scalings.clear()
         tt.l_eigen(a)
         tt.l_inverse(a)
         tt.rank_and_nullspace(a)
-        info = spectral._svd_of_bytes.cache_info()
-        assert (info.misses, info.hits, info.maxsize) == (1, 2, 1)
-        assert len(calls) == 1
+        assert (len(calls), scalings) == (1, ["Hyper3"])
+
+
+def test_every_layer_of_one_tensor_scales_it_once_and_runs_one_svd(monkeypatch):
+    # the record of core._tensor serves the closed-form layers, the solvers
+    # and the spectrum of one tensor, called in turn
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    scalings = count_scalings(monkeypatch)
+    for seed in range(3):
+        a = np.asarray(tt.make_fixture("symmetric", seed))
+        clear_memo()
+        calls.clear()
+        scalings.clear()
+        tt.classify(a)
+        tt.l_eigen(a)
+        tt.l_inverse(a)
+        tt.rank_and_nullspace(a)
+        tt.invariants(a)
+        triples = [tt.max_singular_value(a), tt.max_c_eigenvalue(a), tt.max_z_eigenvalue(a)]
+        tt.z_spectrum(a)
+        assert {t.method for t in triples} == {"enumerated"}
+        assert (len(calls), scalings) == (1, ["Hyper3"])
 
 
 def test_results_never_alias_the_cached_entry():
@@ -574,15 +637,30 @@ def test_results_never_alias_the_cached_entry():
     expected = spectral_outputs(a)
     sys_ = tt.l_eigen(a)
     results = [sys_.sigma, sys_.x, sys_.V, tt.l_inverse(a), *tt.rank_and_nullspace(a)[1]]
+    kernels = tt.kernel_triple(a)  # views of one read-only array
+    record = core._tensor(a)
     cached = spectral._unfolding_svd(a)
-    assert spectral._svd_of_bytes.cache_info().currsize == 1
-    for arr in cached[:3]:  # sigma, x and the right factor; then the exponent
+    assert record.memo["svd"] is cached
+    for arr in (record.a, *cached[:3]):  # sigma, x and the right factor; then the exponent
         assert not arr.flags.writeable
+    for res in (*results, *kernels):
+        assert not any(np.shares_memory(res, arr) for arr in (record.a, *cached[:3]))
     for res in results:
-        assert not any(np.shares_memory(res, arr) for arr in cached)
         res.setflags(write=True)
         res[...] = 7.0
     assert spectral_outputs(a) == expected
+
+
+def test_no_solver_result_aliases_the_record():
+    a = np.asarray(tt.make_fixture("symmetric", 4))
+    triples = [tt.max_singular_value(a), tt.max_c_eigenvalue(a), tt.max_z_eigenvalue(a)]
+    results = [*(getattr(t, v) for t in triples for v in "xyz"), *tt.z_spectrum(a)]
+    record = core._tensor(a)
+    route = record.memo["route"]
+    cached = [record.a, route.dev, *route.runs["z_eigen", (0, 1, 2)]]
+    assert route.a is record.a and not any(arr.flags.writeable for arr in cached[2:])
+    for res in results:
+        assert not any(np.shares_memory(res, arr) for arr in cached)
 
 
 def test_in_place_edit_of_the_input_is_seen():
@@ -590,9 +668,17 @@ def test_in_place_edit_of_the_input_is_seen():
     before = spectral_outputs(a)
     a[0, 1, 2] += 1.0
     after = spectral_outputs(a)
-    spectral._svd_of_bytes.cache_clear()
+    clear_memo()
     assert after == spectral_outputs(a.copy())
     assert after[0] != before[0]
+    # a symmetric tensor made right-side symmetric only, between two calls
+    s = np.array(tt.make_fixture("symmetric", 6))
+    report, inv = tt.classify(s), tt.invariants(s)
+    s[0, 1, 2] = s[0, 2, 1] = s[0, 1, 2] + 0.5
+    assert report.symmetric and not tt.classify(s).symmetric and tt.classify(s).right_symmetric
+    assert tt.invariants(s) != inv
+    with pytest.raises(NotSymmetric):
+        tt.max_z_eigenvalue(s)
 
 
 def test_negative_zero_entries_give_the_same_sigma():

@@ -1,4 +1,3 @@
-import functools
 import importlib.util
 import itertools
 import math
@@ -19,7 +18,10 @@ from tritensor.symmetry import (
     FIXTURE_CLASSES, _PAIR_LAST, _PAIR_SWAPS, _swap_deviations, _swap_symmetric,
 )
 
-from helpers import oracle_eta1, oracle_mu1, oracle_nu1, random_hyper3, random_vec, run_python
+from helpers import (
+    clear_memo, count_scalings, oracle_eta1, oracle_mu1, oracle_nu1, random_hyper3, random_vec,
+    run_python,
+)
 
 ZERO = np.zeros((3, 3, 3))
 
@@ -45,8 +47,8 @@ def in_bracket(value, a):
 
 
 def _route_of(a):
-    """The route memo's entry for ``a``."""
-    return varspec._route(core._shaped(a, "Hyper3").tobytes())
+    """The route of ``a``, kept in the memo of its ``core._tensor`` record."""
+    return varspec._route(a)
 
 
 def fallback(kind, a):
@@ -591,7 +593,7 @@ def test_eta_1_route_at_the_polish_bound():
     for b, kind in ((near, "z_eigen"), (right, "c_eigen"), (hexagon, "c_eigen")):
         for solve in (tt.max_singular_value, tt.max_c_eigenvalue):
             # from a cleared route, which would otherwise answer mu_1
-            varspec._route.cache_clear()
+            clear_memo()
             triple = solve(b)
             assert (_enumerations(b), triple.method) == ([(kind, (0, 1, 2))], "enumerated")
             assert triple.residual <= 1e-12
@@ -628,13 +630,13 @@ def test_eta_1_and_mu_1_share_one_read_only_enumeration():
         ("right_symmetric", "c_eigen", (tt.max_singular_value, tt.max_c_eigenvalue)),
     ):
         a = np.asarray(tt.make_fixture(klass, 9))
-        varspec._route.cache_clear()
+        clear_memo()
         history = []
         triples = [solve(a, history_out=history) for solve in solves]
         assert (_enumerations(a), history) == ([(kind, (0, 1, 2))], [])
         assert all(t.method == "enumerated" for t in triples)
         assert max(abs(t.value - triples[0].value) for t in triples) <= 1e-12 * triples[0].value
-        route = varspec._route(a.tobytes())
+        route = varspec._route(a)
         pairs = route.runs[kind, (0, 1, 2)]
         arrays = [*pairs, route.a, *(getattr(t, v) for t in triples for v in "xyz")]
         assert not any(arr.flags.writeable for arr in arrays)
@@ -689,7 +691,7 @@ def test_mu_1_and_nu_1_after_eta_1_read_its_route(monkeypatch):
         assert calls == []
 
 
-def test_the_route_is_keyed_on_the_contents():
+def test_the_route_is_keyed_on_the_contents(monkeypatch):
     a = np.array(tt.make_fixture("symmetric", 9))
     b = np.asarray(tt.make_fixture("symmetric", 10))
     before = tt.max_c_eigenvalue(a).as_dict()
@@ -700,11 +702,11 @@ def test_the_route_is_keyed_on_the_contents():
     assert tt.max_c_eigenvalue(a).as_dict() == want != before
     # a copy with equal bytes reads the same route
     nu = tt.max_z_eigenvalue(a)
-    hits = varspec._route.cache_info().hits
+    scalings = count_scalings(monkeypatch)
     assert tt.max_z_eigenvalue(a.copy()) is nu
     assert tt.max_z_eigenvalue(np.asfortranarray(a)) is nu  # read in C order
-    assert varspec._route.cache_info().hits == hits + 2
-    scaled = varspec._route(a.tobytes()).a
+    assert scalings == []  # two memo hits
+    scaled = varspec._route(a).a
     assert not scaled.flags.writeable
     assert scaled.tobytes() == core._scaled(a, "Hyper3")[0].tobytes()
     # the gate's errors, raised before the memo is read, and float32 read
@@ -718,9 +720,10 @@ def test_the_route_is_keyed_on_the_contents():
             solve(bad)
         single = a.astype(np.float32)
         got = solve(single).as_dict()
-        varspec._route.cache_clear()
+        clear_memo()
         assert got == solve(single.astype(float)).as_dict()
-    assert varspec._route.cache_info().currsize == 1
+    # the memo's one entry: the last input, read as its float64 cast
+    assert core._last[0] == single.astype(float).tobytes()
 
 
 def _product_residuals(a, slots, k, state, f):
@@ -786,7 +789,7 @@ def test_route_lifts_equal_the_product_lifts_bit_for_bit():
     lifted = 0
     for a in inputs:
         # nu_1 runs the Z source, which serves all three kinds here
-        varspec._route.cache_clear()
+        clear_memo()
         tt.max_z_eigenvalue(a)
         maxima = _route_of(a).maxima
         want = _product_lifts(a)
@@ -839,9 +842,9 @@ def test_route_refuses_a_lift_whose_slot_residual_exceeds_the_polish_bound(order
     p = unit(np.cross(v, [0.0, 1.0, 0.0]))
     e = np.einsum("i,j,k->ijk", *({"p": p, "v": v}[c] for c in order))
     b = a + 0.9e-12 * np.linalg.norm(a) / _swap_deviations(e, *_PAIR_SWAPS).max() * e
-    varspec._route.cache_clear()
+    clear_memo()
     nu = tt.max_z_eigenvalue(b)  # the Z source, which serves all three kinds here
-    route = varspec._route(b.tobytes())
+    route = varspec._route(b)
     maxima, norm = route.maxima, route.norm
     assert norm == core._frobenius(route.a)
     assert route.verdicts == [True, True, True] and route.dev.max() > 0.8e-12 * norm
@@ -870,7 +873,7 @@ def test_cold_eta_1_of_a_symmetric_tensor_builds_one_jacobian_map(monkeypatch):
     # the Z polish's, and none for the lifts of the route
     calls = _counted(monkeypatch, "_jacobian_map")
     for a in _banach_inputs()[:32]:
-        varspec._route.cache_clear()
+        clear_memo()
         calls.clear()
         assert tt.max_singular_value(a).method == "enumerated"
         assert calls == ["_jacobian_map"]
@@ -880,8 +883,7 @@ def _without(monkeypatch, *kinds):
     """``varspec._chart_pairs`` with the enumerations of ``kinds``
     uncertified in every chart, and an empty route memo in place of the
     one that may hold a triple of an earlier solve, restored afterwards."""
-    fresh = functools.lru_cache(maxsize=1)(varspec._route.__wrapped__)
-    monkeypatch.setattr(varspec, "_route", fresh)
+    monkeypatch.setattr(core, "_last", None)
     enumerate_ = varspec._chart_pairs
     monkeypatch.setattr(varspec, "_chart_pairs",
                         lambda kind, a, chart: None if kind in kinds else enumerate_(kind, a, chart))
@@ -935,7 +937,7 @@ def test_every_route_memoizes_every_kind(monkeypatch):
     calls = _counted(monkeypatch, "_chart_pairs", "_bounded")
     # a right-side symmetric tensor: eta_1 and then mu_1 run one C enumeration
     a = np.asarray(tt.make_fixture("right_symmetric", 2))
-    varspec._route.cache_clear()
+    clear_memo()
     eta, mu = tt.max_singular_value(a), tt.max_c_eigenvalue(a)
     assert (eta.method, mu.method, eta.value) == ("enumerated", "enumerated", mu.value)
     assert _enumerations(a) == [("c_eigen", (0, 1, 2))] and "_bounded" not in calls
@@ -947,16 +949,16 @@ def test_every_route_memoizes_every_kind(monkeypatch):
     assert eta.method == "bounded" and tt.max_singular_value(g) is eta
     assert calls == ["_bounded"]
     # a gate error, raised on every call, stores nothing
-    varspec._route.cache_clear()
+    clear_memo()
     calls.clear()
     for _ in range(3):
         with pytest.raises(NotRightSymmetric):
             tt.max_c_eigenvalue(g)
-    route = varspec._route(g.tobytes())
+    route = varspec._route(g)
     assert (route.runs, route.maxima) == ({}, {}) and calls == []
     # z_spectrum and then the three maxima of a symmetric tensor: one Z enumeration
     s = np.asarray(tt.make_fixture("symmetric", 5))
-    varspec._route.cache_clear()
+    clear_memo()
     calls.clear()
     values = tt.z_spectrum(s).values
     nu = tt.max_z_eigenvalue(s)
@@ -968,7 +970,7 @@ def test_every_route_memoizes_every_kind(monkeypatch):
     for b, solves in ((3.0 * tt.outer(v, v, v), (tt.max_c_eigenvalue, tt.max_z_eigenvalue,
                                                   tt.max_singular_value)),
                       (2.0 * tt.outer(x, y, y), (tt.max_c_eigenvalue, tt.max_singular_value))):
-        varspec._route.cache_clear()
+        clear_memo()
         calls.clear()
         first = solves[0](b)
         assert first.method == "bounded" and calls.count("_bounded") == 1
@@ -978,7 +980,7 @@ def test_every_route_memoizes_every_kind(monkeypatch):
         assert {t.upper_bound for t in triples} == {eta_1_bracket(b)[1]}
     # a fallback that does not polish stores the branch and bound alone
     c = _near_circle(1e-9)
-    varspec._route.cache_clear()
+    clear_memo()
     calls.clear()
     for _ in range(3):
         with pytest.raises(NoConvergence):
@@ -1268,7 +1270,7 @@ def test_polish_stops_at_the_rounding_floor(kind, monkeypatch):
             v = varspec._bounded(a)[0][1][:, 0]
         else:
             a = core._scaled(tt.make_fixture("symmetric", seed), "Hyper3")[0]
-            v = varspec._enumerated(varspec._route(a.tobytes()), kind)[1][:, -1]
+            v = varspec._enumerated(varspec._route(a), kind)[1][:, -1]
         f, state, resid = varspec._polished(kind, a, v)
         assert (resid <= varspec._FLOOR).all()  # relative to ||a||, as the floor
         start = state[:, 0 if kind == "singular" else -1]
@@ -1372,7 +1374,7 @@ def test_enumerated_route_equals_the_old_helpers_bit_for_bit(monkeypatch):
     def records():
         out = []
         for a in inputs:
-            varspec._route.cache_clear()
+            clear_memo()
             for solve in solves:
                 try:
                     result = solve(a)
@@ -1395,7 +1397,7 @@ def test_enumerated_route_equals_the_old_helpers_bit_for_bit(monkeypatch):
     monkeypatch.setattr(varspec, "_merged", lambda f, v: _old_merging(f, v).sum() > len(f))
     monkeypatch.setattr(varspec, "_triples", _old_triples)
     old = records()
-    varspec._route.cache_clear()
+    clear_memo()
     assert new == old
     # and on the 32 audit pairs eta_1, mu_1 and nu_1 are one value, to the bit
     for a in inputs[:32]:

@@ -27,10 +27,9 @@ and reports eight parts:
   200 right-side symmetric ones;
 - ``layers``: per closed-form layer and tree, the median and the sum over
   64 inputs of the fastest of 41 calls, and one sha256 over the outputs;
-  ``analyze_item`` sums the layers that one item of the ``analyze``
-  benchmark workload calls, each timed on its own, and ``analyze_chain``
-  times that item's eight calls in its order from a cleared memo, so
-  that work the layers share (the tensor's scaling, its SVD) shows;
+  ``analyze_chain`` times the eight calls of one item of the ``analyze``
+  benchmark workload in its order from a cleared memo, so that work the
+  layers share (the tensor's scaling, its SVD) shows;
 - ``solvers``: per solver and tree, on the 32 (fixture, rotation) pairs
   that the ``audit`` benchmark workload times, the fastest of 21 rounds
   of each whole solve.  The library's one memo, which holds the route
@@ -429,10 +428,6 @@ LAYERS = {
     "random_rotation": ("random_rotation", lambda a, p, seed: (seed,), None),
     "analyze_chain": ("analyze_chain", lambda a, p, seed: (a, p), "cold"),
 }
-ANALYZE_ITEM = (
-    "hyper3", "classify", "kernel", "l_eigen_cold", "l_inverse",
-    "rank_and_nullspace", "invariants", "rotate",
-)
 
 
 def run_layer(tt, layer: str, case) -> tuple[tuple[int], bytes]:
@@ -455,17 +450,8 @@ def run_layer(tt, layer: str, case) -> tuple[tuple[int], bytes]:
 def clear_memos(tt) -> None:
     """Empty the library's one memo, the entry of ``core._tensor``: the
     last tensor seen, scaled, with its unfolding SVD and its route, which
-    holds its enumerations, its branch and bound and its maxima.  A tree
-    that predates it keeps the SVD and the route in one-entry
-    ``functools.lru_cache`` memos of ``spectral`` and ``varspec``, and
-    each of those is cleared."""
-    if hasattr(tt.core, "_tensor"):
-        tt.core._last = None
-        return
-    for module in (tt.spectral, tt.varspec):
-        for memo in vars(module).values():
-            if getattr(memo, "cache_parameters", dict)().get("maxsize") == 1:
-                memo.cache_clear()
+    holds its enumerations, its branch and bound and its maxima."""
+    tt.core._last = None
 
 
 def run_solver(tt, solver: str, a) -> tuple[tuple[int], bytes]:
@@ -514,8 +500,6 @@ def compared(stats: dict) -> dict:
 def layer_laps(trees: dict, inputs: list, rounds: int = LAYER_ROUNDS) -> dict:
     best, outputs = fastest(trees, LAYERS, inputs, rounds, run_layer)
     ns = {n: {layer: [t for (t,) in rows] for layer, rows in best[n].items()} for n in trees}
-    for n in trees:
-        ns[n]["analyze_item"] = [sum(col) for col in zip(*(ns[n][k] for k in ANALYZE_ITEM))]
     laps = compared({
         layer: {
             n: {
@@ -524,7 +508,7 @@ def layer_laps(trees: dict, inputs: list, rounds: int = LAYER_ROUNDS) -> dict:
             }
             for n in trees
         }
-        for layer in (*LAYERS, "analyze_item")
+        for layer in LAYERS
     })
     hashes = {n: {layer: sha256_of(rows) for layer, rows in outputs[n].items()} for n in trees}
     for layer in LAYERS:

@@ -14,7 +14,12 @@ keeps that scaling for the last tensor seen, keyed on its float64
 contents: the scaled tensor, its exponent and norm, and a dict in which
 the other layers keep what they derive from it (the unfolding's SVD, the
 route of the variational maxima).  It has one entry, so a call on
-another tensor evicts all of it at once.
+another tensor evicts all of it at once.  The way back is one exit
+gate: every array computed on a scaled tensor returns to scale through
+``_rescaled_array`` (but for the reciprocals of ``l_inverse``'s in-range
+shortcut) and every scalar through ``_rescaled``, which raise
+Unrepresentable where the largest magnitude leaves the normal float64
+range.
 """
 
 from __future__ import annotations
@@ -142,15 +147,25 @@ def _rescaled(value: float, exp: int, what: str, floor: float = _TINY) -> float:
     return out
 
 
-def _tolerance(tol, name: str = "tol"):
-    """``tol`` itself, unchanged; ValueError naming ``name`` unless it is a
-    real number (not a bool), finite and > 0."""
+def _rescaled_array(values: np.ndarray, exp: int, what: str, floor: float = _TINY) -> np.ndarray:
+    """ldexp(values, exp), the way back from ``_scaled`` of every array
+    computed on a scaled tensor, as a new array; Unrepresentable, before
+    any ``np.ldexp``, where ``_rescaled`` refuses its largest |entry|.
+    Smaller entries may round."""
+    # no numpy reduction: these arrays hold 27 entries at most
+    _rescaled(max(map(abs, values.ravel().tolist())), exp, what, floor)
+    return np.ldexp(values, exp)
+
+
+def _tolerance(tol):
+    """``tol`` itself, unchanged; ValueError unless it is a real number
+    (not a bool), finite and > 0."""
     # the type test first: an ABC isinstance costs ~0.7 us, a call on the
     # closed-form layers ~15
     real = type(tol) is float or (isinstance(tol, numbers.Real) and not isinstance(tol, bool))
     if real and 0 < tol < math.inf:
         return tol
-    raise ValueError(f"{name} must be a finite real number > 0, got {tol!r}")
+    raise ValueError(f"tol must be a finite real number > 0, got {tol!r}")
 
 
 def _read_only(arr) -> np.ndarray:

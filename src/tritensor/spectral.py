@@ -130,7 +130,9 @@ def sym_eig3(u: core.Mat3, tol: float = 1e-8):
     component is positive, making the output deterministic.  Raises
     NotSymmetric when max |U - U^T| exceeds tol * ||U||; the check and
     ``eigh`` run on U scaled by a power of two (exact), so both are
-    scale-free.  Raises ValueError unless ``u`` is a finite 3x3 matrix.
+    scale-free.  Raises Unrepresentable where the largest |eigenvalue|
+    is nonzero and not a normal float64 (smaller ones may round), and
+    ValueError unless ``u`` is a finite 3x3 matrix.
     """
     tol = core._tolerance(tol)
     u, exp = core._scaled(u, "Mat3")
@@ -138,7 +140,7 @@ def sym_eig3(u: core.Mat3, tol: float = 1e-8):
         raise NotSymmetric(f"matrix asymmetry exceeds {tol:.1e} * ||U||")
     vals, vecs = np.linalg.eigh(0.5 * (u + u.T))
     vecs = vecs[:, ::-1]
-    return np.ldexp(vals[::-1], exp), vecs * _lead_signs(vecs.T)
+    return core._rescaled_array(vals[::-1], exp, "largest eigenvalue"), vecs * _lead_signs(vecs.T)
 
 
 # flat gathers of A, A^T, (A^T)^T and A again: kernel n is the product of
@@ -171,9 +173,8 @@ def kernel_triple(a: core.Hyper3) -> KernelTriple:
     entries may round), and ValueError unless ``a`` is a finite 3x3x3
     array."""
     tensor = core._tensor(a)
-    kernels = _kernels(tensor.a)
-    core._rescaled(float(np.abs(kernels).max()), 2 * tensor.exp, "kernel")
-    return KernelTriple(*core._read_only(np.ldexp(kernels, 2 * tensor.exp)))
+    kernels = core._rescaled_array(_kernels(tensor.a), 2 * tensor.exp, "kernel")
+    return KernelTriple(*core._read_only(kernels))
 
 
 def invariants(a: core.Hyper3) -> InvariantSet:
@@ -217,7 +218,7 @@ def _unfolding_svd(a: core.Hyper3) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     the 9x9 right factor of the unfolding's SVD, whose rows 0..2 are
     flipped with x so row j is V_j, and exp.  The tensor's own sigma is
     ldexp(sigma, exp), which can leave the float64 range, so each public
-    exit takes it back to scale itself.
+    exit takes it back to scale through ``core._rescaled_array``.
 
     The SVD is taken on the scaled tensor of ``core._tensor``, whose
     largest entry lies in [0.5, 1), so sigma_j = ||x_j^T M|| neither
@@ -249,8 +250,7 @@ def _l_system(a, floor: float = core._TINY) -> LEigenSystem:
     ``np.ldexp``, where a nonzero sigma_1 overflows or falls below
     ``floor``."""
     sigma, x, vt, exp = _unfolding_svd(a)
-    core._rescaled(float(sigma[0]), exp, "largest L-eigenvalue", floor)
-    sigma = np.ldexp(sigma, exp)
+    sigma = core._rescaled_array(sigma, exp, "largest L-eigenvalue", floor)
     sigma.setflags(write=False)
     return LEigenSystem(sigma, core._read_only(x), core._read_only(vt[:3].reshape(3, 3, 3)))
 
@@ -319,8 +319,7 @@ def l_inverse(a: core.Hyper3, tol: float = 1e-10) -> core.Hyper3:
     if -1018 <= math.frexp(1.0 / s3)[1] - exp <= 1023:
         return np.einsum("n,nij,nk->ijk", np.ldexp(1.0 / sigma, -exp), v, x)
     b = np.einsum("n,nij,nk->ijk", 1.0 / sigma, v, x)
-    core._rescaled(float(np.abs(b).max()), -exp, "largest L-inverse entry")
-    return np.ldexp(b, -exp)
+    return core._rescaled_array(b, -exp, "largest L-inverse entry")
 
 
 def recover(v: core.Mat3, a_inv: core.Hyper3) -> core.Vec3:

@@ -10,12 +10,13 @@ kept in the memo of its ``core._tensor`` record, the library's one
 per-tensor memo, which holds the last tensor seen.  It is a record of
 named fields: the scaled tensor and its exponent, its norm, its swap
 verdicts, the runs of its sources (the C and Z enumerations and the
-branch and bound, each run at most once) and the maxima found.  Every
-maximum leaves it through one exit, ``_triples``, and every spectrum
-through another, ``_spectrum``: each takes the result back to the
-tensor's scale and raises Unrepresentable where a nonzero maximum, its
-upper bound or the largest eigenvalue of a spectrum is not a normal
-float64.
+branch and bound, each run at most once) and the maxima found, its
+arrays all read-only.  Every maximum leaves it through one exit,
+``_triples``, and every spectrum through another, ``_spectrum``: each
+takes the result back to the tensor's scale through core's exit gate,
+``core._rescaled`` or ``core._rescaled_array``, which raises
+Unrepresentable where a nonzero maximum, its upper bound or the largest
+eigenvalue of a spectrum is not a normal float64.
 eta_1, mu_1 and then nu_1 of one symmetric tensor pay for one scaling,
 one Z enumeration and the three slot gradients at its best vector that
 check both lifts; eta_1 and then mu_1 of a right-side symmetric one for
@@ -70,7 +71,7 @@ import numpy as np
 from . import core
 from .errors import NoConvergence, NotRightSymmetric, NotSymmetric, Uncertified
 from .spectral import _lead_signs
-from .symmetry import _PAIR_LAST, _PAIR_SWAPS, _swap_deviations
+from .symmetry import _PAIR_LAST, _PAIR_SWAPS, _swap_deviations, _swap_symmetric
 
 __all__ = [
     "CriticalTriple", "CSpectrum", "ZSpectrum", "max_singular_value", "max_c_eigenvalue",
@@ -287,12 +288,13 @@ def _phi(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _bounded(a: np.ndarray):
     """Branch and bound for eta_1 of the scaled nonzero tensor ``a``:
     ((value, (1, 3, 3) singular state, residual) of the best point, as
-    ``_polished`` returns them, the upper bound, evaluations of phi).  The
-    value is the bracket's lower end, attained at the state, whose x is
-    the best x.  From level 3 on the best vertex is polished whenever it
-    beats the value, and the state once more at the end; a polish keeps
-    its final Newton iterate unless that lost more than the rounding
-    margin, and otherwise takes the lift after _POLISH_STEPS sweeps."""
+    ``_polished`` returns them but read-only, the upper bound, evaluations
+    of phi).  The value is the bracket's lower end, attained at the
+    state, whose x is the best x.  From level 3 on the best vertex is
+    polished whenever it beats the value, and the state once more at the
+    end; a polish keeps its final Newton iterate unless that lost more
+    than the rounding margin, and otherwise takes the lift after
+    _POLISH_STEPS sweeps."""
     m = a.reshape(3, 9)
     margin = _ROUNDING * core._frobenius(a)
 
@@ -346,7 +348,8 @@ def _bounded(a: np.ndarray):
             k = converged.argmax()
             if converged[k] > f:
                 x, f = got[1][k, 0], converged[k]
-    return polish(x, f), max(pruned, bound.max(initial=0.0)), evaluations
+    best = tuple(map(core._read_only, polish(x, f)))  # kept in the route
+    return best, max(pruned, bound.max(initial=0.0)), evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +620,15 @@ def _chart_pairs(kind: str, a: np.ndarray, chart: int):
     return f[order], state[order], resid[order]
 
 
-_Route = collections.namedtuple("_Route", "a exp norm dev verdicts runs maxima unscaled")
+_Route = collections.namedtuple("_Route", "a exp norm verdicts runs maxima unscaled")
 
 
 def _route(a) -> _Route:
     """The route to the maxima of the tensor A = ``a``, kept in the memo of
     its ``core._tensor`` record: ``a``, A scaled by a power of two
-    (read-only), and ``exp``, with A = ldexp(a, exp); ``dev``, its
-    deviations under _PAIR_SWAPS, and ``verdicts``, theirs within
-    _POLISHED ||a||; ``runs``, the runs of its sources so far (the
+    (read-only), and ``exp``, with A = ldexp(a, exp); ``verdicts``, its
+    symmetry under each of _PAIR_SWAPS within _POLISHED ||a||; ``runs``,
+    the runs of its sources so far, each read-only (the
     enumerations by (kind, axis permutation), the branch and bound by
     "bounded"); ``maxima``, the triples found by kind; ``norm``, ||a||;
     and ``unscaled``, the factor that takes a residual relative to ||a||
@@ -634,10 +637,9 @@ def _route(a) -> _Route:
     in its route, and every maximum leaves it through ``_triples``."""
     tensor = core._tensor(a)
     if "route" not in tensor.memo:
-        dev = _swap_deviations(tensor.a, *_PAIR_SWAPS)
-        verdicts = (dev <= _POLISHED * tensor.norm).tolist()
+        verdicts = (_swap_deviations(tensor.a, *_PAIR_SWAPS) <= _POLISHED * tensor.norm).tolist()
         unscaled = 1.0 if tensor.exp > 0 else min(1.0, math.ldexp(tensor.norm, tensor.exp))
-        tensor.memo.setdefault("route", _Route(*tensor[:3], dev, verdicts, {}, {}, unscaled))
+        tensor.memo.setdefault("route", _Route(*tensor[:3], verdicts, {}, {}, unscaled))
     return tensor.memo["route"]
 
 
@@ -736,21 +738,19 @@ class CSpectrum(NamedTuple):
     as_dict = core._as_dict
 
 
-# per kind: the rows of its swaps in the deviations under _PAIR_SWAPS, and
-# the error if the tensor is not symmetric under them
+# per kind: its swaps, and the error if the tensor is not symmetric under them
 _GATES = {
-    "c_eigen": ([_PAIR_SWAPS.index("right")], NotRightSymmetric,
+    "c_eigen": (("right",), NotRightSymmetric,
                 "C-eigenvalues require a right-side symmetric tensor"),
-    "z_eigen": (slice(None), NotSymmetric, "Z-eigenvalues require a symmetric tensor"),
+    "z_eigen": (_PAIR_SWAPS, NotSymmetric, "Z-eigenvalues require a symmetric tensor"),
 }
 
 
-def _require(kind: str, route: _Route) -> None:
-    """Raise the ``kind`` gate's error unless the route's scaled tensor a,
-    by its deviations under _PAIR_SWAPS, is symmetric within 1e-8 ||a||
-    under the gate's swaps."""
-    rows, error, message = _GATES[kind]
-    if not (route.dev[rows] <= 1e-8 * route.norm).all():
+def _require(kind: str, a) -> None:
+    """Raise the ``kind`` gate's error unless ``a``, by its ``core._tensor``
+    record, is symmetric within 1e-8 ||A|| under the gate's swaps."""
+    swaps, error, message = _GATES[kind]
+    if not _swap_symmetric(a, 1e-8, *swaps):
         raise error(message)
 
 
@@ -807,7 +807,7 @@ def _maximum(kind: str, a) -> CriticalTriple:
     if kind in route.maxima:
         return route.maxima[kind]
     if kind in _GATES and not all(route.verdicts):
-        _require(kind, route)
+        _require(kind, a)
     for (source, perm), kinds in _sources(route.verdicts).items():
         if kind in kinds:
             _lift(route, source, perm, kinds)
@@ -823,14 +823,14 @@ def _spectrum(kind: str, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and raises Unrepresentable where the largest is nonzero and not a
     normal float64 (smaller ones may round)."""
     route = _route(a)
-    _require(kind, route)
+    _require(kind, a)
     pairs = _enumerated(route, kind)
     if pairs is None:
         raise Uncertified(
             f"the {kind[0].upper()}-eigenpair enumeration certified in none of its charts"
         )
-    core._rescaled(pairs[0][0], route.exp, f"largest {kind[0].upper()}-eigenvalue")
-    return np.ldexp(pairs[0], route.exp), pairs[1], pairs[2] * route.unscaled
+    values = core._rescaled_array(pairs[0], route.exp, f"largest {kind[0].upper()}-eigenvalue")
+    return values, pairs[1], pairs[2] * route.unscaled
 
 
 # The solvers take no setting that changes their answer.  ``restarts`` and

@@ -5,7 +5,10 @@ import pytest
 
 import tritensor as tt
 from tritensor import core
-from tritensor.errors import NotOrthogonal
+from tritensor.errors import (
+    NotOrthogonal, NotPartiallySymmetric, NotRightSymmetric, NotSymmetric, SingularTensor,
+    Uncertified, Unrepresentable,
+)
 from tritensor.symmetry import _swap_symmetric
 
 from helpers import (
@@ -406,6 +409,7 @@ CONTRACT = {
     "max_c_eigenvalue": (tt.max_c_eigenvalue, "Hyper3", NON_FINITE),
     "max_z_eigenvalue": (tt.max_z_eigenvalue, "Hyper3", NON_FINITE),
     "z_spectrum": (tt.z_spectrum, "Hyper3", NON_FINITE),
+    "c_spectrum": (tt.c_spectrum, "Hyper3", NON_FINITE),
 }
 
 
@@ -479,6 +483,71 @@ def test_tol_contract(name, tol):
 def test_valid_tols_pass_unchanged(tol):
     assert core._tolerance(tol) is tol
     assert tt.classify(FIXTURE, tol).tol is tol
+
+
+# ---------------------------------------------------------------------------
+# the output contract
+
+
+def _unit(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    return a / np.linalg.norm(a)
+
+
+# every 31st power of two over the float64 range, and the ends of the
+# subnormal and the normal range
+LADDER = sorted({*range(-1074, 1024, 31), *range(-1074, -1064), *range(-1030, -1015),
+                 *range(1015, 1024)})
+LADDER_TENSORS = {
+    "symmetric": _unit(tt.make_fixture("symmetric", 1)),
+    "right_symmetric": _unit(tt.make_fixture("right_symmetric", 1)),
+    "gaussian": _unit(np.random.default_rng(0).standard_normal((3, 3, 3))),
+}
+# per function, the parts of its result whose largest |entry| is checked
+# (the vectors, eigentensors and residuals are scale-free)
+LADDER_RESULTS = {
+    "l_eigen": lambda r: [r.sigma],
+    "l_inverse": lambda r: [r],
+    "kernel_triple": lambda r: [r],
+    "invariants": lambda r: [r],
+    **dict.fromkeys(("max_singular_value", "max_c_eigenvalue", "max_z_eigenvalue"),
+                    lambda r: [r.value, r.upper_bound]),
+    "z_spectrum": lambda r: [r.values],
+    "c_spectrum": lambda r: [r.values],
+    "eig_decompose_partial": lambda r: [r.sigma],
+    "sym_eig3": lambda r: [r[0]],
+}
+# the class gates, the singular tensors, and the range itself
+LADDER_ERRORS = (
+    NotSymmetric, NotRightSymmetric, NotPartiallySymmetric, SingularTensor, Unrepresentable,
+)
+
+
+def test_every_result_on_the_power_of_two_ladder_is_normal_or_raises():
+    # at 2^e times unit-norm tensors over the whole float64 range, each
+    # result's largest |entry| is 0 or a normal float64, or the call
+    # raises; a RuntimeWarning (an error here) fails it too.
+    # eig_decompose_partial is checked on the overflow side only: a
+    # subnormal sigma is its documented limit
+    g = np.random.default_rng(0).standard_normal((3, 3))
+    matrix = _unit(g + g.T)
+    for e in LADDER:
+        calls = [(name, klass, np.ldexp(a, e)) for klass, a in LADDER_TENSORS.items()
+                 for name in LADDER_RESULTS
+                 if name != "sym_eig3" and (name != "eig_decompose_partial" or e >= 0)]
+        calls.append(("sym_eig3", "symmetric matrix", np.ldexp(matrix, e)))
+        for name, klass, x in calls:
+            try:
+                result = getattr(tt, name)(x)
+            except LADDER_ERRORS:
+                continue
+            except Uncertified:
+                # ldexp has rounded the tensor to a few subnormal ulps
+                assert np.abs(x).max() <= 16 * 2.0**-1074, (name, klass, e)
+                continue
+            for part in LADDER_RESULTS[name](result):
+                peak = float(np.abs(np.asarray(part)).max())
+                assert peak == 0.0 or 2.0**-1022 <= peak < np.inf, (name, klass, e, peak)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,20 @@ def test_sym_eig3_sign_and_order_deterministic():
         assert vecs1[lead, j] > 0.0
 
 
+def test_sym_eig3_outside_the_float64_range_raises():
+    # the leading eigenvalue 3 x 1.7e308 overflows and 3 x 5e-324 is
+    # subnormal; the raise comes before any ldexp, so with no RuntimeWarning
+    # (an error here)
+    for c in (1.7e308, 5e-324):
+        with pytest.raises(Unrepresentable, match="largest eigenvalue .* float64 range"):
+            tt.sym_eig3(np.full((3, 3), c))
+    # inside the range the eigenvalues are the unit matrix's scaled, and
+    # the zero matrix's stay 0
+    vals, _ = tt.sym_eig3(np.full((3, 3), 1.0))
+    assert tt.sym_eig3(np.full((3, 3), 2.0**-1020))[0].tobytes() == np.ldexp(vals, -1020).tobytes()
+    assert not tt.sym_eig3(np.zeros((3, 3)))[0].any()
+
+
 def test_sym_eig3_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         tt.sym_eig3(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
@@ -651,16 +665,39 @@ def test_results_never_alias_the_cached_entry():
     assert spectral_outputs(a) == expected
 
 
+def _arrays(node) -> list:
+    """Every ndarray held in ``node``, through tuples, lists and dict values."""
+    if isinstance(node, np.ndarray):
+        return [node]
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, (tuple, list)):
+        return [arr for item in node for arr in _arrays(item)]
+    return []
+
+
 def test_no_solver_result_aliases_the_record():
-    a = np.asarray(tt.make_fixture("symmetric", 4))
-    triples = [tt.max_singular_value(a), tt.max_c_eigenvalue(a), tt.max_z_eigenvalue(a)]
-    results = [*(getattr(t, v) for t in triples for v in "xyz"), *tt.z_spectrum(a)]
-    record = core._tensor(a)
-    route = record.memo["route"]
-    cached = [record.a, route.dev, *route.runs["z_eigen", (0, 1, 2)]]
-    assert route.a is record.a and not any(arr.flags.writeable for arr in cached[2:])
-    for res in results:
-        assert not any(np.shares_memory(res, arr) for arr in cached)
+    # a symmetric tensor, whose route holds its Z enumeration and the maxima
+    # lifted from it, and a Gaussian one, whose route holds the branch and
+    # bound of eta_1 (its C and Z gates raise)
+    symmetric = np.asarray(tt.make_fixture("symmetric", 4))
+    for a in (symmetric, np.random.default_rng(0).standard_normal((3, 3, 3))):
+        clear_memo()
+        triples = [tt.max_singular_value(a)]
+        if a is symmetric:
+            triples += [tt.max_c_eigenvalue(a), tt.max_z_eigenvalue(a)]
+        results = [getattr(t, v) for t in triples for v in "xyz"]
+        if a is symmetric:
+            results += tt.z_spectrum(a)
+        record = core._tensor(a)
+        route = record.memo["route"]
+        assert route.a is record.a
+        assert list(route.runs) == [("z_eigen", (0, 1, 2)) if a is symmetric else "bounded"]
+        # the scaled tensor and the runs; the maxima are the results themselves
+        cached = _arrays([route.a, route.runs])
+        assert not any(arr.flags.writeable for arr in cached + _arrays(route.maxima))
+        for res in results:
+            assert not any(np.shares_memory(res, arr) for arr in cached)
 
 
 def test_in_place_edit_of_the_input_is_seen():
